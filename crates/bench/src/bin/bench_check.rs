@@ -7,8 +7,9 @@
 //!
 //! Usage: `bench_check <BENCH_BASELINE.json> <current.json> [tolerance]`
 //!
-//! * every tracked key of the *baseline*'s `"metrics"` object gates
-//!   (the current report may carry extra, untracked metrics);
+//! * every tracked key of the *baseline*'s `"metrics"` object gates,
+//!   and a tracked key only the current report carries fails as
+//!   `UNGATED` (the report may carry extra *untracked* metrics);
 //! * a tracked key appearing **twice** in either input is a usage error
 //!   (exit 2): first-match lookup would silently shadow one value;
 //! * keys whose baseline and current values are **both integral** — and
@@ -20,8 +21,8 @@
 //!   with any growth from a zero baseline failing;
 //! * `*_ms` timings and structural keys never gate.
 //!
-//! Exit codes: `0` all green, `1` a tracked metric regressed or
-//! mismatched, `2` usage/input error (bad arguments, unreadable or
+//! Exit codes: `0` all green, `1` a tracked metric regressed,
+//! mismatched, or is missing/ungated, `2` usage/input error (bad arguments, unreadable or
 //! metric-less files, duplicate keys).
 
 use std::process::ExitCode;
@@ -87,33 +88,35 @@ fn main() -> ExitCode {
         tolerance * 100.0
     );
     for row in &rows {
-        match row.verdict {
-            Verdict::Missing => {
-                println!("{:<28} {:>14.3} {:>14} {:>9}  MISSING", row.key, row.base, "-", "-");
+        match (row.base, row.cur) {
+            (Some(base), None) => {
+                println!("{:<28} {base:>14.3} {:>14} {:>9}  MISSING", row.key, "-", "-");
             }
-            verdict => {
-                let cur = row.cur.expect("non-missing rows carry a current value");
-                let status = match verdict {
-                    Verdict::Ok if is_exact(&row.key, row.base, cur) => "ok (exact)",
+            (None, Some(cur)) => {
+                println!("{:<28} {:>14} {cur:>14.3} {:>9}  UNGATED", row.key, "-", "-");
+            }
+            (Some(base), Some(cur)) => {
+                let status = match row.verdict {
+                    Verdict::Ok if is_exact(&row.key, base, cur) => "ok (exact)",
                     Verdict::Ok => "ok",
                     Verdict::Regressed => "REGRESSED",
                     Verdict::ExactMismatch => "EXACT MISMATCH",
-                    Verdict::Missing => unreachable!(),
+                    Verdict::Missing | Verdict::Ungated => unreachable!("one-sided verdicts"),
                 };
                 println!(
-                    "{:<28} {:>14.3} {cur:>14.3} {:>8.1}%  {status}",
+                    "{:<28} {base:>14.3} {cur:>14.3} {:>8.1}%  {status}",
                     row.key,
-                    row.base,
                     row.delta * 100.0
                 );
             }
+            (None, None) => unreachable!("a row comes from a key of one input"),
         }
         failed |= row.verdict != Verdict::Ok;
     }
     if failed {
         eprintln!(
-            "\nbench_check: tracked metrics regressed beyond {:.0}% or drifted off an exact \
-             counter",
+            "\nbench_check: tracked metrics regressed beyond {:.0}%, drifted off an exact \
+             counter, or are missing from one side",
             tolerance * 100.0
         );
         ExitCode::FAILURE

@@ -7,12 +7,12 @@
 //! `Tkij::execute` and each served report is asserted **bit-identical**
 //! to its solo reference — results (ids and score bits) and every work
 //! counter — so the throughput number can never be bought with a
-//! correctness or determinism regression. The serving counters
-//! (`serving_queries`, `serving_plan_cache_hits`,
-//! `serving_plan_cache_misses`, `serving_plan_cache_evictions`) are
-//! exact by construction: misses equal the number of distinct shapes —
-//! far below the default plan-cache capacity, so evictions pin at 0 —
-//! however the threads interleave, and are gated exactly (integral
+//! correctness or determinism regression. The serving counters (every
+//! `ServingStats` counter, emitted as `serving_*` by walking its
+//! `Counters` schema) are exact by construction: misses equal the
+//! number of distinct shapes — far below the default plan-cache
+//! capacity, so evictions pin at 0 — however the threads interleave,
+//! and are gated exactly (integral
 //! counters gate bit-for-bit); `serving_qps` (served queries per
 //! second, best-of [`TIMED_REPS`] timed repetitions) is the wall-clock
 //! throughput metric, gated with a generous floor (`bench_check` knows
@@ -29,7 +29,8 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tkij_core::{ExecutionReport, LocalJoinStats, Tkij, TkijConfig, TkijServer};
+use tkij_bench::emit::Report;
+use tkij_core::{Fingerprint, Tkij, TkijConfig, TkijServer};
 use tkij_datagen::synthetic::{uniform_collection, SyntheticConfig};
 use tkij_temporal::collection::CollectionId;
 use tkij_temporal::params::PredicateParams;
@@ -62,31 +63,6 @@ fn query_mix() -> Vec<(&'static str, Query)> {
     ]
 }
 
-/// The bit-comparable essence of one execution: results plus every
-/// deterministic work counter.
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    results: Vec<(Vec<u64>, u64)>,
-    local_stats: Vec<LocalJoinStats>,
-    topbuckets_selected: usize,
-    topbuckets_solver_calls: usize,
-    assignments_scored: u64,
-    shuffle_records: u64,
-    buckets: (u64, u64),
-}
-
-fn fingerprint(report: &ExecutionReport) -> Fingerprint {
-    Fingerprint {
-        results: report.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect(),
-        local_stats: report.local_stats.clone(),
-        topbuckets_selected: report.topbuckets.selected,
-        topbuckets_solver_calls: report.topbuckets.solver_calls,
-        assignments_scored: report.distribution.assignments_scored,
-        shuffle_records: report.join.total_shuffle_records(),
-        buckets: (report.buckets_rtree(), report.buckets_sweep()),
-    }
-}
-
 /// One timed repetition: every thread serves the full mix [`ROUNDS`]
 /// times (offset rotation, so shapes interleave across threads), each
 /// report checked against its solo reference. Returns the wall time.
@@ -106,7 +82,7 @@ fn serve_rep(
                         let qi = (i + t + round) % queries.len();
                         let report = handle.query(&queries[qi].1, K).expect("serve");
                         assert_eq!(
-                            fingerprint(&report),
+                            report.fingerprint(),
                             solo[qi],
                             "served {} diverges from its solo reference",
                             queries[qi].0
@@ -139,7 +115,7 @@ fn main() {
     let queries = query_mix();
     let solo: Vec<Fingerprint> = queries
         .iter()
-        .map(|(_, q)| fingerprint(&engine.execute(&dataset, q, K).expect("solo")))
+        .map(|(_, q)| engine.execute(&dataset, q, K).expect("solo").fingerprint())
         .collect();
 
     let server = Arc::new(engine.serve(dataset));
@@ -172,36 +148,23 @@ fn main() {
     let wall_ms = best.as_secs_f64() * 1e3;
     let qps = per_rep as f64 / best.as_secs_f64().max(1e-9);
 
-    let mut metrics: Vec<(String, String)> = Vec::new();
-    let mut push = |key: &str, value: String| metrics.push((key.to_string(), value));
-    push("serving_qps", format!("{qps:.3}"));
-    push("serving_wall_ms", format!("{wall_ms:.3}"));
-    push("serving_queries", stats.queries.to_string());
-    push("serving_plan_cache_hits", stats.plan_cache_hits.to_string());
-    push("serving_plan_cache_misses", stats.plan_cache_misses.to_string());
-    push("serving_plan_cache_evictions", stats.plan_cache_evictions.to_string());
+    let mut out = Report::default();
+    out.push("serving_qps", format!("{qps:.3}"));
+    out.push("serving_wall_ms", format!("{wall_ms:.3}"));
+    out.counters("serving", &stats);
     // Latency percentiles: artifact-only (`*_ms` keys never gate and
     // never enter a fingerprint) — the paper's §4 response-time view of
     // the same runs the counters above pin exactly.
-    push("serving_p50_ms", format!("{:.3}", latency.p50_ms));
-    push("serving_p95_ms", format!("{:.3}", latency.p95_ms));
-    push("serving_p99_ms", format!("{:.3}", latency.p99_ms));
+    out.push("serving_p50_ms", format!("{:.3}", latency.p50_ms));
+    out.push("serving_p95_ms", format!("{:.3}", latency.p95_ms));
+    out.push("serving_p99_ms", format!("{:.3}", latency.p99_ms));
 
     let names: Vec<&str> = queries.iter().map(|(n, _)| *n).collect();
-    println!("{{");
-    println!("  \"schema\": 3,");
-    println!(
-        "  \"workload\": {{ \"collections\": 3, \"size\": {SIZE}, \"start_span\": {START_SPAN}, \
+    out.print(&format!(
+        "\"collections\": 3, \"size\": {SIZE}, \"start_span\": {START_SPAN}, \
          \"granules\": {GRANULES}, \"reducers\": {REDUCERS}, \"k\": {K}, \"seed\": {SEED}, \
          \"threads\": {THREADS}, \"rounds\": {ROUNDS}, \"reps\": {TIMED_REPS}, \
-         \"queries\": \"{}\" }},",
+         \"queries\": \"{}\"",
         names.join("+")
-    );
-    println!("  \"metrics\": {{");
-    for (i, (key, value)) in metrics.iter().enumerate() {
-        let comma = if i + 1 < metrics.len() { "," } else { "" };
-        println!("    \"{key}\": {value}{comma}");
-    }
-    println!("  }}");
-    println!("}}");
+    ));
 }

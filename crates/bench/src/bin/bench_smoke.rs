@@ -2,13 +2,13 @@
 //! local-join backends, emitting a flat JSON report on stdout.
 //!
 //! The workload is fully deterministic (fixed sizes, seeds and engine
-//! knobs, no env scaling), so the work counters (`*_index_probes`,
-//! `*_items_scanned`, `*_candidates_visited`, `*_tuples_scored`,
-//! `*_buckets_*`, and the TopBuckets/distribution phase counters) are
-//! exact run-to-run; the timing metrics take the best of [`RUNS`]
-//! repetitions to damp scheduler noise. `bench_check` compares this
-//! output against the committed `BENCH_BASELINE.json` and fails CI on
-//! >25% regressions.
+//! knobs, no env scaling), so the work counters — every counter the
+//! stats structs' `Counters` schema visits, emitted through
+//! [`tkij_bench::emit::Report`] as `{backend}_*`, `topbuckets_*`,
+//! `dtb_*` and `shuffle_*` keys — are exact run-to-run; the timing
+//! metrics take the best of [`RUNS`] repetitions to damp scheduler
+//! noise. `bench_check` compares this output against the committed
+//! `BENCH_BASELINE.json` and fails CI on >25% regressions.
 //!
 //! Usage: `bench_smoke [backend...]` — backend names (`rtree`, `sweep`,
 //! `auto`) parsed with the `FromStr` registry; no arguments runs all
@@ -27,6 +27,7 @@
 //! `cargo run --release -p tkij_bench --bin bench_smoke > BENCH_BASELINE.json`
 
 use std::time::{Duration, Instant};
+use tkij_bench::emit::Report;
 use tkij_core::{ExecutionReport, LocalJoinBackend, Tkij, TkijConfig};
 use tkij_datagen::synthetic::{uniform_collection, SyntheticConfig};
 use tkij_index::{threshold_candidates, CandidateSource, RTree, SweepIndex, SweepScanKind};
@@ -67,10 +68,6 @@ struct BackendRun {
 }
 
 impl BackendRun {
-    fn candidates_visited(&self) -> u64 {
-        self.report.local_stats.iter().map(|s| s.candidates_visited).sum()
-    }
-
     fn score_bits(&self) -> Vec<u64> {
         self.report.results.iter().map(|t| t.score.to_bits()).collect()
     }
@@ -206,9 +203,7 @@ fn main() {
         backends.contains(&LocalJoinBackend::RTree) && backends.contains(&LocalJoinBackend::Sweep);
     let find = |b: LocalJoinBackend| runs.iter().find(|(rb, _)| *rb == b).map(|(_, r)| r);
 
-    // Flat "key": number metric lines, in emission order.
-    let mut metrics: Vec<(String, String)> = Vec::new();
-    let mut push = |key: &str, value: String| metrics.push((key.to_string(), value));
+    let mut out = Report::default();
 
     if both_fixed {
         let rtree_probe = probe_microbench(RTree::bulk_load);
@@ -225,29 +220,23 @@ fn main() {
         // Per-kind probe speedup of the chunked lane scan over the
         // scalar reference (same index contents, same window set).
         let chunked_speedup = scalar_probe.probe_ms / sweep_probe.probe_ms.max(1e-9);
-        push("rtree_probe_ms", format!("{:.3}", rtree_probe.probe_ms));
-        push("sweep_probe_ms", format!("{:.3}", sweep_probe.probe_ms));
-        push("sweep_scalar_probe_ms", format!("{:.3}", scalar_probe.probe_ms));
-        push("sweep_speedup", format!("{speedup:.3}"));
-        push("chunked_probe_speedup", format!("{chunked_speedup:.3}"));
-        push("rtree_probe_scanned", rtree_probe.scanned.to_string());
-        push("sweep_probe_scanned", sweep_probe.scanned.to_string());
-        push("probe_hits", sweep_probe.hits.to_string());
+        out.push("rtree_probe_ms", format!("{:.3}", rtree_probe.probe_ms));
+        out.push("sweep_probe_ms", format!("{:.3}", sweep_probe.probe_ms));
+        out.push("sweep_scalar_probe_ms", format!("{:.3}", scalar_probe.probe_ms));
+        out.push("sweep_speedup", format!("{speedup:.3}"));
+        out.push("chunked_probe_speedup", format!("{chunked_speedup:.3}"));
+        out.push("rtree_probe_scanned", rtree_probe.scanned.to_string());
+        out.push("sweep_probe_scanned", sweep_probe.scanned.to_string());
+        out.push("probe_hits", sweep_probe.hits.to_string());
         let rt = find(LocalJoinBackend::RTree).expect("rtree ran");
         let sw = find(LocalJoinBackend::Sweep).expect("sweep ran");
         let join_speedup = rt.reduce_ms / sw.reduce_ms.max(1e-9);
-        push("join_speedup", format!("{join_speedup:.3}"));
+        out.push("join_speedup", format!("{join_speedup:.3}"));
     }
     for (b, run) in &runs {
         let n = b.name();
-        push(&format!("{n}_join_reduce_ms"), format!("{:.3}", run.reduce_ms));
-        push(&format!("{n}_index_probes"), run.report.index_probes().to_string());
-        push(&format!("{n}_items_scanned"), run.report.items_scanned().to_string());
-        push(&format!("{n}_candidates_visited"), run.candidates_visited().to_string());
-        push(&format!("{n}_tuples_scored"), run.report.tuples_scored().to_string());
-        push(&format!("{n}_buckets_rtree"), run.report.buckets_rtree().to_string());
-        push(&format!("{n}_buckets_sweep"), run.report.buckets_sweep().to_string());
-        push(&format!("{n}_probe_chunks"), run.report.probe_chunks().to_string());
+        out.push(&format!("{n}_join_reduce_ms"), format!("{:.3}", run.reduce_ms));
+        out.summed(n, &run.report.local_stats);
     }
     // Phase-level work counters (backend-independent: TopBuckets and
     // distribution run before the join; take them from the first run and
@@ -263,16 +252,8 @@ fn main() {
             "phase counters must not depend on the join backend"
         );
     }
-    push("topbuckets_candidates", phase.topbuckets.candidates.to_string());
-    push("topbuckets_selected", phase.topbuckets.selected.to_string());
-    push("topbuckets_solver_calls", phase.topbuckets.solver_calls.to_string());
-    push("topbuckets_pruned_local", phase.topbuckets.pruned_local.to_string());
-    push("topbuckets_pruned_merge", phase.topbuckets.pruned_merge.to_string());
-    push("dtb_assignments_scored", phase.distribution.assignments_scored.to_string());
-    push("dtb_cap_fallbacks", phase.distribution.cap_fallbacks.to_string());
-    push("dtb_shuffle_records", phase.distribution.estimated_shuffle_records.to_string());
-    push("dtb_replication_factor", format!("{:.6}", phase.distribution.replication_factor));
-    push("dtb_result_imbalance", format!("{:.6}", phase.distribution.result_imbalance));
+    out.counters("topbuckets", &phase.topbuckets);
+    out.counters("dtb", &phase.distribution);
 
     // Single-reducer hot-bucket probe: the gate's evidence that the
     // intra-join sharding (a) actually parallelizes the one regime
@@ -298,14 +279,14 @@ fn main() {
         "the hot workload must actually run parallel waves"
     );
     let intra_speedup = hot_seq.reduce_ms / hot_par.reduce_ms.max(1e-9);
-    push("intra_join_speedup", format!("{intra_speedup:.3}"));
-    push("hot_seq_reduce_ms", format!("{:.3}", hot_seq.reduce_ms));
-    push("hot_par_reduce_ms", format!("{:.3}", hot_par.reduce_ms));
-    push("hot_probe_chunks", hot_par.report.probe_chunks().to_string());
-    push("hot_intra_threads_used", hot_par.report.intra_threads_used().to_string());
-    push("hot_index_probes", hot_par.report.index_probes().to_string());
-    push("hot_items_scanned", hot_par.report.items_scanned().to_string());
-    push("hot_tuples_scored", hot_par.report.tuples_scored().to_string());
+    out.push("intra_join_speedup", format!("{intra_speedup:.3}"));
+    out.push("hot_seq_reduce_ms", format!("{:.3}", hot_seq.reduce_ms));
+    out.push("hot_par_reduce_ms", format!("{:.3}", hot_par.reduce_ms));
+    out.push("hot_probe_chunks", hot_par.report.probe_chunks().to_string());
+    out.push("hot_intra_threads_used", hot_par.report.intra_threads_used().to_string());
+    out.push("hot_index_probes", hot_par.report.index_probes().to_string());
+    out.push("hot_items_scanned", hot_par.report.items_scanned().to_string());
+    out.push("hot_tuples_scored", hot_par.report.tuples_scored().to_string());
 
     // Out-of-core leg: the same gated workload on the default backend,
     // forced through the serialized spill transport at threshold 0 (every
@@ -356,25 +337,13 @@ fn main() {
         spill.report.join.total_shuffle_records() + spill.report.merge.total_shuffle_records(),
         "threshold 0 serializes every online shuffle record"
     );
-    push("shuffle_records_spilled", spill_stats.records_spilled.to_string());
-    push("shuffle_spill_segments", spill_stats.spill_segments.to_string());
-    push("shuffle_spill_bytes", spill_stats.spill_bytes.to_string());
-    push("shuffle_checksum", spill_stats.checksum.to_string());
+    out.counters("shuffle", &spill_stats);
 
     let names: Vec<&str> = backends.iter().map(|b| b.name()).collect();
-    println!("{{");
-    println!("  \"schema\": 3,");
-    println!(
-        "  \"workload\": {{ \"collections\": 3, \"size\": {SIZE}, \"start_span\": {START_SPAN}, \
+    out.print(&format!(
+        "\"collections\": 3, \"size\": {SIZE}, \"start_span\": {START_SPAN}, \
          \"granules\": {GRANULES}, \"reducers\": {REDUCERS}, \"k\": {K}, \"seed\": {SEED}, \
-         \"query\": \"q_om\", \"backends\": \"{}\" }},",
+         \"query\": \"q_om\", \"backends\": \"{}\"",
         names.join("+")
-    );
-    println!("  \"metrics\": {{");
-    for (i, (key, value)) in metrics.iter().enumerate() {
-        let comma = if i + 1 < metrics.len() { "," } else { "" };
-        println!("    \"{key}\": {value}{comma}");
-    }
-    println!("  }}");
-    println!("}}");
+    ));
 }

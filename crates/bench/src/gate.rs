@@ -27,6 +27,11 @@
 //! 4. Everything else gates with the relative `tolerance`, inverted for
 //!    better-higher keys ([`lower_is_worse`]); a zero baseline admits
 //!    no growth at all.
+//! 5. **The key sets must agree**: a tracked baseline key the report
+//!    lacks is [`Verdict::Missing`], and a tracked report key the
+//!    baseline lacks is [`Verdict::Ungated`] — the harnesses derive
+//!    their counter keys from the stats structs' `Counters` schema, so
+//!    a new counter fails the gate until its value is committed.
 
 /// Extracts every `"key": <number>` pair from each `"metrics"` object
 /// of `text` (a report, or a concatenation of reports).
@@ -129,6 +134,9 @@ pub enum Verdict {
     ExactMismatch,
     /// The key is absent from the current report.
     Missing,
+    /// The current report carries a tracked key the baseline does not
+    /// gate.
+    Ungated,
 }
 
 /// One row of the gate report.
@@ -136,8 +144,8 @@ pub enum Verdict {
 pub struct Row {
     /// The gated key.
     pub key: String,
-    /// Baseline value.
-    pub base: f64,
+    /// Baseline value (`None` when ungated).
+    pub base: Option<f64>,
     /// Current value (`None` when missing).
     pub cur: Option<f64>,
     /// Relative delta `(cur − base) / base` (`∞` for growth from 0).
@@ -147,7 +155,8 @@ pub struct Row {
 }
 
 /// Runs the gate: every tracked baseline key is checked against
-/// `current`. The caller must reject duplicate keys (in either input)
+/// `current`, then every tracked key only `current` holds is reported
+/// ungated. The caller must reject duplicate keys (in either input)
 /// *before* evaluating — [`Row`] lookups take the first occurrence.
 pub fn evaluate(baseline: &[(String, f64)], current: &[(String, f64)], tolerance: f64) -> Vec<Row> {
     let mut rows = Vec::new();
@@ -158,7 +167,7 @@ pub fn evaluate(baseline: &[(String, f64)], current: &[(String, f64)], tolerance
         let Some((_, cur)) = current.iter().find(|(k, _)| k == key) else {
             rows.push(Row {
                 key: key.clone(),
-                base: *base,
+                base: Some(*base),
                 cur: None,
                 delta: f64::INFINITY,
                 verdict: Verdict::Missing,
@@ -195,7 +204,18 @@ pub fn evaluate(baseline: &[(String, f64)], current: &[(String, f64)], tolerance
         } else {
             Verdict::Ok
         };
-        rows.push(Row { key: key.clone(), base: *base, cur: Some(*cur), delta, verdict });
+        rows.push(Row { key: key.clone(), base: Some(*base), cur: Some(*cur), delta, verdict });
+    }
+    for (key, cur) in current {
+        if is_tracked(key) && !baseline.iter().any(|(k, _)| k == key) {
+            rows.push(Row {
+                key: key.clone(),
+                base: None,
+                cur: Some(*cur),
+                delta: f64::INFINITY,
+                verdict: Verdict::Ungated,
+            });
+        }
     }
     rows
 }
@@ -377,5 +397,20 @@ mod tests {
         let base = vec![("a_count".to_string(), 3.0)];
         let rows = evaluate(&base, &[], 0.25);
         assert_eq!(verdict_of(&rows, "a_count"), Verdict::Missing);
+    }
+
+    #[test]
+    fn tracked_keys_only_in_the_report_are_ungated() {
+        let base = vec![("a_count".to_string(), 3.0)];
+        let cur = vec![
+            ("a_count".to_string(), 3.0),
+            ("new_counter".to_string(), 7.0),
+            ("new_probe_ms".to_string(), 1.5),
+        ];
+        let rows = evaluate(&base, &cur, 0.25);
+        assert_eq!(verdict_of(&rows, "a_count"), Verdict::Ok);
+        assert_eq!(verdict_of(&rows, "new_counter"), Verdict::Ungated);
+        // The `*_ms` artifact rides along ungated, as ever.
+        assert_eq!(rows.len(), 2);
     }
 }

@@ -23,6 +23,7 @@
 
 use std::time::{Duration, Instant};
 
+pub mod emit;
 pub mod gate;
 
 /// Scaling knobs read from the environment.

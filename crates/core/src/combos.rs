@@ -6,6 +6,7 @@
 //! struct-of-arrays [`ComboSet`] and manipulated through index vectors.
 
 use std::time::Duration;
+use tkij_mapreduce::Counters;
 use tkij_temporal::bucket::{BucketId, BucketMatrix};
 use tkij_temporal::query::Query;
 
@@ -237,6 +238,32 @@ pub struct TopBucketsStats {
     pub selected_results: u128,
     /// Wall time of the whole TopBuckets phase.
     pub duration: Duration,
+}
+
+impl Counters for TopBucketsStats {
+    fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let TopBucketsStats {
+            candidates,
+            selected,
+            solver_calls,
+            pruned_local,
+            pruned_merge,
+            worker_groups,
+            total_results,
+            selected_results,
+            duration: _, // timing
+        } = self;
+        f("candidates", *candidates as u64);
+        f("selected", *selected as u64);
+        f("solver_calls", *solver_calls as u64);
+        f("pruned_local", *pruned_local as u64);
+        f("pruned_merge", *pruned_merge as u64);
+        f("worker_groups", *worker_groups as u64);
+        f("total_results_hi", (*total_results >> 64) as u64);
+        f("total_results_lo", *total_results as u64);
+        f("selected_results_hi", (*selected_results >> 64) as u64);
+        f("selected_results_lo", *selected_results as u64);
+    }
 }
 
 impl TopBucketsStats {

@@ -10,7 +10,9 @@ use crate::merge::run_merge_phase;
 use crate::stats::{collect_statistics, PreparedDataset};
 use crate::topbuckets::run_topbuckets;
 use std::time::Duration;
-use tkij_mapreduce::{ClusterConfig, JobMetrics, ShuffleMode, ShuffleStats, SpillSinkKind};
+use tkij_mapreduce::{
+    ClusterConfig, Counters, JobMetrics, ShuffleMode, ShuffleStats, SpillSinkKind,
+};
 use tkij_temporal::collection::IntervalCollection;
 use tkij_temporal::error::TemporalError;
 use tkij_temporal::query::Query;
@@ -332,6 +334,43 @@ pub struct DistributionSummary {
     pub cap_fallbacks: u64,
 }
 
+impl Counters for DistributionSummary {
+    fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let DistributionSummary {
+            policy: _,   // configuration echo
+            duration: _, // timing
+            replication_factor,
+            estimated_shuffle_records,
+            result_imbalance,
+            assignments_scored,
+            cap_fallbacks,
+        } = self;
+        f("replication_factor", replication_factor.to_bits());
+        f("estimated_shuffle_records", *estimated_shuffle_records);
+        f("result_imbalance", result_imbalance.to_bits());
+        f("assignments_scored", *assignments_scored);
+        f("cap_fallbacks", *cap_fallbacks);
+    }
+}
+
+/// Every deterministic (non-timing) quantity of one execution, in a
+/// directly comparable shape ([`ExecutionReport::fingerprint`]) — what
+/// the determinism batteries and `bench_serving` assert bit-identical
+/// across threads, transports, caches and repeats.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fingerprint {
+    /// The top-k as (interval ids, score bits).
+    pub results: Vec<(Vec<u64>, u64)>,
+    /// Per-reducer local join telemetry, wholesale.
+    pub local_stats: Vec<LocalJoinStats>,
+    /// [`ExecutionReport::reducer_kth_scores`] as bits.
+    pub reducer_kth_bits: Vec<u64>,
+    /// Every [`Counters`]-visited counter of the report's `topbuckets`,
+    /// `distribution`, `join` and `merge` members, keyed
+    /// `<member>.<counter>` so a failed `assert_eq!` names what drifted.
+    pub counters: Vec<(String, u64)>,
+}
+
 /// Everything one TKIJ execution produces: the exact top-k plus the
 /// telemetry each figure of the paper's evaluation is built from.
 #[derive(Debug, Clone)]
@@ -439,6 +478,28 @@ impl ExecutionReport {
     /// All-zero when both jobs ran the in-memory transport.
     pub fn shuffle_stats(&self) -> ShuffleStats {
         self.join.shuffle.merged(&self.merge.shuffle)
+    }
+
+    /// The bit-comparable essence of this execution: results, per-reducer
+    /// telemetry and every deterministic counter — never a timing or a
+    /// configuration echo.
+    pub fn fingerprint(&self) -> Fingerprint {
+        let mut counters = Vec::new();
+        let members: [(&str, &dyn Counters); 4] = [
+            ("topbuckets", &self.topbuckets),
+            ("distribution", &self.distribution),
+            ("join", &self.join),
+            ("merge", &self.merge),
+        ];
+        for (member, stats) in members {
+            stats.visit(&mut |name, value| counters.push((format!("{member}.{name}"), value)));
+        }
+        Fingerprint {
+            results: self.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect(),
+            local_stats: self.local_stats.clone(),
+            reducer_kth_bits: self.reducer_kth_scores.iter().map(|s| s.to_bits()).collect(),
+            counters,
+        }
     }
 
     /// Share of the potential result space pruned by TopBuckets (Fig 10c).

@@ -52,7 +52,7 @@ pub use config::{
     DistributionPolicy, LocalJoinBackend, ParseVariantError, Strategy, SweepScanKind, TkijConfig,
 };
 pub use distribute::{distribute, Assignment};
-pub use engine::{DistributionSummary, ExecutionReport, QueryPlan, Tkij};
+pub use engine::{DistributionSummary, ExecutionReport, Fingerprint, QueryPlan, Tkij};
 pub use joinphase::{run_join_phase, run_join_phase_pooled, run_join_phase_with, ReducerOutput};
 pub use localjoin::{
     local_topk_join, local_topk_join_on, local_topk_join_planned, local_topk_join_pooled,
@@ -67,5 +67,8 @@ pub use serving::{LatencySnapshot, PlanKey, QueryHandle, ServingStats, TkijServe
 pub use stats::{collect_statistics, BucketProfile, DensityMatrix, PreparedDataset};
 pub use topbuckets::{get_top_buckets, run_topbuckets};
 // The out-of-core shuffle vocabulary callers need to read
-// `ExecutionReport::shuffle_stats` or select a transport explicitly.
-pub use tkij_mapreduce::{ShuffleMode, ShuffleStats, SpillSinkKind, SPILL_THRESHOLD_ENV};
+// `ExecutionReport::shuffle_stats` or select a transport explicitly, and
+// the counter schema every stats struct here implements.
+pub use tkij_mapreduce::{
+    summed_counters, Counters, ShuffleMode, ShuffleStats, SpillSinkKind, SPILL_THRESHOLD_ENV,
+};

@@ -56,6 +56,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tkij_index::{threshold_candidates, CandidateSource, RTree, SweepIndex, Window};
+use tkij_mapreduce::Counters;
 use tkij_temporal::bucket::BucketId;
 use tkij_temporal::expr::Side;
 use tkij_temporal::interval::Interval;
@@ -99,6 +100,35 @@ pub struct LocalJoinStats {
     /// Minimum score among the returned local top-k (Fig. 8c), 0 when
     /// empty.
     pub kth_score: f64,
+}
+
+impl Counters for LocalJoinStats {
+    fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let LocalJoinStats {
+            combos_assigned,
+            combos_processed,
+            tuples_scored,
+            candidates_visited,
+            index_probes,
+            items_scanned,
+            buckets_rtree,
+            buckets_sweep,
+            probe_chunks,
+            intra_threads_used,
+            kth_score,
+        } = self;
+        f("combos_assigned", *combos_assigned as u64);
+        f("combos_processed", *combos_processed as u64);
+        f("tuples_scored", *tuples_scored);
+        f("candidates_visited", *candidates_visited);
+        f("index_probes", *index_probes);
+        f("items_scanned", *items_scanned);
+        f("buckets_rtree", *buckets_rtree);
+        f("buckets_sweep", *buckets_sweep);
+        f("probe_chunks", *probe_chunks);
+        f("intra_threads_used", *intra_threads_used);
+        f("kth_score", kth_score.to_bits());
+    }
 }
 
 impl LocalJoinStats {

@@ -60,6 +60,7 @@ use crate::stats::PreparedDataset;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use tkij_mapreduce::Counters;
 use tkij_temporal::error::TemporalError;
 use tkij_temporal::query::Query;
 
@@ -125,6 +126,17 @@ pub struct ServingStats {
     /// [`TkijConfig::plan_cache_capacity`]; under churn past the bound
     /// it is an exact function of the serial access order.
     pub plan_cache_evictions: u64,
+}
+
+impl Counters for ServingStats {
+    fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let ServingStats { queries, plan_cache_hits, plan_cache_misses, plan_cache_evictions } =
+            self;
+        f("queries", *queries);
+        f("plan_cache_hits", *plan_cache_hits);
+        f("plan_cache_misses", *plan_cache_misses);
+        f("plan_cache_evictions", *plan_cache_evictions);
+    }
 }
 
 /// How many log-spaced latency buckets the serving histogram keeps:

@@ -1,9 +1,9 @@
 //! A small comment/string/raw-string-aware Rust lexer.
 //!
-//! The linter never needs a full token tree — every rule and every
-//! registry parse works on a *scrubbed* view of a source file in which
-//! string-literal contents and comments are blanked out of the code
-//! channel and routed to side channels instead. That makes word-level
+//! The linter never needs a full token tree — every rule works on a
+//! *scrubbed* view of a source file in which string-literal contents
+//! and comments are blanked out of the code channel and routed to side
+//! channels instead. That makes word-level
 //! matching (`HashMap`, `Instant::now`, `push("key"`) immune to the
 //! classic false positives: `"a HashMap in a string"`, `// HashMap in a
 //! comment`, `r#"nested "quotes" with HashMap"#`, nested block
@@ -20,8 +20,7 @@ pub struct StrLit {
     pub line: usize,
     /// Byte column (0-based) of the opening delimiter on that line.
     pub col: usize,
-    /// The literal's raw content (escapes *not* resolved; the registry
-    /// only ever matches plain ASCII keys, where raw == cooked).
+    /// The literal's raw content (escapes *not* resolved).
     pub content: String,
 }
 
@@ -164,8 +163,8 @@ pub fn scrub(source: &str) -> Scrubbed {
         }
 
         // Multi-line string literals keep their line structure in the
-        // captured content (the registry never needs it, but the rules
-        // must still see *nothing* of the string in the code channel).
+        // captured content (the rules must still see *nothing* of the
+        // string in the code channel).
         if let (State::Str { .. }, Some(s)) = (state, cur_str.as_mut()) {
             s.content.push('\n');
         }

@@ -1,24 +1,16 @@
-//! `tkij-lint` — the workspace determinism lint pass and
-//! counter-registry cross-checker.
+//! `tkij-lint` — the workspace determinism lint pass.
 //!
-//! Layer 1 ([`rules`]) statically enforces the determinism conventions
-//! every TKIJ guarantee rests on (`DET001`–`DET005`: no hash-ordered
-//! containers in counter paths, no wall-clock reads outside timing
-//! artifacts, no thread-identity branching, no OS-entropy RNG seeding,
-//! ordering rationales on join/counter atomics), with a
-//! mandatory-reason suppression syntax
-//! (`// tkij-lint: allow(DET00x) -- <why>`).
-//!
-//! Layer 2 ([`registry`]) cross-checks the counter registry: the stats
-//! struct field lists in `tkij_core`, the keys `bench_smoke` emits, the
-//! keys `BENCH_BASELINE.json` gates, and the fields the determinism
-//! fingerprints capture must agree, modulo explicit exclusion lists.
+//! [`rules`] statically enforces the determinism conventions every TKIJ
+//! guarantee rests on (`DET001`–`DET005`: no hash-ordered containers in
+//! counter paths, no wall-clock reads outside timing artifacts, no
+//! thread-identity branching, no OS-entropy RNG seeding, ordering
+//! rationales on join/counter atomics), with a mandatory-reason
+//! suppression syntax (`// tkij-lint: allow(DET00x) -- <why>`).
 //!
 //! Run as `cargo run -p tkij-lint -- check` (alias: `cargo lint-det`);
-//! both layers are wired into CI.
+//! wired into CI.
 
 pub mod lexer;
-pub mod registry;
 pub mod report;
 pub mod rules;
 
@@ -85,7 +77,7 @@ pub fn crate_of(path: &Path) -> &str {
     "root"
 }
 
-/// Runs the Layer-1 rules over the whole workspace.
+/// Runs the rules over the whole workspace.
 pub fn check_rules(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     for path in collect_workspace_files(root)? {
@@ -97,18 +89,6 @@ pub fn check_rules(root: &Path) -> std::io::Result<Vec<Finding>> {
         }
     }
     Ok(findings)
-}
-
-/// Runs the Layer-2 counter-registry cross-check, reporting files
-/// workspace-relative.
-pub fn check_registry_at(root: &Path) -> Vec<Finding> {
-    let mut findings = registry::check_registry(&registry::RegistryPaths::for_workspace(root));
-    for f in &mut findings {
-        if let Ok(rel) = f.file.strip_prefix(root) {
-            f.file = rel.to_path_buf();
-        }
-    }
-    findings
 }
 
 #[cfg(test)]

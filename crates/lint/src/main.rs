@@ -1,10 +1,10 @@
 //! The `tkij-lint` binary.
 //!
 //! ```text
-//! tkij-lint check [--json] [--root DIR] [--rules-only|--registry-only] [FILE...]
+//! tkij-lint check [--json] [--root DIR] [FILE...]
 //! ```
 //!
-//! With no `FILE` arguments, runs both layers over the workspace at
+//! With no `FILE` arguments, runs the rules over the workspace at
 //! `--root` (default: the current directory, falling back to the crate's
 //! parent workspace when invoked via `cargo run -p tkij-lint`). With
 //! `FILE` arguments, lints exactly those files with **every** rule
@@ -15,20 +15,16 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tkij_lint::{check_registry_at, check_rules, report, rules, Finding};
+use tkij_lint::{check_rules, report, rules, Finding};
 
 struct Args {
     json: bool,
-    rules_only: bool,
-    registry_only: bool,
     root: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tkij-lint check [--json] [--root DIR] [--rules-only|--registry-only] [FILE...]"
-    );
+    eprintln!("usage: tkij-lint check [--json] [--root DIR] [FILE...]");
     ExitCode::from(2)
 }
 
@@ -37,19 +33,11 @@ fn main() -> ExitCode {
     if raw.next().as_deref() != Some("check") {
         return usage();
     }
-    let mut args = Args {
-        json: false,
-        rules_only: false,
-        registry_only: false,
-        root: None,
-        files: Vec::new(),
-    };
+    let mut args = Args { json: false, root: None, files: Vec::new() };
     let mut raw = raw.peekable();
     while let Some(a) = raw.next() {
         match a.as_str() {
             "--json" => args.json = true,
-            "--rules-only" => args.rules_only = true,
-            "--registry-only" => args.registry_only = true,
             "--root" => match raw.next() {
                 Some(dir) => args.root = Some(PathBuf::from(dir)),
                 None => return usage(),
@@ -58,10 +46,6 @@ fn main() -> ExitCode {
             file => args.files.push(PathBuf::from(file)),
         }
     }
-    if args.rules_only && args.registry_only {
-        return usage();
-    }
-
     let findings = match run(&args) {
         Ok(findings) => findings,
         Err(e) => {
@@ -116,12 +100,5 @@ fn run(args: &Args) -> std::io::Result<Vec<Finding>> {
         }
     };
 
-    let mut findings = Vec::new();
-    if !args.registry_only {
-        findings.extend(check_rules(&root)?);
-    }
-    if !args.rules_only {
-        findings.extend(check_registry_at(&root));
-    }
-    Ok(findings)
+    check_rules(&root)
 }

@@ -3,15 +3,15 @@
 use std::fmt;
 use std::path::PathBuf;
 
-/// One lint or registry finding.
+/// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// File the finding is anchored to (workspace-relative when the
     /// check ran over a workspace root).
     pub file: PathBuf,
-    /// 1-based line, or 0 for file/registry-level findings.
+    /// 1-based line, or 0 for file-level findings.
     pub line: usize,
-    /// Rule code (`DET001`..`DET005`, `SUP001`, `REG1xx`).
+    /// Rule code (`DET001`..`DET005`, `SUP001`).
     pub code: &'static str,
     pub message: String,
 }

@@ -1,4 +1,4 @@
-//! Layer 1: the determinism lint rules (`DET001`–`DET005`) and the
+//! The determinism lint rules (`DET001`–`DET005`) and the
 //! mandatory-reason suppression convention.
 //!
 //! Every guarantee this repository sells — bit-identical results and

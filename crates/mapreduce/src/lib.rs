@@ -46,7 +46,7 @@ pub mod sizeof;
 
 pub use cluster::ClusterConfig;
 pub use engine::{run_map_reduce, run_map_reduce_with, try_run_map_reduce, Emitter};
-pub use metrics::{list_schedule_makespan, JobMetrics};
+pub use metrics::{list_schedule_makespan, summed_counters, Counters, JobMetrics};
 pub use shuffle::{
     CodecError, FrameReader, Record, ShuffleError, ShuffleMode, ShuffleStats, ShuffleTransport,
     SpillSinkKind, TaskSink, SPILL_THRESHOLD_ENV,

@@ -4,6 +4,35 @@
 use crate::shuffle::ShuffleStats;
 use std::time::Duration;
 
+/// The one declaration of "what is a deterministic work counter" of a
+/// stats struct: bench emission, determinism fingerprints and the bench
+/// gate's key set are all derived by walking `visit`.
+///
+/// Every impl destructures `Self` exhaustively (no `..`), so adding a
+/// field does not compile until it is either visited or bound to `_`
+/// beside its reason (timing, configuration echo). `f64` counters are
+/// visited as `to_bits()`, `u128` magnitudes as `_hi`/`_lo` halves.
+/// `visit` runs only when a report is fingerprinted or emitted — never
+/// on a query path.
+pub trait Counters {
+    /// Calls `f(name, value)` once per counter, in declaration order.
+    fn visit(&self, f: &mut dyn FnMut(&'static str, u64));
+}
+
+/// Sums each visited counter over `items`, in visit order — the fold
+/// behind per-report aggregates of per-reducer stats. Wrapping, because
+/// bit-pattern counters (`f64::to_bits`) have no meaningful sum.
+pub fn summed_counters<C: Counters>(items: &[C]) -> Vec<(&'static str, u64)> {
+    let mut totals: Vec<(&'static str, u64)> = Vec::new();
+    for item in items {
+        item.visit(&mut |name, value| match totals.iter_mut().find(|(n, _)| *n == name) {
+            Some(total) => total.1 = total.1.wrapping_add(value),
+            None => totals.push((name, value)),
+        });
+    }
+    totals
+}
+
 /// Execution metrics of one Map-Reduce job.
 #[derive(Debug, Clone, Default)]
 pub struct JobMetrics {
@@ -21,6 +50,26 @@ pub struct JobMetrics {
     pub shuffle: ShuffleStats,
     /// Wall-clock time of the whole job as executed locally.
     pub wall: Duration,
+}
+
+impl Counters for JobMetrics {
+    fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let JobMetrics {
+            map_durations: _,    // timing
+            reduce_durations: _, // timing
+            shuffle_records,
+            shuffle_bytes,
+            shuffle: ShuffleStats { records_spilled, spill_segments, spill_bytes, checksum },
+            wall: _, // timing
+        } = self;
+        // Per-partition vectors are visited as their totals.
+        f("shuffle_records", shuffle_records.iter().sum());
+        f("shuffle_bytes", shuffle_bytes.iter().sum());
+        f("shuffle.records_spilled", *records_spilled);
+        f("shuffle.spill_segments", *spill_segments);
+        f("shuffle.spill_bytes", *spill_bytes);
+        f("shuffle.checksum", *checksum);
+    }
 }
 
 impl JobMetrics {

@@ -407,6 +407,16 @@ impl ShuffleStats {
     }
 }
 
+impl crate::metrics::Counters for ShuffleStats {
+    fn visit(&self, f: &mut dyn FnMut(&'static str, u64)) {
+        let ShuffleStats { records_spilled, spill_segments, spill_bytes, checksum } = self;
+        f("records_spilled", *records_spilled);
+        f("spill_segments", *spill_segments);
+        f("spill_bytes", *spill_bytes);
+        f("checksum", *checksum);
+    }
+}
+
 /// Where the serialized transport keeps its spill segments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SpillSinkKind {

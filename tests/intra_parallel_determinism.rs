@@ -18,72 +18,16 @@
 use tkij::core::Strategy;
 use tkij::prelude::*;
 
-/// One job's `ShuffleStats` fields, in registry order.
-type SpillFp = (u64, u64, u64, u64);
-
-/// Every deterministic (non-timing, non-shape) quantity of one
-/// execution, in a directly comparable form.
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    results: Vec<(Vec<u64>, u64)>,
-    local_stats: Vec<tkij::core::LocalJoinStats>,
-    reducer_kth_bits: Vec<u64>,
-    topbuckets: (usize, usize, usize, usize, usize, usize, u128, u128),
-    distribution: (u64, u64, u64, u64, u64),
-    join_shuffle: u64,
-    merge_shuffle: u64,
-    buckets: (u64, u64),
-    probe_chunks: u64,
-    /// Serialized-shuffle spill accounting of (join, merge) — all-zero on
-    /// the in-memory transport, thread-invariant under forced spilling.
-    shuffle: (SpillFp, SpillFp),
-}
-
-/// The four `ShuffleStats` fields of one job, in registry order.
-fn shuffle_fp(m: &tkij::mapreduce::JobMetrics) -> SpillFp {
-    (m.shuffle.records_spilled, m.shuffle.spill_segments, m.shuffle.spill_bytes, m.shuffle.checksum)
-}
-
+/// The report's fingerprint with the execution-*shape* record cleared:
+/// `intra_threads_used` is deterministic per configuration (asserted
+/// below) but, like the timings, legitimately differs across thread
+/// knobs — every other field must not.
 fn fingerprint(report: &ExecutionReport) -> Fingerprint {
-    Fingerprint {
-        results: report.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect(),
-        local_stats: report
-            .local_stats
-            .iter()
-            .map(|s| {
-                // `intra_threads_used` records the execution *shape*: it
-                // is deterministic per configuration (asserted below)
-                // but, like the timings, legitimately differs across
-                // thread knobs — every other field must not.
-                let mut s = s.clone();
-                s.intra_threads_used = 0;
-                s
-            })
-            .collect(),
-        reducer_kth_bits: report.reducer_kth_scores.iter().map(|s| s.to_bits()).collect(),
-        topbuckets: (
-            report.topbuckets.candidates,
-            report.topbuckets.selected,
-            report.topbuckets.solver_calls,
-            report.topbuckets.pruned_local,
-            report.topbuckets.pruned_merge,
-            report.topbuckets.worker_groups,
-            report.topbuckets.total_results,
-            report.topbuckets.selected_results,
-        ),
-        distribution: (
-            report.distribution.assignments_scored,
-            report.distribution.cap_fallbacks,
-            report.distribution.estimated_shuffle_records,
-            report.distribution.replication_factor.to_bits(),
-            report.distribution.result_imbalance.to_bits(),
-        ),
-        join_shuffle: report.join.total_shuffle_records(),
-        merge_shuffle: report.merge.total_shuffle_records(),
-        buckets: (report.buckets_rtree(), report.buckets_sweep()),
-        probe_chunks: report.probe_chunks(),
-        shuffle: (shuffle_fp(&report.join), shuffle_fp(&report.merge)),
+    let mut fp = report.fingerprint();
+    for stats in &mut fp.local_stats {
+        stats.intra_threads_used = 0;
     }
+    fp
 }
 
 /// A small chunk size so the seeded workload splits every hot candidate
@@ -124,7 +68,7 @@ fn report_identical_across_intra_threads_and_scan_kinds() {
             let reference = run(&dataset, strategy, backend, SweepScanKind::Scalar, 0);
             let reference_fp = fingerprint(&reference);
             assert!(!reference_fp.results.is_empty(), "{sname}/{bname}: produces results");
-            assert!(reference_fp.probe_chunks > 0, "{sname}/{bname}: chunks are counted");
+            assert!(reference.probe_chunks() > 0, "{sname}/{bname}: chunks are counted");
             assert_eq!(
                 reference.intra_threads_used(),
                 0,

@@ -12,61 +12,6 @@
 use std::sync::Arc;
 use tkij::prelude::*;
 
-/// One job's `ShuffleStats` fields, in registry order.
-type SpillFp = (u64, u64, u64, u64);
-
-/// Every deterministic (non-timing) quantity of one execution, in a
-/// directly comparable shape (the same capture as the thread battery).
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    results: Vec<(Vec<u64>, u64)>,
-    local_stats: Vec<tkij::core::LocalJoinStats>,
-    reducer_kth_bits: Vec<u64>,
-    topbuckets: (usize, usize, usize, usize, usize, usize, u128, u128),
-    distribution: (u64, u64, u64, u64, u64),
-    join_shuffle: u64,
-    merge_shuffle: u64,
-    buckets: (u64, u64),
-    /// Serialized-shuffle spill accounting of (join, merge) — all-zero on
-    /// the in-memory transport; serving must reproduce the solo path's
-    /// spill counters exactly when spilling is forced.
-    shuffle: (SpillFp, SpillFp),
-}
-
-/// The four `ShuffleStats` fields of one job, in registry order.
-fn shuffle_fp(m: &tkij::mapreduce::JobMetrics) -> SpillFp {
-    (m.shuffle.records_spilled, m.shuffle.spill_segments, m.shuffle.spill_bytes, m.shuffle.checksum)
-}
-
-fn fingerprint(report: &ExecutionReport) -> Fingerprint {
-    Fingerprint {
-        results: report.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect(),
-        local_stats: report.local_stats.clone(),
-        reducer_kth_bits: report.reducer_kth_scores.iter().map(|s| s.to_bits()).collect(),
-        topbuckets: (
-            report.topbuckets.candidates,
-            report.topbuckets.selected,
-            report.topbuckets.solver_calls,
-            report.topbuckets.pruned_local,
-            report.topbuckets.pruned_merge,
-            report.topbuckets.worker_groups,
-            report.topbuckets.total_results,
-            report.topbuckets.selected_results,
-        ),
-        distribution: (
-            report.distribution.assignments_scored,
-            report.distribution.cap_fallbacks,
-            report.distribution.estimated_shuffle_records,
-            report.distribution.replication_factor.to_bits(),
-            report.distribution.result_imbalance.to_bits(),
-        ),
-        join_shuffle: report.join.total_shuffle_records(),
-        merge_shuffle: report.merge.total_shuffle_records(),
-        buckets: (report.buckets_rtree(), report.buckets_sweep()),
-        shuffle: (shuffle_fp(&report.join), shuffle_fp(&report.merge)),
-    }
-}
-
 const K: usize = 8;
 const ROUNDS: usize = 2;
 
@@ -93,7 +38,7 @@ fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize) {
     let dataset = engine.prepare(uniform_collections(3, 80, 555)).unwrap();
     let queries = mixed_queries();
     let solo: Vec<Fingerprint> =
-        queries.iter().map(|q| fingerprint(&engine.execute(&dataset, q, K).unwrap())).collect();
+        queries.iter().map(|q| engine.execute(&dataset, q, K).unwrap().fingerprint()).collect();
 
     let server = Arc::new(engine.serve(dataset));
     std::thread::scope(|scope| {
@@ -107,7 +52,7 @@ fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize) {
                     for i in 0..queries.len() {
                         let qi = (i + t + round) % queries.len();
                         let report = handle.query(&queries[qi], K).unwrap();
-                        got.push((qi, fingerprint(&report)));
+                        got.push((qi, report.fingerprint()));
                     }
                 }
                 got
@@ -127,13 +72,21 @@ fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize) {
     // The serving counters are interleaving-independent: one miss per
     // distinct shape, hits for every repeat, and no evictions — the
     // mix sits far below the default plan-cache capacity.
-    let stats = server.stats();
+    // Compared through the `Counters` schema, so a new serving counter
+    // fails here until the battery states its expected value.
     let total = (threads * ROUNDS * queries.len()) as u64;
     let shapes = queries.len() as u64;
-    assert_eq!(stats.queries, total);
-    assert_eq!(stats.plan_cache_misses, shapes);
-    assert_eq!(stats.plan_cache_hits, total - shapes);
-    assert_eq!(stats.plan_cache_evictions, 0);
+    let mut stats = Vec::new();
+    server.stats().visit(&mut |name, value| stats.push((name, value)));
+    assert_eq!(
+        stats,
+        [
+            ("queries", total),
+            ("plan_cache_hits", total - shapes),
+            ("plan_cache_misses", shapes),
+            ("plan_cache_evictions", 0),
+        ]
+    );
     assert_eq!(server.plan_cache_len(), queries.len());
 
     // Latency is artifact-only telemetry, but its sample count is a
@@ -174,7 +127,7 @@ fn repeated_serving_runs_are_bit_identical() {
         let mut fps = Vec::new();
         for q in mixed_queries() {
             for _ in 0..2 {
-                fps.push(fingerprint(&server.query(&q, K).unwrap()));
+                fps.push(server.query(&q, K).unwrap().fingerprint());
             }
         }
         (fps, server.stats())

@@ -11,48 +11,6 @@
 
 use tkij::prelude::*;
 
-/// Every deterministic (non-timing) quantity of one execution, in a
-/// directly comparable shape (the same capture as the serving battery).
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    results: Vec<(Vec<u64>, u64)>,
-    local_stats: Vec<tkij::core::LocalJoinStats>,
-    reducer_kth_bits: Vec<u64>,
-    topbuckets: (usize, usize, usize, usize, usize, usize, u128, u128),
-    distribution: (u64, u64, u64, u64, u64),
-    join_shuffle: u64,
-    merge_shuffle: u64,
-    buckets: (u64, u64),
-}
-
-fn fingerprint(report: &ExecutionReport) -> Fingerprint {
-    Fingerprint {
-        results: report.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect(),
-        local_stats: report.local_stats.clone(),
-        reducer_kth_bits: report.reducer_kth_scores.iter().map(|s| s.to_bits()).collect(),
-        topbuckets: (
-            report.topbuckets.candidates,
-            report.topbuckets.selected,
-            report.topbuckets.solver_calls,
-            report.topbuckets.pruned_local,
-            report.topbuckets.pruned_merge,
-            report.topbuckets.worker_groups,
-            report.topbuckets.total_results,
-            report.topbuckets.selected_results,
-        ),
-        distribution: (
-            report.distribution.assignments_scored,
-            report.distribution.cap_fallbacks,
-            report.distribution.estimated_shuffle_records,
-            report.distribution.replication_factor.to_bits(),
-            report.distribution.result_imbalance.to_bits(),
-        ),
-        join_shuffle: report.join.total_shuffle_records(),
-        merge_shuffle: report.merge.total_shuffle_records(),
-        buckets: (report.buckets_rtree(), report.buckets_sweep()),
-    }
-}
-
 /// Distinct plan shapes: the cache key includes `k`, so one query
 /// family at `SHAPES` different result sizes churns through `SHAPES`
 /// distinct cache entries without changing the probe workload much.
@@ -83,7 +41,7 @@ fn churn_stays_within_capacity_and_matches_solo() {
     let queries = churn_queries();
     let solo: Vec<Fingerprint> = queries
         .iter()
-        .map(|(q, k)| fingerprint(&engine.execute(&dataset, q, *k).unwrap()))
+        .map(|(q, k)| engine.execute(&dataset, q, *k).unwrap().fingerprint())
         .collect();
 
     let server = engine.serve(dataset);
@@ -96,7 +54,7 @@ fn churn_stays_within_capacity_and_matches_solo() {
                 "cache grew past its capacity after shape {i}: {} > {CAPACITY}",
                 server.plan_cache_len()
             );
-            assert_eq!(fingerprint(&report), solo[i], "churned shape {i} diverges from solo");
+            assert_eq!(report.fingerprint(), solo[i], "churned shape {i} diverges from solo");
         }
     }
 
@@ -121,7 +79,7 @@ fn eviction_sequence_is_deterministic_across_runs() {
         let mut fps = Vec::new();
         for _ in 0..2 {
             for (q, k) in churn_queries() {
-                fps.push(fingerprint(&server.query(&q, k).unwrap()));
+                fps.push(server.query(&q, k).unwrap().fingerprint());
             }
         }
         (fps, server.stats(), server.plan_cache_len())

@@ -24,57 +24,56 @@
 use tkij::mapreduce::{ShuffleMode, ShuffleStats, SpillSinkKind};
 use tkij::prelude::*;
 
-/// One job's `ShuffleStats` fields, in registry order.
-type SpillFp = (u64, u64, u64, u64);
-
-/// Every deterministic (non-timing) quantity of one execution, plus the
-/// spill accounting, in a directly comparable shape.
+/// One full pipeline run: the shared report fingerprint (join and merge
+/// spill lanes included) plus the two lanes only this battery has — the
+/// collected statistics, and the statistics job's counters appended to
+/// `report.counters` as `stats.<counter>` beside the `join.`/`merge.`
+/// lanes (no report carries them).
 #[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    results: Vec<(Vec<u64>, u64)>,
+struct SpillRun {
+    report: Fingerprint,
     matrices: Vec<tkij::temporal::bucket::BucketMatrix>,
-    local_stats: Vec<tkij::core::LocalJoinStats>,
-    join_shuffle: (u64, u64),
-    merge_shuffle: (u64, u64),
-    buckets: (u64, u64),
-    /// Serialized-shuffle spill accounting of (stats, join, merge).
-    shuffle: (SpillFp, SpillFp, SpillFp),
 }
 
-/// The four `ShuffleStats` fields of one job, in registry order.
-fn shuffle_fp(m: &tkij::mapreduce::JobMetrics) -> SpillFp {
-    (m.shuffle.records_spilled, m.shuffle.spill_segments, m.shuffle.spill_bytes, m.shuffle.checksum)
+impl SpillRun {
+    fn counter(&self, key: &str) -> u64 {
+        let lane = self.report.counters.iter().find(|(name, _)| name == key);
+        lane.unwrap_or_else(|| panic!("no counter `{key}`")).1
+    }
+
+    /// One `ShuffleStats` counter of one job (`stats`, `join`, `merge`).
+    fn spill(&self, job: &str, counter: &str) -> u64 {
+        self.counter(&format!("{job}.shuffle.{counter}"))
+    }
+
+    /// Every `ShuffleStats` lane of the three jobs.
+    fn spill_lanes(&self) -> Vec<&(String, u64)> {
+        self.report.counters.iter().filter(|(name, _)| name.contains(".shuffle.")).collect()
+    }
 }
 
 /// One full pipeline run (prepare + execute) on a fixed seeded workload
 /// under an explicit shuffle mode.
-fn run(backend: LocalJoinBackend, threads: usize, shuffle: ShuffleMode) -> Fingerprint {
+fn run(backend: LocalJoinBackend, threads: usize, shuffle: ShuffleMode) -> SpillRun {
     let engine = Tkij::with_cluster(
         TkijConfig::default().with_granules(6).with_reducers(4).with_local_backend(backend),
         ClusterConfig { worker_threads: threads, shuffle, ..Default::default() },
     );
     let dataset = engine.prepare(uniform_collections(3, 100, 4242)).unwrap();
     let q = table1::q_om(PredicateParams::P1);
-    let report = engine.execute(&dataset, &q, 10).unwrap();
-    Fingerprint {
-        results: report.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect(),
-        matrices: dataset.matrices.clone(),
-        local_stats: report.local_stats.clone(),
-        join_shuffle: (report.join.total_shuffle_records(), report.join.total_shuffle_bytes()),
-        merge_shuffle: (report.merge.total_shuffle_records(), report.merge.total_shuffle_bytes()),
-        buckets: (report.buckets_rtree(), report.buckets_sweep()),
-        shuffle: (
-            shuffle_fp(&dataset.stats_metrics),
-            shuffle_fp(&report.join),
-            shuffle_fp(&report.merge),
-        ),
-    }
+    let mut report = engine.execute(&dataset, &q, 10).unwrap().fingerprint();
+    dataset
+        .stats_metrics
+        .visit(&mut |name, value| report.counters.push((format!("stats.{name}"), value)));
+    SpillRun { report, matrices: dataset.matrices.clone() }
 }
 
-/// A fingerprint with the spill lanes cleared, for cross-transport
-/// comparison: everything else must be bit-identical.
-fn sans_spill(fp: &Fingerprint) -> Fingerprint {
-    Fingerprint { shuffle: Default::default(), ..fp.clone() }
+/// A run with the spill lanes dropped, for cross-transport comparison:
+/// everything else must be bit-identical.
+fn sans_spill(run: &SpillRun) -> SpillRun {
+    let mut run = run.clone();
+    run.report.counters.retain(|(name, _)| !name.contains(".shuffle."));
+    run
 }
 
 const THRESHOLDS: [u64; 3] = [0, 1024, u64::MAX];
@@ -87,10 +86,9 @@ fn serialized(threshold: u64) -> ShuffleMode {
 fn spill_grid_is_bit_identical_to_in_memory() {
     for (name, backend) in LocalJoinBackend::all() {
         let reference = run(backend, 0, ShuffleMode::InMemory);
-        assert!(!reference.results.is_empty(), "{name}: workload produces results");
-        assert_eq!(
-            reference.shuffle,
-            Default::default(),
+        assert!(!reference.report.results.is_empty(), "{name}: workload produces results");
+        assert!(
+            reference.spill_lanes().iter().all(|(_, value)| *value == 0),
             "{name}: the in-memory transport spills nothing"
         );
         // In-memory is thread-invariant (re-pinned here so the serialized
@@ -108,24 +106,37 @@ fn spill_grid_is_bit_identical_to_in_memory() {
                     "{name}: serialized shuffle (threshold {threshold}, threads {threads}) \
                      changed a result or work counter"
                 );
-                for (job, (records, segments, bytes, _)) in
-                    [("stats", fp.shuffle.0), ("join", fp.shuffle.1), ("merge", fp.shuffle.2)]
-                {
-                    assert!(records > 0, "{name}/{job}: serialization spills every record");
-                    assert!(segments > 0 && bytes > 0, "{name}/{job}: segments are accounted");
+                for job in ["stats", "join", "merge"] {
+                    assert!(
+                        fp.spill(job, "records_spilled") > 0,
+                        "{name}/{job}: serialization spills every record"
+                    );
+                    assert!(
+                        fp.spill(job, "spill_segments") > 0 && fp.spill(job, "spill_bytes") > 0,
+                        "{name}/{job}: segments are accounted"
+                    );
                 }
                 // Every shuffled record serializes, regardless of threshold.
-                assert_eq!(fp.shuffle.1 .0, reference.join_shuffle.0, "{name}: join spill count");
-                assert_eq!(fp.shuffle.2 .0, reference.merge_shuffle.0, "{name}: merge spill count");
+                for job in ["join", "merge"] {
+                    assert_eq!(
+                        fp.spill(job, "records_spilled"),
+                        reference.counter(&format!("{job}.shuffle_records")),
+                        "{name}: {job} spill count"
+                    );
+                }
                 per_thread.push(fp);
             }
             // The flush schedule is data-determined: segment/byte counts
             // may depend on the threshold, never on the thread knob.
             assert_eq!(
-                per_thread[0].shuffle, per_thread[1].shuffle,
+                per_thread[0].spill_lanes(),
+                per_thread[1].spill_lanes(),
                 "{name}: spill counters drifted across worker_threads at threshold {threshold}"
             );
-            checksums.push((per_thread[0].shuffle.0 .3, per_thread[0].shuffle.1 .3));
+            checksums.push((
+                per_thread[0].spill("stats", "checksum"),
+                per_thread[0].spill("join", "checksum"),
+            ));
         }
         // Xor-folded frame CRCs are segmentation-invariant.
         assert!(
@@ -140,16 +151,28 @@ fn threshold_extremes_bound_the_segment_counts() {
     let backend = LocalJoinBackend::default();
     let fine = run(backend, 0, serialized(0));
     let coarse = run(backend, 0, serialized(u64::MAX));
-    for (job, fine, coarse) in
-        [("join", fine.shuffle.1, coarse.shuffle.1), ("merge", fine.shuffle.2, coarse.shuffle.2)]
-    {
+    for job in ["join", "merge"] {
         // Threshold 0 flushes after every record: one segment each.
-        assert_eq!(fine.1, fine.0, "{job}: threshold 0 makes a segment per record");
+        assert_eq!(
+            fine.spill(job, "spill_segments"),
+            fine.spill(job, "records_spilled"),
+            "{job}: threshold 0 makes a segment per record"
+        );
         // Unbounded buffering flushes once per nonempty (task, partition).
-        assert!(coarse.1 < fine.1, "{job}: unbounded buffering coalesces segments");
-        assert_eq!(coarse.0, fine.0, "{job}: the threshold never changes what is spilled");
+        assert!(
+            coarse.spill(job, "spill_segments") < fine.spill(job, "spill_segments"),
+            "{job}: unbounded buffering coalesces segments"
+        );
+        assert_eq!(
+            coarse.spill(job, "records_spilled"),
+            fine.spill(job, "records_spilled"),
+            "{job}: the threshold never changes what is spilled"
+        );
         // Per-segment headers make finer spilling strictly larger on disk.
-        assert!(fine.2 > coarse.2, "{job}: segment headers cost bytes");
+        assert!(
+            fine.spill(job, "spill_bytes") > coarse.spill(job, "spill_bytes"),
+            "{job}: segment headers cost bytes"
+        );
     }
 }
 

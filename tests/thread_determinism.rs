@@ -14,62 +14,6 @@
 
 use tkij::prelude::*;
 
-/// One job's `ShuffleStats` fields, in registry order.
-type SpillFp = (u64, u64, u64, u64);
-
-/// Every deterministic (non-timing) quantity of one execution, in a
-/// directly comparable shape.
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    results: Vec<(Vec<u64>, u64)>,
-    local_stats: Vec<tkij::core::LocalJoinStats>,
-    reducer_kth_bits: Vec<u64>,
-    topbuckets: (usize, usize, usize, usize, usize, usize, u128, u128),
-    distribution: (u64, u64, u64, u64, u64),
-    join_shuffle: u64,
-    merge_shuffle: u64,
-    buckets: (u64, u64),
-    /// Serialized-shuffle spill accounting of (join, merge). All-zero on
-    /// the in-memory transport; under `TKIJ_SPILL_THRESHOLD` every cell
-    /// of the grid runs the same threshold, so the full stats — segment
-    /// and byte counts included — must agree bit for bit.
-    shuffle: (SpillFp, SpillFp),
-}
-
-/// The four `ShuffleStats` fields of one job, in registry order.
-fn shuffle_fp(m: &tkij::mapreduce::JobMetrics) -> SpillFp {
-    (m.shuffle.records_spilled, m.shuffle.spill_segments, m.shuffle.spill_bytes, m.shuffle.checksum)
-}
-
-fn fingerprint(report: &ExecutionReport) -> Fingerprint {
-    Fingerprint {
-        results: report.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect(),
-        local_stats: report.local_stats.clone(),
-        reducer_kth_bits: report.reducer_kth_scores.iter().map(|s| s.to_bits()).collect(),
-        topbuckets: (
-            report.topbuckets.candidates,
-            report.topbuckets.selected,
-            report.topbuckets.solver_calls,
-            report.topbuckets.pruned_local,
-            report.topbuckets.pruned_merge,
-            report.topbuckets.worker_groups,
-            report.topbuckets.total_results,
-            report.topbuckets.selected_results,
-        ),
-        distribution: (
-            report.distribution.assignments_scored,
-            report.distribution.cap_fallbacks,
-            report.distribution.estimated_shuffle_records,
-            report.distribution.replication_factor.to_bits(),
-            report.distribution.result_imbalance.to_bits(),
-        ),
-        join_shuffle: report.join.total_shuffle_records(),
-        merge_shuffle: report.merge.total_shuffle_records(),
-        buckets: (report.buckets_rtree(), report.buckets_sweep()),
-        shuffle: (shuffle_fp(&report.join), shuffle_fp(&report.merge)),
-    }
-}
-
 fn run_with_threads(backend: LocalJoinBackend, scan: SweepScanKind, threads: usize) -> Fingerprint {
     let engine = Tkij::with_cluster(
         TkijConfig::default()
@@ -81,7 +25,7 @@ fn run_with_threads(backend: LocalJoinBackend, scan: SweepScanKind, threads: usi
     );
     let dataset = engine.prepare(uniform_collections(3, 100, 555)).unwrap();
     let q = table1::q_om(PredicateParams::P1);
-    fingerprint(&engine.execute(&dataset, &q, 10).unwrap())
+    engine.execute(&dataset, &q, 10).unwrap().fingerprint()
 }
 
 #[test]
@@ -123,7 +67,7 @@ fn repeated_runs_are_bit_identical() {
     );
     let dataset = engine.prepare(uniform_collections(3, 80, 777)).unwrap();
     let q = table1::q_sm(PredicateParams::P2);
-    let a = fingerprint(&engine.execute(&dataset, &q, 7).unwrap());
-    let b = fingerprint(&engine.execute(&dataset, &q, 7).unwrap());
+    let a = engine.execute(&dataset, &q, 7).unwrap().fingerprint();
+    let b = engine.execute(&dataset, &q, 7).unwrap().fingerprint();
     assert_eq!(a, b);
 }
