@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of TKIJ's building blocks, including the
-//! ablations DESIGN.md calls out (R-tree vs grid vs scan access path;
+//! ablations DESIGN.md calls out (R-tree vs scan access path;
 //! DTB vs LPT assignment cost).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use tkij_core::{distribute, get_top_buckets, ComboSet, DistributionPolicy};
 use tkij_datagen::synthetic::{uniform_collection, SyntheticConfig};
-use tkij_index::{threshold_candidates, GridIndex, RTree, Window};
+use tkij_index::{threshold_candidates, RTree, Window};
 use tkij_solver::{nary_bounds, pair_bounds, SolverConfig};
 use tkij_temporal::aggregate::Aggregation;
 use tkij_temporal::bucket::{BucketId, BucketMatrix};
@@ -68,7 +68,6 @@ fn bench_solver(c: &mut Criterion) {
 fn bench_index_ablation(c: &mut Criterion) {
     let items = sample_intervals(20_000, 5);
     let tree = RTree::bulk_load(items.clone());
-    let grid = GridIndex::build(items.clone(), 512);
     let pred = TemporalPredicate::meets(PredicateParams::P1);
     let anchor = Interval::new(99_999, 40_000, 50_000).unwrap();
     let window: Window = pred.threshold_window(&anchor, Side::Left, 0.8).into();
@@ -77,13 +76,6 @@ fn bench_index_ablation(c: &mut Criterion) {
         b.iter(|| {
             let mut n = 0usize;
             tree.window_query(black_box(&window), |_| n += 1);
-            n
-        })
-    });
-    group.bench_function("grid", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            grid.window_query(black_box(&window), |_| n += 1);
             n
         })
     });

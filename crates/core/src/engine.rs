@@ -5,7 +5,8 @@
 use crate::combos::{ComboSet, TopBucketsStats};
 use crate::config::{DistributionPolicy, LocalJoinBackend, Strategy, SweepScanKind, TkijConfig};
 use crate::distribute::{distribute, Assignment};
-use crate::localjoin::{IndexPools, LocalJoinStats};
+use crate::joinphase::run_join_phase_impl;
+use crate::localjoin::{IndexPools, LocalJoinStats, TupleFilter};
 use crate::merge::run_merge_phase;
 use crate::stats::{collect_statistics, PreparedDataset};
 use crate::topbuckets::run_topbuckets;
@@ -106,9 +107,8 @@ impl Tkij {
         query: &Query,
         k: usize,
     ) -> Result<ExecutionReport, TemporalError> {
-        self.validate(dataset, query, k)?;
-        let plan = self.plan_unchecked(dataset, query, k);
-        Ok(self.execute_planned_impl(dataset, query, k, &plan, None))
+        let plan = self.plan_query(dataset, query, k)?;
+        Ok(self.execute_planned_impl(dataset, query, k, &plan, None, None))
     }
 
     /// Rejects queries the engine cannot evaluate against `dataset`:
@@ -136,12 +136,19 @@ impl Tkij {
     }
 
     /// The driver-side planning phases on an already-validated query;
-    /// see [`Tkij::plan_query`].
-    fn plan_unchecked(&self, dataset: &PreparedDataset, query: &Query, k: usize) -> QueryPlan {
-        // (b) TopBuckets: bound and prune bucket combinations. The
-        // ablation switch keeps the bounds (for ordering and runtime
-        // termination) but retains every combination.
-        let effective_k = if self.config.pruning { k as u64 } else { u64::MAX };
+    /// see [`Tkij::plan_query`]. With `static_pruning` off the plan keeps
+    /// the bounds (for ordering and runtime termination) but retains
+    /// every combination: the `TkijConfig::pruning` ablation, and every
+    /// hybrid query (whose attribute filter the bounds do not model).
+    pub(crate) fn plan_unchecked(
+        &self,
+        dataset: &PreparedDataset,
+        query: &Query,
+        k: usize,
+        static_pruning: bool,
+    ) -> QueryPlan {
+        // (b) TopBuckets: bound and prune bucket combinations.
+        let effective_k = if static_pruning { k as u64 } else { u64::MAX };
         let (selected, topbuckets) = run_topbuckets(
             query,
             &dataset.matrices,
@@ -179,7 +186,7 @@ impl Tkij {
         k: usize,
     ) -> Result<QueryPlan, TemporalError> {
         self.validate(dataset, query, k)?;
-        Ok(self.plan_unchecked(dataset, query, k))
+        Ok(self.plan_unchecked(dataset, query, k, self.config.pruning))
     }
 
     /// Execution phase: evaluates a previously planned query — the
@@ -199,54 +206,41 @@ impl Tkij {
         plan: &QueryPlan,
     ) -> Result<ExecutionReport, TemporalError> {
         self.validate(dataset, query, k)?;
-        Ok(self.execute_planned_impl(dataset, query, k, plan, None))
+        Ok(self.execute_planned_impl(dataset, query, k, plan, None, None))
     }
 
-    /// [`Tkij::execute_planned`] after validation, with the serving
-    /// layer's optional shared index pool.
+    /// [`Tkij::execute_planned`] after validation — the one place the
+    /// engine composes join → merge → report. Hybrid queries pass their
+    /// attribute `filter`, the serving layer its shared index `pools`.
     pub(crate) fn execute_planned_impl(
         &self,
         dataset: &PreparedDataset,
         query: &Query,
         k: usize,
         plan: &QueryPlan,
+        filter: Option<&dyn TupleFilter>,
         pools: Option<&IndexPools>,
     ) -> ExecutionReport {
         let QueryPlan { selected, topbuckets, assignment } = plan;
 
         // (d) Distributed local joins (probe streams sharded per the
         // engine's intra-join plan; threads come from the cluster's
-        // nested budget inside the join phase). Serving runs pass a
-        // shared index pool; results and counters are identical either
-        // way.
+        // nested budget inside the join phase). Results and counters are
+        // identical with or without a pool.
         let cluster = self.job_cluster();
-        let (outputs, join_metrics) = match pools {
-            None => crate::joinphase::run_join_phase_with(
-                dataset,
-                query,
-                selected,
-                assignment,
-                k,
-                &cluster,
-                self.config.local_backend,
-                self.config.sweep_scan,
-                None,
-                self.intra_join(),
-            ),
-            Some(pools) => crate::joinphase::run_join_phase_pooled(
-                dataset,
-                query,
-                selected,
-                assignment,
-                k,
-                &cluster,
-                self.config.local_backend,
-                self.config.sweep_scan,
-                None,
-                self.intra_join(),
-                pools,
-            ),
-        };
+        let (outputs, join_metrics) = run_join_phase_impl(
+            dataset,
+            query,
+            selected,
+            assignment,
+            k,
+            &cluster,
+            self.config.local_backend,
+            self.config.sweep_scan,
+            filter,
+            self.intra_join(),
+            pools,
+        );
 
         // (e) Merge.
         let (results, merge_metrics) = run_merge_phase(&outputs, k, &cluster);

@@ -9,9 +9,11 @@
 //!   attribute value, e.g. the client IP of a connection);
 //! * edge-level [`AttrConstraint`]s require equality or inequality of the
 //!   joined intervals' attributes;
-//! * evaluation reuses the full distribution + local-join pipeline with a
-//!   monotone [`TupleFilter`], rejecting partial tuples as soon as a
-//!   constraint between bound vertices fails.
+//! * evaluation is the engine's one pipeline: a plan with static pruning
+//!   off (`Tkij::plan_query`'s phases) executed through the same join →
+//!   merge → report path as every plain query, with a monotone
+//!   [`TupleFilter`] rejecting partial tuples as soon as a constraint
+//!   between bound vertices fails.
 //!
 //! **Pruning note.** TopBuckets score bounds do not model attribute
 //! selectivity: a pruned combination's k cover tuples might all be
@@ -21,14 +23,9 @@
 //! the static `getTopBuckets` pruning. Making bounds selectivity-aware is
 //! the natural next step the paper alludes to.
 
-use crate::config::TkijConfig;
-use crate::distribute::distribute;
-use crate::engine::{DistributionSummary, ExecutionReport, Tkij};
-use crate::joinphase::run_join_phase_with;
+use crate::engine::{ExecutionReport, Tkij};
 use crate::localjoin::TupleFilter;
-use crate::merge::run_merge_phase;
 use crate::stats::PreparedDataset;
-use crate::topbuckets::run_topbuckets;
 use std::collections::BTreeMap;
 use tkij_temporal::error::TemporalError;
 use tkij_temporal::interval::Interval;
@@ -100,9 +97,7 @@ pub fn execute_hybrid(
     constraints: &[AttrConstraint],
     k: usize,
 ) -> Result<ExecutionReport, TemporalError> {
-    if k == 0 {
-        return Err(TemporalError::InvalidQuery("k must be ≥ 1".into()));
-    }
+    engine.validate(dataset, query, k)?;
     if tables.len() != dataset.collections.len() {
         return Err(TemporalError::InvalidQuery(
             "one attribute table per collection is required".into(),
@@ -117,76 +112,22 @@ pub fn execute_hybrid(
         }
     }
 
-    // Bound all combinations (k = MAX disables static pruning, see the
-    // module docs) but keep the UB ordering for early termination.
-    let cfg: &TkijConfig = &engine.config;
-    let (selected, mut topbuckets) = run_topbuckets(
-        query,
-        &dataset.matrices,
-        u64::MAX,
-        cfg.strategy,
-        &cfg.solver,
-        cfg.topbuckets_workers,
-    );
-    topbuckets.selected = selected.len();
-
-    let assignment =
-        distribute(&selected, cfg.distribution, cfg.reducers, query, &dataset.matrices);
+    // Static pruning off (see the module docs): every combination is
+    // bounded and kept, so UB ordering and early termination still apply.
+    let plan = engine.plan_unchecked(dataset, query, k, false);
     let filter = AttrFilter { query, tables, constraints };
-    let (outputs, join_metrics) = run_join_phase_with(
-        dataset,
-        query,
-        &selected,
-        &assignment,
-        k,
-        &engine.cluster,
-        cfg.local_backend,
-        cfg.sweep_scan,
-        Some(&filter),
-        engine.intra_join(),
-    );
-    let (results, merge_metrics) = run_merge_phase(&outputs, k, &engine.cluster);
-
-    let mut local_stats = Vec::with_capacity(outputs.len());
-    let mut reducer_kth_scores = Vec::new();
-    for o in outputs {
-        if !o.results.is_empty() {
-            reducer_kth_scores.push(o.stats.kth_score);
-        }
-        local_stats.push(o.stats);
-    }
-    Ok(ExecutionReport {
-        query_name: format!("{}+{}attr", query.name(), constraints.len()),
-        k,
-        granules: dataset.granules,
-        strategy: cfg.strategy,
-        policy: cfg.distribution,
-        backend: cfg.local_backend,
-        sweep_scan: cfg.sweep_scan,
-        topbuckets,
-        distribution: DistributionSummary {
-            policy: cfg.distribution,
-            duration: assignment.duration,
-            replication_factor: assignment.replication_factor,
-            estimated_shuffle_records: assignment.estimated_shuffle_records,
-            result_imbalance: assignment.result_imbalance(),
-            assignments_scored: assignment.assignments_scored,
-            cap_fallbacks: assignment.cap_fallbacks,
-        },
-        join: join_metrics,
-        merge: merge_metrics,
-        local_stats,
-        reducer_kth_scores,
-        results,
-    })
+    let mut report = engine.execute_planned_impl(dataset, query, k, &plan, Some(&filter), None);
+    report.query_name = format!("{}+{}attr", query.name(), constraints.len());
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TkijConfig;
+    use crate::config::{LocalJoinBackend, TkijConfig};
     use crate::naive::naive_topk_where;
     use tkij_datagen::uniform_collections;
+    use tkij_mapreduce::{ClusterConfig, ShuffleMode};
     use tkij_temporal::params::PredicateParams;
     use tkij_temporal::query::table1;
 
@@ -246,16 +187,57 @@ mod tests {
 
     #[test]
     fn no_constraints_degenerates_to_plain_rtj() {
-        let tk = engine();
-        let dataset = tk.prepare(uniform_collections(3, 20, 11)).unwrap();
+        // Hybrid *is* the pipeline: with nothing to filter it runs the
+        // unpruned plan through the same join, so results and every
+        // counter equal the `without_pruning` engine's — on each backend.
         let q = table1::q_sm(PredicateParams::P2);
-        let tables = mod_tables(&dataset, 5);
-        let hybrid = execute_hybrid(&tk, &dataset, &q, &tables, &[], 4).unwrap();
-        let plain = tk.execute(&dataset, &q, 4).unwrap();
-        assert_eq!(hybrid.results.len(), plain.results.len());
-        for (h, p) in hybrid.results.iter().zip(&plain.results) {
-            assert!((h.score - p.score).abs() < 1e-9);
+        for (name, backend) in LocalJoinBackend::all() {
+            let config =
+                TkijConfig::default().with_granules(5).with_reducers(3).with_local_backend(backend);
+            let tk = Tkij::new(config.clone());
+            let dataset = tk.prepare(uniform_collections(3, 20, 11)).unwrap();
+            let tables = mod_tables(&dataset, 5);
+            let hybrid = execute_hybrid(&tk, &dataset, &q, &tables, &[], 4).unwrap();
+            let unpruned = Tkij::new(config.without_pruning()).execute(&dataset, &q, 4).unwrap();
+            assert_eq!(hybrid.fingerprint(), unpruned.fingerprint(), "{name}");
+            // ... and the statically pruned run returns the same scores.
+            let pruned = tk.execute(&dataset, &q, 4).unwrap();
+            assert_eq!(hybrid.results.len(), pruned.results.len(), "{name}");
+            for (h, p) in hybrid.results.iter().zip(&pruned.results) {
+                assert!((h.score - p.score).abs() < 1e-9, "{name}");
+            }
         }
+    }
+
+    #[test]
+    fn spill_threshold_is_honoured_and_transparent() {
+        // Pin the reference transport: under the CI env hook the default
+        // cluster may already serialize, which this test must not inherit.
+        let cluster = ClusterConfig { shuffle: ShuffleMode::InMemory, ..ClusterConfig::default() };
+        let config = TkijConfig::default().with_granules(5).with_reducers(3);
+        let in_mem = Tkij::with_cluster(config.clone(), cluster);
+        let spilled = Tkij::with_cluster(config.with_shuffle_spill_threshold_bytes(0), cluster);
+        let dataset = in_mem.prepare(uniform_collections(3, 30, 321)).unwrap();
+        let q = table1::q_om(PredicateParams::P1);
+        let tables = mod_tables(&dataset, 3);
+        let constraints = [AttrConstraint { src: 0, dst: 1, predicate: AttrPredicate::Equal }];
+        let a = execute_hybrid(&in_mem, &dataset, &q, &tables, &constraints, 6).unwrap();
+        let b = execute_hybrid(&spilled, &dataset, &q, &tables, &constraints, 6).unwrap();
+        assert_eq!(a.shuffle_stats().records_spilled, 0, "in-memory spills nothing");
+        assert!(b.shuffle_stats().records_spilled > 0, "threshold 0 serializes the shuffle");
+        assert!(!a.results.is_empty());
+        assert_eq!(a.fingerprint().results, b.fingerprint().results, "ids and score bits");
+    }
+
+    #[test]
+    fn missing_collection_is_an_error_not_a_panic() {
+        let tk = engine();
+        let dataset = tk.prepare(uniform_collections(2, 10, 1)).unwrap();
+        let tables = mod_tables(&dataset, 2);
+        let q3 = table1::q_bb(PredicateParams::P1); // reads collections 0, 1 and 2
+        let constraints = [AttrConstraint { src: 0, dst: 2, predicate: AttrPredicate::Equal }];
+        let got = execute_hybrid(&tk, &dataset, &q3, &tables, &constraints, 3);
+        assert!(matches!(got, Err(TemporalError::InvalidQuery(_))), "{got:?}");
     }
 
     #[test]

@@ -8,7 +8,10 @@
 use crate::combos::ComboSet;
 use crate::config::{LocalJoinBackend, SweepScanKind};
 use crate::distribute::Assignment;
-use crate::localjoin::{IndexPools, IntraJoin, LocalJoinStats};
+use crate::localjoin::{
+    local_topk_join_planned, select_backend, BackendChoices, IndexPools, IntraJoin, LocalJoinStats,
+    TupleFilter,
+};
 use crate::stats::PreparedDataset;
 use std::collections::BTreeMap;
 use tkij_mapreduce::{
@@ -68,7 +71,7 @@ pub fn run_join_phase(
     k: usize,
     cluster: &ClusterConfig,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
-    run_join_phase_with(
+    run_join_phase_impl(
         dataset,
         query,
         combos,
@@ -79,6 +82,7 @@ pub fn run_join_phase(
         SweepScanKind::default(),
         None,
         IntraJoin::default(),
+        None,
     )
 }
 
@@ -87,7 +91,7 @@ pub fn run_join_phase(
 ///
 /// With [`LocalJoinBackend::Auto`] the phase plans, **once, from the
 /// collected statistics** (`PreparedDataset::bucket_profile` →
-/// `tkij_core::localjoin::select_backend`), which fixed backend serves
+/// `tkij_core::select_backend`), which fixed backend serves
 /// each (vertex, bucket) the assignment ships, and every reducer indexes
 /// its buckets per that plan — replicated buckets are not re-profiled
 /// per reducer. The choices are recorded in each reducer's
@@ -112,7 +116,7 @@ pub fn run_join_phase_with(
     cluster: &ClusterConfig,
     backend: LocalJoinBackend,
     scan: SweepScanKind,
-    filter: Option<&dyn crate::localjoin::TupleFilter>,
+    filter: Option<&dyn TupleFilter>,
     intra: IntraJoin,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
     run_join_phase_impl(
@@ -120,14 +124,13 @@ pub fn run_join_phase_with(
     )
 }
 
-/// [`run_join_phase_with`] serving reducer bucket indexes from a shared
-/// [`IndexPools`] (the serving layer's read-only per-(collection, bucket)
-/// index cache) instead of building them per reducer. Results and every
-/// work counter are bit-identical to the unpooled entry — pooling
-/// amortizes only the index *build* work across queries (see
-/// [`crate::localjoin::local_topk_join_pooled`]).
+/// [`run_join_phase_with`], optionally serving reducer bucket indexes
+/// from the serving layer's shared [`IndexPools`] instead of building
+/// them per reducer. Results and every work counter are bit-identical
+/// either way — pooling amortizes only the index *build* work across
+/// queries.
 #[allow(clippy::too_many_arguments)]
-pub fn run_join_phase_pooled(
+pub(crate) fn run_join_phase_impl(
     dataset: &PreparedDataset,
     query: &Query,
     combos: &ComboSet,
@@ -136,36 +139,7 @@ pub fn run_join_phase_pooled(
     cluster: &ClusterConfig,
     backend: LocalJoinBackend,
     scan: SweepScanKind,
-    filter: Option<&dyn crate::localjoin::TupleFilter>,
-    intra: IntraJoin,
-    pools: &IndexPools,
-) -> (Vec<ReducerOutput>, JobMetrics) {
-    run_join_phase_impl(
-        dataset,
-        query,
-        combos,
-        assignment,
-        k,
-        cluster,
-        backend,
-        scan,
-        filter,
-        intra,
-        Some(pools),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_join_phase_impl(
-    dataset: &PreparedDataset,
-    query: &Query,
-    combos: &ComboSet,
-    assignment: &Assignment,
-    k: usize,
-    cluster: &ClusterConfig,
-    backend: LocalJoinBackend,
-    scan: SweepScanKind,
-    filter: Option<&dyn crate::localjoin::TupleFilter>,
+    filter: Option<&dyn TupleFilter>,
     intra: IntraJoin,
     pools: Option<&IndexPools>,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
@@ -195,17 +169,16 @@ fn run_join_phase_impl(
         IntraJoin { threads: cluster.intra_join_plan(assignment.num_reducers.max(1)), ..intra };
     // Auto: plan the per-bucket backend once from the collected
     // statistics; every shipped (vertex, bucket) is a bucket_map key.
-    let choices: Option<crate::localjoin::BackendChoices> = (backend == LocalJoinBackend::Auto)
-        .then(|| {
-            assignment
-                .bucket_map
-                .keys()
-                .map(|&(v, b)| {
-                    let c = query.vertices[v as usize].0 as usize;
-                    ((v, b), crate::localjoin::select_backend(&dataset.bucket_profile(c, b)))
-                })
-                .collect()
-        });
+    let choices: Option<BackendChoices> = (backend == LocalJoinBackend::Auto).then(|| {
+        assignment
+            .bucket_map
+            .keys()
+            .map(|&(v, b)| {
+                let c = query.vertices[v as usize].0 as usize;
+                ((v, b), select_backend(&dataset.bucket_profile(c, b)))
+            })
+            .collect()
+    });
 
     run_map_reduce(
         &inputs,
@@ -238,35 +211,20 @@ fn run_join_phase_impl(
             for bucket in data.values_mut() {
                 bucket.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.id));
             }
-            let (topk, stats) = match pools {
-                None => crate::localjoin::local_topk_join_planned(
-                    backend,
-                    scan,
-                    query,
-                    &plan,
-                    k,
-                    combos,
-                    &assignment.reducer_combos[p],
-                    &data,
-                    filter,
-                    choices.as_ref(),
-                    intra,
-                ),
-                Some(pools) => crate::localjoin::local_topk_join_pooled(
-                    backend,
-                    scan,
-                    query,
-                    &plan,
-                    k,
-                    combos,
-                    &assignment.reducer_combos[p],
-                    &data,
-                    filter,
-                    choices.as_ref(),
-                    intra,
-                    pools,
-                ),
-            };
+            let (topk, stats) = local_topk_join_planned(
+                backend,
+                scan,
+                query,
+                &plan,
+                k,
+                combos,
+                &assignment.reducer_combos[p],
+                &data,
+                filter,
+                choices.as_ref(),
+                intra,
+                pools,
+            );
             vec![ReducerOutput { reducer: p as u32, results: topk.into_sorted_vec(), stats }]
         },
         cluster,
@@ -390,7 +348,7 @@ mod tests {
             .iter()
             .map(|(&(v, b), reducers)| {
                 let c = q.vertices[v as usize].0 as usize;
-                let choice = crate::localjoin::select_backend(&dataset.bucket_profile(c, b));
+                let choice = select_backend(&dataset.bucket_profile(c, b));
                 if choice == crate::config::LocalJoinBackend::Sweep {
                     reducers.len() as u64
                 } else {

@@ -53,12 +53,11 @@ pub use config::{
 };
 pub use distribute::{distribute, Assignment};
 pub use engine::{DistributionSummary, ExecutionReport, Fingerprint, QueryPlan, Tkij};
-pub use joinphase::{run_join_phase, run_join_phase_pooled, run_join_phase_with, ReducerOutput};
+pub use joinphase::{run_join_phase, run_join_phase_with, ReducerOutput};
 pub use localjoin::{
-    local_topk_join, local_topk_join_on, local_topk_join_planned, local_topk_join_pooled,
-    select_backend, AutoIndex, BackendChoices, IndexPools, IntraJoin, LocalJoinStats,
-    AUTO_DENSITY_THRESHOLD, AUTO_RTREE_BAND_MIN_DENSITY, AUTO_RTREE_MIN_CARDINALITY,
-    INTRA_WAVE_CHUNKS, PROBE_CHUNK_ITEMS,
+    local_topk_join, select_backend, BackendChoices, BucketIndex, IndexPools, IntraJoin,
+    LocalJoinStats, AUTO_DENSITY_THRESHOLD, AUTO_RTREE_BAND_MIN_DENSITY,
+    AUTO_RTREE_MIN_CARDINALITY, INTRA_WAVE_CHUNKS, PROBE_CHUNK_ITEMS,
 };
 pub use merge::run_merge_phase;
 pub use naive::{all_pair_scores, naive_boolean, naive_topk};

@@ -16,10 +16,10 @@
 //! * cycle edges are checked exactly, and partial tuples whose optimistic
 //!   completion cannot reach `τ` are pruned.
 //!
-//! The candidate index is pluggable ([`LocalJoinBackend`]): the join is
-//! generic over [`CandidateSource`], so the paper's R-tree and the
-//! sweeping-based endpoint store evaluate through identical join logic
-//! and differ only in how they serve window probes.
+//! The candidate index is pluggable ([`LocalJoinBackend`]): every bucket
+//! is served by one [`BucketIndex`] — the paper's R-tree or the
+//! sweeping-based endpoint store — so both evaluate through the same
+//! join code and differ only in how they serve window probes.
 //!
 //! Pruning uses *strict* comparisons against `τ`, so every tuple that
 //! could enter the final top-k (including ties resolved by the
@@ -255,24 +255,24 @@ pub fn select_backend(profile: &BucketProfile) -> LocalJoinBackend {
 /// reads it, so replicated buckets are not re-profiled per reducer.
 pub type BackendChoices = BTreeMap<(u16, BucketId), LocalJoinBackend>;
 
-/// The [`LocalJoinBackend::Auto`] candidate source: each bucket builds
-/// whichever fixed backend [`select_backend`] picks for its profile, and
-/// serves probes through it.
+/// The index serving one bucket's probes: whichever fixed backend was
+/// chosen for the bucket. With a fixed [`LocalJoinBackend`] every bucket
+/// of a join holds that variant; under [`LocalJoinBackend::Auto`] each
+/// bucket holds the one [`select_backend`] picks for its profile.
 #[derive(Debug, Clone)]
-pub enum AutoIndex {
-    /// The bucket was sparse/small: the paper's R-tree access path.
+pub enum BucketIndex {
+    /// The paper's R-tree access path.
     RTree(RTree),
-    /// The bucket was dense: the sweeping endpoint store.
+    /// The sweeping endpoint store.
     Sweep(SweepIndex),
 }
 
-impl AutoIndex {
-    /// Builds the index for an already-made fixed-backend choice
-    /// (planned from the collected statistics). [`LocalJoinBackend::Auto`]
-    /// as `choice` is treated as "decide here" from the slice profile.
-    /// `scan` only reaches the sweep arm: the kind a bucket's store
-    /// sweeps its runs with (never a selection input — both kinds do
-    /// identical work by contract).
+impl BucketIndex {
+    /// Builds the index for an already-made fixed-backend choice.
+    /// [`LocalJoinBackend::Auto`] as `choice` is treated as "decide here"
+    /// from the slice profile. `scan` only reaches the sweep arm: the
+    /// kind a bucket's store sweeps its runs with (never a selection
+    /// input — both kinds do identical work by contract).
     pub fn build_chosen(
         choice: LocalJoinBackend,
         items: Vec<Interval>,
@@ -283,73 +283,48 @@ impl AutoIndex {
             fixed => fixed,
         };
         match choice {
-            LocalJoinBackend::RTree => AutoIndex::RTree(RTree::bulk_load(items)),
-            _ => AutoIndex::Sweep(SweepIndex::build_with_scan(items, scan)),
+            LocalJoinBackend::RTree => BucketIndex::RTree(RTree::bulk_load(items)),
+            _ => BucketIndex::Sweep(SweepIndex::build_with_scan(items, scan)),
+        }
+    }
+
+    /// The fixed backend serving this bucket's probes (never
+    /// [`LocalJoinBackend::Auto`]) — what the join records in
+    /// [`LocalJoinStats`]' `buckets_rtree` / `buckets_sweep`.
+    pub fn backend(&self) -> LocalJoinBackend {
+        match self {
+            BucketIndex::RTree(_) => LocalJoinBackend::RTree,
+            BucketIndex::Sweep(_) => LocalJoinBackend::Sweep,
         }
     }
 }
 
-impl CandidateSource for AutoIndex {
+impl CandidateSource for BucketIndex {
     fn build(items: Vec<Interval>) -> Self {
         Self::build_chosen(LocalJoinBackend::Auto, items, SweepScanKind::default())
     }
 
     fn items(&self) -> &[Interval] {
         match self {
-            AutoIndex::RTree(t) => t.items(),
-            AutoIndex::Sweep(s) => s.items(),
+            BucketIndex::RTree(t) => t.items(),
+            BucketIndex::Sweep(s) => s.items(),
         }
     }
 
     fn probe<'t>(&'t self, window: &Window, visit: &mut dyn FnMut(&'t Interval)) -> u64 {
         match self {
-            AutoIndex::RTree(t) => t.probe(window, visit),
-            AutoIndex::Sweep(s) => s.probe(window, visit),
+            BucketIndex::RTree(t) => t.probe(window, visit),
+            BucketIndex::Sweep(s) => s.probe(window, visit),
         }
     }
 }
 
-/// Reports which fixed backend actually serves an index's probes, so the
-/// join can record the per-bucket choice in [`LocalJoinStats`].
-pub trait ChosenBackend {
-    /// The fixed backend behind this index (never
-    /// [`LocalJoinBackend::Auto`]).
-    fn chosen(&self) -> LocalJoinBackend;
-}
-
-impl ChosenBackend for RTree {
-    fn chosen(&self) -> LocalJoinBackend {
-        LocalJoinBackend::RTree
-    }
-}
-
-impl ChosenBackend for SweepIndex {
-    fn chosen(&self) -> LocalJoinBackend {
-        LocalJoinBackend::Sweep
-    }
-}
-
-impl ChosenBackend for AutoIndex {
-    fn chosen(&self) -> LocalJoinBackend {
-        match self {
-            AutoIndex::RTree(_) => LocalJoinBackend::RTree,
-            AutoIndex::Sweep(_) => LocalJoinBackend::Sweep,
-        }
-    }
-}
-
-/// A shared index delegates the choice report to the index it wraps, so
-/// pooled (`Arc`-held) and per-reducer-owned indexes record identical
-/// `buckets_rtree` / `buckets_sweep` counters.
-impl<C: ChosenBackend> ChosenBackend for Arc<C> {
-    fn chosen(&self) -> LocalJoinBackend {
-        (**self).chosen()
-    }
-}
-
-/// The serving layer's shared, read-only index pool: one immutable index
-/// per (collection, bucket, backend), built on first use and reused by
-/// every subsequent query and reducer that ships the same bucket.
+/// The serving layer's shared, read-only index pool: one immutable
+/// [`BucketIndex`] per (collection, bucket), built on first use and
+/// reused by every subsequent query and reducer that ships the same
+/// bucket. One pool serves one backend configuration (its entries carry
+/// that configuration's choices), which is why only the crate's own
+/// serving layer can hand a pool to the join.
 ///
 /// Sharing is sound because the contents of a pooled index are
 /// *query-independent*: the join-phase mapper ships **every** interval of
@@ -369,9 +344,7 @@ impl<C: ChosenBackend> ChosenBackend for Arc<C> {
 /// index).
 #[derive(Debug, Default)]
 pub struct IndexPools {
-    rtree: RwLock<BTreeMap<(u32, BucketId), Arc<RTree>>>,
-    sweep: RwLock<BTreeMap<(u32, BucketId), Arc<SweepIndex>>>,
-    auto: RwLock<BTreeMap<(u32, BucketId), Arc<AutoIndex>>>,
+    indexes: RwLock<BTreeMap<(u32, BucketId), Arc<BucketIndex>>>,
 }
 
 impl IndexPools {
@@ -380,9 +353,9 @@ impl IndexPools {
         Self::default()
     }
 
-    /// Total cached indexes across all backend kinds.
+    /// Cached indexes.
     pub fn len(&self) -> usize {
-        self.rtree.read().len() + self.sweep.read().len() + self.auto.read().len()
+        self.indexes.read().len()
     }
 
     /// Whether no index has been cached yet.
@@ -390,42 +363,20 @@ impl IndexPools {
         self.len() == 0
     }
 
-    fn get_or_build<C>(
-        map: &RwLock<BTreeMap<(u32, BucketId), Arc<C>>>,
+    /// The pooled index of `key`, built with `build` on a miss.
+    pub(crate) fn get_or_build(
+        &self,
         key: (u32, BucketId),
-        build: impl FnOnce() -> C,
-    ) -> Arc<C> {
-        if let Some(found) = map.read().get(&key) {
+        build: impl FnOnce() -> BucketIndex,
+    ) -> Arc<BucketIndex> {
+        if let Some(found) = self.indexes.read().get(&key) {
             return Arc::clone(found);
         }
         // Built outside the write lock: a concurrent builder produces the
         // identical index (see the type-level soundness argument), and
         // `or_insert` keeps whichever landed first.
         let built = Arc::new(build());
-        Arc::clone(map.write().entry(key).or_insert(built))
-    }
-
-    fn rtree(&self, key: (u32, BucketId), items: Vec<Interval>) -> Arc<RTree> {
-        Self::get_or_build(&self.rtree, key, || RTree::bulk_load(items))
-    }
-
-    fn sweep(
-        &self,
-        key: (u32, BucketId),
-        items: Vec<Interval>,
-        scan: SweepScanKind,
-    ) -> Arc<SweepIndex> {
-        Self::get_or_build(&self.sweep, key, || SweepIndex::build_with_scan(items, scan))
-    }
-
-    fn auto(
-        &self,
-        key: (u32, BucketId),
-        items: Vec<Interval>,
-        choice: LocalJoinBackend,
-        scan: SweepScanKind,
-    ) -> Arc<AutoIndex> {
-        Self::get_or_build(&self.auto, key, || AutoIndex::build_chosen(choice, items, scan))
+        Arc::clone(self.indexes.write().entry(key).or_insert(built))
     }
 }
 
@@ -438,7 +389,8 @@ pub trait TupleFilter: Sync {
     fn admits(&self, tuple: &[Option<Interval>]) -> bool;
 }
 
-/// Runs the local top-k join of one reducer with the default backend.
+/// Runs the local top-k join of one reducer with the default backend,
+/// sequentially.
 ///
 /// `combo_indices` lists this reducer's combinations (indices into
 /// `combos`); they are re-sorted by descending UB internally. `data` maps
@@ -451,52 +403,8 @@ pub fn local_topk_join(
     combo_indices: &[u32],
     data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
 ) -> (TopK, LocalJoinStats) {
-    local_topk_join_with(query, plan, k, combos, combo_indices, data, None)
-}
-
-/// [`local_topk_join`] with an optional attribute filter (hybrid
-/// queries). Filtering never breaks exactness: combination upper bounds
-/// remain valid for any tuple subset, and the admission threshold only
-/// tracks surviving tuples.
-pub fn local_topk_join_with(
-    query: &Query,
-    plan: &JoinPlan,
-    k: usize,
-    combos: &ComboSet,
-    combo_indices: &[u32],
-    data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
-    filter: Option<&dyn TupleFilter>,
-) -> (TopK, LocalJoinStats) {
-    local_topk_join_on(
-        LocalJoinBackend::default(),
-        query,
-        plan,
-        k,
-        combos,
-        combo_indices,
-        data,
-        filter,
-    )
-}
-
-/// [`local_topk_join_with`] on an explicit candidate-source backend.
-/// Dispatches once per reducer; the join itself is monomorphized per
-/// backend. With [`LocalJoinBackend::Auto`] and no pre-planned choices,
-/// each bucket decides from its shipped slice's profile (identical to
-/// the statistics-derived plan by construction).
-#[allow(clippy::too_many_arguments)]
-pub fn local_topk_join_on(
-    backend: LocalJoinBackend,
-    query: &Query,
-    plan: &JoinPlan,
-    k: usize,
-    combos: &ComboSet,
-    combo_indices: &[u32],
-    data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
-    filter: Option<&dyn TupleFilter>,
-) -> (TopK, LocalJoinStats) {
     local_topk_join_planned(
-        backend,
+        LocalJoinBackend::default(),
         SweepScanKind::default(),
         query,
         plan,
@@ -504,73 +412,35 @@ pub fn local_topk_join_on(
         combos,
         combo_indices,
         data,
-        filter,
+        None,
         None,
         IntraJoin::sequential(),
+        None,
     )
 }
 
-/// [`local_topk_join_on`] with an optional per-bucket backend plan
-/// (derived from the collected statistics; only read under
-/// [`LocalJoinBackend::Auto`]) and an explicit probe-stream sharding
-/// plan. This is the join-phase entry point: the engine plans choices
-/// once from `PreparedDataset::bucket_profile` and ships the plan — and
-/// the [`IntraJoin`] sharding parameters — to every reducer. `scan`
-/// selects the sweep store's run-scan kind (`TkijConfig::sweep_scan`);
-/// it reaches every sweep-indexed bucket, fixed or auto-chosen, and by
-/// the lanes contract cannot change results or counters.
-#[allow(clippy::too_many_arguments)]
-pub fn local_topk_join_planned(
-    backend: LocalJoinBackend,
-    scan: SweepScanKind,
-    query: &Query,
-    plan: &JoinPlan,
-    k: usize,
-    combos: &ComboSet,
-    combo_indices: &[u32],
-    data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
-    filter: Option<&dyn TupleFilter>,
-    choices: Option<&BackendChoices>,
-    intra: IntraJoin,
-) -> (TopK, LocalJoinStats) {
-    match backend {
-        LocalJoinBackend::RTree => {
-            join_generic(query, plan, k, combos, combo_indices, data, filter, intra, |_, items| {
-                RTree::bulk_load(items)
-            })
-        }
-        LocalJoinBackend::Sweep => {
-            join_generic(query, plan, k, combos, combo_indices, data, filter, intra, |_, items| {
-                SweepIndex::build_with_scan(items, scan)
-            })
-        }
-        LocalJoinBackend::Auto => join_generic(
-            query,
-            plan,
-            k,
-            combos,
-            combo_indices,
-            data,
-            filter,
-            intra,
-            |key, items| {
-                let choice =
-                    choices.and_then(|c| c.get(key).copied()).unwrap_or(LocalJoinBackend::Auto);
-                AutoIndex::build_chosen(choice, items, scan)
-            },
-        ),
-    }
-}
-
-/// [`local_topk_join_planned`] serving its bucket indexes from a shared
-/// [`IndexPools`] instead of building them per reducer. The join logic,
-/// visit order, and every work counter are bit-identical to the unpooled
-/// entry (see the pool's soundness documentation); only the index *build*
-/// work is amortized across queries. Pool keys translate the reducer's
-/// (vertex, bucket) to (collection, bucket) through `query.vertices`, so
+/// The join-phase entry point: [`local_topk_join`] with every input
+/// explicit.
+///
+/// `backend` and `choices` decide which [`BucketIndex`] variant serves
+/// each shipped bucket: the fixed backend for all of them, or — under
+/// [`LocalJoinBackend::Auto`] — the per-bucket plan the engine derived
+/// once from the collected statistics (a bucket missing from `choices`
+/// decides from its shipped slice's profile, identical by construction).
+/// `scan` is the sweep store's run-scan kind; by the lanes contract it
+/// cannot change results or counters. `filter` is a hybrid query's
+/// attribute filter: it never breaks exactness, because combination
+/// upper bounds remain valid for any tuple subset and the admission
+/// threshold only tracks surviving tuples.
+///
+/// With `pools`, bucket indexes come from the serving layer's shared
+/// [`IndexPools`] instead of being built per reducer; visit order and
+/// every work counter are bit-identical either way (see the pool's
+/// soundness documentation). Pool keys translate the reducer's (vertex,
+/// bucket) to (collection, bucket) through `query.vertices`, so
 /// self-join vertices sharing a collection share one index.
 #[allow(clippy::too_many_arguments)]
-pub fn local_topk_join_pooled(
+pub(crate) fn local_topk_join_planned(
     backend: LocalJoinBackend,
     scan: SweepScanKind,
     query: &Query,
@@ -582,48 +452,20 @@ pub fn local_topk_join_pooled(
     filter: Option<&dyn TupleFilter>,
     choices: Option<&BackendChoices>,
     intra: IntraJoin,
-    pools: &IndexPools,
+    pools: Option<&IndexPools>,
 ) -> (TopK, LocalJoinStats) {
-    let ckey = |key: &(u16, BucketId)| (query.vertices[key.0 as usize].0, key.1);
-    match backend {
-        LocalJoinBackend::RTree => join_generic(
-            query,
-            plan,
-            k,
-            combos,
-            combo_indices,
-            data,
-            filter,
-            intra,
-            |key, items| pools.rtree(ckey(key), items),
-        ),
-        LocalJoinBackend::Sweep => join_generic(
-            query,
-            plan,
-            k,
-            combos,
-            combo_indices,
-            data,
-            filter,
-            intra,
-            |key, items| pools.sweep(ckey(key), items, scan),
-        ),
-        LocalJoinBackend::Auto => join_generic(
-            query,
-            plan,
-            k,
-            combos,
-            combo_indices,
-            data,
-            filter,
-            intra,
-            |key, items| {
-                let choice =
-                    choices.and_then(|c| c.get(key).copied()).unwrap_or(LocalJoinBackend::Auto);
-                pools.auto(ckey(key), items, choice, scan)
-            },
-        ),
-    }
+    join_generic(query, plan, k, combos, combo_indices, data, filter, intra, |key, items| {
+        let choice = match backend {
+            LocalJoinBackend::Auto => choices.and_then(|c| c.get(key).copied()).unwrap_or(backend),
+            fixed => fixed,
+        };
+        // Only a build copies the shipped slice; a pool hit reads nothing.
+        let build = || BucketIndex::build_chosen(choice, items.to_vec(), scan);
+        match pools {
+            Some(pools) => pools.get_or_build((query.vertices[key.0 as usize].0, key.1), build),
+            None => Arc::new(build()),
+        }
+    })
 }
 
 /// The admission interface the rank-join recursion prunes against:
@@ -702,10 +544,10 @@ fn publish_bound(bound: &AtomicU64, value: f64) {
     bound.store(value.to_bits(), Ordering::Relaxed);
 }
 
-/// The backend-generic rank-join body. `build` constructs one bucket's
-/// index from its (vertex, bucket) key and shipped intervals.
+/// The rank-join body. `build` yields one bucket's index from its
+/// (vertex, bucket) key and shipped intervals.
 #[allow(clippy::too_many_arguments)]
-fn join_generic<C: CandidateSource + ChosenBackend>(
+fn join_generic(
     query: &Query,
     plan: &JoinPlan,
     k: usize,
@@ -714,16 +556,16 @@ fn join_generic<C: CandidateSource + ChosenBackend>(
     data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
     filter: Option<&dyn TupleFilter>,
     intra: IntraJoin,
-    build: impl Fn(&(u16, BucketId), Vec<Interval>) -> C,
+    build: impl Fn(&(u16, BucketId), &[Interval]) -> Arc<BucketIndex>,
 ) -> (TopK, LocalJoinStats) {
     let mut stats = LocalJoinStats { combos_assigned: combo_indices.len(), ..Default::default() };
     let mut topk = TopK::new(k);
 
     // Index every shipped bucket once; reused across combinations.
-    let indexes: BTreeMap<(u16, BucketId), C> =
-        data.iter().map(|(&key, intervals)| (key, build(&key, intervals.clone()))).collect();
+    let indexes: BucketIndexes =
+        data.iter().map(|(&key, intervals)| (key, build(&key, intervals))).collect();
     for index in indexes.values() {
-        match index.chosen() {
+        match index.backend() {
             LocalJoinBackend::RTree => stats.buckets_rtree += 1,
             _ => stats.buckets_sweep += 1,
         }
@@ -765,12 +607,16 @@ fn join_generic<C: CandidateSource + ChosenBackend>(
     (topk, stats)
 }
 
+/// One reducer's indexes, by (vertex, bucket). `Arc`-held so pooled and
+/// reducer-built indexes are one type.
+type BucketIndexes = BTreeMap<(u16, BucketId), Arc<BucketIndex>>;
+
 /// Immutable context of one reducer's combination loop — everything a
 /// probe chunk needs, so wave workers can borrow a single struct.
-struct ComboRun<'a, C> {
+struct ComboRun<'a> {
     query: &'a Query,
     plan: &'a JoinPlan,
-    indexes: &'a BTreeMap<(u16, BucketId), C>,
+    indexes: &'a BucketIndexes,
     filter: Option<&'a dyn TupleFilter>,
     intra: IntraJoin,
     k: usize,
@@ -778,7 +624,7 @@ struct ComboRun<'a, C> {
     bound: AtomicU64,
 }
 
-impl<C: CandidateSource> ComboRun<'_, C> {
+impl ComboRun<'_> {
     /// Evaluates one combination: its first-step candidate run is split
     /// into fixed-size chunks ([`CandidateSource::item_chunks`]) and
     /// consumed as inline chunks (against the global heap) or parallel
@@ -946,10 +792,10 @@ impl Scratch {
 
 /// Mutable evaluation context threaded through the recursion, generic
 /// over the heap it prunes against ([`ProbeHeap`]).
-struct JoinCx<'a, C, H> {
+struct JoinCx<'a, H> {
     query: &'a Query,
     plan: &'a JoinPlan,
-    indexes: &'a BTreeMap<(u16, BucketId), C>,
+    indexes: &'a BucketIndexes,
     heap: &'a mut H,
     stats: &'a mut LocalJoinStats,
     /// Partial tuple, indexed by vertex (borrowed [`Scratch`]).
@@ -960,7 +806,7 @@ struct JoinCx<'a, C, H> {
     filter: Option<&'a dyn TupleFilter>,
 }
 
-impl<C: CandidateSource, H: ProbeHeap> JoinCx<'_, C, H> {
+impl<H: ProbeHeap> JoinCx<'_, H> {
     /// Evaluates one probe chunk: each item seeds the first plan step.
     fn run_chunk(&mut self, chunk: &[Interval], buckets: &[BucketId], combo_ub: f64) {
         let first_vertex = self.plan.steps[0].vertex;
@@ -1010,7 +856,7 @@ impl<C: CandidateSource, H: ProbeHeap> JoinCx<'_, C, H> {
         // whole loop instead of being skipped.
         let mut candidates: Vec<(f64, Interval)> = Vec::new();
         let scanned = threshold_candidates(
-            index,
+            &**index,
             &edge.predicate,
             &anchor_iv,
             anchor.anchor_side,
@@ -1145,6 +991,32 @@ mod tests {
         (combos, indices, data)
     }
 
+    /// The sequential, unpooled join on an explicit backend.
+    fn join_on(
+        backend: LocalJoinBackend,
+        query: &Query,
+        plan: &JoinPlan,
+        k: usize,
+        combos: &ComboSet,
+        combo_indices: &[u32],
+        data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
+    ) -> (TopK, LocalJoinStats) {
+        local_topk_join_planned(
+            backend,
+            SweepScanKind::default(),
+            query,
+            plan,
+            k,
+            combos,
+            combo_indices,
+            data,
+            None,
+            None,
+            IntraJoin::sequential(),
+            None,
+        )
+    }
+
     fn random_collections(seed: u64, m: usize, size: usize, span: i64) -> Vec<IntervalCollection> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..m as u32)
@@ -1176,8 +1048,7 @@ mod tests {
     ) {
         let (combos, indices, data) = full_setup(query, collections, g);
         let plan = query.plan();
-        let (topk, stats) =
-            local_topk_join_on(backend, query, &plan, k, &combos, &indices, &data, None);
+        let (topk, stats) = join_on(backend, query, &plan, k, &combos, &indices, &data);
         let refs: Vec<&IntervalCollection> =
             query.vertices.iter().map(|c| &collections[c.0 as usize]).collect();
         let expected = naive_topk(query, &refs, k);
@@ -1304,8 +1175,7 @@ mod tests {
         // Early termination is a property of the rank-join, not of the
         // candidate source: every backend must skip the dominated combo.
         for (name, backend) in LocalJoinBackend::all() {
-            let (topk, stats) =
-                local_topk_join_on(backend, &q, &plan, 3, &selected, &indices, &data, None);
+            let (topk, stats) = join_on(backend, &q, &plan, 3, &selected, &indices, &data);
             assert_eq!(topk.len(), 3, "{name}");
             assert!((topk.min_score().unwrap() - 1.0).abs() < 1e-9, "{name}");
             assert!(
@@ -1325,26 +1195,10 @@ mod tests {
         let q = table1::q_om(PredicateParams::P1);
         let (combos, indices, data) = full_setup(&q, &collections, 8);
         let plan = q.plan();
-        let (rt_topk, rt_stats) = local_topk_join_on(
-            LocalJoinBackend::RTree,
-            &q,
-            &plan,
-            12,
-            &combos,
-            &indices,
-            &data,
-            None,
-        );
-        let (sw_topk, sw_stats) = local_topk_join_on(
-            LocalJoinBackend::Sweep,
-            &q,
-            &plan,
-            12,
-            &combos,
-            &indices,
-            &data,
-            None,
-        );
+        let (rt_topk, rt_stats) =
+            join_on(LocalJoinBackend::RTree, &q, &plan, 12, &combos, &indices, &data);
+        let (sw_topk, sw_stats) =
+            join_on(LocalJoinBackend::Sweep, &q, &plan, 12, &combos, &indices, &data);
         let a = rt_topk.into_sorted_vec();
         let b = sw_topk.into_sorted_vec();
         assert_eq!(a.len(), b.len());
@@ -1403,26 +1257,10 @@ mod tests {
         let q = table1::q_om(PredicateParams::P1);
         let (combos, indices, data) = full_setup(&q, &collections, 6);
         let plan = q.plan();
-        let (auto_topk, auto_stats) = local_topk_join_on(
-            LocalJoinBackend::Auto,
-            &q,
-            &plan,
-            10,
-            &combos,
-            &indices,
-            &data,
-            None,
-        );
-        let (sw_topk, _) = local_topk_join_on(
-            LocalJoinBackend::Sweep,
-            &q,
-            &plan,
-            10,
-            &combos,
-            &indices,
-            &data,
-            None,
-        );
+        let (auto_topk, auto_stats) =
+            join_on(LocalJoinBackend::Auto, &q, &plan, 10, &combos, &indices, &data);
+        let (sw_topk, _) =
+            join_on(LocalJoinBackend::Sweep, &q, &plan, 10, &combos, &indices, &data);
         // Bitwise-identical score multiset vs a fixed backend.
         let a = auto_topk.into_sorted_vec();
         let b = sw_topk.into_sorted_vec();
@@ -1454,14 +1292,14 @@ mod tests {
             (0..100).map(|i| Interval::new_unchecked(i, i as i64, i as i64 + 80)).collect();
         let banded: Vec<Interval> =
             (0..300).map(|i| Interval::new_unchecked(i, i as i64, i as i64 + 14)).collect();
-        let d = AutoIndex::build(dense);
-        let b = AutoIndex::build(banded.clone());
-        assert_eq!(d.chosen(), LocalJoinBackend::Sweep);
+        let d = BucketIndex::build(dense);
+        let b = BucketIndex::build(banded.clone());
+        assert_eq!(d.backend(), LocalJoinBackend::Sweep);
         assert_eq!(
             select_backend(&BucketProfile::from_intervals(&banded)),
             LocalJoinBackend::RTree
         );
-        assert_eq!(b.chosen(), LocalJoinBackend::RTree);
+        assert_eq!(b.backend(), LocalJoinBackend::RTree);
         assert_eq!(d.len(), 100);
         assert_eq!(b.len(), 300);
     }
@@ -1491,6 +1329,7 @@ mod tests {
             None,
             None,
             intra,
+            None,
         );
         (topk.into_sorted_vec(), stats)
     }

@@ -251,29 +251,35 @@ impl ServerInner {
         // tkij-lint: allow(DET002) -- wall latency feeds only the LatencySnapshot artifact (serving_p50_ms/serving_p95_ms/serving_p99_ms), never a result, counter, or gate
         let started = std::time::Instant::now();
 
-        let report = if self.engine.config.plan_cache {
-            let slot = self.plans.slot(PlanKey::for_server(&self.engine.config, query, k));
-            let mut fresh = false;
-            let plan = slot.get_or_init(|| {
-                fresh = true;
-                self.engine.plan_query(&self.dataset, query, k).expect("validated above")
-            });
-            // Ordering rationale: Relaxed — monotone counters, see field
-            // docs. `get_or_init` guarantees exactly one closure run per
-            // slot, so misses = distinct shapes deterministically.
-            if fresh {
-                self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            self.engine.execute_planned_impl(&self.dataset, query, k, plan, Some(&self.pools))
+        // The plan is the cached slot's (computed by exactly one of the
+        // slot's concurrent first requesters) or, cache disabled, fresh.
+        let slot = if self.engine.config.plan_cache {
+            self.plans.slot(PlanKey::for_server(&self.engine.config, query, k))
         } else {
-            // Ordering rationale: Relaxed — monotone counter, see field
-            // docs. Cache disabled: every query plans fresh.
-            self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
-            let plan = self.engine.plan_query(&self.dataset, query, k).expect("validated above");
-            self.engine.execute_planned_impl(&self.dataset, query, k, &plan, Some(&self.pools))
+            Arc::default()
         };
+        let mut fresh = false;
+        let plan = slot.get_or_init(|| {
+            fresh = true;
+            self.engine.plan_query(&self.dataset, query, k).expect("validated above")
+        });
+        // Ordering rationale: Relaxed — monotone counters, see field
+        // docs. `get_or_init` guarantees exactly one closure run per
+        // slot, so misses = distinct shapes deterministically (every
+        // query, with the cache disabled: its slot is its own).
+        if fresh {
+            self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        let report = self.engine.execute_planned_impl(
+            &self.dataset,
+            query,
+            k,
+            plan,
+            None,
+            Some(&self.pools),
+        );
         self.latency.lock().record(started.elapsed().as_micros());
         Ok(report)
     }

@@ -12,7 +12,6 @@
 //!   sequential sweeps — the cache-friendly default of the local-join
 //!   hot path, scanning runs with the chunked-mask or scalar kind of
 //!   [`lanes`] ([`SweepScanKind`], bit-identical by contract),
-//! * [`GridIndex`] — a uniform-grid alternative (ablation / oracle),
 //! * [`CandidateSource`] — the access-path abstraction the local join is
 //!   generic over, so backends are swappable without touching join logic,
 //! * [`threshold_candidates`] — the predicate-to-window translation that
@@ -21,12 +20,10 @@
 //!   quantities, e.g. `sparks`' lengths), and candidates are re-checked
 //!   exactly by the caller.
 
-pub mod grid;
 pub mod lanes;
 pub mod rtree;
 pub mod sweep;
 
-pub use grid::GridIndex;
 pub use lanes::{EndpointLanes, SweepScanKind, LANE_WIDTH, SCAN_KIND_ENV};
 pub use rtree::{RTree, Rect, Window, FANOUT};
 pub use sweep::SweepIndex;
@@ -127,25 +124,6 @@ impl CandidateSource for SweepIndex {
 
     fn probe<'t>(&'t self, window: &Window, visit: &mut dyn FnMut(&'t Interval)) -> u64 {
         self.window_query(window, visit)
-    }
-}
-
-/// A shared (`Arc`-held) index is itself a candidate source: the serving
-/// layer builds each (collection, bucket) index once and hands clones of
-/// the `Arc` to every concurrent query's reducers. Probing through the
-/// `Arc` delegates to the inner backend, so visit order and the examined
-/// -item count are bit-identical to probing an owned index.
-impl<C: CandidateSource + Send> CandidateSource for std::sync::Arc<C> {
-    fn build(items: Vec<Interval>) -> Self {
-        std::sync::Arc::new(C::build(items))
-    }
-
-    fn items(&self) -> &[Interval] {
-        (**self).items()
-    }
-
-    fn probe<'t>(&'t self, window: &Window, visit: &mut dyn FnMut(&'t Interval)) -> u64 {
-        (**self).probe(window, visit)
     }
 }
 
@@ -280,30 +258,6 @@ mod tests {
             a.sort_by_key(|i| i.id);
             b.sort_by_key(|i| i.id);
             prop_assert_eq!(a, b, "{:?} side={:?} v={}", kind, side, v);
-        }
-
-        /// Grid and R-tree agree on threshold candidate sets.
-        #[test]
-        fn grid_rtree_agree(
-            points in proptest::collection::vec((0i64..200, 0i64..50), 1..100),
-            a_s in 0i64..200, a_w in 0i64..50,
-            v in 0.1f64..1.0,
-        ) {
-            let pred = TemporalPredicate::overlaps(PredicateParams::P1);
-            let items: Vec<Interval> = points
-                .iter()
-                .enumerate()
-                .map(|(i, (s, w))| iv(i as u64, *s, s + w))
-                .collect();
-            let tree = RTree::bulk_load(items.clone());
-            let grid = GridIndex::build(items, 16);
-            let anchor = iv(9999, a_s, a_s + a_w);
-            let window: Window = pred.threshold_window(&anchor, Side::Left, v).into();
-            let mut a = tree.window_collect(&window);
-            let mut b = grid.window_collect(&window);
-            a.sort_by_key(|i| i.id);
-            b.sort_by_key(|i| i.id);
-            prop_assert_eq!(a, b);
         }
     }
 }

@@ -116,6 +116,45 @@ fn rtree_backend_serving_matches_solo_interleaved() {
 }
 
 #[test]
+fn pool_holds_one_index_per_shipped_collection_bucket() {
+    // Two shapes over one dataset sharing collection 0 — one of them a
+    // self-join, whose two vertices read the same indexes. The pool is
+    // keyed by (collection, bucket), so after serving both it holds
+    // exactly the distinct pairs the two plans ship, on every backend.
+    let self_join = Query::new(
+        vec![CollectionId(0), CollectionId(0)],
+        vec![QueryEdge {
+            src: 0,
+            dst: 1,
+            predicate: TemporalPredicate::meets(PredicateParams::P1),
+        }],
+        Aggregation::NormalizedSum,
+    )
+    .unwrap();
+    let queries = [table1::q_om(PredicateParams::P1), self_join];
+    for (name, backend) in LocalJoinBackend::all() {
+        let engine = engine(backend);
+        let dataset = engine.prepare(uniform_collections(3, 80, 555)).unwrap();
+        let mut shipped = std::collections::BTreeSet::new();
+        let mut solo = Vec::new();
+        for q in &queries {
+            let plan = engine.plan_query(&dataset, q, K).unwrap();
+            let keys = plan.assignment.bucket_map.keys();
+            shipped.extend(keys.map(|&(v, bucket)| (q.vertices[v as usize].0, bucket)));
+            solo.push(engine.execute(&dataset, q, K).unwrap().fingerprint());
+        }
+        let server = engine.serve(dataset);
+        for round in 0..2 {
+            for (q, solo) in queries.iter().zip(&solo) {
+                let served = server.query(q, K).unwrap().fingerprint();
+                assert_eq!(&served, solo, "{name}, round {round}");
+            }
+            assert_eq!(server.index_pool_len(), shipped.len(), "{name}, round {round}");
+        }
+    }
+}
+
+#[test]
 fn repeated_serving_runs_are_bit_identical() {
     // Two servers over identically prepared datasets serve the same
     // interleaved workload: every fingerprint and the final serving
