@@ -88,7 +88,7 @@ pub enum LocalJoinBackend {
     Sweep,
     /// Per-bucket selection between the two fixed backends, driven by the
     /// bucket's cardinality/density profile (see
-    /// `tkij_core::localjoin::select_backend`).
+    /// `tkij_core::select_backend`).
     Auto,
 }
 

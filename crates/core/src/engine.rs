@@ -2,11 +2,12 @@
 //! and the [`ExecutionReport`] the evaluation section reads its numbers
 //! from.
 
+use crate::bucketindex::IndexPools;
 use crate::combos::{ComboSet, TopBucketsStats};
 use crate::config::{DistributionPolicy, LocalJoinBackend, Strategy, SweepScanKind, TkijConfig};
 use crate::distribute::{distribute, Assignment};
 use crate::joinphase::run_join_phase_impl;
-use crate::localjoin::{IndexPools, LocalJoinStats, TupleFilter};
+use crate::localjoin::{LocalJoinStats, TupleFilter};
 use crate::merge::run_merge_phase;
 use crate::stats::{collect_statistics, PreparedDataset};
 use crate::topbuckets::run_topbuckets;

@@ -5,13 +5,11 @@
 //! "For each input interval x, a mapper computes the bucket b in which x
 //! falls. Then x is communicated to all reducers r_j that received b."
 
+use crate::bucketindex::{select_backend, BackendChoices, IndexPools};
 use crate::combos::ComboSet;
 use crate::config::{LocalJoinBackend, SweepScanKind};
 use crate::distribute::Assignment;
-use crate::localjoin::{
-    local_topk_join_planned, select_backend, BackendChoices, IndexPools, IntraJoin, LocalJoinStats,
-    TupleFilter,
-};
+use crate::localjoin::{local_topk_join_planned, IntraJoin, LocalJoinStats, TupleFilter};
 use crate::stats::PreparedDataset;
 use std::collections::BTreeMap;
 use tkij_mapreduce::{

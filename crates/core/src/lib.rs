@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bucketindex;
 pub mod combos;
 pub mod config;
 pub mod distribute;
@@ -47,6 +48,10 @@ pub mod serving;
 pub mod stats;
 pub mod topbuckets;
 
+pub use bucketindex::{
+    select_backend, BackendChoices, BucketIndex, IndexPools, AUTO_DENSITY_THRESHOLD,
+    AUTO_RTREE_BAND_MIN_DENSITY, AUTO_RTREE_MIN_CARDINALITY,
+};
 pub use combos::{ComboSet, TopBucketsStats, VertexBuckets};
 pub use config::{
     DistributionPolicy, LocalJoinBackend, ParseVariantError, Strategy, SweepScanKind, TkijConfig,
@@ -55,9 +60,7 @@ pub use distribute::{distribute, Assignment};
 pub use engine::{DistributionSummary, ExecutionReport, Fingerprint, QueryPlan, Tkij};
 pub use joinphase::{run_join_phase, run_join_phase_with, ReducerOutput};
 pub use localjoin::{
-    local_topk_join, select_backend, BackendChoices, BucketIndex, IndexPools, IntraJoin,
-    LocalJoinStats, AUTO_DENSITY_THRESHOLD, AUTO_RTREE_BAND_MIN_DENSITY,
-    AUTO_RTREE_MIN_CARDINALITY, INTRA_WAVE_CHUNKS, PROBE_CHUNK_ITEMS,
+    local_topk_join, IntraJoin, LocalJoinStats, INTRA_WAVE_CHUNKS, PROBE_CHUNK_ITEMS,
 };
 pub use merge::run_merge_phase;
 pub use naive::{all_pair_scores, naive_boolean, naive_topk};

@@ -52,9 +52,9 @@
 //! deliberately *non*-deterministic artifact here — it feeds only
 //! `*_ms` report keys, never a result, counter, or gate.
 
+use crate::bucketindex::IndexPools;
 use crate::config::TkijConfig;
 use crate::engine::{ExecutionReport, Tkij};
-use crate::localjoin::IndexPools;
 use crate::plancache::PlanCache;
 use crate::stats::PreparedDataset;
 use parking_lot::Mutex;

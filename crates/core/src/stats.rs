@@ -19,7 +19,7 @@ use tkij_temporal::interval::Interval;
 
 /// The cardinality/density summary of one bucket — the statistic
 /// per-bucket backend auto-selection keys on
-/// (`tkij_core::localjoin::select_backend`).
+/// (`tkij_core::select_backend`).
 ///
 /// `density()` is the bucket's average concurrency: summed inclusive
 /// durations over the occupied endpoint span. Profiles derived from the
