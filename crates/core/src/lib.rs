@@ -16,20 +16,24 @@
 //! 3. **DistributeTopBuckets** ([`mod@distribute`]): Algorithms 3–4, plus the
 //!    LPT baseline of §4.2.2.
 //! 4. **Distributed join** ([`joinphase`], [`localjoin`]): per-reducer
-//!    rank-joins with R-tree threshold access and early termination.
+//!    rank-joins with threshold access and early termination, over one
+//!    index type per bucket ([`bucketindex`]: the paper's R-tree or the
+//!    sweep store).
 //! 5. **Merge** ([`merge`]): the final global top-k.
 //!
 //! The [`Tkij`] engine ties the phases together and emits an
 //! [`ExecutionReport`] carrying every statistic the paper's evaluation
 //! plots. [`naive`] provides the exhaustive oracle used to verify the
 //! engine's exactness guarantee. [`hybrid`] implements the paper's
-//! future-work extension: attribute constraints alongside temporal
-//! predicates.
+//! future-work extension — attribute constraints alongside temporal
+//! predicates — as the same pipeline: a plan with static pruning off,
+//! executed with a tuple filter.
 //!
 //! For long-lived deployments, [`serving`] splits the lifecycle into a
 //! *prepare* phase (statistics + immutable shared state) and a *query*
 //! phase any number of threads run concurrently — with a plan cache and
-//! a shared index pool, both bit-transparent to results and counters.
+//! one shared pool of bucket indexes, both bit-transparent to results and
+//! counters.
 
 #![warn(missing_docs)]
 

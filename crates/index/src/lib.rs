@@ -12,8 +12,8 @@
 //!   sequential sweeps — the cache-friendly default of the local-join
 //!   hot path, scanning runs with the chunked-mask or scalar kind of
 //!   [`lanes`] ([`SweepScanKind`], bit-identical by contract),
-//! * [`CandidateSource`] — the access-path abstraction the local join is
-//!   generic over, so backends are swappable without touching join logic,
+//! * [`CandidateSource`] — the probe interface both backends answer
+//!   through, so they are swappable without touching join logic,
 //! * [`threshold_candidates`] — the predicate-to-window translation that
 //!   implements the quoted retrieval: the score constraint becomes an
 //!   axis-aligned window (conservative when a primitive compares derived
