@@ -5,9 +5,13 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use tkij_core::{distribute, get_top_buckets, ComboSet, DistributionPolicy};
+use tkij_core::{
+    collect_statistics, distribute, get_top_buckets, run_topbuckets, ComboSet, DistributionPolicy,
+    Strategy,
+};
 use tkij_datagen::synthetic::{uniform_collection, SyntheticConfig};
 use tkij_index::{threshold_candidates, RTree, Window};
+use tkij_mapreduce::ClusterConfig;
 use tkij_solver::{nary_bounds, pair_bounds, SolverConfig};
 use tkij_temporal::aggregate::Aggregation;
 use tkij_temporal::bucket::{BucketId, BucketMatrix};
@@ -109,10 +113,33 @@ fn synthetic_combos(count: usize) -> ComboSet {
     set
 }
 
+/// The `plan-wide` shape of `benchmark/`: 3 × 1 000 uniform intervals
+/// over a 3 750 span under 30 granules — a ~200 k-combination lattice for
+/// `Q_{o,m}`, of which ~30 k are selected at k = 100.
+fn planwide_fixture() -> (Query, Vec<BucketMatrix>) {
+    let cfg = SyntheticConfig {
+        size: 1_000,
+        start_range: (0, 3_750),
+        length_range: (1, 100),
+        seed: 4242,
+    };
+    let collections = (0..3).map(|i| uniform_collection(CollectionId(i), &cfg)).collect();
+    let matrices = collect_statistics(collections, 30, &ClusterConfig::default()).unwrap().matrices;
+    (table1::q_om(PredicateParams::P1), matrices)
+}
+
+fn planwide_topbuckets(q: &Query, matrices: &[BucketMatrix]) -> ComboSet {
+    run_topbuckets(q, matrices, 100, Strategy::Loose, &SolverConfig::default(), 6).0
+}
+
 fn bench_topbuckets(c: &mut Criterion) {
     let set = synthetic_combos(50_000);
     c.bench_function("topbuckets/get_top_buckets_50k", |b| {
         b.iter(|| get_top_buckets(black_box(1000), &set).len())
+    });
+    let (q, matrices) = planwide_fixture();
+    c.bench_function("topbuckets/run_topbuckets_planwide", |b| {
+        b.iter(|| planwide_topbuckets(black_box(&q), &matrices).len())
     });
 }
 
@@ -145,6 +172,11 @@ fn bench_distribute(c: &mut Criterion) {
         b.iter(|| distribute(black_box(&combos), DistributionPolicy::Lpt, 24, &q, &matrices))
     });
     group.finish();
+    let (q, matrices) = planwide_fixture();
+    let selected = planwide_topbuckets(&q, &matrices);
+    c.bench_function("distribute/dtb_30k_x24", |b| {
+        b.iter(|| distribute(black_box(&selected), DistributionPolicy::Dtb, 24, &q, &matrices))
+    });
 }
 
 fn bench_topk(c: &mut Criterion) {

@@ -141,13 +141,15 @@ impl CandidateSource for BucketIndex {
 ///
 /// Sharing is sound because the contents of a pooled index are
 /// *query-independent*: the join-phase mapper ships **every** interval of
-/// a collection whose bucket the assignment needs, and each reducer sorts
-/// the slice by `(start, end, id)` before indexing — so any two queries
-/// (or reducers) that would build an index for the same (collection,
-/// bucket) build it from the identical canonical interval sequence. A
-/// pool hit therefore returns an index bit-identical to the one a cold
-/// build would produce, including probe visit order and every examined
-/// -item counter.
+/// a collection whose bucket the assignment needs, and the closure that
+/// builds an index (`local_topk_join_planned`) sorts its copy of the
+/// slice by `(start, end, id)` first — so any two queries (or reducers)
+/// that would build an index for the same (collection, bucket) build it
+/// from the identical canonical interval sequence. A pool hit therefore
+/// returns an index bit-identical to the one a cold build would produce,
+/// including probe visit order and every examined-item counter — and may
+/// skip the sort (and the copy), because it never reads the slice it was
+/// shipped.
 ///
 /// Keys use the *collection* id (not the query-vertex index) so self
 /// -joins and different queries over the same collection share entries.

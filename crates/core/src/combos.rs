@@ -2,8 +2,10 @@
 //!
 //! A combination assigns one bucket to every query vertex;
 //! `ω.nbRes = Π |b_i|` counts the result tuples it can generate. `Ω` can
-//! be large (`O(g^{2n})`), so combinations are stored in a compact
-//! struct-of-arrays [`ComboSet`] and manipulated through index vectors.
+//! be large (`O(g^{2n})`), so it is never stored whole: TopBuckets bounds
+//! it in one streaming pass and only the combinations its selection can
+//! reach are materialised, in a compact struct-of-arrays [`ComboSet`]
+//! manipulated through index vectors.
 
 use std::time::Duration;
 use tkij_mapreduce::Counters;
@@ -43,6 +45,58 @@ impl VertexBuckets {
     }
 }
 
+/// Dense addressing of a query's (vertex, bucket) pairs:
+/// `slot = base[v] + start_g · g_v + end_g`. Each vertex owns its own
+/// `g_v²` range, so self-join vertices sharing a collection keep separate
+/// slots, and ascending slots enumerate (vertex, bucket) keys in their
+/// `Ord` order. DTB's presence table and the reducers' input assembly
+/// address flat arrays with it instead of walking a map per lookup.
+#[derive(Debug, Clone)]
+pub(crate) struct BucketSlots {
+    /// `(base, g)` per query vertex.
+    layout: Vec<(usize, usize)>,
+    len: usize,
+}
+
+impl BucketSlots {
+    /// The slot layout of `query` over its collections' matrices.
+    pub fn new(query: &Query, matrices: &[BucketMatrix]) -> Self {
+        let mut len = 0;
+        let layout = query
+            .vertices
+            .iter()
+            .map(|cid| {
+                let g = matrices[cid.0 as usize].g() as usize;
+                let base = len;
+                len += g * g;
+                (base, g)
+            })
+            .collect();
+        BucketSlots { layout, len }
+    }
+
+    /// Total number of slots (`Σ_v g_v²`).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The slot of bucket `b` in the role of vertex `v`.
+    #[inline]
+    pub fn slot(&self, v: usize, b: BucketId) -> usize {
+        let (base, g) = self.layout[v];
+        base + b.start_g as usize * g + b.end_g as usize
+    }
+
+    /// Every (vertex, bucket) key with its slot, in ascending slot — and
+    /// therefore key — order.
+    pub fn keys(&self) -> impl Iterator<Item = ((u16, BucketId), usize)> + '_ {
+        self.layout.iter().enumerate().flat_map(|(v, &(base, g))| {
+            (0..g * g)
+                .map(move |i| ((v as u16, BucketId::new((i / g) as u32, (i % g) as u32)), base + i))
+        })
+    }
+}
+
 /// A compact column-oriented set of bucket combinations.
 #[derive(Debug, Clone, Default)]
 pub struct ComboSet {
@@ -67,6 +121,14 @@ impl ComboSet {
         self.lb.push(lb);
         self.ub.push(ub);
         self.nb_res.len() - 1
+    }
+
+    /// Reserves room for `additional` more combinations.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buckets.reserve(additional * self.n);
+        self.nb_res.reserve(additional);
+        self.lb.reserve(additional);
+        self.ub.reserve(additional);
     }
 
     /// Number of combinations.
@@ -124,6 +186,7 @@ impl ComboSet {
     /// `indices`.
     pub fn subset(&self, indices: &[u32]) -> ComboSet {
         let mut out = ComboSet::new(self.n);
+        out.reserve(indices.len());
         for &i in indices {
             let i = i as usize;
             out.push(self.buckets(i), self.nb_res[i], self.lb[i], self.ub[i]);
@@ -142,7 +205,8 @@ impl ComboSet {
 
     /// Indices `0..len` sorted by descending upper bound, ties broken by
     /// descending lower bound then ascending buckets (fully
-    /// deterministic).
+    /// deterministic). On input already in this order (what
+    /// `run_topbuckets` returns) the sort is one run-detection pass.
     pub fn indices_by_ub_desc(&self) -> Vec<u32> {
         let mut idx: Vec<u32> = (0..self.len() as u32).collect();
         idx.sort_by(|&a, &b| {
@@ -150,19 +214,6 @@ impl ComboSet {
             self.ub[b]
                 .total_cmp(&self.ub[a])
                 .then_with(|| self.lb[b].total_cmp(&self.lb[a]))
-                .then_with(|| self.buckets(a).cmp(self.buckets(b)))
-        });
-        idx
-    }
-
-    /// Indices sorted by descending lower bound (Algorithm 1, line 1).
-    pub fn indices_by_lb_desc(&self) -> Vec<u32> {
-        let mut idx: Vec<u32> = (0..self.len() as u32).collect();
-        idx.sort_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            self.lb[b]
-                .total_cmp(&self.lb[a])
-                .then_with(|| self.ub[b].total_cmp(&self.ub[a]))
                 .then_with(|| self.buckets(a).cmp(self.buckets(b)))
         });
         idx
@@ -218,7 +269,8 @@ pub fn enumerate_combos(
 /// 10c's "%results pruned").
 #[derive(Debug, Clone, Default)]
 pub struct TopBucketsStats {
-    /// `|Ω|`: combinations considered (examined by a bound computation).
+    /// `|Ω|`: combinations bounded (examined by a bound computation; only
+    /// those the selection can reach are ever materialised).
     pub candidates: usize,
     /// `|Ω_{k,S}|`: combinations selected.
     pub selected: usize,
@@ -316,6 +368,29 @@ mod tests {
     }
 
     #[test]
+    fn bucket_slots_give_each_vertex_role_its_own_dense_range() {
+        use tkij_temporal::collection::CollectionId;
+        use tkij_temporal::params::PredicateParams;
+        // Vertices 0 and 1 self-join collection 0 (g = 10); vertex 2 reads
+        // a collection partitioned into 4 granules.
+        let mut q = tkij_temporal::query::table1::q_om(PredicateParams::P1);
+        q.vertices = vec![CollectionId(0), CollectionId(0), CollectionId(1)];
+        let coarse = BucketMatrix::new(TimePartitioning::from_range(0, 99, 4).unwrap());
+        let slots = BucketSlots::new(&q, &[matrix(&[(5, 8)]), coarse]);
+        assert_eq!(slots.len(), 100 + 100 + 16);
+        let b = BucketId::new(2, 7);
+        assert_eq!((slots.slot(0, b), slots.slot(1, b)), (27, 127), "same bucket, two roles");
+        assert_eq!(slots.slot(2, BucketId::new(1, 3)), 200 + 7);
+        // `keys` inverts `slot`, densely, in the key order a BTreeMap uses.
+        let keys: Vec<_> = slots.keys().collect();
+        assert_eq!(keys.len(), slots.len());
+        assert!(keys.windows(2).all(|w| w[0].0 < w[1].0));
+        for (i, &((v, b), slot)) in keys.iter().enumerate() {
+            assert_eq!((slot, slots.slot(v as usize, b)), (i, i));
+        }
+    }
+
+    #[test]
     fn comboset_roundtrip_and_sorts() {
         let mut set = ComboSet::new(2);
         let b1 = [BucketId::new(0, 0), BucketId::new(1, 1)];
@@ -326,7 +401,6 @@ mod tests {
         assert_eq!(set.buckets(1), &b2);
         assert_eq!(set.total_results(), 15);
         assert_eq!(set.indices_by_ub_desc(), vec![0, 1]);
-        assert_eq!(set.indices_by_lb_desc(), vec![1, 0]);
         assert_eq!(set.indices_by_nbres_desc(), vec![0, 1]);
         let sub = set.subset(&[1]);
         assert_eq!(sub.len(), 1);

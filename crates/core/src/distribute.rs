@@ -17,7 +17,7 @@
 //! `inCost` charges the buckets **not yet** present on the reducer (the
 //! new input that the assignment would ship), and picks the minimum.
 
-use crate::combos::ComboSet;
+use crate::combos::{BucketSlots, ComboSet};
 use crate::config::DistributionPolicy;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -64,8 +64,9 @@ pub struct Assignment {
 }
 
 impl Assignment {
-    /// Worst-case result imbalance: `max / avg` of `reducer_results`
-    /// (over reducers that received work).
+    /// Worst-case result imbalance: `max / avg` of `reducer_results`,
+    /// the average taken over all `num_reducers` (idle reducers count as
+    /// zero load); `1.0` when no reducer received work.
     pub fn result_imbalance(&self) -> f64 {
         let max = self.reducer_results.iter().copied().max().unwrap_or(0);
         let busy = self.reducer_results.iter().filter(|&&r| r > 0).count();
@@ -93,7 +94,8 @@ pub fn distribute(
     // tkij-lint: allow(DET002) -- feeds only Assignment::duration, a timing artifact
     let started = Instant::now();
     let order = match policy {
-        // Alg. 3 line 1: descending score upper-bound.
+        // Alg. 3 line 1: descending score upper-bound. `run_topbuckets`
+        // already returns this order, so the sort only detects one run.
         DistributionPolicy::Dtb => combos.indices_by_ub_desc(),
         // LPT: descending number of results.
         DistributionPolicy::Lpt => combos.indices_by_nbres_desc(),
@@ -104,25 +106,33 @@ pub fn distribute(
     let mut combo_reducer = vec![0u32; combos.len()];
     let mut reducer_combos: Vec<Vec<u32>> = vec![Vec::new(); r];
     let mut reducer_results: Vec<u128> = vec![0; r];
-    let mut assigned: BTreeMap<VertexBucket, Vec<u32>> = BTreeMap::new();
+    // `present[slot · r + j]`: reducer `j` already holds that (vertex,
+    // bucket). `under_cap[j]` caches the `2 × avgRes` test; it only
+    // changes when `j`'s load does.
+    let slots = BucketSlots::new(query, matrices);
+    let mut present = vec![false; slots.len() * r];
+    let mut under_cap = vec![is_under_cap(0, avg_res); r];
     let mut assignments_scored = 0u64;
     let mut cap_fallbacks = 0u64;
     let bucket_count =
         |v: usize, b: BucketId| -> u64 { matrices[query.vertices[v].0 as usize].count(b) };
+    // The current combination's (slot, |b|) per vertex.
+    let mut inputs: Vec<(usize, u64)> = Vec::with_capacity(combos.arity());
 
     for &ci in &order {
         let ci = ci as usize;
-        let buckets = combos.buckets(ci);
+        inputs.clear();
+        inputs.extend(
+            combos
+                .buckets(ci)
+                .iter()
+                .enumerate()
+                .map(|(v, &b)| (slots.slot(v, b), bucket_count(v, b))),
+        );
         let rj = match policy {
             DistributionPolicy::Dtb => {
-                let pick = get_reducer(
-                    buckets,
-                    avg_res,
-                    &reducer_combos,
-                    &reducer_results,
-                    &assigned,
-                    &bucket_count,
-                );
+                let pick =
+                    get_reducer(&inputs, &reducer_combos, &reducer_results, &under_cap, &present);
                 assignments_scored += pick.scored;
                 cap_fallbacks += pick.fell_back as u64;
                 pick.reducer
@@ -136,25 +146,26 @@ pub fn distribute(
         combo_reducer[ci] = rj as u32;
         reducer_combos[rj].push(ci as u32);
         reducer_results[rj] += combos.nb_res(ci) as u128;
-        for (v, &b) in buckets.iter().enumerate() {
-            let entry = assigned.entry((v as u16, b)).or_default();
-            if !entry.contains(&(rj as u32)) {
-                entry.push(rj as u32);
-            }
+        under_cap[rj] = is_under_cap(reducer_results[rj], avg_res);
+        for &(slot, _) in &inputs {
+            present[slot * r + rj] = true;
         }
     }
 
-    // Shipment statistics.
+    // The shipment map and its statistics, read off the presence table.
     let mut shuffle = 0u64;
     let mut distinct = 0u64;
-    for (&(v, b), reducers) in &assigned {
+    let mut bucket_map = BTreeMap::new();
+    for ((v, b), slot) in slots.keys() {
+        let reducers: Vec<u32> =
+            (0..r).filter(|&j| present[slot * r + j]).map(|j| j as u32).collect();
+        if reducers.is_empty() {
+            continue;
+        }
         let c = bucket_count(v as usize, b);
         shuffle += c * reducers.len() as u64;
         distinct += c;
-    }
-    let mut bucket_map = assigned;
-    for v in bucket_map.values_mut() {
-        v.sort_unstable();
+        bucket_map.insert((v, b), reducers);
     }
     Assignment {
         num_reducers: r,
@@ -168,6 +179,12 @@ pub fn distribute(
         cap_fallbacks,
         duration: started.elapsed(),
     }
+}
+
+/// Algorithm 4's worst-case cap: a reducer stays eligible while its
+/// potential results are under `2 × avgRes`.
+fn is_under_cap(load: u128, avg_res: f64) -> bool {
+    (load as f64) < 2.0 * avg_res || avg_res == 0.0
 }
 
 /// One `getReducer` decision plus its work accounting.
@@ -185,19 +202,19 @@ struct ReducerPick {
 /// worst-case cap, pick those with the fewest assigned combinations, then
 /// minimize the new-input cost; ties break on the lowest index. Falls
 /// back to the least-loaded reducer if the cap excludes everyone.
+///
+/// `inputs` are the combination's (slot, `|b|`) pairs; `present` is the
+/// `slot · r + j` table of buckets each reducer already holds.
 fn get_reducer(
-    buckets: &[BucketId],
-    avg_res: f64,
+    inputs: &[(usize, u64)],
     reducer_combos: &[Vec<u32>],
     reducer_results: &[u128],
-    assigned: &BTreeMap<VertexBucket, Vec<u32>>,
-    bucket_count: &dyn Fn(usize, BucketId) -> u64,
+    under_cap: &[bool],
+    present: &[bool],
 ) -> ReducerPick {
     let r = reducer_combos.len();
-    let eligible =
-        |j: usize| -> bool { (reducer_results[j] as f64) < 2.0 * avg_res || avg_res == 0.0 };
     // Lines 1–4: minimum number of assigned combinations among eligible.
-    let min_assigned = (0..r).filter(|&j| eligible(j)).map(|j| reducer_combos[j].len()).min();
+    let min_assigned = (0..r).filter(|&j| under_cap[j]).map(|j| reducer_combos[j].len()).min();
     let Some(min_assigned) = min_assigned else {
         // Every reducer is past the cap: least-loaded fallback.
         let reducer = (0..r).min_by_key(|&j| (reducer_results[j], j)).expect("r ≥ 1");
@@ -208,17 +225,12 @@ fn get_reducer(
     let mut best_cost = u64::MAX;
     let mut scored = 0u64;
     for (j, combos_j) in reducer_combos.iter().enumerate() {
-        if !eligible(j) || combos_j.len() != min_assigned {
+        if !under_cap[j] || combos_j.len() != min_assigned {
             continue;
         }
         scored += 1;
-        let mut cost = 0u64;
-        for (v, &b) in buckets.iter().enumerate() {
-            let already = assigned.get(&(v as u16, b)).is_some_and(|rs| rs.contains(&(j as u32)));
-            if !already {
-                cost += bucket_count(v, b);
-            }
-        }
+        let cost: u64 =
+            inputs.iter().filter(|&&(slot, _)| !present[slot * r + j]).map(|&(_, c)| c).sum();
         if cost < best_cost {
             best_cost = cost;
             best = j;
@@ -412,18 +424,16 @@ mod tests {
         // gates as a constant 0 — but the defensive path itself must
         // still decide correctly. Exercise it directly with a doctored
         // load vector where every reducer is past the cap.
-        let (_, m) = setup(2, 8);
-        let bucket_count = |v: usize, b: BucketId| -> u64 {
-            let _ = v;
-            m[0].count(b)
-        };
+        let loads = [100u128, 50];
+        let avg_res = 1.0; // cap 2; both reducers are far past it
+        let under_cap = loads.map(|l| is_under_cap(l, avg_res));
+        assert_eq!(under_cap, [false, false]);
         let pick = get_reducer(
-            &[BucketId::new(0, 0), BucketId::new(1, 1)],
-            1.0, // avg 1 → cap 2; both reducers are far past it
+            &[(0, 2), (1, 2)],
             &[vec![0], vec![1]],
-            &[100, 50],
-            &BTreeMap::new(),
-            &bucket_count,
+            &loads,
+            &under_cap,
+            &[false; 4], // 2 slots × 2 reducers, nothing shipped yet
         );
         assert!(pick.fell_back);
         assert_eq!(pick.reducer, 1, "least-loaded fallback");
@@ -436,5 +446,106 @@ mod tests {
         let combos = combos_with_bounds(4, 2);
         let a = distribute(&combos, Dtb, 4, &q, &m);
         assert!((a.result_imbalance() - 1.0).abs() < 1e-9, "equal combos spread evenly");
+    }
+
+    /// Everything an `Assignment` decides: `combo_reducer`, `reducer_combos`,
+    /// `bucket_map`, and `[assignments_scored, cap_fallbacks,
+    /// estimated_shuffle_records, replication_factor bits]`.
+    type Decisions = (Vec<u32>, Vec<Vec<u32>>, BTreeMap<VertexBucket, Vec<u32>>, [u64; 4]);
+
+    /// Oracle — Algorithms 3–4 with a map of reducer lists per bucket.
+    fn oracle_distribute(
+        combos: &ComboSet,
+        policy: DistributionPolicy,
+        r: usize,
+        query: &Query,
+        matrices: &[BucketMatrix],
+    ) -> Decisions {
+        let count = |v: usize, b: BucketId| matrices[query.vertices[v].0 as usize].count(b);
+        let avg_res = combos.total_results() as f64 / r as f64;
+        let order = match policy {
+            Dtb => combos.indices_by_ub_desc(),
+            Lpt => combos.indices_by_nbres_desc(),
+        };
+        let (mut combo_reducer, mut lists) = (vec![0; combos.len()], vec![Vec::new(); r]);
+        let (mut loads, mut scored, mut fallbacks) = (vec![0u128; r], 0u64, 0u64);
+        let mut holders: BTreeMap<VertexBucket, std::collections::BTreeSet<u32>> = BTreeMap::new();
+        for ci in order {
+            let buckets = combos.buckets(ci as usize);
+            let open: Vec<usize> =
+                (0..r).filter(|&j| (loads[j] as f64) < 2.0 * avg_res || avg_res == 0.0).collect();
+            let rj = if policy == Lpt || open.is_empty() {
+                scored += r as u64;
+                fallbacks += (policy == Dtb) as u64;
+                (0..r).min_by_key(|&j| (loads[j], j)).unwrap()
+            } else {
+                let fewest = open.iter().map(|&j| lists[j].len()).min().unwrap();
+                let held =
+                    |v: usize, b, j| holders.get(&(v as u16, b)).is_some_and(|h| h.contains(&j));
+                let new_input = |j: usize| -> u64 {
+                    let missing =
+                        buckets.iter().enumerate().filter(|&(v, &b)| !held(v, b, j as u32));
+                    missing.map(|(v, &b)| count(v, b)).sum()
+                };
+                let tied = open.iter().filter(|&&j| lists[j].len() == fewest);
+                scored += tied.clone().count() as u64;
+                *tied.min_by_key(|&&j| (new_input(j), j)).unwrap()
+            };
+            combo_reducer[ci as usize] = rj as u32;
+            lists[rj].push(ci);
+            loads[rj] += combos.nb_res(ci as usize) as u128;
+            for (v, &b) in buckets.iter().enumerate() {
+                holders.entry((v as u16, b)).or_default().insert(rj as u32);
+            }
+        }
+        let shipped: u64 =
+            holders.iter().map(|(&(v, b), h)| count(v as usize, b) * h.len() as u64).sum();
+        let distinct: u64 = holders.keys().map(|&(v, b)| count(v as usize, b)).sum();
+        let replication = if distinct == 0 { 1.0 } else { shipped as f64 / distinct as f64 };
+        let bucket_map =
+            holders.into_iter().map(|(key, h)| (key, h.into_iter().collect())).collect();
+        (combo_reducer, lists, bucket_map, [scored, fallbacks, shipped, replication.to_bits()])
+    }
+
+    #[test]
+    fn distribute_equals_the_reducer_list_oracle() {
+        use crate::config::Strategy;
+        use crate::topbuckets::run_topbuckets;
+        use crate::topbuckets::tests::{random_matrices, xorshift};
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        let chain = tkij_temporal::query::table1::q_om(PredicateParams::P1);
+        // The self-join puts one bucket in two vertex roles (two slots).
+        let (self_join, _) = setup(1, 1);
+        for trial in 0..8 {
+            let matrices = random_matrices(&mut next, 3, 3 + trial % 3);
+            let query = if trial % 2 == 0 { &chain } else { &self_join };
+            let k = [1, 20, u64::MAX][trial as usize % 3];
+            let cfg = tkij_solver::SolverConfig::default();
+            let (mut combos, _) = run_topbuckets(query, &matrices, k, Strategy::Loose, &cfg, 2);
+            if trial >= 6 {
+                // One giant combination first: drives reducers past the cap.
+                combos.set_bounds(0, 0.0, 2.0);
+                let buckets = combos.buckets(0).to_vec();
+                combos.push(&buckets, 1 << 40, 0.0, 3.0);
+            }
+            for policy in [Dtb, Lpt] {
+                for r in [1, 3, 24, 70] {
+                    let a = distribute(&combos, policy, r, query, &matrices);
+                    let got: Decisions = (
+                        a.combo_reducer,
+                        a.reducer_combos,
+                        a.bucket_map,
+                        [
+                            a.assignments_scored,
+                            a.cap_fallbacks,
+                            a.estimated_shuffle_records,
+                            a.replication_factor.to_bits(),
+                        ],
+                    );
+                    let want = oracle_distribute(&combos, policy, r, query, &matrices);
+                    assert_eq!(got, want, "trial {trial} {policy:?} r={r}");
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! falls. Then x is communicated to all reducers r_j that received b."
 
 use crate::bucketindex::{select_backend, BackendChoices, IndexPools};
-use crate::combos::ComboSet;
+use crate::combos::{BucketSlots, ComboSet};
 use crate::config::{LocalJoinBackend, SweepScanKind};
 use crate::distribute::Assignment;
 use crate::localjoin::{local_topk_join_planned, IntraJoin, LocalJoinStats, TupleFilter};
@@ -177,6 +177,14 @@ pub(crate) fn run_join_phase_impl(
             })
             .collect()
     });
+    // Shipped-key rank of every (vertex, bucket) slot: where a reducer
+    // drops a record without walking a map (`NOT_SHIPPED` elsewhere).
+    const NOT_SHIPPED: u32 = u32::MAX;
+    let slots = BucketSlots::new(query, &dataset.matrices);
+    let mut rank_of_slot = vec![NOT_SHIPPED; slots.len()];
+    for (rank, &(v, b)) in assignment.bucket_map.keys().enumerate() {
+        rank_of_slot[slots.slot(v as usize, b)] = rank as u32;
+    }
 
     run_map_reduce(
         &inputs,
@@ -197,18 +205,33 @@ pub(crate) fn run_join_phase_impl(
         },
         |r| *r as usize,
         |p, groups| {
-            // Reassemble this reducer's (vertex, bucket) → intervals map.
-            let mut data: BTreeMap<(u16, BucketId), Vec<Interval>> = BTreeMap::new();
+            // Reassemble this reducer's (vertex, bucket) → intervals map:
+            // one vector per shipped key, in key order. Slices stay in
+            // arrival order — the canonical `(start, end, id)` sort happens
+            // where an index is built from one, so a slice whose index
+            // the serving pool already holds is never sorted (or read).
+            let mut shipped: Vec<Vec<Interval>> = vec![Vec::new(); assignment.bucket_map.len()];
             for (r, records) in groups {
                 debug_assert_eq!(r as usize, p);
                 for VRec(v, iv) in records {
                     let matrix = &dataset.matrices[query.vertices[v as usize].0 as usize];
-                    data.entry((v, matrix.bucket_of(&iv))).or_default().push(iv);
+                    let bucket = matrix.bucket_of(&iv);
+                    let rank = rank_of_slot[slots.slot(v as usize, bucket)];
+                    debug_assert!(rank != NOT_SHIPPED, "record outside `bucket_map`'s keys");
+                    let slice = &mut shipped[rank as usize];
+                    if slice.capacity() == 0 {
+                        slice.reserve_exact(matrix.count(bucket) as usize);
+                    }
+                    slice.push(iv);
                 }
             }
-            for bucket in data.values_mut() {
-                bucket.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.id));
-            }
+            let data: BTreeMap<(u16, BucketId), Vec<Interval>> = assignment
+                .bucket_map
+                .keys()
+                .copied()
+                .zip(shipped)
+                .filter(|(_, slice)| !slice.is_empty())
+                .collect();
             let (topk, stats) = local_topk_join_planned(
                 backend,
                 scan,

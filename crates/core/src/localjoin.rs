@@ -212,7 +212,8 @@ pub trait TupleFilter: Sync {
 ///
 /// `combo_indices` lists this reducer's combinations (indices into
 /// `combos`); they are re-sorted by descending UB internally. `data` maps
-/// each (vertex, bucket) to the intervals shipped for it.
+/// each (vertex, bucket) to the intervals shipped for it, in any order:
+/// each slice is sorted canonically where its index is built.
 pub fn local_topk_join(
     query: &Query,
     plan: &JoinPlan,
@@ -277,8 +278,14 @@ pub(crate) fn local_topk_join_planned(
             LocalJoinBackend::Auto => choices.and_then(|c| c.get(key).copied()).unwrap_or(backend),
             fixed => fixed,
         };
-        // Only a build copies the shipped slice; a pool hit reads nothing.
-        let build = || BucketIndex::build_chosen(choice, items.to_vec(), scan);
+        // Only a build copies the shipped slice, and sorts the copy into
+        // the canonical `(start, end, id)` sequence every index of this
+        // (collection, bucket) is built from; a pool hit reads nothing.
+        let build = || {
+            let mut items = items.to_vec();
+            items.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.id));
+            BucketIndex::build_chosen(choice, items, scan)
+        };
         match pools {
             Some(pools) => pools.get_or_build((query.vertices[key.0 as usize].0, key.1), build),
             None => Arc::new(build()),
@@ -1044,6 +1051,29 @@ mod tests {
             sw_stats.items_scanned,
             rt_stats.items_scanned
         );
+    }
+
+    #[test]
+    fn slices_are_canonicalised_where_the_index_is_built() {
+        // Reducers hand slices over in arrival order; every index must
+        // still be built from the canonical `(start, end, id)` sequence,
+        // so a reversed slice joins exactly like a sorted one.
+        let collections = random_collections(17, 3, 40, 400);
+        let q = table1::q_om(PredicateParams::P1);
+        let (combos, indices, mut sorted) = full_setup(&q, &collections, 8);
+        for slice in sorted.values_mut() {
+            slice.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.id));
+        }
+        let mut reversed = sorted.clone();
+        reversed.values_mut().for_each(|slice| slice.reverse());
+        let plan = q.plan();
+        let run = |data| {
+            let (topk, stats) = local_topk_join(&q, &plan, 12, &combos, &indices, data);
+            let results: Vec<_> =
+                topk.into_sorted_vec().into_iter().map(|t| (t.ids, t.score.to_bits())).collect();
+            (results, stats)
+        };
+        assert_eq!(run(&reversed), run(&sorted));
     }
 
     #[test]

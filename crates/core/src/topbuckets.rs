@@ -21,36 +21,35 @@ use crate::combos::{
     enumerate_combos, nb_res_of, vertex_buckets, ComboSet, TopBucketsStats, VertexBuckets,
 };
 use crate::config::Strategy;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 use tkij_solver::{nary_bounds, pair_bounds, SolverConfig};
 use tkij_temporal::bucket::BucketMatrix;
+use tkij_temporal::expr::EndpointBox;
 use tkij_temporal::query::Query;
 
-/// Algorithm 1: selects a valid `Ω_{k,S}` from a bounded combination set.
+/// Algorithm 1: selects a valid `Ω_{k,S}` from a bounded combination set —
+/// the `kthResLB` threshold (lines 1–6), then the selection by upper bound
+/// (lines 7–13).
 ///
 /// Returns the kept indices in descending-UB order (the access order both
 /// DTB and the local joins use).
 pub fn get_top_buckets(k: u64, combos: &ComboSet) -> Vec<u32> {
-    if combos.is_empty() {
-        return Vec::new();
+    let mut kth_lb = WeightedKth::new(k);
+    for i in 0..combos.len() {
+        kth_lb.offer(combos.lb(i), combos.nb_res(i));
     }
-    // Lines 1–6: lower-bound the k-th result score.
-    let by_lb = combos.indices_by_lb_desc();
-    let mut collected: u128 = 0;
-    let mut kth_res_lb = f64::NEG_INFINITY;
-    for &i in &by_lb {
-        collected += combos.nb_res(i as usize) as u128;
-        kth_res_lb = combos.lb(i as usize);
-        if collected >= k as u128 {
-            break;
-        }
-    }
-    // Lines 7–13: keep combinations until k results are covered and the
-    // next upper bound is dominated.
-    let by_ub = combos.indices_by_ub_desc();
+    select_by_ub(k, kth_lb.kth(), combos)
+}
+
+/// Algorithm 1, lines 7–13: walks `combos` in descending upper bound and
+/// keeps combinations until `k` results are covered and the next upper
+/// bound is dominated by `kth_res_lb`.
+fn select_by_ub(k: u64, kth_res_lb: f64, combos: &ComboSet) -> Vec<u32> {
     let mut kept = Vec::new();
     let mut collected: u128 = 0;
-    for &i in &by_ub {
+    for i in combos.indices_by_ub_desc() {
         if collected >= k as u128 && combos.ub(i as usize) <= kth_res_lb {
             break;
         }
@@ -58,6 +57,55 @@ pub fn get_top_buckets(k: u64, combos: &ComboSet) -> Vec<u32> {
         collected += combos.nb_res(i as usize) as u128;
     }
     kept
+}
+
+/// Maps `f64` bits to an `i64` that orders like [`f64::total_cmp`] (the
+/// transform `total_cmp` itself uses); applying it twice restores the bits.
+fn total_order_key(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Streaming weighted k-th statistic: the key at which a key-descending
+/// walk over the offered `(key, weight)` items first accumulates weight
+/// `≥ k` (with `k = 0`, the largest key) — what Algorithm 1's lines 1–6
+/// compute with a sort. Holds only the items above that key: a min-heap
+/// whose total weight just covers `k`.
+struct WeightedKth {
+    k: u128,
+    weight: u128,
+    heap: BinaryHeap<Reverse<(i64, u64)>>,
+}
+
+impl WeightedKth {
+    fn new(k: u64) -> Self {
+        WeightedKth { k: k as u128, weight: 0, heap: BinaryHeap::new() }
+    }
+
+    fn offer(&mut self, key: f64, weight: u64) {
+        let key = total_order_key(key.to_bits() as i64);
+        if self.weight >= self.k && self.heap.peek().is_some_and(|min| key <= min.0 .0) {
+            return; // already covered by larger keys
+        }
+        self.heap.push(Reverse((key, weight)));
+        self.weight += weight as u128;
+        // Drop the smallest keys the cover no longer needs.
+        while self.heap.len() > 1 {
+            let min_weight = self.heap.peek().expect("len > 1").0 .1 as u128;
+            if self.weight - min_weight < self.k {
+                break;
+            }
+            self.heap.pop();
+            self.weight -= min_weight;
+        }
+    }
+
+    /// The k-th key; `−∞` while fewer than `k` results were offered.
+    fn kth(&self) -> f64 {
+        match self.heap.peek() {
+            Some(min) if self.weight >= self.k => f64::from_bits(total_order_key(min.0 .0) as u64),
+            _ => f64::NEG_INFINITY,
+        }
+    }
 }
 
 /// Per-edge pair-bound tables for the `loose` aggregation: entry
@@ -76,26 +124,28 @@ impl EdgePairBounds {
         solver_cfg: &SolverConfig,
         solver_calls: &mut usize,
     ) -> Self {
+        let boxes: Vec<Vec<EndpointBox>> = per_vertex
+            .iter()
+            .zip(&query.vertices)
+            .map(|(vb, cid)| {
+                let matrix = &matrices[cid.0 as usize];
+                vb.ids.iter().map(|&b| matrix.endpoint_box(b)).collect()
+            })
+            .collect();
         let mut per_edge = Vec::with_capacity(query.edges.len());
         let mut stride = Vec::with_capacity(query.edges.len());
         for e in &query.edges {
-            let (src, dst) = (e.src, e.dst);
-            let src_matrix = &matrices[query.vertices[src].0 as usize];
-            let dst_matrix = &matrices[query.vertices[dst].0 as usize];
-            let li = per_vertex[src].len();
-            let lj = per_vertex[dst].len();
-            let mut table = Vec::with_capacity(li * lj);
-            for i in 0..li {
-                let left = src_matrix.endpoint_box(per_vertex[src].ids[i]);
-                for j in 0..lj {
-                    let right = dst_matrix.endpoint_box(per_vertex[dst].ids[j]);
+            let (lefts, rights) = (&boxes[e.src], &boxes[e.dst]);
+            let mut table = Vec::with_capacity(lefts.len() * rights.len());
+            for &left in lefts {
+                for &right in rights {
                     let b = pair_bounds(&e.predicate, left, right, solver_cfg);
-                    *solver_calls += 1;
                     table.push((b.lb, b.ub));
                 }
             }
+            *solver_calls += table.len();
             per_edge.push(table);
-            stride.push(lj);
+            stride.push(rights.len());
         }
         EdgePairBounds { per_edge, stride }
     }
@@ -140,29 +190,28 @@ pub fn run_topbuckets(
         )),
         Strategy::BruteForce => None,
     };
+    let cx = GroupCx { query, matrices, per_vertex: &per_vertex, edge_bounds, solver_cfg };
 
     // Partition vertex 0's buckets into worker groups.
     let len0 = per_vertex[0].len();
     let workers = workers.clamp(1, len0);
     let group = len0.div_ceil(workers);
     stats.worker_groups = workers;
-    let mut merged = ComboSet::new(n);
+    let mut locals = Vec::with_capacity(workers);
     for w in 0..workers {
         let range = (w * group).min(len0)..((w + 1) * group).min(len0);
-        let (local, local_stats) = run_group(
-            query,
-            matrices,
-            &per_vertex,
-            edge_bounds.as_ref(),
-            strategy,
-            solver_cfg,
-            k,
-            range,
-        );
-        stats.candidates += local_stats.0;
-        stats.total_results += local_stats.1;
-        solver_calls += local_stats.2;
-        stats.pruned_local += local_stats.0 - local.len();
+        let bounds = cx.bound_group(range.clone(), k);
+        let reachable = cx.materialise(range, &bounds);
+        let local = reachable.subset(&select_by_ub(k, bounds.kth_res_lb, &reachable));
+        stats.candidates += bounds.ub.len();
+        stats.total_results += bounds.total_results;
+        solver_calls += bounds.solver_calls;
+        stats.pruned_local += bounds.ub.len() - local.len();
+        locals.push(local);
+    }
+    let mut merged = ComboSet::new(n);
+    merged.reserve(locals.iter().map(ComboSet::len).sum());
+    for local in locals {
         merged.extend(&local);
     }
 
@@ -192,55 +241,122 @@ pub fn run_topbuckets(
     (selected, stats)
 }
 
-/// Enumerates one vertex-0 group, bounds every combination per the
-/// strategy, and applies the local `getTopBuckets`. Returns the local
-/// selection and `(candidates, total_results, solver_calls)`.
-#[allow(clippy::too_many_arguments)]
-fn run_group(
-    query: &Query,
-    matrices: &[BucketMatrix],
-    per_vertex: &[VertexBuckets],
-    edge_bounds: Option<&EdgePairBounds>,
-    strategy: Strategy,
-    solver_cfg: &SolverConfig,
-    k: u64,
-    range: std::ops::Range<usize>,
-) -> (ComboSet, (usize, u128, usize)) {
-    let n = query.n();
-    let mut local = ComboSet::new(n);
-    let mut candidates = 0usize;
-    let mut total_results: u128 = 0;
-    let mut solver_calls = 0usize;
-    let mut bucket_buf = Vec::with_capacity(n);
-    let mut edge_lb = vec![0.0; query.edges.len()];
-    let mut edge_ub = vec![0.0; query.edges.len()];
-    enumerate_combos(per_vertex, range, |indices| {
-        candidates += 1;
-        let nb = nb_res_of(per_vertex, indices);
-        total_results += nb as u128;
-        bucket_buf.clear();
-        bucket_buf.extend(indices.iter().enumerate().map(|(v, &i)| per_vertex[v].ids[i]));
-        let (lb, ub) = match strategy {
-            Strategy::Loose | Strategy::TwoPhase => {
-                let eb = edge_bounds.expect("pair bounds precomputed");
-                for (e, edge) in query.edges.iter().enumerate() {
-                    let (lb, ub) = eb.get(e, indices[edge.src], indices[edge.dst]);
-                    edge_lb[e] = lb;
-                    edge_ub[e] = ub;
-                }
-                (query.aggregation.eval(&edge_lb), query.aggregation.eval(&edge_ub))
-            }
-            Strategy::BruteForce => {
-                let boxes = combo_boxes(query, matrices, &bucket_buf);
-                let b = nary_bounds(query, boxes, solver_cfg);
-                solver_calls += 1;
-                (b.lb, b.ub)
-            }
+/// What every vertex-0 group's pass reads.
+struct GroupCx<'a> {
+    query: &'a Query,
+    matrices: &'a [BucketMatrix],
+    per_vertex: &'a [VertexBuckets],
+    /// Pair-bound tables; `None` bounds each combination with the n-ary
+    /// solver (`BruteForce`).
+    edge_bounds: Option<EdgePairBounds>,
+    solver_cfg: &'a SolverConfig,
+}
+
+/// The streamed bounds of one vertex-0 group: flat scalars per enumerated
+/// combination (enumeration order) and the two thresholds of its local
+/// `getTopBuckets`.
+struct GroupBounds {
+    nb_res: Vec<u64>,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    total_results: u128,
+    solver_calls: usize,
+    /// Algorithm 1's `kthResLB` over the group.
+    kth_res_lb: f64,
+    /// The UB at which the UB-descending cumulative `nbRes` reaches `k`
+    /// (`−∞` when the group holds fewer than `k` results).
+    kth_ub: f64,
+}
+
+impl GroupBounds {
+    /// Whether Algorithm 1's walk can reach combination `p`. The walk
+    /// keeps a UB-descending prefix: everything up to the combination
+    /// whose cumulative `nbRes` first covers `k` (all of which have
+    /// `ub ≥ kth_ub`), then only combinations with `ub > kth_res_lb`. The
+    /// reachable set is itself a prefix of that order (it is closed under
+    /// UB ties), so walking it alone keeps exactly what walking the whole
+    /// group would. Strictly `>` on `kth_res_lb`: with loose bounds most
+    /// of the lattice ties at `ub == kthResLB == 0`.
+    fn reachable(&self, p: usize) -> bool {
+        self.ub[p] > self.kth_res_lb || self.ub[p] >= self.kth_ub
+    }
+}
+
+impl GroupCx<'_> {
+    /// One odometer pass over the group: bounds every combination per the
+    /// strategy and streams the bounds through both weighted-k-th
+    /// trackers, keeping scalars only.
+    fn bound_group(&self, range: std::ops::Range<usize>, k: u64) -> GroupBounds {
+        let Self { query, per_vertex, .. } = *self;
+        let size = per_vertex[1..].iter().fold(range.len(), |acc, vb| acc.saturating_mul(vb.len()));
+        let mut out = GroupBounds {
+            nb_res: Vec::with_capacity(size),
+            lb: Vec::with_capacity(size),
+            ub: Vec::with_capacity(size),
+            total_results: 0,
+            solver_calls: 0,
+            kth_res_lb: f64::NEG_INFINITY,
+            kth_ub: f64::NEG_INFINITY,
         };
-        local.push(&bucket_buf, nb, lb, ub);
-    });
-    let kept = get_top_buckets(k, &local);
-    (local.subset(&kept), (candidates, total_results, solver_calls))
+        let (mut kth_lb, mut kth_ub) = (WeightedKth::new(k), WeightedKth::new(k));
+        let mut bucket_buf = Vec::with_capacity(query.n());
+        let mut edge_lb = vec![0.0; query.edges.len()];
+        let mut edge_ub = vec![0.0; query.edges.len()];
+        enumerate_combos(per_vertex, range, |indices| {
+            let nb = nb_res_of(per_vertex, indices);
+            out.total_results += nb as u128;
+            let (lb, ub) = match &self.edge_bounds {
+                Some(eb) => {
+                    for (e, edge) in query.edges.iter().enumerate() {
+                        (edge_lb[e], edge_ub[e]) = eb.get(e, indices[edge.src], indices[edge.dst]);
+                    }
+                    (query.aggregation.eval(&edge_lb), query.aggregation.eval(&edge_ub))
+                }
+                None => {
+                    fill_buckets(&mut bucket_buf, per_vertex, indices);
+                    let boxes = combo_boxes(query, self.matrices, &bucket_buf);
+                    let b = nary_bounds(query, boxes, self.solver_cfg);
+                    out.solver_calls += 1;
+                    (b.lb, b.ub)
+                }
+            };
+            kth_lb.offer(lb, nb);
+            kth_ub.offer(ub, nb);
+            out.nb_res.push(nb);
+            out.lb.push(lb);
+            out.ub.push(ub);
+        });
+        out.kth_res_lb = kth_lb.kth();
+        out.kth_ub = kth_ub.kth();
+        out
+    }
+
+    /// Second odometer pass: materialises the reachable combinations of
+    /// the group, in enumeration order.
+    fn materialise(&self, range: std::ops::Range<usize>, bounds: &GroupBounds) -> ComboSet {
+        let mut set = ComboSet::new(self.query.n());
+        set.reserve((0..bounds.ub.len()).filter(|&p| bounds.reachable(p)).count());
+        let mut bucket_buf = Vec::with_capacity(self.query.n());
+        let mut p = 0;
+        enumerate_combos(self.per_vertex, range, |indices| {
+            if bounds.reachable(p) {
+                fill_buckets(&mut bucket_buf, self.per_vertex, indices);
+                set.push(&bucket_buf, bounds.nb_res[p], bounds.lb[p], bounds.ub[p]);
+            }
+            p += 1;
+        });
+        set
+    }
+}
+
+/// Resolves per-vertex bucket indices to bucket ids.
+fn fill_buckets(
+    buf: &mut Vec<tkij_temporal::bucket::BucketId>,
+    per_vertex: &[VertexBuckets],
+    indices: &[usize],
+) {
+    buf.clear();
+    buf.extend(indices.iter().enumerate().map(|(v, &i)| per_vertex[v].ids[i]));
 }
 
 /// The endpoint boxes of one combination, per query vertex.
@@ -257,7 +373,7 @@ pub fn combo_boxes(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tkij_temporal::bucket::BucketId;
     use tkij_temporal::collection::CollectionId;
@@ -514,5 +630,265 @@ mod tests {
             run_topbuckets(&q, &[full, empty], 5, Strategy::Loose, &SolverConfig::default(), 1);
         assert!(selected.is_empty());
         assert_eq!(stats.candidates, 0);
+    }
+
+    // ---- Differential battery: the streamed kernels against the paper's
+    // ---- Algorithm 1 written with two plain sorts over the whole lattice.
+
+    pub(crate) fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Oracle — Algorithm 1 as the paper writes it.
+    fn oracle_select(k: u64, set: &ComboSet) -> Vec<u32> {
+        let sorted_desc = |key: fn(&ComboSet, usize) -> (f64, f64)| {
+            let mut idx: Vec<usize> = (0..set.len()).collect();
+            idx.sort_by(|&a, &b| {
+                let ((a0, a1), (b0, b1)) = (key(set, a), key(set, b));
+                let by_bounds = b0.total_cmp(&a0).then(b1.total_cmp(&a1));
+                by_bounds.then_with(|| set.buckets(a).cmp(set.buckets(b)))
+            });
+            idx
+        };
+        let (mut collected, mut kth_res_lb) = (0u128, f64::NEG_INFINITY);
+        for i in sorted_desc(|s, i| (s.lb(i), s.ub(i))) {
+            collected += set.nb_res(i) as u128;
+            kth_res_lb = set.lb(i);
+            if collected >= k as u128 {
+                break;
+            }
+        }
+        let (mut collected, mut kept) = (0u128, Vec::new());
+        for i in sorted_desc(|s, i| (s.ub(i), s.lb(i))) {
+            if collected >= k as u128 && set.ub(i) <= kth_res_lb {
+                break;
+            }
+            kept.push(i as u32);
+            collected += set.nb_res(i) as u128;
+        }
+        kept
+    }
+
+    /// The fully materialised lattice with the strategy's first-phase
+    /// bounds (a `k = u64::MAX` run keeps every combination), and the
+    /// solver calls that bounding it took.
+    fn full_lattice(q: &Query, matrices: &[BucketMatrix], strategy: Strategy) -> (ComboSet, usize) {
+        let first = if strategy == Strategy::TwoPhase { Strategy::Loose } else { strategy };
+        let (full, stats) =
+            run_topbuckets(q, matrices, u64::MAX, first, &SolverConfig::default(), 1);
+        (full, stats.solver_calls)
+    }
+
+    /// Oracle — the TopBuckets phase over the fully materialised lattice:
+    /// Algorithm 1 per vertex-0 group, merge, Algorithm 1 again, and the
+    /// two-phase refinement.
+    fn oracle_run(
+        (full, bounding_calls): &(ComboSet, usize),
+        query: &Query,
+        matrices: &[BucketMatrix],
+        k: u64,
+        strategy: Strategy,
+        workers: usize,
+    ) -> (ComboSet, TopBucketsStats) {
+        let mut stats = TopBucketsStats {
+            candidates: full.len(),
+            total_results: full.total_results(),
+            solver_calls: *bounding_calls,
+            ..Default::default()
+        };
+        if full.is_empty() {
+            return (full.clone(), stats);
+        }
+        let ids0 = &vertex_buckets(query, matrices)[0].ids;
+        stats.worker_groups = workers.clamp(1, ids0.len());
+        let group = ids0.len().div_ceil(stats.worker_groups);
+        let group_of =
+            |i: u32| ids0.iter().position(|b| *b == full.buckets(i as usize)[0]).unwrap() / group;
+        let mut merged = ComboSet::new(query.n());
+        for w in 0..stats.worker_groups {
+            let members: Vec<u32> = (0..full.len() as u32).filter(|&i| group_of(i) == w).collect();
+            let local = full.subset(&members);
+            let kept = oracle_select(k, &local);
+            stats.pruned_local += local.len() - kept.len();
+            merged.extend(&local.subset(&kept));
+        }
+        let mut selected = merged.subset(&oracle_select(k, &merged));
+        stats.pruned_merge = merged.len() - selected.len();
+        if strategy == Strategy::TwoPhase {
+            for i in 0..selected.len() {
+                let boxes = combo_boxes(query, matrices, selected.buckets(i));
+                let b = nary_bounds(query, boxes, &SolverConfig::default());
+                selected.set_bounds(i, b.lb, b.ub);
+            }
+            stats.solver_calls += selected.len();
+            let refined = selected.subset(&oracle_select(k, &selected));
+            stats.pruned_merge += selected.len() - refined.len();
+            selected = refined;
+        }
+        stats.selected = selected.len();
+        stats.selected_results = selected.total_results();
+        (selected, stats)
+    }
+
+    /// Bucket ids, `nbRes` and bound *bits* of every combination, in order.
+    fn dump(set: &ComboSet) -> Vec<(Vec<BucketId>, u64, u64, u64)> {
+        (0..set.len())
+            .map(|i| {
+                (set.buckets(i).to_vec(), set.nb_res(i), set.lb(i).to_bits(), set.ub(i).to_bits())
+            })
+            .collect()
+    }
+
+    fn counters(stats: &TopBucketsStats) -> Vec<(&'static str, u64)> {
+        let mut out = Vec::new();
+        tkij_mapreduce::Counters::visit(stats, &mut |name, value| out.push((name, value)));
+        out
+    }
+
+    /// `m` pseudo-random collections' matrices over `g` granules.
+    pub(crate) fn random_matrices(
+        next: &mut impl FnMut() -> u64,
+        m: usize,
+        g: u32,
+    ) -> Vec<BucketMatrix> {
+        let part = TimePartitioning::from_range(0, 399, g).unwrap();
+        (0..m)
+            .map(|_| {
+                let intervals: Vec<Interval> = (0..next() % 10 + 4)
+                    .map(|id| {
+                        let start = (next() % 340) as i64;
+                        Interval::new(id, start, start + (next() % 60) as i64).unwrap()
+                    })
+                    .collect();
+                BucketMatrix::build(part, &intervals)
+            })
+            .collect()
+    }
+
+    fn self_join_meets() -> Query {
+        let mut q = two_way_meets();
+        q.vertices[1] = CollectionId(0);
+        q
+    }
+
+    #[test]
+    fn streamed_topbuckets_equals_the_materialised_oracle() {
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        let p1 = PredicateParams::P1;
+        let queries = [table1::q_om(p1), table1::q_sm(p1), two_way_meets(), self_join_meets()];
+        for trial in 0..6 {
+            let mut matrices = random_matrices(&mut next, 3, 3 + trial % 2);
+            if trial == 5 {
+                matrices[1] = BucketMatrix::new(matrices[1].partitioning()); // an empty vertex
+            }
+            let query = &queries[[0, 1, 2, 3, 3, 2][trial as usize]];
+            for (name, strategy) in Strategy::all() {
+                let full = full_lattice(query, &matrices, strategy);
+                let total = full.0.total_results() as u64;
+                for k in [0, 1, 100, total / 2, total + 1, u64::MAX] {
+                    for workers in [1, 2, 6] {
+                        let cfg = SolverConfig::default();
+                        let got = run_topbuckets(query, &matrices, k, strategy, &cfg, workers);
+                        let want = oracle_run(&full, query, &matrices, k, strategy, workers);
+                        let case = format!("trial {trial} {name} k={k} workers={workers}");
+                        assert_eq!(dump(&got.0), dump(&want.0), "{case}");
+                        assert_eq!(counters(&got.1), counters(&want.1), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn get_top_buckets_equals_the_oracle_on_plateaus() {
+        let mut next = xorshift(0xD1B5_4A32_D192_ED03);
+        for trial in 0..300 {
+            let mut set = ComboSet::new(1);
+            for i in 0..next() % 50 {
+                let frac = |x: u64| (x % 1000) as f64 / 1000.0;
+                let (lb, ub) = match trial % 4 {
+                    0 => (0.0, (next() % 3) as f64 / 2.0), // every lb = 0, ub ∈ {0, 0.5, 1}
+                    1 => (0.5, 0.5),                       // lb == ub == kthResLB
+                    2 => ((next() % 2) as f64 / 2.0, 0.5 + (next() % 2) as f64 / 2.0),
+                    _ => {
+                        let lb = frac(next());
+                        (lb, lb + frac(next()) * (1.0 - lb))
+                    }
+                };
+                set.push(&[BucketId::new(i as u32, i as u32)], next() % 20 + 1, lb, ub);
+            }
+            for k in [0, 1, 100, set.total_results() as u64 + 1, u64::MAX] {
+                assert_eq!(get_top_buckets(k, &set), oracle_select(k, &set), "trial {trial} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn loose_plateau_materialises_exactly_the_positive_upper_bounds() {
+        // Every loose LB is 0.0 here, so kthResLB = 0 and most of the
+        // lattice ties at `ub == kthResLB`: the cut must be strict, or the
+        // streamed pass materialises the whole lattice again.
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+        let matrices = random_matrices(&mut next, 3, 6);
+        let query = table1::q_om(PredicateParams::P1);
+        let cfg = SolverConfig::default();
+        let per_vertex = vertex_buckets(&query, &matrices);
+        let edge_bounds =
+            Some(EdgePairBounds::compute(&query, &per_vertex, &matrices, &cfg, &mut 0));
+        let cx = GroupCx {
+            query: &query,
+            matrices: &matrices,
+            per_vertex: &per_vertex,
+            edge_bounds,
+            solver_cfg: &cfg,
+        };
+        let range = 0..per_vertex[0].len();
+        let bounds = cx.bound_group(range.clone(), 5);
+        assert!(bounds.lb.iter().all(|&lb| lb == 0.0), "fixture: the loose LB plateau");
+        assert_eq!((bounds.kth_res_lb, bounds.kth_ub > 0.0), (0.0, true));
+        let positive = bounds.ub.iter().filter(|&&ub| ub > 0.0).count();
+        assert!(0 < positive && positive < bounds.ub.len(), "fixture: some combinations score 0");
+        let reachable = cx.materialise(range, &bounds);
+        assert_eq!(reachable.len(), positive);
+        assert!((0..reachable.len()).all(|i| reachable.ub(i) > 0.0));
+    }
+
+    #[test]
+    fn weighted_kth_tracks_the_covering_key() {
+        let kth = |k: u64, items: &[(f64, u64)]| {
+            let mut tracker = WeightedKth::new(k);
+            for &(key, weight) in items {
+                tracker.offer(key, weight);
+            }
+            tracker.kth()
+        };
+        // Ties: equal keys pool their weight wherever they arrive.
+        assert_eq!(kth(5, &[(0.5, 2), (0.9, 1), (0.5, 2), (0.1, 9), (0.5, 2)]), 0.5);
+        assert_eq!(kth(1, &[(0.5, 2), (0.9, 1), (0.5, 2)]), 0.9);
+        // One heavy item covers k on its own, whenever it is offered.
+        assert_eq!(kth(100, &[(0.2, 1), (0.7, 1_000), (0.9, 3)]), 0.7);
+        assert_eq!(kth(100, &[(0.7, 1_000), (0.9, 3), (0.2, 1)]), 0.7);
+        // Fewer than k results: no k-th yet.
+        assert_eq!(kth(10, &[(0.9, 4), (0.1, 5)]), f64::NEG_INFINITY);
+        assert_eq!(kth(1, &[]), f64::NEG_INFINITY);
+        assert_eq!(kth(u64::MAX, &[(0.9, u64::MAX - 1)]), f64::NEG_INFINITY);
+        // k = 0 is covered by the first item of the walk: the largest key.
+        assert_eq!(kth(0, &[(0.3, 1), (0.8, 1), (0.5, 1)]), 0.8);
+        // Keys order like `f64::total_cmp`: -0.0 < +0.0, negatives reversed.
+        assert_eq!(kth(2, &[(0.0, 1), (-0.0, 1)]).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(kth(1, &[(-0.0, 1), (0.0, 1)]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(kth(2, &[(-2.0, 1), (-1.0, 1), (-3.0, 1)]), -2.0);
+        assert_eq!(kth(2, &[(f64::INFINITY, 1), (1.0, 1), (f64::NEG_INFINITY, 1)]), 1.0);
+        let mut keys = [-3.5, -0.0, 0.0, 1e-300, 2.0, f64::INFINITY, f64::NEG_INFINITY];
+        keys.sort_by(f64::total_cmp);
+        let mapped: Vec<i64> = keys.iter().map(|k| total_order_key(k.to_bits() as i64)).collect();
+        assert!(mapped.windows(2).all(|w| w[0] < w[1]));
+        assert!(mapped.iter().zip(keys).all(|(&m, k)| total_order_key(m) as u64 == k.to_bits()));
     }
 }

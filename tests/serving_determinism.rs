@@ -115,13 +115,9 @@ fn rtree_backend_serving_matches_solo_interleaved() {
     assert_serving_matches_solo(LocalJoinBackend::RTree, 2);
 }
 
-#[test]
-fn pool_holds_one_index_per_shipped_collection_bucket() {
-    // Two shapes over one dataset sharing collection 0 — one of them a
-    // self-join, whose two vertices read the same indexes. The pool is
-    // keyed by (collection, bucket), so after serving both it holds
-    // exactly the distinct pairs the two plans ship, on every backend.
-    let self_join = Query::new(
+/// Two vertices over collection 0: the same bucket plays two roles.
+fn self_join() -> Query {
+    Query::new(
         vec![CollectionId(0), CollectionId(0)],
         vec![QueryEdge {
             src: 0,
@@ -130,8 +126,58 @@ fn pool_holds_one_index_per_shipped_collection_bucket() {
         }],
         Aggregation::NormalizedSum,
     )
-    .unwrap();
-    let queries = [table1::q_om(PredicateParams::P1), self_join];
+    .unwrap()
+}
+
+#[test]
+fn pool_hits_on_unsorted_storage_match_solo() {
+    // Collections stored in *descending* start order: no shipped slice
+    // arrives canonically sorted. The first served answer builds (and
+    // sorts) every index; the second is all pool hits and sorts nothing.
+    // Both must equal the solo run, in memory and through the spill path.
+    let collections: Vec<IntervalCollection> = uniform_collections(3, 80, 555)
+        .into_iter()
+        .map(|c| {
+            let mut intervals = c.intervals().to_vec();
+            intervals.sort_unstable_by_key(|iv| std::cmp::Reverse((iv.start, iv.end, iv.id)));
+            IntervalCollection::new(c.id, intervals).unwrap()
+        })
+        .collect();
+    for (name, backend) in LocalJoinBackend::all() {
+        for spill in [false, true] {
+            let mut config = engine(backend).config;
+            if spill {
+                config = config.with_shuffle_spill_threshold_bytes(0);
+            }
+            let engine = Tkij::new(config);
+            let dataset = engine.prepare(collections.clone()).unwrap();
+            let queries = [table1::q_om(PredicateParams::P1), self_join()];
+            let solo: Vec<Fingerprint> = queries
+                .iter()
+                .map(|q| {
+                    let report = engine.execute(&dataset, q, K).unwrap();
+                    assert!(!spill || report.shuffle_stats().records_spilled > 0, "{name}");
+                    report.fingerprint()
+                })
+                .collect();
+            let server = engine.serve(dataset);
+            for round in 0..2 {
+                for (q, solo) in queries.iter().zip(&solo) {
+                    let served = server.query(q, K).unwrap().fingerprint();
+                    assert_eq!(&served, solo, "{name}, spill {spill}, round {round}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pool_holds_one_index_per_shipped_collection_bucket() {
+    // Two shapes over one dataset sharing collection 0 — one of them a
+    // self-join, whose two vertices read the same indexes. The pool is
+    // keyed by (collection, bucket), so after serving both it holds
+    // exactly the distinct pairs the two plans ship, on every backend.
+    let queries = [table1::q_om(PredicateParams::P1), self_join()];
     for (name, backend) in LocalJoinBackend::all() {
         let engine = engine(backend);
         let dataset = engine.prepare(uniform_collections(3, 80, 555)).unwrap();
