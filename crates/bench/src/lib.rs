@@ -18,13 +18,13 @@
 //!
 //! Experiment *shapes* (who wins, crossovers, trends in `g`, `k`, `n`,
 //! strategy) are scale-stable because they derive from pruning ratios and
-//! assignment policy; see EXPERIMENTS.md for the recorded
-//! paper-vs-measured comparison.
+//! assignment policy; each harness prints the paper's expected shape
+//! beside the measured rows.
+//!
+//! The deterministic work counters are not benchmarked here: the root
+//! crate's `tests/pinned_counters.rs` pins them bit-for-bit.
 
 use std::time::{Duration, Instant};
-
-pub mod emit;
-pub mod gate;
 
 /// Scaling knobs read from the environment.
 #[derive(Debug, Clone, Copy)]

@@ -350,8 +350,8 @@ impl Counters for DistributionSummary {
 
 /// Every deterministic (non-timing) quantity of one execution, in a
 /// directly comparable shape ([`ExecutionReport::fingerprint`]) — what
-/// the determinism batteries and `bench_serving` assert bit-identical
-/// across threads, transports, caches and repeats.
+/// the determinism batteries assert bit-identical across threads,
+/// transports, caches and repeats, and `tests/pinned_counters.rs` pins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fingerprint {
     /// The top-k as (interval ids, score bits).

@@ -37,20 +37,20 @@
 //! results and work-counter fingerprint are bit-identical whether it
 //! runs solo through [`Tkij::execute`], repeated through a server, or
 //! interleaved with other queries from any number of threads — locked
-//! by `tests/serving_determinism.rs`, `tests/serving_shape_churn.rs`,
-//! and the `bench_serving` harness's in-binary assertions. Only the
-//! serving counters themselves ([`ServingStats`]) are new, and they are
-//! deterministic too: with the cache enabled and no evictions, misses
-//! equal the number of *distinct* served shapes and hits the remainder,
-//! regardless of thread interleaving; under churn past the capacity,
-//! every counter is still an exact function of the serial access order.
+//! by `tests/serving_determinism.rs` and `tests/serving_shape_churn.rs`.
+//! Only the serving counters themselves ([`ServingStats`]) are new, and
+//! they are deterministic too: with the cache enabled and no evictions,
+//! misses equal the number of *distinct* served shapes and hits the
+//! remainder, regardless of thread interleaving; under churn past the
+//! capacity, every counter is still an exact function of the serial
+//! access order.
 //!
 //! The paper frames its whole evaluation (§4) in per-query response
 //! time, so the server also keeps **latency observability**: each
 //! query's wall latency lands in a fixed log-spaced-bucket histogram
 //! ([`LatencySnapshot`] extracts p50/p95/p99). Latency is the one
 //! deliberately *non*-deterministic artifact here — it feeds only
-//! `*_ms` report keys, never a result, counter, or gate.
+//! `*_ms` metrics, never a result, counter, or pin.
 
 use crate::bucketindex::IndexPools;
 use crate::config::TkijConfig;
@@ -150,8 +150,7 @@ pub const LATENCY_BUCKETS: usize = 40;
 /// Each percentile is the *upper bound* of the histogram bucket holding
 /// that rank (conservative: never under-reports), in milliseconds.
 /// Latency is wall-clock telemetry — an artifact, never part of the
-/// determinism contract: `bench_serving` emits these as `*_ms` keys,
-/// which the bench gate and the fingerprints ignore by construction.
+/// determinism contract: no fingerprint or pinned counter reads it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySnapshot {
     /// Median per-query latency (bucket upper bound), ms.

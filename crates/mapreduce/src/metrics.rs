@@ -5,15 +5,15 @@ use crate::shuffle::ShuffleStats;
 use std::time::Duration;
 
 /// The one declaration of "what is a deterministic work counter" of a
-/// stats struct: bench emission, determinism fingerprints and the bench
-/// gate's key set are all derived by walking `visit`.
+/// stats struct: determinism fingerprints and the pinned-counter table's
+/// key set are both derived by walking `visit`.
 ///
 /// Every impl destructures `Self` exhaustively (no `..`), so adding a
 /// field does not compile until it is either visited or bound to `_`
 /// beside its reason (timing, configuration echo). `f64` counters are
 /// visited as `to_bits()`, `u128` magnitudes as `_hi`/`_lo` halves.
-/// `visit` runs only when a report is fingerprinted or emitted — never
-/// on a query path.
+/// `visit` runs only when a report is fingerprinted or its counters are
+/// compared — never on a query path.
 pub trait Counters {
     /// Calls `f(name, value)` once per counter, in declaration order.
     fn visit(&self, f: &mut dyn FnMut(&'static str, u64));

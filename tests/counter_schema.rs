@@ -1,7 +1,8 @@
 //! The counter schema itself: every stats struct declares its
-//! deterministic counters once, in its `Counters::visit`; bench emission,
-//! `ExecutionReport::fingerprint()` and the bench gate's key set all walk
-//! that declaration. These tests pin the declaration's own invariants.
+//! deterministic counters once, in its `Counters::visit`;
+//! `ExecutionReport::fingerprint()` and the key set of
+//! `tests/pinned_counters.rs` both walk that declaration. These tests pin
+//! the declaration's own invariants.
 
 use std::collections::BTreeSet;
 use std::time::Duration;

@@ -6,8 +6,8 @@
 //!
 //! The serving counters themselves are also pinned: with the plan cache
 //! enabled, misses equal the number of distinct served shapes and hits
-//! the remainder, regardless of interleaving — the property that lets
-//! `bench_serving` gate them exactly.
+//! the remainder, regardless of interleaving — so this battery asserts
+//! them exactly, by name through the `Counters` visitor.
 
 use std::sync::Arc;
 use tkij::prelude::*;
@@ -15,13 +15,16 @@ use tkij::prelude::*;
 const K: usize = 8;
 const ROUNDS: usize = 2;
 
-/// The mixed query-shape workload every serving run interleaves.
+/// The mixed query-shape workload every serving run interleaves: six
+/// `table1` families, `q_bb` the only "before" shape.
 fn mixed_queries() -> Vec<Query> {
     vec![
         table1::q_om(PredicateParams::P1),
         table1::q_oo(PredicateParams::P1),
         table1::q_sm(PredicateParams::P2),
         table1::q_ss(PredicateParams::P1),
+        table1::q_ff(PredicateParams::P1),
+        table1::q_bb(PredicateParams::P3),
     ]
 }
 

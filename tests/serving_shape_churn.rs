@@ -7,7 +7,8 @@
 //!
 //! Capacity 0 keeps the pre-bounded behavior (never evicts), and the
 //! default capacity is large enough that the other batteries' mixes
-//! never churn — which is what lets `bench_serving` pin evictions at 0.
+//! never churn — which is what lets `serving_determinism` pin evictions
+//! at 0.
 
 use tkij::prelude::*;
 

@@ -6,7 +6,7 @@
 //! `window_query`, `item_chunks`, and `threshold_candidates` alike.
 //!
 //! This is the contract that lets the chunked kind be the engine default
-//! without refreshing a single `BENCH_BASELINE.json` counter or
+//! without moving a single `tests/pinned_counters.rs` pin or
 //! determinism fingerprint: if any of these assertions can fail, the
 //! kinds are not interchangeable and the knob is broken.
 //!

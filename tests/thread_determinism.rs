@@ -57,8 +57,8 @@ fn work_counters_identical_across_worker_threads_and_scan_kinds() {
 #[test]
 fn repeated_runs_are_bit_identical() {
     // Same engine, same dataset, executed twice: every counter (and every
-    // score bit) must repeat exactly — the property bench_smoke's exact
-    // baseline keys rely on.
+    // score bit) must repeat exactly — the property the exact pins of
+    // `tests/pinned_counters.rs` rely on.
     let engine = Tkij::new(
         TkijConfig::default()
             .with_granules(5)
