@@ -247,7 +247,7 @@ mod tests {
         for g in [1, 2, 5] {
             let report = run_all_matrix(&q, &collections, usize::MAX, g, &cluster).unwrap();
             let ids = boolean_ids(&report);
-            let dedup: std::collections::HashSet<_> = ids.iter().cloned().collect();
+            let dedup: std::collections::BTreeSet<_> = ids.iter().cloned().collect();
             assert_eq!(dedup.len(), ids.len(), "g={g}");
             match &reference {
                 None => reference = Some(ids),

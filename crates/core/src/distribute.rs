@@ -91,7 +91,7 @@ pub fn distribute(
     matrices: &[BucketMatrix],
 ) -> Assignment {
     assert!(r >= 1, "need at least one reducer");
-    // tkij-lint: allow(DET002) -- feeds only Assignment::duration, a timing artifact
+    #[allow(clippy::disallowed_methods, reason = "feeds only Assignment::duration, a timing field")]
     let started = Instant::now();
     let order = match policy {
         // Alg. 3 line 1: descending score upper-bound. `run_topbuckets`

@@ -104,7 +104,10 @@ pub fn run_join_phase(
 /// `scan` is the sweep store's run-scan kind (`TkijConfig::sweep_scan`),
 /// threaded to every reducer like `backend`; the kinds are bit-identical
 /// in results and counters, so it is a pure wall-clock knob.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a public entry point whose signature the benchmark calls"
+)]
 pub fn run_join_phase_with(
     dataset: &PreparedDataset,
     query: &Query,
@@ -127,7 +130,10 @@ pub fn run_join_phase_with(
 /// them per reducer. Results and every work counter are bit-identical
 /// either way — pooling amortizes only the index *build* work across
 /// queries.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "run_join_phase_with's arguments plus the index pools"
+)]
 pub(crate) fn run_join_phase_impl(
     dataset: &PreparedDataset,
     query: &Query,

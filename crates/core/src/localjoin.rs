@@ -52,10 +52,10 @@ use crate::bucketindex::{BackendChoices, BucketIndex, IndexPools};
 use crate::combos::ComboSet;
 use crate::config::{LocalJoinBackend, SweepScanKind};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tkij_index::{threshold_candidates, CandidateSource};
-use tkij_mapreduce::Counters;
+use tkij_mapreduce::{run_tasks, Counters};
 use tkij_temporal::bucket::BucketId;
 use tkij_temporal::expr::Side;
 use tkij_temporal::interval::Interval;
@@ -258,7 +258,10 @@ pub fn local_topk_join(
 /// soundness documentation). Pool keys translate the reducer's (vertex,
 /// bucket) to (collection, bucket) through `query.vertices`, so
 /// self-join vertices sharing a collection share one index.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one reducer's whole input; grouping it would add a single-use struct"
+)]
 pub(crate) fn local_topk_join_planned(
     backend: LocalJoinBackend,
     scan: SweepScanKind,
@@ -371,7 +374,7 @@ fn publish_bound(bound: &AtomicU64, value: f64) {
 
 /// The rank-join body. `build` yields one bucket's index from its
 /// (vertex, bucket) key and shipped intervals.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one reducer's whole input plus its index builder")]
 fn join_generic(
     query: &Query,
     plan: &JoinPlan,
@@ -525,9 +528,9 @@ impl ComboRun<'_> {
         }
     }
 
-    /// Evaluates one wave's chunks — sequentially, or on a crossbeam
-    /// scope of chunk workers claiming chunks from a shared cursor — and
-    /// returns each chunk's private heap and counters, in chunk order.
+    /// Evaluates one wave's chunks through [`run_tasks`] — sequentially,
+    /// or on chunk workers claiming chunks by index — and returns each
+    /// chunk's private heap and counters, in chunk order.
     /// Which thread evaluates a chunk can never matter: a chunk's work
     /// is a pure function of (chunk, frozen bound).
     fn run_wave(
@@ -564,40 +567,7 @@ impl ComboRun<'_> {
             cx.run_chunk(chunk, buckets, combo_ub);
             (heap.local, chunk_stats)
         };
-        let workers = self.intra.threads.min(wave.len());
-        if workers < 2 {
-            return wave.iter().map(|chunk| eval(chunk)).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<(TopK, LocalJoinStats)>> = wave.iter().map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut out = Vec::new();
-                        loop {
-                            // Relaxed ordering suffices: the cursor only
-                            // claims each chunk index exactly once; the
-                            // results are merged back in chunk order, so
-                            // claim order cannot reach a counter.
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= wave.len() {
-                                break;
-                            }
-                            out.push((i, eval(wave[i])));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("intra-join worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        })
-        .expect("intra-join scope");
-        slots.into_iter().map(|s| s.expect("every chunk evaluated")).collect()
+        run_tasks(wave.len(), self.intra.threads, |i| eval(wave[i]))
     }
 }
 

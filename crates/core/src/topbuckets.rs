@@ -168,7 +168,10 @@ pub fn run_topbuckets(
     solver_cfg: &SolverConfig,
     workers: usize,
 ) -> (ComboSet, TopBucketsStats) {
-    // tkij-lint: allow(DET002) -- feeds only TopBucketsStats::duration, a timing artifact
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "feeds only TopBucketsStats::duration, a timing field"
+    )]
     let started = Instant::now();
     let n = query.n();
     let per_vertex = vertex_buckets(query, matrices);

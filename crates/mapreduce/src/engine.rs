@@ -65,9 +65,13 @@ impl<'p, K, V> Emitter<'p, K, V> {
     }
 }
 
-/// Runs `n` independent tasks on `threads` worker threads (sequentially
-/// when `threads ≤ 1`), returning results in task order.
-fn run_tasks<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+/// Runs tasks `0..n` and returns their results in task order. With
+/// `threads ≥ 2` (and more than one task), `min(threads, n)` scoped
+/// workers claim task indices from one shared cursor; otherwise the
+/// tasks run sequentially on the caller. Which worker ran a task never
+/// reaches the returned vector. A panicking task re-panics on the caller
+/// with its own payload (the first panicking worker's, in worker order).
+pub fn run_tasks<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -75,26 +79,36 @@ where
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|_| loop {
-                // Relaxed ordering suffices: the cursor only hands out
-                // task indices exactly once (fetch_add is atomic at any
-                // ordering); each task's output lands in its own slot,
-                // so claim order can never reach results or counters.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                results.lock()[i] = Some(out);
-            });
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed ordering suffices: the cursor only hands
+                        // out task indices exactly once (fetch_add is
+                        // atomic at any ordering); each task's output lands
+                        // in its own slot, so claim order can never reach
+                        // results or counters.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break done;
+                        }
+                        done.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => done.into_iter().for_each(|(i, out)| slots[i] = Some(out)),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
-    })
-    .expect("worker thread panicked");
-    results.into_inner().into_iter().map(|o| o.expect("every task ran")).collect()
+    });
+    slots.into_iter().map(|s| s.expect("every task ran")).collect()
 }
 
 /// A reduce partition's grouped input, consumed exactly once by its task.
@@ -119,7 +133,10 @@ type GroupedPartition<K, V> = Mutex<Option<Vec<(K, Vec<V>)>>>;
 /// Panics if the serialized transport fails (spill-store I/O or a
 /// corrupted segment); use [`try_run_map_reduce`] to handle those as
 /// structured [`ShuffleError`]s. The in-memory default cannot fail.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a job is its inputs, two task counts, three closures and the cluster config"
+)]
 pub fn run_map_reduce<I, K, V, R, M, P, F>(
     inputs: &[I],
     num_map_tasks: usize,
@@ -145,7 +162,10 @@ where
 /// The fallible form of [`run_map_reduce`]: serialized-transport
 /// failures (spill I/O, corrupted or truncated segments, checksum
 /// mismatches) surface as [`ShuffleError`] instead of panicking.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a job is its inputs, two task counts, three closures and the cluster config"
+)]
 pub fn try_run_map_reduce<I, K, V, R, M, P, F>(
     inputs: &[I],
     num_map_tasks: usize,
@@ -195,7 +215,7 @@ where
 /// — the injection point the spill batteries and custom transports use;
 /// [`run_map_reduce`] is this with the transport picked from
 /// `cfg.shuffle`.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "run_map_reduce's arguments plus the transport")]
 pub fn run_map_reduce_with<I, K, V, R, M, P, F, T>(
     transport: &T,
     inputs: &[I],
@@ -216,7 +236,7 @@ where
     F: Fn(usize, Vec<(K, Vec<V>)>) -> Vec<R> + Sync,
     T: ShuffleTransport<K, V>,
 {
-    // tkij-lint: allow(DET002) -- feeds only JobMetrics::wall, a timing artifact
+    #[allow(clippy::disallowed_methods, reason = "feeds only JobMetrics::wall, a timing field")]
     let job_start = Instant::now();
     let num_map_tasks = num_map_tasks.clamp(1, inputs.len().max(1));
     let chunk = inputs.len().div_ceil(num_map_tasks).max(1);
@@ -227,7 +247,10 @@ where
         let hi = ((t + 1) * chunk).min(inputs.len());
         let mut sink = transport.task_sink(t, num_partitions);
         let mut em = Emitter::new(num_partitions, &partitioner, &mut sink);
-        // tkij-lint: allow(DET002) -- feeds only JobMetrics::map_durations, timing artifacts
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "feeds only JobMetrics::map_durations, timing fields"
+        )]
         let started = Instant::now();
         mapper(t, &inputs[lo..hi], &mut em);
         (started.elapsed(), sink)
@@ -250,7 +273,10 @@ where
     let reduce_results: Vec<(Duration, Vec<R>)> =
         run_tasks(num_partitions, cfg.worker_threads, |p| {
             let groups = grouped_slots[p].lock().take().expect("partition reduced once");
-            // tkij-lint: allow(DET002) -- feeds only JobMetrics::reduce_durations, timing artifacts
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "feeds only JobMetrics::reduce_durations, timing fields"
+            )]
             let started = Instant::now();
             let out = reducer(p, groups);
             (started.elapsed(), out)
@@ -532,6 +558,23 @@ mod tests {
         let mut em = Emitter::new(2, &part, &mut sink);
         em.emit(1, 10); // in range
         em.emit(3, 30); // out of range: must panic with a useful message
+    }
+
+    /// A worker's panic reaches the caller with its own message, as a
+    /// sequential run reports it.
+    #[test]
+    #[should_panic(expected = "partitioner returned partition")]
+    fn threaded_task_panic_keeps_its_message() {
+        let cfg = ClusterConfig { worker_threads: 2, ..Default::default() };
+        run_map_reduce(
+            &[1u64, 2, 3, 4],
+            2,
+            2,
+            |_, chunk, em| chunk.iter().for_each(|&x| em.emit(x, ())),
+            |k| *k as usize,
+            |_, groups| groups,
+            &cfg,
+        );
     }
 
     #[test]

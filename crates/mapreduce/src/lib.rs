@@ -45,7 +45,7 @@ pub mod shuffle;
 pub mod sizeof;
 
 pub use cluster::ClusterConfig;
-pub use engine::{run_map_reduce, run_map_reduce_with, try_run_map_reduce, Emitter};
+pub use engine::{run_map_reduce, run_map_reduce_with, run_tasks, try_run_map_reduce, Emitter};
 pub use metrics::{list_schedule_makespan, summed_counters, Counters, JobMetrics};
 pub use shuffle::{
     CodecError, FrameReader, Record, ShuffleError, ShuffleMode, ShuffleStats, ShuffleTransport,

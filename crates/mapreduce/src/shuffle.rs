@@ -583,7 +583,10 @@ impl<K: Record, V: Record> SegmentReader<K, V> {
     }
 
     /// Decodes the next record, or `None` when the segment is drained.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the iterator item of a fallible decode, spelled out once"
+    )]
     pub fn next_record(&mut self) -> Option<Result<(K, V), ShuffleError>> {
         if self.left == 0 {
             return None;
@@ -938,7 +941,7 @@ impl<K: Ord, V> Ord for MergeEntry<K, V> {
 
 /// K-way merge over one partition's verified segments, grouping
 /// adjacent equal keys.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "the grouped-partition shape every transport returns")]
 fn merge_segments<K: Ord + Record, V: Record>(
     mut readers: Vec<SegmentReader<K, V>>,
 ) -> Result<Vec<(K, Vec<V>)>, ShuffleError> {

@@ -211,7 +211,7 @@ fn auto_tracks_better_backend_scan_effort_across_densities() {
     // dense (sweep). Average bucket cardinality ≈ size/20, density ≈
     // size·50.5/span.
     for &(size, span) in &[(3000usize, 50_000i64), (3000, 5_000), (3000, 1_250), (6_000, 20_000)] {
-        let mut scanned = std::collections::HashMap::new();
+        let mut scanned = std::collections::BTreeMap::new();
         for (name, backend) in LocalJoinBackend::all() {
             let engine = Tkij::new(
                 TkijConfig::default()

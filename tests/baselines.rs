@@ -73,7 +73,7 @@ fn tkij_pb_dominates_boolean_matches() {
     let dataset = engine.prepare(collections.clone()).unwrap();
     let report = engine.execute(&dataset, &q, 10).unwrap();
     assert_eq!(report.results.len(), 10);
-    let matches: std::collections::HashSet<Vec<u64>> = boolean.into_iter().collect();
+    let matches: std::collections::BTreeSet<Vec<u64>> = boolean.into_iter().collect();
     for t in &report.results {
         assert!((t.score - 1.0).abs() < 1e-12, "PB top-k must be perfect scores");
         assert!(matches.contains(&t.ids), "TKIJ-PB result must be a Boolean match");

@@ -79,7 +79,7 @@ fn dtb_spreads_high_ub_combos_more_evenly_than_lpt() {
     let order = selected.indices_by_ub_desc();
     let spread = |policy: DistributionPolicy| -> usize {
         let a = distribute(&selected, policy, r, &q, &dataset.matrices);
-        let reducers: std::collections::HashSet<u32> =
+        let reducers: std::collections::BTreeSet<u32> =
             order[..r].iter().map(|&i| a.combo_reducer[i as usize]).collect();
         reducers.len()
     };

@@ -37,7 +37,7 @@ fn two_phase_refinement_never_grows_the_selection() {
     // from the start) is at least as tight as loose.
     let collections = uniform_collections(3, 120, 41);
     let q = table1::q_m_star(3, PredicateParams::P1);
-    let mut selected = std::collections::HashMap::new();
+    let mut selected = std::collections::BTreeMap::new();
     for (name, strategy) in Strategy::all() {
         let engine = Tkij::new(
             TkijConfig::default().with_granules(8).with_reducers(4).with_strategy(strategy),
@@ -63,7 +63,7 @@ fn solver_effort_ranks_strategies() {
     // invoke the solver more often than loose for b > 2·arity.
     let collections = uniform_collections(3, 200, 9);
     let q = table1::q_oo(PredicateParams::P1);
-    let mut calls = std::collections::HashMap::new();
+    let mut calls = std::collections::BTreeMap::new();
     for (name, strategy) in Strategy::all() {
         let engine = Tkij::new(
             TkijConfig::default().with_granules(10).with_reducers(4).with_strategy(strategy),

@@ -12,7 +12,11 @@
 //!    0.5-score plateau), ids and scores are identical across strategies;
 //! 2. for k = 10, the score vectors are bit-identical across strategies;
 //! 3. each strategy is bit-deterministic run-to-run, ids included.
+//!
+//! It also carries the one determinism rule clippy cannot: every atomic
+//! memory ordering in the join and Map-Reduce crates is explained.
 
+use std::path::Path;
 use tkij::prelude::*;
 
 fn run(strategy: Strategy, k: usize) -> Vec<(Vec<u64>, f64)> {
@@ -71,4 +75,49 @@ fn q_om_is_deterministic_across_runs() {
     for (name, strategy) in Strategy::all() {
         assert_eq!(run(strategy, 10), run(strategy, 10), "{name}: nondeterministic run");
     }
+}
+
+/// DET005: every atomic memory ordering in `tkij_core` and
+/// `tkij_mapreduce` carries a `//` comment mentioning "ordering" that
+/// argues why it cannot reach a result or counter, on its line or within
+/// the 15 lines above (see `publish_bound` in `tkij_core::localjoin`).
+#[test]
+fn atomic_orderings_carry_a_rationale() {
+    const LOOKBACK: usize = 15;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("crates/core/src"), root.join("crates/mapreduce/src")];
+    let mut unexplained = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable source dir") {
+            let path = entry.expect("readable dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            } else if path.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let source = std::fs::read_to_string(&path).expect("readable source");
+            let lines: Vec<&str> = source.lines().collect();
+            for (i, line) in lines.iter().enumerate() {
+                let atomic = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"]
+                    .iter()
+                    .any(|v| line.contains(&format!("Ordering::{v}")));
+                let explained = lines[i.saturating_sub(LOOKBACK)..=i].iter().any(|l| {
+                    l.split_once("//").is_some_and(|(_, c)| c.to_lowercase().contains("ordering"))
+                });
+                if atomic && !explained {
+                    unexplained.push(format!(
+                        "{}:{}",
+                        path.strip_prefix(root).unwrap().display(),
+                        i + 1
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        unexplained.is_empty(),
+        "atomic orderings without a `// ... ordering ...` rationale within {LOOKBACK} lines:\n{}",
+        unexplained.join("\n")
+    );
 }
