@@ -1,19 +1,12 @@
 //! TKIJ engine configuration.
 
-use std::str::FromStr;
 use tkij_solver::SolverConfig;
-
-// The variant-parse error lives in the base crate so the index crate's
-// `SweepScanKind` knob can share it (orphan rules put its `FromStr`
-// next to the enum); re-exported here to keep the historical path.
-pub use tkij_temporal::error::ParseVariantError;
 
 /// The sweep store's run-scan kind — scalar reference vs chunked lanes
 /// (defined next to the lanes in `tkij_index`; re-exported here because
 /// it is threaded through the engine exactly like [`LocalJoinBackend`]).
 /// The kinds are bit-identical in results, visit order, and every work
-/// counter; `TkijConfig::default` honors the `TKIJ_SWEEP_SCAN` env
-/// override so CI can force the scalar reference suite-wide.
+/// counter.
 pub use tkij_index::SweepScanKind;
 
 /// The TopBuckets strategy (paper §3.3, Algorithm 2).
@@ -45,25 +38,6 @@ impl Strategy {
             Strategy::BruteForce => "brute-force",
             Strategy::Loose => "loose",
             Strategy::TwoPhase => "two-phase",
-        }
-    }
-}
-
-impl FromStr for Strategy {
-    type Err = ParseVariantError;
-
-    /// Parses a paper strategy name (case-insensitive; `_` ≡ `-`), so
-    /// bench bins and CI can select variants by flag.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().replace('_', "-").as_str() {
-            "brute-force" => Ok(Strategy::BruteForce),
-            "loose" => Ok(Strategy::Loose),
-            "two-phase" => Ok(Strategy::TwoPhase),
-            _ => Err(ParseVariantError {
-                what: "strategy",
-                input: s.to_string(),
-                expected: &["brute-force", "loose", "two-phase"],
-            }),
         }
     }
 }
@@ -112,25 +86,6 @@ impl LocalJoinBackend {
     }
 }
 
-impl FromStr for LocalJoinBackend {
-    type Err = ParseVariantError;
-
-    /// Parses a backend display name (case-insensitive), including
-    /// `auto`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "rtree" | "r-tree" => Ok(LocalJoinBackend::RTree),
-            "sweep" => Ok(LocalJoinBackend::Sweep),
-            "auto" => Ok(LocalJoinBackend::Auto),
-            _ => Err(ParseVariantError {
-                what: "backend",
-                input: s.to_string(),
-                expected: &["rtree", "sweep", "auto"],
-            }),
-        }
-    }
-}
-
 /// The workload-distribution policy of the join phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistributionPolicy {
@@ -152,23 +107,6 @@ impl DistributionPolicy {
     }
 }
 
-impl FromStr for DistributionPolicy {
-    type Err = ParseVariantError;
-
-    /// Parses a paper policy name (case-insensitive).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "dtb" => Ok(DistributionPolicy::Dtb),
-            "lpt" => Ok(DistributionPolicy::Lpt),
-            _ => Err(ParseVariantError {
-                what: "policy",
-                input: s.to_string(),
-                expected: &["DTB", "LPT"],
-            }),
-        }
-    }
-}
-
 /// Full configuration of a TKIJ execution.
 #[derive(Debug, Clone)]
 pub struct TkijConfig {
@@ -185,9 +123,9 @@ pub struct TkijConfig {
     /// Run-scan kind of the sweeping store (scalar reference vs chunked
     /// lanes). Pure wall-clock knob: both kinds visit the same
     /// candidates in the same order and report identical work counters
-    /// (locked by `tests/sweep_scan_equivalence.rs` and the determinism
-    /// batteries), so flipping it can never change a result bit or a
-    /// baseline counter.
+    /// (locked by `tests/sweep_scan_equivalence.rs` and
+    /// `tests/determinism.rs`), so flipping it can never change a result
+    /// bit or a pinned counter.
     pub sweep_scan: SweepScanKind,
     /// Bound-solver configuration.
     pub solver: SolverConfig,
@@ -235,10 +173,9 @@ pub struct TkijConfig {
     /// through the serialized shuffle transport, spilling checksummed
     /// segments whenever a map task's buffered partition exceeds
     /// `threshold` bytes (`0` = spill every record into its own
-    /// segment). `None` (default) keeps the in-memory transport, unless
-    /// the `TKIJ_SPILL_THRESHOLD` env hook forces serialization
-    /// suite-wide (see [`tkij_mapreduce::ShuffleMode::from_env`]).
-    /// Results, shuffle record/byte counters, and every baseline metric
+    /// segment). `None` (default) keeps the cluster's transport, which
+    /// is in-memory unless `ClusterConfig::shuffle` says otherwise.
+    /// Results, shuffle record/byte counters, and every pinned counter
     /// are bit-identical across transports — only the
     /// [`tkij_mapreduce::ShuffleStats`] spill counters change, which the
     /// spill determinism battery locks.
@@ -256,10 +193,7 @@ impl Default for TkijConfig {
             strategy: Strategy::Loose,
             distribution: DistributionPolicy::Dtb,
             local_backend: LocalJoinBackend::Sweep,
-            // Chunked lanes by default; the TKIJ_SWEEP_SCAN env hook
-            // lets CI force the scalar reference onto whole suites
-            // without touching any call site.
-            sweep_scan: SweepScanKind::from_env().unwrap_or_default(),
+            sweep_scan: SweepScanKind::Chunked,
             // Bounds stay sound under a node cap and a 1 % convergence
             // gap — they merely get (marginally) looser, which is the
             // trade-off the paper's loose strategy embraces. Corner
@@ -372,9 +306,7 @@ mod tests {
         assert!(c.plan_cache, "the serving plan cache is on by default");
         assert_eq!(c.plan_cache_capacity, PLAN_CACHE_CAPACITY, "bounded by default");
         assert_eq!(c.shuffle_spill_threshold_bytes, None, "in-memory shuffle by default");
-        // Chunked lanes unless the CI env hook forces the scalar
-        // reference (keeps this test truthful under that matrix leg).
-        assert_eq!(c.sweep_scan, SweepScanKind::from_env().unwrap_or(SweepScanKind::Chunked));
+        assert_eq!(c.sweep_scan, SweepScanKind::Chunked);
         // The one deliberate departure from the paper's setup: the local
         // join defaults to the faster sweep backend (results are
         // identical; `with_local_backend(LocalJoinBackend::RTree)`
@@ -391,49 +323,6 @@ mod tests {
         assert_eq!(LocalJoinBackend::default().name(), "sweep");
         let c = TkijConfig::default().with_local_backend(LocalJoinBackend::RTree);
         assert_eq!(c.local_backend, LocalJoinBackend::RTree);
-    }
-
-    #[test]
-    fn names_round_trip_through_fromstr() {
-        for (name, strategy) in Strategy::all() {
-            assert_eq!(name.parse::<Strategy>().unwrap(), strategy);
-            assert_eq!(strategy.name().parse::<Strategy>().unwrap(), strategy);
-        }
-        for (name, backend) in LocalJoinBackend::all() {
-            assert_eq!(name.parse::<LocalJoinBackend>().unwrap(), backend);
-            assert_eq!(backend.name().parse::<LocalJoinBackend>().unwrap(), backend);
-        }
-        for (name, kind) in SweepScanKind::all() {
-            assert_eq!(name.parse::<SweepScanKind>().unwrap(), kind);
-            assert_eq!(kind.name().parse::<SweepScanKind>().unwrap(), kind);
-        }
-        for policy in [DistributionPolicy::Dtb, DistributionPolicy::Lpt] {
-            assert_eq!(policy.name().parse::<DistributionPolicy>().unwrap(), policy);
-        }
-    }
-
-    #[test]
-    fn fromstr_accepts_flag_style_spellings() {
-        assert_eq!("AUTO".parse::<LocalJoinBackend>().unwrap(), LocalJoinBackend::Auto);
-        assert_eq!("R-Tree".parse::<LocalJoinBackend>().unwrap(), LocalJoinBackend::RTree);
-        assert_eq!("two_phase".parse::<Strategy>().unwrap(), Strategy::TwoPhase);
-        assert_eq!("Brute-Force".parse::<Strategy>().unwrap(), Strategy::BruteForce);
-        assert_eq!("dtb".parse::<DistributionPolicy>().unwrap(), DistributionPolicy::Dtb);
-        assert_eq!("lpt".parse::<DistributionPolicy>().unwrap(), DistributionPolicy::Lpt);
-        assert_eq!("Chunked".parse::<SweepScanKind>().unwrap(), SweepScanKind::Chunked);
-        assert_eq!("SCALAR".parse::<SweepScanKind>().unwrap(), SweepScanKind::Scalar);
-    }
-
-    #[test]
-    fn fromstr_rejects_unknown_names_with_expectations() {
-        let err = "btree".parse::<LocalJoinBackend>().unwrap_err();
-        assert_eq!(err.what, "backend");
-        assert!(err.to_string().contains("rtree, sweep, auto"), "{err}");
-        assert!("eager".parse::<Strategy>().is_err());
-        assert!("round-robin".parse::<DistributionPolicy>().is_err());
-        // Re-export smoke check only — the error's shape and message are
-        // covered where the enum lives (tkij_index::lanes).
-        assert!("simd".parse::<SweepScanKind>().is_err());
     }
 
     #[test]

@@ -624,11 +624,7 @@ mod tests {
         assert!(!report.phase_line().is_empty());
         assert!(report.pruned_pct() >= 0.0 && report.pruned_pct() <= 100.0);
         assert_eq!(report.backend, LocalJoinBackend::Sweep, "default backend");
-        assert_eq!(
-            report.sweep_scan,
-            SweepScanKind::from_env().unwrap_or(SweepScanKind::Chunked),
-            "scan-kind echo follows the config default"
-        );
+        assert_eq!(report.sweep_scan, SweepScanKind::Chunked, "default scan kind");
         assert!(report.index_probes() > 0, "probes are counted");
         assert!(report.items_scanned() > 0, "scan effort is counted");
         assert!(report.probe_chunks() > 0, "probe chunks are counted");
@@ -771,15 +767,8 @@ mod tests {
         // with the spill counters lighting up.
         let q = table1::q_om(PredicateParams::P1);
         let base = TkijConfig::default().with_granules(5).with_reducers(4);
-        let in_mem = Tkij::with_cluster(base.clone(), ClusterConfig::default());
-        // Pin the reference transport: under the CI env hook the default
-        // cluster may already serialize, which this test must not inherit.
-        let in_mem = Tkij {
-            cluster: ClusterConfig { shuffle: ShuffleMode::InMemory, ..in_mem.cluster },
-            ..in_mem
-        };
-        let spilled =
-            Tkij { config: base.with_shuffle_spill_threshold_bytes(0), cluster: in_mem.cluster };
+        let in_mem = Tkij::new(base.clone());
+        let spilled = Tkij::new(base.with_shuffle_spill_threshold_bytes(0));
         assert_eq!(in_mem.job_cluster().shuffle, ShuffleMode::InMemory);
         assert_eq!(
             spilled.job_cluster().shuffle,

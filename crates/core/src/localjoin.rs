@@ -163,13 +163,13 @@ pub const INTRA_WAVE_CHUNKS: usize = 8;
 /// points) is fixed by `chunk_items` and the data alone; `threads` only
 /// chooses how many OS threads execute it. Results and work counters
 /// are therefore bit-identical for every `threads` value — the property
-/// `tests/intra_parallel_determinism.rs` locks in.
+/// `tests/determinism.rs` locks in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntraJoin {
     /// Worker threads evaluating one wave's chunks; `0` (like
     /// `ClusterConfig::worker_threads`) evaluates them sequentially on
-    /// the calling thread. Derive this from the cluster's nested thread
-    /// budget (`ClusterConfig::intra_join_plan`) so outer × inner task
+    /// the calling thread. Derive this from the cluster with
+    /// `ClusterConfig::intra_join_plan` so outer × inner task
     /// parallelism never oversubscribes the host.
     pub threads: usize,
     /// Fixed probe-chunk length (clamped to ≥ 1). An *algorithmic* knob:

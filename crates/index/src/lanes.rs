@@ -39,19 +39,12 @@
 //! [`Window::contains`]: crate::rtree::Window::contains
 
 use std::ops::Range;
-use std::str::FromStr;
-use tkij_temporal::error::ParseVariantError;
 
 /// Lane slots per fixed-width chunk of the chunked scan — 8 × 64-bit
 /// values, one 64-byte cache line per chunk load. The chunked scan's
 /// mask loop has this fixed trip count, and the scalar tail handles at
 /// most `LANE_WIDTH - 1` trailing slots.
 pub const LANE_WIDTH: usize = 8;
-
-/// Environment variable forcing a scan kind (`scalar` / `chunked`)
-/// onto `TkijConfig::default()` — the CI hook that re-runs the
-/// equivalence and determinism suites with the scalar reference.
-pub const SCAN_KIND_ENV: &str = "TKIJ_SWEEP_SCAN";
 
 /// How [`crate::SweepIndex`] tests a swept run against the window: the
 /// scalar reference (one branchy compare per item, PR-2 behavior) or
@@ -81,36 +74,6 @@ impl SweepScanKind {
         match self {
             SweepScanKind::Scalar => "scalar",
             SweepScanKind::Chunked => "chunked",
-        }
-    }
-
-    /// The kind forced through [`SCAN_KIND_ENV`], if set.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unparsable value: a CI leg that *means* to force the
-    /// scalar reference must never silently run the default.
-    pub fn from_env() -> Option<SweepScanKind> {
-        std::env::var(SCAN_KIND_ENV)
-            .ok()
-            .map(|v| v.parse().unwrap_or_else(|e| panic!("{SCAN_KIND_ENV}: {e}")))
-    }
-}
-
-impl FromStr for SweepScanKind {
-    type Err = ParseVariantError;
-
-    /// Parses a scan-kind display name (case-insensitive), so bench bins
-    /// and the CI env hook can select kinds by flag.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(SweepScanKind::Scalar),
-            "chunked" => Ok(SweepScanKind::Chunked),
-            _ => Err(ParseVariantError {
-                what: "sweep scan kind",
-                input: s.to_string(),
-                expected: &["scalar", "chunked"],
-            }),
         }
     }
 }
@@ -247,16 +210,10 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip_and_reject_unknowns() {
+    fn names_match_the_registry() {
         for (name, kind) in SweepScanKind::all() {
-            assert_eq!(name.parse::<SweepScanKind>().unwrap(), kind);
             assert_eq!(kind.name(), name);
         }
-        assert_eq!("Chunked".parse::<SweepScanKind>().unwrap(), SweepScanKind::Chunked);
-        assert_eq!("SCALAR".parse::<SweepScanKind>().unwrap(), SweepScanKind::Scalar);
-        let err = "simd".parse::<SweepScanKind>().unwrap_err();
-        assert_eq!(err.what, "sweep scan kind");
-        assert!(err.to_string().contains("scalar, chunked"), "{err}");
         assert_eq!(SweepScanKind::default(), SweepScanKind::Chunked);
     }
 

@@ -24,7 +24,7 @@ pub mod lanes;
 pub mod rtree;
 pub mod sweep;
 
-pub use lanes::{EndpointLanes, SweepScanKind, LANE_WIDTH, SCAN_KIND_ENV};
+pub use lanes::{EndpointLanes, SweepScanKind, LANE_WIDTH};
 pub use rtree::{RTree, Rect, Window, FANOUT};
 pub use sweep::SweepIndex;
 

@@ -20,11 +20,10 @@ use crate::shuffle::ShuffleMode;
 ///   across chunk workers (`tkij_core::localjoin`).
 ///
 /// When both are set, the layers nest: each concurrent reduce task may
-/// spawn its own chunk workers. [`Self::thread_budget`] bounds the
-/// product — the inner layer is throttled so `outer × inner` never
-/// exceeds the budget (hard-asserted by
-/// [`Self::assert_within_budget`]) — and neither knob ever changes
-/// outputs or work counters, only who executes the fixed schedule.
+/// spawn its own chunk workers. [`Self::intra_join_plan`] throttles the
+/// inner layer so `outer × inner` never exceeds the larger knob, and
+/// neither knob ever changes outputs or work counters, only who executes
+/// the fixed schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Concurrent map slots (the paper's 6 workers).
@@ -49,17 +48,14 @@ pub struct ClusterConfig {
 }
 
 impl Default for ClusterConfig {
-    /// Paper platform defaults — with the shuffle transport overridable
-    /// through [`SPILL_THRESHOLD_ENV`](crate::shuffle::SPILL_THRESHOLD_ENV),
-    /// which is how CI forces entire determinism batteries through the
-    /// spill path without touching their configs.
+    /// Paper platform defaults, sequential, on the in-memory shuffle.
     fn default() -> Self {
         ClusterConfig {
             map_slots: 6,
             reduce_slots: 24,
             worker_threads: 0,
             intra_join_threads: 0,
-            shuffle: ShuffleMode::from_env().unwrap_or(ShuffleMode::InMemory),
+            shuffle: ShuffleMode::InMemory,
         }
     }
 }
@@ -77,62 +73,22 @@ impl ClusterConfig {
         self
     }
 
-    /// Total OS-thread budget of the nested parallelism layers: the
-    /// larger of the two knobs (each treated as 1 when 0 = sequential).
-    /// The budget is what the operator sized the host for; nesting must
-    /// never multiply past it.
-    pub fn thread_budget(&self) -> usize {
-        self.worker_threads.max(self.intra_join_threads).max(1)
-    }
-
-    /// Intra-join threads each of `outer` concurrently-executing tasks
-    /// may use so that `outer × inner` stays within
-    /// [`Self::thread_budget`]. Returns `0` (sequential chunk
-    /// evaluation) when the knob is off or the outer wave already
-    /// consumes the budget.
-    pub fn intra_threads_for(&self, outer: usize) -> usize {
-        if self.intra_join_threads == 0 {
-            return 0;
-        }
-        let outer = outer.max(1);
-        let inner = (self.thread_budget() / outer).min(self.intra_join_threads);
-        if inner <= 1 {
-            return 0; // a 1-thread scope is just sequential with overhead
-        }
-        self.assert_within_budget(outer, inner);
-        inner
-    }
-
-    /// Hard-asserts that a nested `outer × inner` thread plan stays
-    /// within [`Self::thread_budget`] (a sequential layer counts as 1 —
-    /// its host thread). Panics in release builds too: oversubscription
-    /// would silently destroy the timing fidelity every simulated-
-    /// makespan figure depends on.
-    pub fn assert_within_budget(&self, outer: usize, inner: usize) {
-        let product = outer.max(1) * inner.max(1);
-        assert!(
-            product <= self.thread_budget(),
-            "nested parallelism {outer} tasks × {inner} intra-join threads = {product} \
-             oversubscribes the thread budget {} (worker_threads {}, intra_join_threads {})",
-            self.thread_budget(),
-            self.worker_threads,
-            self.intra_join_threads,
-        );
-    }
-
-    /// The effective intra-join thread count for a join phase running
-    /// `reduce_tasks` reduce tasks under this config: the outer reduce
-    /// wave's concurrency is what [`crate::run_map_reduce`] will actually
-    /// use, and the inner count is budgeted against it.
+    /// The intra-join thread count for a join phase running
+    /// `reduce_tasks` reduce tasks: the outer wave runs
+    /// `min(worker_threads, reduce_tasks)` tasks at once (at least 1, as
+    /// [`crate::run_tasks`] does), and each may use `budget / outer`
+    /// chunk workers, capped at the knob, where the budget is the larger
+    /// knob. So `outer × inner` never oversubscribes the host. A count of
+    /// 1 returns `0`: a 1-thread scope is just sequential with overhead.
     pub fn intra_join_plan(&self, reduce_tasks: usize) -> usize {
-        let outer = if self.worker_threads <= 1 || reduce_tasks <= 1 {
-            1
+        let outer = self.worker_threads.min(reduce_tasks).max(1);
+        let budget = self.worker_threads.max(self.intra_join_threads).max(1);
+        let inner = (budget / outer).min(self.intra_join_threads);
+        if inner <= 1 {
+            0
         } else {
-            self.worker_threads.min(reduce_tasks)
-        };
-        let inner = self.intra_threads_for(outer);
-        self.assert_within_budget(outer, inner);
-        inner
+            inner
+        }
     }
 }
 
@@ -147,10 +103,7 @@ mod tests {
         assert_eq!(c.reduce_slots, 24);
         assert_eq!(c.worker_threads, 0);
         assert_eq!(c.intra_join_threads, 0, "intra-join parallelism is opt-in");
-        assert_eq!(c.thread_budget(), 1);
-        // The shuffle default honors the CI spill-forcing env hook, like
-        // TkijConfig::default() honors TKIJ_SWEEP_SCAN.
-        assert_eq!(c.shuffle, ShuffleMode::from_env().unwrap_or(ShuffleMode::InMemory));
+        assert_eq!(c.shuffle, ShuffleMode::InMemory);
     }
 
     #[test]
@@ -162,46 +115,33 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_the_larger_knob() {
-        let c = ClusterConfig::default().with_intra_join_threads(4);
-        assert_eq!(c.thread_budget(), 4);
-        let c = ClusterConfig { worker_threads: 6, ..c };
-        assert_eq!(c.thread_budget(), 6);
-    }
-
-    #[test]
-    fn inner_threads_throttle_under_outer_concurrency() {
-        let c =
-            ClusterConfig { worker_threads: 4, intra_join_threads: 4, ..ClusterConfig::default() };
-        // Outer wave saturates the budget: chunks run sequentially.
-        assert_eq!(c.intra_threads_for(4), 0);
-        // A narrower outer wave frees budget for the inner layer.
-        assert_eq!(c.intra_threads_for(2), 2);
-        assert_eq!(c.intra_threads_for(1), 4);
-        // Knob off: always sequential.
-        let off = ClusterConfig { intra_join_threads: 0, ..c };
-        assert_eq!(off.intra_threads_for(1), 0);
-    }
-
-    #[test]
     fn intra_join_plan_accounts_for_the_reduce_wave() {
-        let c =
-            ClusterConfig { worker_threads: 2, intra_join_threads: 8, ..ClusterConfig::default() };
+        for worker_threads in 0..=8 {
+            for intra_join_threads in 0..=8 {
+                let c = ClusterConfig { worker_threads, intra_join_threads, ..Default::default() };
+                let budget = worker_threads.max(intra_join_threads).max(1);
+                for reduce_tasks in 0..=30 {
+                    let inner = c.intra_join_plan(reduce_tasks);
+                    // The outer wave exactly as `run_tasks` sizes it.
+                    let outer = if worker_threads <= 1 || reduce_tasks <= 1 {
+                        1
+                    } else {
+                        worker_threads.min(reduce_tasks)
+                    };
+                    let cell = (worker_threads, intra_join_threads, reduce_tasks);
+                    assert!(outer * inner.max(1) <= budget, "{cell:?}: {outer} × {inner}");
+                    assert!(inner <= intra_join_threads && inner != 1, "{cell:?}: {inner}");
+                }
+            }
+        }
+        let c = ClusterConfig { worker_threads: 2, intra_join_threads: 8, ..Default::default() };
         // 2 concurrent reduce tasks × 4 inner threads = the budget of 8.
         assert_eq!(c.intra_join_plan(24), 4);
         // A single reduce task gets the whole inner knob.
         assert_eq!(c.intra_join_plan(1), 8);
         // Sequential task execution: same.
-        let seq = ClusterConfig { worker_threads: 0, ..c };
-        assert_eq!(seq.intra_join_plan(24), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "oversubscribes the thread budget")]
-    fn oversubscribed_nesting_is_rejected_loudly() {
-        let c =
-            ClusterConfig { worker_threads: 4, intra_join_threads: 4, ..ClusterConfig::default() };
-        // 4 × 4 = 16 > budget 4: a bogus hand-built plan must panic.
-        c.assert_within_budget(4, 4);
+        assert_eq!(ClusterConfig { worker_threads: 0, ..c }.intra_join_plan(24), 8);
+        // The pinned hot bucket: one reduce task, 4 chunk workers.
+        assert_eq!(ClusterConfig::default().with_intra_join_threads(4).intra_join_plan(1), 4);
     }
 }

@@ -21,9 +21,9 @@
 //! additionally shard its probe stream across
 //! [`ClusterConfig::intra_join_threads`] chunk workers (the intra-reducer
 //! parallel join of `tkij_core::localjoin`). The layers share one
-//! thread budget — [`ClusterConfig::thread_budget`] throttles the inner
-//! layer so `outer × inner` never oversubscribes the host, and
-//! [`ClusterConfig::assert_within_budget`] hard-asserts it. Sequential
+//! thread budget, the larger knob: [`ClusterConfig::intra_join_plan`]
+//! throttles the inner layer so `outer × inner` never oversubscribes the
+//! host. Sequential
 //! execution remains the benchmark default: on a single-core host it
 //! gives unpolluted per-task timings, and wave makespans are *computed*
 //! by list-scheduling the measured durations onto the configured slots —

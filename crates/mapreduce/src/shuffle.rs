@@ -428,9 +428,10 @@ pub enum SpillSinkKind {
     TempDir,
 }
 
-/// The env var forcing every [`crate::ClusterConfig::default`] onto
-/// the serialized transport with the given spill threshold in bytes —
-/// how CI runs the whole determinism suite through the spill path.
+/// An env var name the engine reads nowhere (clippy's DET006 bans env
+/// reads): [`crate::ClusterConfig::default`] is always
+/// [`ShuffleMode::InMemory`]. Kept only because the out-of-workspace
+/// benchmark still names it; delete it when the benchmark stops.
 pub const SPILL_THRESHOLD_ENV: &str = "TKIJ_SPILL_THRESHOLD";
 
 /// Which shuffle transport a job uses.
@@ -449,25 +450,6 @@ pub enum ShuffleMode {
         /// Segment storage backend.
         sink: SpillSinkKind,
     },
-}
-
-impl ShuffleMode {
-    /// The mode forced through [`SPILL_THRESHOLD_ENV`], if set: the
-    /// serialized transport over the in-memory byte store.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unparsable value: a CI leg that *means* to force
-    /// the spill path must never silently run the in-memory default.
-    pub fn from_env() -> Option<ShuffleMode> {
-        std::env::var(SPILL_THRESHOLD_ENV).ok().map(|v| {
-            let bytes = v
-                .trim()
-                .parse::<u64>()
-                .unwrap_or_else(|e| panic!("{SPILL_THRESHOLD_ENV}={v:?}: {e}"));
-            ShuffleMode::Serialized { spill_threshold_bytes: bytes, sink: SpillSinkKind::Memory }
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1286,15 +1268,6 @@ mod tests {
         assert!(path.exists());
         drop(dir);
         assert!(!path.exists());
-    }
-
-    #[test]
-    fn shuffle_mode_env_parses() {
-        // from_env reads the ambient env; only assert the unset path
-        // here (tests run in one process — mutating env would race).
-        if std::env::var(SPILL_THRESHOLD_ENV).is_err() {
-            assert_eq!(ShuffleMode::from_env(), None);
-        }
     }
 
     #[test]

@@ -37,37 +37,6 @@ impl fmt::Display for TemporalError {
 
 impl std::error::Error for TemporalError {}
 
-/// Error returned when parsing a configuration variant name fails.
-/// Carries the offending input and the accepted names.
-///
-/// Lives in the base crate so every layer that exposes a `FromStr`
-/// registry knob — the engine's strategy/backend/policy knobs in
-/// `tkij_core::config` as well as the index crate's sweep-scan kind —
-/// reports parse failures through one shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseVariantError {
-    /// What was being parsed ("strategy", "backend", "policy", …).
-    pub what: &'static str,
-    /// The rejected input.
-    pub input: String,
-    /// The accepted names.
-    pub expected: &'static [&'static str],
-}
-
-impl fmt::Display for ParseVariantError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown {} {:?} (expected one of: {})",
-            self.what,
-            self.input,
-            self.expected.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for ParseVariantError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,7 +40,7 @@ pub use aggregate::Aggregation;
 pub use bucket::{BucketId, BucketMatrix};
 pub use collection::{CollectionId, IntervalCollection};
 pub use comparators::Tolerance;
-pub use error::{ParseVariantError, TemporalError};
+pub use error::TemporalError;
 pub use expr::{Endpoint, EndpointExpr, Side};
 pub use granule::TimePartitioning;
 pub use interval::{Interval, Timestamp};

@@ -8,16 +8,16 @@
 //! reducers), `shuffle.*` (the merged spill accounting) and `probe.*`.
 //! Runs that share a counter by contract share its label and must agree:
 //! planning ignores backend, transport and threads (`dense`, `hot`), and
-//! both sweep scan kinds scan the same items. Engines pin the in-memory
-//! shuffle or spill explicitly, and no counter sees the scan kind, so
-//! CI's env hooks cannot move a pin. To re-pin, paste the lines a failure
-//! prints, `("key", value),`, with a one-line reason per key.
+//! both sweep scan kinds do the same work (the dense `sweep` run and the
+//! probe microbench each run both). Every run spells out the config a pin
+//! depends on; nothing in the environment can move one. To re-pin, paste
+//! the lines a failure prints, `("key", value),`, with a one-line reason
+//! per key.
 
 use std::collections::BTreeMap;
 use tkij::core::summed_counters;
 use tkij::datagen::synthetic::{uniform_collection, SyntheticConfig};
 use tkij::index::{threshold_candidates, CandidateSource, RTree, SweepIndex};
-use tkij::mapreduce::ShuffleMode;
 use tkij::prelude::*;
 use tkij::temporal::expr::Side;
 
@@ -86,8 +86,7 @@ fn uniform(size: usize, span: i64) -> Vec<IntervalCollection> {
 }
 
 fn engine(config: TkijConfig, intra_join_threads: usize) -> Tkij {
-    let cluster = ClusterConfig { shuffle: ShuffleMode::InMemory, ..ClusterConfig::default() };
-    Tkij::with_cluster(config, cluster.with_intra_join_threads(intra_join_threads))
+    Tkij::with_cluster(config, ClusterConfig::default().with_intra_join_threads(intra_join_threads))
 }
 
 #[test]
@@ -95,14 +94,17 @@ fn work_counters_match_the_pins() {
     let mut visited = Visited::default();
 
     // Dense: ~30 concurrent intervals per timestamp, g = 20, 4 reducers,
-    // on every backend, then on sweep through the spill path at
-    // threshold 0 (one segment per record).
+    // on every backend, again on sweep with the scalar scan (same label:
+    // the scan kind may not move a counter), then on sweep through the
+    // spill path at threshold 0 (one segment per record).
     let config = |b| TkijConfig::default().with_granules(20).with_reducers(4).with_local_backend(b);
     let dense = engine(config(LocalJoinBackend::Sweep), 0).prepare(uniform(6_000, 20_000)).unwrap();
     let mut scores = Vec::new();
     for (name, backend) in LocalJoinBackend::all() {
         scores.push(visited.run("dense", name, &dense, engine(config(backend), 0)));
     }
+    let scalar = config(LocalJoinBackend::Sweep).with_sweep_scan(SweepScanKind::Scalar);
+    scores.push(visited.run("dense", "sweep", &dense, engine(scalar, 0)));
     let spill = config(LocalJoinBackend::Sweep).with_shuffle_spill_threshold_bytes(0);
     scores.push(visited.run("dense", "spill", &dense, engine(spill, 0)));
     assert!(scores.windows(2).all(|w| w[0] == w[1]), "the dense top-k diverges across runs");

@@ -2,7 +2,8 @@
 //! `TkijServer` must produce results and a **work-counter fingerprint**
 //! bit-identical to running it alone through `Tkij::execute` — whether
 //! it runs solo, repeated (plan-cache hits), or interleaved with other
-//! query shapes from `threads ∈ {1, 2, 4}` concurrent handles.
+//! query shapes from `threads ∈ {1, 2, 4}` concurrent handles, on the
+//! in-memory shuffle and through the spill path.
 //!
 //! The serving counters themselves are also pinned: with the plan cache
 //! enabled, misses equal the number of distinct served shapes and hits
@@ -35,13 +36,23 @@ fn engine(backend: LocalJoinBackend) -> Tkij {
 /// Serves every query `ROUNDS` times from each of `threads` concurrent
 /// handles (each thread starts the rotation at its own offset, so
 /// different shapes genuinely interleave), asserting every served
-/// report reproduces its solo reference bit for bit.
-fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize) {
-    let engine = engine(backend);
+/// report reproduces its solo reference bit for bit. With `spill`, every
+/// job runs the serialized shuffle at threshold 0.
+fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize, spill: bool) {
+    let mut engine = engine(backend);
+    if spill {
+        engine.config = engine.config.with_shuffle_spill_threshold_bytes(0);
+    }
     let dataset = engine.prepare(uniform_collections(3, 80, 555)).unwrap();
     let queries = mixed_queries();
-    let solo: Vec<Fingerprint> =
-        queries.iter().map(|q| engine.execute(&dataset, q, K).unwrap().fingerprint()).collect();
+    let solo: Vec<Fingerprint> = queries
+        .iter()
+        .map(|q| {
+            let report = engine.execute(&dataset, q, K).unwrap();
+            assert_eq!(report.shuffle_stats().records_spilled > 0, spill, "{backend:?}");
+            report.fingerprint()
+        })
+        .collect();
 
     let server = Arc::new(engine.serve(dataset));
     std::thread::scope(|scope| {
@@ -65,8 +76,8 @@ fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize) {
             for (qi, fp) in worker.join().unwrap() {
                 assert_eq!(
                     fp, solo[qi],
-                    "backend {backend:?}, threads {threads}: served query {qi} diverges \
-                     from its solo fingerprint"
+                    "backend {backend:?}, threads {threads}, spill {spill}: served query {qi} \
+                     diverges from its solo fingerprint"
                 );
             }
         }
@@ -101,8 +112,10 @@ fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize) {
 
 #[test]
 fn served_fingerprints_match_solo_at_all_thread_counts() {
-    for threads in [1usize, 2, 4] {
-        assert_serving_matches_solo(LocalJoinBackend::default(), threads);
+    for spill in [false, true] {
+        for threads in [1usize, 2, 4] {
+            assert_serving_matches_solo(LocalJoinBackend::default(), threads, spill);
+        }
     }
 }
 
@@ -110,12 +123,12 @@ fn served_fingerprints_match_solo_at_all_thread_counts() {
 fn auto_backend_serving_matches_solo_interleaved() {
     // The pooled Auto path: shared per-(collection, bucket) indexes must
     // record the same statistics-planned choices as per-query builds.
-    assert_serving_matches_solo(LocalJoinBackend::Auto, 2);
+    assert_serving_matches_solo(LocalJoinBackend::Auto, 2, false);
 }
 
 #[test]
 fn rtree_backend_serving_matches_solo_interleaved() {
-    assert_serving_matches_solo(LocalJoinBackend::RTree, 2);
+    assert_serving_matches_solo(LocalJoinBackend::RTree, 2, false);
 }
 
 /// Two vertices over collection 0: the same bucket plays two roles.

@@ -16,10 +16,6 @@
 //!   payloads;
 //! * `spill_segments` / `spill_bytes` vary with the threshold but never
 //!   with threads — the flush schedule is a pure function of the data.
-//!
-//! The in-memory reference pins `ShuffleMode::InMemory` explicitly so the
-//! battery stays truthful under the CI leg that forces serialization
-//! suite-wide through `TKIJ_SPILL_THRESHOLD`.
 
 use tkij::mapreduce::{ShuffleMode, ShuffleStats, SpillSinkKind};
 use tkij::prelude::*;
