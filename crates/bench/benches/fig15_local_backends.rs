@@ -35,8 +35,6 @@ struct JoinRun {
     best: Duration,
     probes: u64,
     scanned: u64,
-    buckets_rtree: u64,
-    buckets_sweep: u64,
 }
 
 fn join_time(backend: LocalJoinBackend, size: usize, span: i64, seed: u64) -> JoinRun {
@@ -48,8 +46,7 @@ fn join_time(backend: LocalJoinBackend, size: usize, span: i64, seed: u64) -> Jo
     );
     let dataset = engine.prepare(collections).expect("prepare");
     let query = table1::q_om(PredicateParams::P1);
-    let mut run =
-        JoinRun { best: Duration::MAX, probes: 0, scanned: 0, buckets_rtree: 0, buckets_sweep: 0 };
+    let mut run = JoinRun { best: Duration::MAX, probes: 0, scanned: 0 };
     for rep in 0..=RUNS {
         let report = engine.execute(&dataset, &query, 100).expect("execute");
         if rep == 0 {
@@ -58,8 +55,6 @@ fn join_time(backend: LocalJoinBackend, size: usize, span: i64, seed: u64) -> Jo
         run.best = run.best.min(report.join.reduce_durations.iter().sum());
         run.probes = report.index_probes();
         run.scanned = report.items_scanned();
-        run.buckets_rtree = report.buckets_rtree();
-        run.buckets_sweep = report.buckets_sweep();
     }
     run
 }
@@ -107,29 +102,18 @@ fn main() {
 
     let mut join_rows = Vec::new();
     let mut probe_rows = Vec::new();
-    let mut worst_auto_ratio = 0.0f64;
     for &span in &[100_000i64, 40_000, 20_000, 10_000] {
         let density = size as f64 * 50.5 / span as f64; // avg concurrent intervals
         let rt = join_time(LocalJoinBackend::RTree, size, span, 7);
         let sw = join_time(LocalJoinBackend::Sweep, size, span, 7);
-        let auto = join_time(LocalJoinBackend::Auto, size, span, 7);
-        // The auto-selection acceptance bound: per density point, Auto's
-        // scan effort must track the better fixed backend within 10%.
-        let better = rt.scanned.min(sw.scanned);
-        let ratio = auto.scanned as f64 / better.max(1) as f64;
-        worst_auto_ratio = worst_auto_ratio.max(ratio);
         join_rows.push(vec![
             format!("{span}"),
             format!("{density:.0}"),
             ms(rt.best),
             ms(sw.best),
-            ms(auto.best),
             format!("{:.2}x", rt.best.as_secs_f64() / sw.best.as_secs_f64().max(1e-12)),
             format!("{}", rt.scanned),
             format!("{}", sw.scanned),
-            format!("{}", auto.scanned),
-            format!("{:.3}", ratio),
-            format!("{}/{}", auto.buckets_sweep, auto.buckets_rtree),
         ]);
         let (rtp, rtp_scanned) = probe_time(size, span, 7, RTree::bulk_load);
         let (swp, swp_scanned) =
@@ -152,19 +136,7 @@ fn main() {
     }
     println!("(15a) Join-phase reduce time and scan effort per backend (same exact top-k):");
     print_table(
-        &[
-            "span",
-            "~density",
-            "rtree",
-            "sweep",
-            "auto",
-            "speedup",
-            "rt scanned",
-            "sw scanned",
-            "auto scanned",
-            "auto/best",
-            "auto sw/rt",
-        ],
+        &["span", "~density", "rtree", "sweep", "speedup", "rt scanned", "sw scanned"],
         &join_rows,
     );
     println!("\n(15b) Probe-level s-meets threshold retrieval (v = 0.8), scan-kind axis:");
@@ -186,13 +158,5 @@ fn main() {
         "\nshape check: dense-regime probe speedup {} with sweep examining {} items vs rtree {}; \
          chunked-lane speedup over the scalar scan {}",
         last[4], last[7], last[6], last[5]
-    );
-    println!(
-        "auto-selection check: worst auto/best scan ratio {worst_auto_ratio:.3} \
-         (must stay ≤ 1.10 at every density point)"
-    );
-    assert!(
-        worst_auto_ratio <= 1.10,
-        "Auto examined {worst_auto_ratio:.3}x the better fixed backend's items"
     );
 }

@@ -50,9 +50,7 @@ impl Strategy {
 /// (Piatov et al.). Both backends answer the same score-threshold window
 /// queries and produce identical top-k results (property-tested); sweep
 /// is the default because it is measurably faster on the hot path.
-/// [`LocalJoinBackend::Auto`] picks one of the two per reducer bucket
-/// from the bucket's cardinality/density statistics (the fig15 density
-/// sweep shows the crossover is a function of bucket density).
+/// One backend serves every bucket of a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LocalJoinBackend {
     /// STR bulk-loaded R-tree over endpoint points (the paper's choice).
@@ -60,20 +58,12 @@ pub enum LocalJoinBackend {
     /// Endpoint-sorted sweeping store with gapless lanes.
     #[default]
     Sweep,
-    /// Per-bucket selection between the two fixed backends, driven by the
-    /// bucket's cardinality/density profile (see
-    /// `tkij_core::select_backend`).
-    Auto,
 }
 
 impl LocalJoinBackend {
     /// All backends with display names, for harness sweeps.
-    pub fn all() -> [(&'static str, LocalJoinBackend); 3] {
-        [
-            ("rtree", LocalJoinBackend::RTree),
-            ("sweep", LocalJoinBackend::Sweep),
-            ("auto", LocalJoinBackend::Auto),
-        ]
+    pub fn all() -> [(&'static str, LocalJoinBackend); 2] {
+        [("rtree", LocalJoinBackend::RTree), ("sweep", LocalJoinBackend::Sweep)]
     }
 
     /// Display name of the backend.
@@ -81,7 +71,6 @@ impl LocalJoinBackend {
         match self {
             LocalJoinBackend::RTree => "rtree",
             LocalJoinBackend::Sweep => "sweep",
-            LocalJoinBackend::Auto => "auto",
         }
     }
 }
@@ -317,9 +306,8 @@ mod tests {
     #[test]
     fn backend_registry_names() {
         let names: Vec<_> = LocalJoinBackend::all().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["rtree", "sweep", "auto"]);
+        assert_eq!(names, ["rtree", "sweep"]);
         assert_eq!(LocalJoinBackend::RTree.name(), "rtree");
-        assert_eq!(LocalJoinBackend::Auto.name(), "auto");
         assert_eq!(LocalJoinBackend::default().name(), "sweep");
         let c = TkijConfig::default().with_local_backend(LocalJoinBackend::RTree);
         assert_eq!(c.local_backend, LocalJoinBackend::RTree);

@@ -441,9 +441,8 @@ impl ExecutionReport {
         self.local_stats.iter().map(|s| s.items_scanned).sum()
     }
 
-    /// Reducer buckets indexed with the R-tree across all reducers (under
-    /// [`LocalJoinBackend::Auto`]: the selector's choices; with a fixed
-    /// backend: all or none).
+    /// Reducer buckets indexed with the R-tree across all reducers (all
+    /// or none: one backend serves every bucket).
     pub fn buckets_rtree(&self) -> u64 {
         self.local_stats.iter().map(|s| s.buckets_rtree).sum()
     }
@@ -651,25 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_end_to_end_matches_naive_and_records_choices() {
-        let tk = Tkij::new(
-            TkijConfig::default()
-                .with_granules(6)
-                .with_reducers(4)
-                .with_local_backend(LocalJoinBackend::Auto),
-        );
-        let dataset = tk.prepare(uniform_collections(3, 70, 1234)).unwrap();
-        let q = table1::q_om(PredicateParams::P1);
-        let report = tk.execute(&dataset, &q, 8).unwrap();
-        assert_exact("auto", &q, &dataset, &report, 8);
-        assert_eq!(report.backend, LocalJoinBackend::Auto);
-        assert!(
-            report.buckets_rtree() + report.buckets_sweep() > 0,
-            "auto records a choice per indexed bucket"
-        );
-    }
-
-    #[test]
     fn scan_kind_is_echoed_and_counter_invariant() {
         // The engine-level version of the lanes contract: flipping
         // `sweep_scan` changes the report's configuration echo and
@@ -697,6 +677,19 @@ mod tests {
             assert_eq!(x.score.to_bits(), y.score.to_bits());
             assert_eq!(x.ids, y.ids, "scan kinds may not exchange tie tuples");
         }
+    }
+
+    #[test]
+    fn prepare_rejects_a_time_range_overflowing_i64() {
+        use tkij_temporal::collection::{CollectionId, IntervalCollection};
+        use tkij_temporal::interval::Interval;
+        let extreme = IntervalCollection::new(
+            CollectionId(0),
+            vec![Interval::new(0, -10, -5).unwrap(), Interval::new(1, 0, i64::MAX).unwrap()],
+        )
+        .unwrap();
+        let prepared = engine(4, 2).prepare(vec![extreme]);
+        assert!(matches!(prepared, Err(TemporalError::InvalidPartitioning(_))));
     }
 
     #[test]
@@ -777,7 +770,6 @@ mod tests {
         let d1 = in_mem.prepare(uniform_collections(3, 60, 555)).unwrap();
         let d2 = spilled.prepare(uniform_collections(3, 60, 555)).unwrap();
         assert_eq!(d1.matrices, d2.matrices, "statistics survive the spill path");
-        assert_eq!(d1.densities, d2.densities);
         let r1 = in_mem.execute(&d1, &q, 6).unwrap();
         let r2 = spilled.execute(&d2, &q, 6).unwrap();
         let a: Vec<_> = r1.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect();

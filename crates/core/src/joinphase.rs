@@ -5,7 +5,7 @@
 //! "For each input interval x, a mapper computes the bucket b in which x
 //! falls. Then x is communicated to all reducers r_j that received b."
 
-use crate::bucketindex::{select_backend, BackendChoices, IndexPools};
+use crate::bucketindex::IndexPools;
 use crate::combos::{BucketSlots, ComboSet};
 use crate::config::{LocalJoinBackend, SweepScanKind};
 use crate::distribute::Assignment;
@@ -87,14 +87,9 @@ pub fn run_join_phase(
 /// [`run_join_phase`] on an explicit candidate-source backend, with an
 /// optional attribute filter (hybrid queries).
 ///
-/// With [`LocalJoinBackend::Auto`] the phase plans, **once, from the
-/// collected statistics** (`PreparedDataset::bucket_profile` →
-/// `tkij_core::select_backend`), which fixed backend serves
-/// each (vertex, bucket) the assignment ships, and every reducer indexes
-/// its buckets per that plan — replicated buckets are not re-profiled
-/// per reducer. The choices are recorded in each reducer's
-/// [`LocalJoinStats`] (`buckets_rtree` / `buckets_sweep`) and surface in
-/// the `ExecutionReport` aggregates.
+/// Every reducer indexes each of its buckets with `backend`; the count
+/// is recorded in its [`LocalJoinStats`] (`buckets_rtree` /
+/// `buckets_sweep`).
 ///
 /// `intra` carries the probe-stream sharding plan (chunk length, shared
 /// bound); its *thread* count is recomputed here from the cluster's
@@ -171,18 +166,6 @@ pub(crate) fn run_join_phase_impl(
     // fixed chunk schedule.
     let intra =
         IntraJoin { threads: cluster.intra_join_plan(assignment.num_reducers.max(1)), ..intra };
-    // Auto: plan the per-bucket backend once from the collected
-    // statistics; every shipped (vertex, bucket) is a bucket_map key.
-    let choices: Option<BackendChoices> = (backend == LocalJoinBackend::Auto).then(|| {
-        assignment
-            .bucket_map
-            .keys()
-            .map(|&(v, b)| {
-                let c = query.vertices[v as usize].0 as usize;
-                ((v, b), select_backend(&dataset.bucket_profile(c, b)))
-            })
-            .collect()
-    });
     // Shipped-key rank of every (vertex, bucket) slot: where a reducer
     // drops a record without walking a map (`NOT_SHIPPED` elsewhere).
     const NOT_SHIPPED: u32 = u32::MAX;
@@ -248,7 +231,6 @@ pub(crate) fn run_join_phase_impl(
                 &assignment.reducer_combos[p],
                 &data,
                 filter,
-                choices.as_ref(),
                 intra,
                 pools,
             );
@@ -323,74 +305,6 @@ mod tests {
             }
             assert_eq!(metrics.reduce_durations.len(), 4);
             assert!(metrics.total_shuffle_records() > 0);
-        }
-    }
-
-    #[test]
-    fn auto_backend_pipeline_covers_the_exact_topk() {
-        // The join phase with Auto: reducers choose per bucket, results
-        // stay exact, and every indexed bucket has exactly one recorded
-        // choice.
-        let collections = uniform_collections(3, 60, 77);
-        let q = table1::q_om(PredicateParams::P1);
-        let k = 8;
-        let cluster = ClusterConfig::default();
-        let dataset = collect_statistics(collections, 6, &cluster).unwrap();
-        let (selected, _) = run_topbuckets(
-            &q,
-            &dataset.matrices,
-            k as u64,
-            Strategy::Loose,
-            &SolverConfig::default(),
-            2,
-        );
-        let assignment = distribute(&selected, DistributionPolicy::Dtb, 4, &q, &dataset.matrices);
-        let (outputs, _) = run_join_phase_with(
-            &dataset,
-            &q,
-            &selected,
-            &assignment,
-            k,
-            &cluster,
-            crate::config::LocalJoinBackend::Auto,
-            SweepScanKind::default(),
-            None,
-            IntraJoin::default(),
-        );
-        let mut all = tkij_temporal::result::TopK::new(k);
-        let (mut sweep_chosen, mut total_chosen) = (0u64, 0u64);
-        for o in &outputs {
-            sweep_chosen += o.stats.buckets_sweep;
-            total_chosen += o.stats.buckets_rtree + o.stats.buckets_sweep;
-            for t in &o.results {
-                all.offer(t.clone());
-            }
-        }
-        assert!(total_chosen > 0, "choices recorded");
-        // The recorded choices are exactly the statistics-planned ones:
-        // each shipped (vertex, bucket) counts once per reducer holding
-        // it, with the backend select_backend picks for its profile.
-        let expect_sweep: u64 = assignment
-            .bucket_map
-            .iter()
-            .map(|(&(v, b), reducers)| {
-                let c = q.vertices[v as usize].0 as usize;
-                let choice = select_backend(&dataset.bucket_profile(c, b));
-                if choice == crate::config::LocalJoinBackend::Sweep {
-                    reducers.len() as u64
-                } else {
-                    0
-                }
-            })
-            .sum();
-        assert_eq!(sweep_chosen, expect_sweep, "reducers follow the statistics-derived plan");
-        let refs: Vec<&IntervalCollection> =
-            q.vertices.iter().map(|c| &dataset.collections[c.0 as usize]).collect();
-        let expected = naive_topk(&q, &refs, k);
-        let got = all.into_sorted_vec();
-        assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(&expected) {
-            assert!((g.score - e.score).abs() < 1e-9, "{g:?} vs {e:?}");
         }
     }
 

@@ -16,9 +16,9 @@
 //! 3. **DistributeTopBuckets** ([`mod@distribute`]): Algorithms 3–4, plus the
 //!    LPT baseline of §4.2.2.
 //! 4. **Distributed join** ([`joinphase`], [`localjoin`]): per-reducer
-//!    rank-joins with threshold access and early termination, over one
-//!    index type per bucket ([`bucketindex`]: the paper's R-tree or the
-//!    sweep store).
+//!    rank-joins with threshold access and early termination, every
+//!    bucket of a query indexed by one backend ([`bucketindex`]: the
+//!    sweep store by default, or the paper's R-tree).
 //! 5. **Merge** ([`merge`]): the final global top-k.
 //!
 //! The [`Tkij`] engine ties the phases together and emits an
@@ -52,10 +52,7 @@ pub mod serving;
 pub mod stats;
 pub mod topbuckets;
 
-pub use bucketindex::{
-    select_backend, BackendChoices, BucketIndex, IndexPools, AUTO_DENSITY_THRESHOLD,
-    AUTO_RTREE_BAND_MIN_DENSITY, AUTO_RTREE_MIN_CARDINALITY,
-};
+pub use bucketindex::{BucketIndex, IndexPools};
 pub use combos::{ComboSet, TopBucketsStats, VertexBuckets};
 pub use config::{DistributionPolicy, LocalJoinBackend, Strategy, SweepScanKind, TkijConfig};
 pub use distribute::{distribute, Assignment};
@@ -68,7 +65,7 @@ pub use merge::run_merge_phase;
 pub use naive::{all_pair_scores, naive_boolean, naive_topk};
 pub use plancache::PlanCache;
 pub use serving::{LatencySnapshot, PlanKey, QueryHandle, ServingStats, TkijServer};
-pub use stats::{collect_statistics, BucketProfile, DensityMatrix, PreparedDataset};
+pub use stats::{collect_statistics, PreparedDataset};
 pub use topbuckets::{get_top_buckets, run_topbuckets};
 // The out-of-core shuffle vocabulary callers need to read
 // `ExecutionReport::shuffle_stats` or select a transport explicitly, and

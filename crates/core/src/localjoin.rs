@@ -48,7 +48,7 @@
 //! work counters are bit-identical for every thread count, including the
 //! sequential `0`; only wall time changes.
 
-use crate::bucketindex::{BackendChoices, BucketIndex, IndexPools};
+use crate::bucketindex::{BucketIndex, IndexPools};
 use crate::combos::ComboSet;
 use crate::config::{LocalJoinBackend, SweepScanKind};
 use std::collections::BTreeMap;
@@ -78,9 +78,8 @@ pub struct LocalJoinStats {
     /// Stored items the index examined serving those probes (≥
     /// `candidates_visited`; the gap is the backend's scan overhead).
     pub items_scanned: u64,
-    /// Reducer buckets indexed with the R-tree (with a fixed backend:
-    /// all or none; under [`LocalJoinBackend::Auto`]: the selector's
-    /// per-bucket choices).
+    /// Reducer buckets indexed with the R-tree (all or none: one backend
+    /// serves every bucket).
     pub buckets_rtree: u64,
     /// Reducer buckets indexed with the sweeping store.
     pub buckets_sweep: u64,
@@ -232,7 +231,6 @@ pub fn local_topk_join(
         combo_indices,
         data,
         None,
-        None,
         IntraJoin::sequential(),
         None,
     )
@@ -241,16 +239,12 @@ pub fn local_topk_join(
 /// The join-phase entry point: [`local_topk_join`] with every input
 /// explicit.
 ///
-/// `backend` and `choices` decide which [`BucketIndex`] variant serves
-/// each shipped bucket: the fixed backend for all of them, or — under
-/// [`LocalJoinBackend::Auto`] — the per-bucket plan the engine derived
-/// once from the collected statistics (a bucket missing from `choices`
-/// decides from its shipped slice's profile, identical by construction).
-/// `scan` is the sweep store's run-scan kind; by the lanes contract it
-/// cannot change results or counters. `filter` is a hybrid query's
-/// attribute filter: it never breaks exactness, because combination
-/// upper bounds remain valid for any tuple subset and the admission
-/// threshold only tracks surviving tuples.
+/// `backend` is the [`BucketIndex`] variant every shipped bucket is
+/// indexed with. `scan` is the sweep store's run-scan kind; by the lanes
+/// contract it cannot change results or counters. `filter` is a hybrid
+/// query's attribute filter: it never breaks exactness, because
+/// combination upper bounds remain valid for any tuple subset and the
+/// admission threshold only tracks surviving tuples.
 ///
 /// With `pools`, bucket indexes come from the serving layer's shared
 /// [`IndexPools`] instead of being built per reducer; visit order and
@@ -272,22 +266,17 @@ pub(crate) fn local_topk_join_planned(
     combo_indices: &[u32],
     data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
     filter: Option<&dyn TupleFilter>,
-    choices: Option<&BackendChoices>,
     intra: IntraJoin,
     pools: Option<&IndexPools>,
 ) -> (TopK, LocalJoinStats) {
     join_generic(query, plan, k, combos, combo_indices, data, filter, intra, |key, items| {
-        let choice = match backend {
-            LocalJoinBackend::Auto => choices.and_then(|c| c.get(key).copied()).unwrap_or(backend),
-            fixed => fixed,
-        };
         // Only a build copies the shipped slice, and sorts the copy into
         // the canonical `(start, end, id)` sequence every index of this
         // (collection, bucket) is built from; a pool hit reads nothing.
         let build = || {
             let mut items = items.to_vec();
             items.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.id));
-            BucketIndex::build_chosen(choice, items, scan)
+            BucketIndex::build(backend, items, scan)
         };
         match pools {
             Some(pools) => pools.get_or_build((query.vertices[key.0 as usize].0, key.1), build),
@@ -746,10 +735,8 @@ impl<H: ProbeHeap> JoinCx<'_, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucketindex::select_backend;
     use crate::combos::vertex_buckets;
     use crate::naive::naive_topk;
-    use crate::stats::BucketProfile;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tkij_temporal::bucket::BucketMatrix;
@@ -807,7 +794,6 @@ mod tests {
             combos,
             combo_indices,
             data,
-            None,
             None,
             IntraJoin::sequential(),
             None,
@@ -1046,39 +1032,6 @@ mod tests {
         assert_eq!(run(&reversed), run(&sorted));
     }
 
-    #[test]
-    fn auto_matches_fixed_backends_and_records_choices() {
-        let collections = random_collections(41, 3, 60, 300);
-        let q = table1::q_om(PredicateParams::P1);
-        let (combos, indices, data) = full_setup(&q, &collections, 6);
-        let plan = q.plan();
-        let (auto_topk, auto_stats) =
-            join_on(LocalJoinBackend::Auto, &q, &plan, 10, &combos, &indices, &data);
-        let (sw_topk, _) =
-            join_on(LocalJoinBackend::Sweep, &q, &plan, 10, &combos, &indices, &data);
-        // Bitwise-identical score multiset vs a fixed backend.
-        let a = auto_topk.into_sorted_vec();
-        let b = sw_topk.into_sorted_vec();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
-        // Every shipped bucket got exactly one choice, and the recorded
-        // split equals what the selector says about each bucket's slice.
-        assert_eq!(
-            auto_stats.buckets_rtree + auto_stats.buckets_sweep,
-            data.len() as u64,
-            "one backend choice per shipped bucket"
-        );
-        let expect_sweep = data
-            .values()
-            .filter(|ivs| {
-                select_backend(&BucketProfile::from_intervals(ivs)) == LocalJoinBackend::Sweep
-            })
-            .count() as u64;
-        assert_eq!(auto_stats.buckets_sweep, expect_sweep, "choices match the selector");
-    }
-
     type ShardedRun = (Vec<MatchTuple>, LocalJoinStats);
 
     /// Runs the sharded join end-to-end on a full (unpruned) setup.
@@ -1101,7 +1054,6 @@ mod tests {
             &combos,
             &indices,
             &data,
-            None,
             None,
             intra,
             None,
@@ -1201,8 +1153,8 @@ mod tests {
         let intra = IntraJoin { threads: 2, chunk_items: 16, shared_bound: true };
         let (results, stats) = run_sharded(LocalJoinBackend::Sweep, intra, &q, &collections, 50, 1);
         assert_eq!(results.len(), 50);
-        // Nominal chunk count of the one candidate run, from the profile.
-        let nominal = BucketProfile::from_intervals(collections[0].intervals()).probe_chunks(16);
+        // Nominal chunk count of the one candidate run: ⌈200 / 16⌉.
+        let nominal = collections[0].len().div_ceil(16) as u64;
         assert_eq!(nominal, 13, "200 items / 16 per chunk");
         assert!(
             stats.probe_chunks >= 2 && stats.probe_chunks <= nominal,

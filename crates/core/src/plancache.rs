@@ -118,12 +118,11 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TkijConfig;
     use tkij_temporal::params::PredicateParams;
     use tkij_temporal::query::table1;
 
     fn key(k: usize) -> PlanKey {
-        PlanKey::for_server(&TkijConfig::default(), &table1::q_om(PredicateParams::P1), k)
+        PlanKey::new(&table1::q_om(PredicateParams::P1), k)
     }
 
     #[test]

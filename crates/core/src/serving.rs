@@ -17,8 +17,8 @@
 //! result bit:
 //!
 //! * a **bounded plan cache** ([`crate::plancache::PlanCache`]) keyed
-//!   by [`PlanKey`] — the canonical query graph, `k`, and the server's
-//!   (strategy, backend, scan kind) — so repeated query shapes skip
+//!   by [`PlanKey`] — the canonical query graph and `k` (a server has
+//!   one configuration) — so repeated query shapes skip
 //!   TopBuckets planning and distribution entirely. Planning is a pure
 //!   deterministic function of (dataset statistics, query, k, config),
 //!   so a cached [`QueryPlan`](crate::engine::QueryPlan) is
@@ -70,8 +70,8 @@ use tkij_temporal::query::Query;
 /// `Query` carries `f64` predicate parameters (no `Eq`/`Ord`), and
 /// Rust's float `Debug` prints the shortest round-tripping decimal, so
 /// the rendering is injective: equal strings ⇔ structurally equal
-/// queries. Strategy, backend, and scan kind are fixed per server but
-/// included so a key names the full plan-determining tuple.
+/// queries. The rest of what determines a plan, the configuration, is
+/// fixed per server.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PlanKey {
     /// Canonical rendering of the query graph (vertices, edges,
@@ -80,25 +80,12 @@ pub struct PlanKey {
     /// Result budget the plan was made for (TopBuckets prunes against
     /// it, so different `k` need different plans).
     pub k: usize,
-    /// TopBuckets strategy name (config echo).
-    pub strategy: &'static str,
-    /// Local-join backend name (config echo).
-    pub backend: &'static str,
-    /// Sweep run-scan kind name (config echo; never plan-relevant — the
-    /// kinds are bit-identical by contract).
-    pub scan: &'static str,
 }
 
 impl PlanKey {
-    /// The key under which `server` caches plans for `(query, k)`.
-    pub fn for_server(config: &TkijConfig, query: &Query, k: usize) -> Self {
-        PlanKey {
-            query_graph: format!("{query:?}"),
-            k,
-            strategy: config.strategy.name(),
-            backend: config.local_backend.name(),
-            scan: config.sweep_scan.name(),
-        }
+    /// The key under which a server caches plans for `(query, k)`.
+    pub fn new(query: &Query, k: usize) -> Self {
+        PlanKey { query_graph: format!("{query:?}"), k }
     }
 }
 
@@ -106,7 +93,7 @@ impl PlanKey {
 ///
 /// All three are deterministic work counters (never timings): for a
 /// given multiset of served queries they are independent of thread
-/// count and interleaving, so the bench gate pins them exactly.
+/// count and interleaving, so the serving tests pin them exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServingStats {
     /// Queries served (successful [`TkijServer::query`] calls;
@@ -256,7 +243,7 @@ impl ServerInner {
         // The plan is the cached slot's (computed by exactly one of the
         // slot's concurrent first requesters) or, cache disabled, fresh.
         let slot = if self.engine.config.plan_cache {
-            self.plans.slot(PlanKey::for_server(&self.engine.config, query, k))
+            self.plans.slot(PlanKey::new(query, k))
         } else {
             Arc::default()
         };
@@ -611,16 +598,15 @@ mod tests {
 
     #[test]
     fn plan_key_is_injective_across_table1() {
-        let config = TkijConfig::default();
         let avg = 40;
         let mut keys = std::collections::BTreeSet::new();
         for (_, q) in table1::all(PredicateParams::P1, avg) {
-            keys.insert(PlanKey::for_server(&config, &q, 10));
+            keys.insert(PlanKey::new(&q, 10));
         }
         assert_eq!(keys.len(), table1::all(PredicateParams::P1, avg).len());
         // Parameter changes change the key too.
-        let a = PlanKey::for_server(&config, &table1::q_om(PredicateParams::P1), 10);
-        let b = PlanKey::for_server(&config, &table1::q_om(PredicateParams::P2), 10);
+        let a = PlanKey::new(&table1::q_om(PredicateParams::P1), 10);
+        let b = PlanKey::new(&table1::q_om(PredicateParams::P2), 10);
         assert_ne!(a, b);
     }
 }

@@ -599,7 +599,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pruning_counters_account_for_every_candidate() {
-        // The work-counter invariant the bench gate relies on: every
+        // The invariant `tests/pinned_counters.rs` relies on: every
         // examined combination is either selected or counted pruned at
         // exactly one of the two selection stages.
         let (matrices, _, _) = small_dataset();

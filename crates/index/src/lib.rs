@@ -40,12 +40,6 @@ use tkij_temporal::predicate::TemporalPredicate;
 /// other and a linear scan) — visit *order* is backend-specific but
 /// deterministic.
 pub trait CandidateSource: Sync {
-    /// Builds the index from a bucket's intervals (input order is
-    /// irrelevant).
-    fn build(items: Vec<Interval>) -> Self
-    where
-        Self: Sized;
-
     /// All indexed intervals, in the backend's deterministic order.
     fn items(&self) -> &[Interval];
 
@@ -74,36 +68,7 @@ pub trait CandidateSource: Sync {
     }
 }
 
-/// The density of an interval set: average number of concurrent
-/// intervals over its occupied span, `Σ (end − start + 1) / (max_end −
-/// min_start + 1)`; `0.0` for an empty set.
-///
-/// This is the statistic backend auto-selection keys on — the sweeping
-/// store's probe advantage over the R-tree grows with exactly this
-/// quantity (window population scales with concurrency; see the fig15
-/// density sweep). Both backends expose it as [`RTree::density`] /
-/// [`SweepIndex::density`], and the engine computes the identical figure
-/// per bucket during statistics collection.
-pub fn endpoint_density(items: &[Interval]) -> f64 {
-    if items.is_empty() {
-        return 0.0;
-    }
-    let mut duration: u64 = 0;
-    let mut min_start = i64::MAX;
-    let mut max_end = i64::MIN;
-    for iv in items {
-        duration += (iv.end - iv.start + 1) as u64;
-        min_start = min_start.min(iv.start);
-        max_end = max_end.max(iv.end);
-    }
-    duration as f64 / (max_end - min_start + 1) as f64
-}
-
 impl CandidateSource for RTree {
-    fn build(items: Vec<Interval>) -> Self {
-        RTree::bulk_load(items)
-    }
-
     fn items(&self) -> &[Interval] {
         RTree::items(self)
     }
@@ -114,10 +79,6 @@ impl CandidateSource for RTree {
 }
 
 impl CandidateSource for SweepIndex {
-    fn build(items: Vec<Interval>) -> Self {
-        SweepIndex::build(items)
-    }
-
     fn items(&self) -> &[Interval] {
         SweepIndex::items(self)
     }

@@ -179,13 +179,6 @@ impl RTree {
         &self.items
     }
 
-    /// Average concurrency of the indexed set
-    /// ([`crate::endpoint_density`]) — the statistic per-bucket backend
-    /// auto-selection keys on.
-    pub fn density(&self) -> f64 {
-        crate::endpoint_density(&self.items)
-    }
-
     /// Visits every interval whose endpoint point lies in the window and
     /// returns the number of stored items examined (items of every leaf
     /// the traversal touched) — the backend's scan-effort telemetry.

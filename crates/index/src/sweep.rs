@@ -103,13 +103,6 @@ impl SweepIndex {
         &self.items
     }
 
-    /// Average concurrency of the indexed set
-    /// ([`crate::endpoint_density`]) — the statistic per-bucket backend
-    /// auto-selection keys on.
-    pub fn density(&self) -> f64 {
-        crate::endpoint_density(&self.items)
-    }
-
     /// Visits every interval whose endpoint point lies in the window and
     /// returns the number of stored items examined (the swept run
     /// length) — the backend's scan-effort telemetry.
@@ -226,7 +219,6 @@ mod tests {
             let scanned = s.window_query(&w, |_| visits += 1);
             assert_eq!((visits, scanned), (0, 0), "{w:?}");
         }
-        assert_eq!(s.density(), 0.0);
     }
 
     #[test]
@@ -305,14 +297,13 @@ mod tests {
     #[test]
     fn empty_build_is_total_under_both_scan_kinds() {
         // `build` on an empty Vec must leave every accessor and probe
-        // path well-defined — density, collection, and the chunked scan
-        // (whose chunk loop and tail both see zero slots).
+        // path well-defined — collection and the chunked scan (whose
+        // chunk loop and tail both see zero slots).
         for (name, kind) in SweepScanKind::all() {
             let s = SweepIndex::build_with_scan(vec![], kind);
             assert!(s.is_empty(), "{name}");
             assert_eq!(s.len(), 0, "{name}");
             assert_eq!(s.scan_kind(), kind);
-            assert_eq!(s.density(), 0.0, "{name}: empty density is 0");
             assert_eq!(s.window_collect(&Window::all()), vec![], "{name}");
             let mut visits = 0u32;
             let scanned = s.window_query(&Window::all(), |_| visits += 1);
@@ -324,14 +315,12 @@ mod tests {
     #[test]
     fn all_identical_endpoints_form_one_run() {
         // Every item at (5, 5): one endpoint run holds the whole index,
-        // density equals the cardinality (n items covering a 1-wide
-        // span), and both scan kinds visit everything in id order while
+        // and both scan kinds visit everything in id order while
         // examining exactly the run.
         let n = 2 * crate::lanes::LANE_WIDTH + 3; // chunked path + tail
         let items: Vec<Interval> = (0..n as u64).map(|id| iv(id, 5, 5)).collect();
         for (name, kind) in SweepScanKind::all() {
             let s = SweepIndex::build_with_scan(items.clone(), kind);
-            assert_eq!(s.density(), n as f64, "{name}: n concurrent over a 1-wide span");
             let hit = Window { start: (5.0, 5.0), end: (5.0, 5.0) };
             let got = s.window_collect(&hit);
             assert_eq!(got, items, "{name}: all visited, in (start, end, id) order");
@@ -374,20 +363,6 @@ mod tests {
             assert_eq!(sa, sb, "{w:?}: scan counts diverge");
         }
         assert_eq!(SweepIndex::build(sample(3)).scan_kind(), SweepScanKind::Chunked, "default");
-    }
-
-    #[test]
-    fn density_accessor_matches_canonical_formula() {
-        let items = vec![iv(0, 0, 9), iv(1, 5, 14), iv(2, 10, 19)];
-        let s = SweepIndex::build(items.clone());
-        // 3 × 10 covered timestamps over span [0, 19] → density 1.5.
-        assert!((s.density() - 1.5).abs() < 1e-12);
-        assert_eq!(s.density().to_bits(), crate::endpoint_density(&items).to_bits());
-        assert_eq!(
-            s.density().to_bits(),
-            crate::rtree::RTree::bulk_load(items).density().to_bits(),
-            "both backends expose the identical density statistic"
-        );
     }
 
     #[test]

@@ -26,7 +26,8 @@ impl TimePartitioning {
     /// Builds a partitioning covering `[min, max]` with `g` granules.
     ///
     /// The width is the smallest integer such that `g` granules cover the
-    /// range; the last granule may extend past `max`.
+    /// range; the last granule may extend past `max`. A range whose span
+    /// or covered end (`min + g·width − 1`) overflows `i64` is rejected.
     pub fn from_range(min: Timestamp, max: Timestamp, g: u32) -> Result<Self, TemporalError> {
         if g == 0 {
             return Err(TemporalError::InvalidPartitioning("zero granules".into()));
@@ -36,21 +37,33 @@ impl TimePartitioning {
                 "empty time range [{min}, {max}]"
             )));
         }
-        let span = (max - min + 1) as u64;
-        let width = span.div_ceil(g as u64) as i64;
-        Ok(TimePartitioning { origin: min, width: width.max(1), count: g })
+        let overflow = || {
+            TemporalError::InvalidPartitioning(format!(
+                "time range [{min}, {max}] with {g} granules overflows i64"
+            ))
+        };
+        let span = max.checked_sub(min).and_then(|d| d.checked_add(1)).ok_or_else(overflow)?;
+        // `span ≥ 1`, so the unsigned round-trip is lossless.
+        let width = (span as u64).div_ceil(g as u64) as i64;
+        (g as i64)
+            .checked_mul(width)
+            .and_then(|covered| min.checked_add(covered - 1))
+            .ok_or_else(overflow)?;
+        Ok(TimePartitioning { origin: min, width, count: g })
     }
 
     /// The granule index containing `t`, clamped to `[0, g)` so that
-    /// slightly out-of-range timestamps (e.g. after an update) still map to
-    /// a granule.
+    /// out-of-range timestamps (e.g. after an update) still map to a
+    /// granule.
     #[inline]
     pub fn granule_of(&self, t: Timestamp) -> u32 {
         if t < self.origin {
             return 0;
         }
-        let idx = (t - self.origin) / self.width;
-        (idx as u64).min(self.count as u64 - 1) as u32
+        if t > self.end() {
+            return self.count - 1;
+        }
+        ((t - self.origin) / self.width) as u32
     }
 
     /// Inclusive timestamp range `[lo, hi]` of granule `l`.
@@ -109,6 +122,22 @@ mod tests {
     fn invalid_inputs_rejected() {
         assert!(TimePartitioning::from_range(0, 10, 0).is_err());
         assert!(TimePartitioning::from_range(10, 0, 4).is_err());
+    }
+
+    #[test]
+    fn overflowing_ranges_rejected() {
+        for g in [1, 4] {
+            let full = TimePartitioning::from_range(i64::MIN, i64::MAX, g);
+            assert!(matches!(full, Err(TemporalError::InvalidPartitioning(_))), "g = {g}");
+        }
+        // The span fits, but 4 granules of width ⌈span / 4⌉ end past i64::MAX.
+        let tail = TimePartitioning::from_range(0, i64::MAX - 1, 4);
+        assert!(matches!(tail, Err(TemporalError::InvalidPartitioning(_))));
+        // A range that fits clamps timestamps past `end()` to the last
+        // granule, where `t − origin` would overflow.
+        let p = TimePartitioning::from_range(-10, i64::MAX - 12, 2).unwrap();
+        assert_eq!(p.end(), i64::MAX - 12);
+        assert_eq!(p.granule_of(i64::MAX), 1);
     }
 
     #[test]

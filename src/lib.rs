@@ -86,10 +86,10 @@ struct ReadmeDoctests;
 /// The common imports for building and running RTJ queries.
 pub mod prelude {
     pub use tkij_core::{
-        collect_statistics, naive_boolean, naive_topk, select_backend, BucketProfile, Counters,
-        DistributionPolicy, ExecutionReport, Fingerprint, IntraJoin, LatencySnapshot,
-        LocalJoinBackend, PlanKey, PreparedDataset, QueryHandle, QueryPlan, ServingStats, Strategy,
-        SweepScanKind, Tkij, TkijConfig, TkijServer,
+        collect_statistics, naive_boolean, naive_topk, Counters, DistributionPolicy,
+        ExecutionReport, Fingerprint, IntraJoin, LatencySnapshot, LocalJoinBackend, PlanKey,
+        PreparedDataset, QueryHandle, QueryPlan, ServingStats, Strategy, SweepScanKind, Tkij,
+        TkijConfig, TkijServer,
     };
     pub use tkij_datagen::{traffic_collection, uniform_collections, TrafficConfig};
     pub use tkij_mapreduce::ClusterConfig;

@@ -1,13 +1,12 @@
 //! Local-join backend equivalence, end to end through the public facade:
-//! the R-tree, sweep, and per-bucket `Auto` candidate sources must
-//! produce **identical** top-k results against the naive oracle, across
-//! all three TopBuckets strategies, for randomized workloads and queries.
+//! the R-tree and sweep candidate sources must produce **identical**
+//! top-k results against the naive oracle, across all three TopBuckets
+//! strategies, for randomized workloads and queries.
 //!
-//! Scores are compared *bitwise* between backends: all evaluate the same
+//! Scores are compared *bitwise* between backends: both evaluate the same
 //! winning tuples with identical floating-point arithmetic, so the score
 //! vectors must match to the last bit — any divergence means a backend
-//! served a wrong candidate set (or the auto selector changed a bucket's
-//! candidate semantics, which it must never do).
+//! served a wrong candidate set.
 
 use proptest::prelude::*;
 use tkij::prelude::*;
@@ -52,8 +51,7 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All three backends — both fixed ones and `Auto`'s per-bucket
-    /// mixture — equal the oracle and each other (bitwise) for random
+    /// Both backends equal the oracle and each other (bitwise) for random
     /// workloads, across every TopBuckets strategy and both sweep scan
     /// kinds: a randomly drawn kind drives the sweep-indexed runs, and
     /// the *other* kind must reproduce the sweep run bit for bit.
@@ -78,20 +76,13 @@ proptest! {
         for (_, strategy) in Strategy::all() {
             let rt = run(LocalJoinBackend::RTree, strategy, scan, &collections, &q, k, g);
             let sw = run(LocalJoinBackend::Sweep, strategy, scan, &collections, &q, k, g);
-            let auto = run(LocalJoinBackend::Auto, strategy, scan, &collections, &q, k, g);
             let sw_other = run(LocalJoinBackend::Sweep, strategy, other, &collections, &q, k, g);
             prop_assert_eq!(rt.len(), sw.len());
-            prop_assert_eq!(rt.len(), auto.len());
             prop_assert_eq!(sw.len(), sw_other.len());
-            for (((a, b), c), d) in rt.iter().zip(&sw).zip(&auto).zip(&sw_other) {
+            for ((a, b), d) in rt.iter().zip(&sw).zip(&sw_other) {
                 prop_assert_eq!(
                     a.to_bits(), b.to_bits(),
                     "{:?}/{:?}: backend scores diverge: {} vs {}", strategy, scan, a, b
-                );
-                prop_assert_eq!(
-                    a.to_bits(), c.to_bits(),
-                    "{:?}/{:?}: auto diverges from the fixed backends: {} vs {}",
-                    strategy, scan, a, c
                 );
                 prop_assert_eq!(
                     b.to_bits(), d.to_bits(),
@@ -119,7 +110,7 @@ proptest! {
         size in 20usize..60,
         k in 1usize..10,
         chunk_sel in 0usize..6,
-        backend_idx in 0usize..3,
+        backend_idx in 0usize..2,
     ) {
         // Chunk sizes spanning the degenerate (1), several non-divisors,
         // and one longer than any candidate run.
@@ -191,59 +182,6 @@ proptest! {
             par.items_scanned() <= unbounded.items_scanned(),
             "chunk={}: bound added scans: {} vs {}",
             chunk, par.items_scanned(), unbounded.items_scanned()
-        );
-    }
-}
-
-/// The auto-selection acceptance property, locked as a test on the
-/// fig15 workload family the selector was calibrated against (`Qo,m`,
-/// `k = 100`, lengths 1–100, `g = 20`, `r = 4`, seed 7): across the
-/// density sweep, `Auto`'s scan effort (`items_scanned`) tracks the
-/// better fixed backend within 10% at every density point — it never
-/// inherits the worse backend's overhead. (Measured, the per-bucket
-/// mixture actually *undercuts* both fixed backends at the banded
-/// points.)
-#[test]
-fn auto_tracks_better_backend_scan_effort_across_densities() {
-    let q = table1::q_om(PredicateParams::P1);
-    // (size, span) points covering the selector's three regimes: sparse
-    // small-bucket (sweep), populous mid-density band (rtree), and very
-    // dense (sweep). Average bucket cardinality ≈ size/20, density ≈
-    // size·50.5/span.
-    for &(size, span) in &[(3000usize, 50_000i64), (3000, 5_000), (3000, 1_250), (6_000, 20_000)] {
-        let mut scanned = std::collections::BTreeMap::new();
-        for (name, backend) in LocalJoinBackend::all() {
-            let engine = Tkij::new(
-                TkijConfig::default()
-                    .with_granules(20)
-                    .with_reducers(4)
-                    .with_local_backend(backend),
-            );
-            let collections: Vec<IntervalCollection> = (0..3u32)
-                .map(|c| {
-                    tkij::datagen::synthetic::uniform_collection(
-                        CollectionId(c),
-                        &tkij::datagen::synthetic::SyntheticConfig {
-                            size,
-                            start_range: (0, span),
-                            length_range: (1, 100),
-                            seed: 7,
-                        },
-                    )
-                })
-                .collect();
-            let dataset = engine.prepare(collections).unwrap();
-            let report = engine.execute(&dataset, &q, 100).unwrap();
-            scanned.insert(name, report.items_scanned());
-        }
-        let better = scanned["rtree"].min(scanned["sweep"]);
-        let ratio = scanned["auto"] as f64 / better.max(1) as f64;
-        assert!(
-            ratio <= 1.10,
-            "size {size} span {span}: auto scanned {} vs better fixed {} (ratio {ratio:.3}); \
-             all: {scanned:?}",
-            scanned["auto"],
-            better
         );
     }
 }

@@ -144,7 +144,7 @@ fn repeated_runs_are_bit_identical() {
     // the execution-shape record included — and every score bit must
     // repeat exactly.
     let engine =
-        engine(Strategy::Loose, LocalJoinBackend::Auto, (SweepScanKind::Chunked, SPILL, (2, 4)));
+        engine(Strategy::Loose, LocalJoinBackend::RTree, (SweepScanKind::Chunked, SPILL, (2, 4)));
     let dataset = dataset();
     let q = table1::q_sm(PredicateParams::P2);
     let a = engine.execute(&dataset, &q, K).unwrap();

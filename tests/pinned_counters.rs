@@ -148,20 +148,7 @@ fn a_visited_key_without_a_pin_fails_naming_the_key() {
 /// Every visited counter, sorted by key as a failure prints them.
 #[rustfmt::skip]
 const PINNED: &[(&str, u64)] = &[
-    ("auto.join.shuffle.checksum", 0), ("auto.join.shuffle.records_spilled", 0),
-    ("auto.join.shuffle.spill_bytes", 0), ("auto.join.shuffle.spill_segments", 0),
-    ("auto.join.shuffle_bytes", 2062770), ("auto.join.shuffle_records", 68759),
-    ("auto.local.buckets_rtree", 230), ("auto.local.buckets_sweep", 201),
-    ("auto.local.candidates_visited", 889575), ("auto.local.combos_assigned", 14087),
-    ("auto.local.combos_processed", 12), ("auto.local.index_probes", 17986),
-    ("auto.local.intra_threads_used", 0), ("auto.local.items_scanned", 892851),
-    ("auto.local.kth_score", 18428729675200069632), ("auto.local.probe_chunks", 16),
-    ("auto.local.tuples_scored", 2779), ("auto.merge.shuffle.checksum", 0),
-    ("auto.merge.shuffle.records_spilled", 0), ("auto.merge.shuffle.spill_bytes", 0),
-    ("auto.merge.shuffle.spill_segments", 0), ("auto.merge.shuffle_bytes", 13200),
-    ("auto.merge.shuffle_records", 400), ("auto.shuffle.checksum", 0),
-    ("auto.shuffle.records_spilled", 0), ("auto.shuffle.spill_bytes", 0),
-    ("auto.shuffle.spill_segments", 0), ("dense.distribution.assignments_scored", 35219),
+    ("dense.distribution.assignments_scored", 35219),
     ("dense.distribution.cap_fallbacks", 0),
     ("dense.distribution.estimated_shuffle_records", 68759),
     ("dense.distribution.replication_factor", 4615784168988305406), // 3.819944

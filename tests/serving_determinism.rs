@@ -120,13 +120,6 @@ fn served_fingerprints_match_solo_at_all_thread_counts() {
 }
 
 #[test]
-fn auto_backend_serving_matches_solo_interleaved() {
-    // The pooled Auto path: shared per-(collection, bucket) indexes must
-    // record the same statistics-planned choices as per-query builds.
-    assert_serving_matches_solo(LocalJoinBackend::Auto, 2, false);
-}
-
-#[test]
 fn rtree_backend_serving_matches_solo_interleaved() {
     assert_serving_matches_solo(LocalJoinBackend::RTree, 2, false);
 }

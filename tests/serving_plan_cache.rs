@@ -2,8 +2,7 @@
 //! bitwise-identical — scores, ids, and every work counter except the
 //! serving cache counters themselves — to a cold-cache run and to a
 //! solo `Tkij::execute` run, across all three TopBuckets strategies and
-//! every local-join backend (the paper's R-tree, the sweep store, and
-//! the per-bucket Auto mixture).
+//! both local-join backends (the paper's R-tree and the sweep store).
 //!
 //! This is the property that makes plan caching safe to enable by
 //! default: planning is a pure function of (dataset statistics, query,

@@ -192,8 +192,8 @@ fn temp_dir_sink_matches_the_memory_sink_bit_for_bit() {
 
 #[test]
 fn repeated_spill_runs_are_bit_identical() {
-    let a = run(LocalJoinBackend::Auto, 2, serialized(1024));
-    let b = run(LocalJoinBackend::Auto, 2, serialized(1024));
+    let a = run(LocalJoinBackend::RTree, 2, serialized(1024));
+    let b = run(LocalJoinBackend::RTree, 2, serialized(1024));
     assert_eq!(a, b);
 }
 
