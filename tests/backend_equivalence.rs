@@ -186,6 +186,51 @@ proptest! {
     }
 }
 
+/// The fig15 density sweep (`Qo,m`, `k = 100`, lengths 1–100, `g = 20`,
+/// `r = 4`, seed 7), from sparse small buckets to very dense ones: at
+/// every point the two backends return bitwise-identical scores, and each
+/// query indexes every shipped bucket on its one configured backend.
+#[test]
+fn each_query_runs_on_its_one_backend_across_densities() {
+    let q = table1::q_om(PredicateParams::P1);
+    for &(size, span) in &[(3000usize, 50_000i64), (3000, 5_000), (3000, 1_250), (6_000, 20_000)] {
+        let collections: Vec<IntervalCollection> = (0..3u32)
+            .map(|c| {
+                tkij::datagen::synthetic::uniform_collection(
+                    CollectionId(c),
+                    &tkij::datagen::synthetic::SyntheticConfig {
+                        size,
+                        start_range: (0, span),
+                        length_range: (1, 100),
+                        seed: 7,
+                    },
+                )
+            })
+            .collect();
+        let report = |backend: LocalJoinBackend| {
+            let engine = Tkij::new(
+                TkijConfig::default()
+                    .with_granules(20)
+                    .with_reducers(4)
+                    .with_local_backend(backend),
+            );
+            let dataset = engine.prepare(collections.clone()).unwrap();
+            engine.execute(&dataset, &q, 100).unwrap()
+        };
+        let rt = report(LocalJoinBackend::RTree);
+        let sw = report(LocalJoinBackend::Sweep);
+        let bits = |r: &ExecutionReport| -> Vec<u64> {
+            r.results.iter().map(|t| t.score.to_bits()).collect()
+        };
+        assert_eq!(rt.results.len(), 100, "size {size} span {span}");
+        assert_eq!(bits(&rt), bits(&sw), "size {size} span {span}: backend scores diverge");
+        assert!(rt.buckets_rtree() > 0, "size {size} span {span}");
+        assert_eq!(rt.buckets_sweep(), 0, "size {size} span {span}");
+        assert_eq!(sw.buckets_rtree(), 0, "size {size} span {span}");
+        assert_eq!(rt.buckets_rtree(), sw.buckets_sweep(), "size {size} span {span}");
+    }
+}
+
 #[test]
 fn early_termination_fires_with_the_sweep_backend() {
     // A workload with a dominant score cluster: once k high scorers are

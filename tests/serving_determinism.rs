@@ -124,6 +124,11 @@ fn rtree_backend_serving_matches_solo_interleaved() {
     assert_serving_matches_solo(LocalJoinBackend::RTree, 2, false);
 }
 
+#[test]
+fn rtree_backend_serving_matches_solo_through_the_spill_path() {
+    assert_serving_matches_solo(LocalJoinBackend::RTree, 4, true);
+}
+
 /// Two vertices over collection 0: the same bucket plays two roles.
 fn self_join() -> Query {
     Query::new(
