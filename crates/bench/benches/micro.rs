@@ -1,6 +1,6 @@
-//! Criterion micro-benchmarks of TKIJ's building blocks, including the
-//! ablations DESIGN.md calls out (R-tree vs scan access path;
-//! DTB vs LPT assignment cost).
+//! Criterion micro-benchmarks of TKIJ's building blocks, including two
+//! ablations: the sweep index against a linear scan, and DTB against LPT
+//! assignment cost.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::BTreeMap;
@@ -10,7 +10,7 @@ use tkij_core::{
     Strategy,
 };
 use tkij_datagen::synthetic::{uniform_collection, SyntheticConfig};
-use tkij_index::{threshold_candidates, RTree, Window};
+use tkij_index::{threshold_candidates, SweepIndex};
 use tkij_mapreduce::ClusterConfig;
 use tkij_solver::{nary_bounds, pair_bounds, SolverConfig};
 use tkij_temporal::aggregate::Aggregation;
@@ -71,29 +71,28 @@ fn bench_solver(c: &mut Criterion) {
 
 fn bench_index_ablation(c: &mut Criterion) {
     let items = sample_intervals(20_000, 5);
-    let tree = RTree::bulk_load(items.clone());
+    let index = SweepIndex::build(items.clone());
     let pred = TemporalPredicate::meets(PredicateParams::P1);
     let anchor = Interval::new(99_999, 40_000, 50_000).unwrap();
-    let window: Window = pred.threshold_window(&anchor, Side::Left, 0.8).into();
+    let window = pred.threshold_window(&anchor, Side::Left, 0.8);
     let mut group = c.benchmark_group("index/threshold_window_20k");
-    group.bench_function("rtree", |b| {
+    group.bench_function("sweep", |b| {
         b.iter(|| {
             let mut n = 0usize;
-            tree.window_query(black_box(&window), |_| n += 1);
+            index.window_query(black_box(&window), |_| n += 1);
             n
         })
     });
-    group.bench_function("scan", |b| {
-        b.iter(|| items.iter().filter(|iv| window.contains(iv)).count())
-    });
+    group
+        .bench_function("scan", |b| b.iter(|| items.iter().filter(|iv| window.admits(iv)).count()));
     group.finish();
-    c.bench_function("index/bulk_load_20k", |b| {
-        b.iter_batched(|| items.clone(), RTree::bulk_load, BatchSize::SmallInput)
+    c.bench_function("index/sweep_build_20k", |b| {
+        b.iter_batched(|| items.clone(), SweepIndex::build, BatchSize::SmallInput)
     });
     c.bench_function("index/threshold_candidates_exact", |b| {
         b.iter(|| {
             let mut n = 0usize;
-            threshold_candidates(&tree, &pred, &anchor, Side::Left, 0.8, |cand| {
+            threshold_candidates(&index, &pred, &anchor, Side::Left, 0.8, |cand| {
                 if pred.score(&anchor, cand) >= 0.8 {
                     n += 1;
                 }

@@ -2,11 +2,9 @@
 
 use tkij_solver::SolverConfig;
 
-/// The sweep store's run-scan kind — scalar reference vs chunked lanes
-/// (defined next to the lanes in `tkij_index`; re-exported here because
-/// it is threaded through the engine exactly like [`LocalJoinBackend`]).
-/// The kinds are bit-identical in results, visit order, and every work
-/// counter.
+/// The sweep store's run-scan kind, which has one kind (defined next to
+/// [`tkij_index::SweepIndex`]; re-exported for
+/// [`TkijConfig::sweep_scan`]).
 pub use tkij_index::SweepScanKind;
 
 /// The TopBuckets strategy (paper §3.3, Algorithm 2).
@@ -42,37 +40,17 @@ impl Strategy {
     }
 }
 
-/// The candidate-source backend of the reducer-local rank-join.
-///
-/// The paper's implementation keeps each bucket's intervals "in memory
-/// \[in\] R-Trees" (§4); [`LocalJoinBackend::Sweep`] is the drop-in,
-/// cache-friendly replacement built on endpoint-sorted gapless lanes
-/// (Piatov et al.). Both backends answer the same score-threshold window
-/// queries and produce identical top-k results (property-tested); sweep
-/// is the default because it is measurably faster on the hot path.
-/// One backend serves every bucket of a query.
+/// The candidate-source backend of the reducer-local rank-join. There is
+/// one: [`tkij_index::SweepIndex`], the endpoint-sorted sweeping store
+/// (Piatov et al.) that replaced the paper's R-tree (§4) because it scans
+/// fewer items for the same probes. The type and
+/// [`TkijConfig::local_backend`] remain only because the repository's
+/// `benchmark/` still spells them out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LocalJoinBackend {
-    /// STR bulk-loaded R-tree over endpoint points (the paper's choice).
-    RTree,
     /// Endpoint-sorted sweeping store with gapless lanes.
     #[default]
     Sweep,
-}
-
-impl LocalJoinBackend {
-    /// All backends with display names, for harness sweeps.
-    pub fn all() -> [(&'static str, LocalJoinBackend); 2] {
-        [("rtree", LocalJoinBackend::RTree), ("sweep", LocalJoinBackend::Sweep)]
-    }
-
-    /// Display name of the backend.
-    pub fn name(&self) -> &'static str {
-        match self {
-            LocalJoinBackend::RTree => "rtree",
-            LocalJoinBackend::Sweep => "sweep",
-        }
-    }
 }
 
 /// The workload-distribution policy of the join phase.
@@ -107,14 +85,11 @@ pub struct TkijConfig {
     pub strategy: Strategy,
     /// Workload distribution policy.
     pub distribution: DistributionPolicy,
-    /// Candidate-source backend of the reducer-local join.
+    /// Candidate-source backend of the reducer-local join; it has one
+    /// value (see [`LocalJoinBackend`]).
     pub local_backend: LocalJoinBackend,
-    /// Run-scan kind of the sweeping store (scalar reference vs chunked
-    /// lanes). Pure wall-clock knob: both kinds visit the same
-    /// candidates in the same order and report identical work counters
-    /// (locked by `tests/sweep_scan_equivalence.rs` and
-    /// `tests/determinism.rs`), so flipping it can never change a result
-    /// bit or a pinned counter.
+    /// Run-scan kind of the sweeping store; it has one value (see
+    /// [`SweepScanKind`]).
     pub sweep_scan: SweepScanKind,
     /// Bound-solver configuration.
     pub solver: SolverConfig,
@@ -224,18 +199,6 @@ impl TkijConfig {
         self
     }
 
-    /// Convenience: override the local-join backend.
-    pub fn with_local_backend(mut self, b: LocalJoinBackend) -> Self {
-        self.local_backend = b;
-        self
-    }
-
-    /// Convenience: override the sweep store's run-scan kind.
-    pub fn with_sweep_scan(mut self, s: SweepScanKind) -> Self {
-        self.sweep_scan = s;
-        self
-    }
-
     /// Convenience: override the sharded join's probe-chunk length.
     pub fn with_probe_chunk_items(mut self, items: usize) -> Self {
         self.probe_chunk_items = items;
@@ -295,22 +258,6 @@ mod tests {
         assert!(c.plan_cache, "the serving plan cache is on by default");
         assert_eq!(c.plan_cache_capacity, PLAN_CACHE_CAPACITY, "bounded by default");
         assert_eq!(c.shuffle_spill_threshold_bytes, None, "in-memory shuffle by default");
-        assert_eq!(c.sweep_scan, SweepScanKind::Chunked);
-        // The one deliberate departure from the paper's setup: the local
-        // join defaults to the faster sweep backend (results are
-        // identical; `with_local_backend(LocalJoinBackend::RTree)`
-        // restores the paper's access path).
-        assert_eq!(c.local_backend, LocalJoinBackend::Sweep);
-    }
-
-    #[test]
-    fn backend_registry_names() {
-        let names: Vec<_> = LocalJoinBackend::all().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["rtree", "sweep"]);
-        assert_eq!(LocalJoinBackend::RTree.name(), "rtree");
-        assert_eq!(LocalJoinBackend::default().name(), "sweep");
-        let c = TkijConfig::default().with_local_backend(LocalJoinBackend::RTree);
-        assert_eq!(c.local_backend, LocalJoinBackend::RTree);
     }
 
     #[test]
@@ -321,7 +268,6 @@ mod tests {
             .with_distribution(DistributionPolicy::Lpt)
             .with_reducers(8)
             .with_probe_chunk_items(64)
-            .with_sweep_scan(SweepScanKind::Scalar)
             .without_intra_bound()
             .without_plan_cache()
             .with_plan_cache_capacity(16)
@@ -331,7 +277,6 @@ mod tests {
         assert_eq!(c.distribution.name(), "LPT");
         assert_eq!(c.reducers, 8);
         assert_eq!(c.probe_chunk_items, 64);
-        assert_eq!(c.sweep_scan, SweepScanKind::Scalar);
         assert!(!c.intra_shared_bound);
         assert!(!c.plan_cache);
         assert_eq!(c.plan_cache_capacity, 16);

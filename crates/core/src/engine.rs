@@ -4,7 +4,7 @@
 
 use crate::bucketindex::IndexPools;
 use crate::combos::{ComboSet, TopBucketsStats};
-use crate::config::{DistributionPolicy, LocalJoinBackend, Strategy, SweepScanKind, TkijConfig};
+use crate::config::{DistributionPolicy, Strategy, TkijConfig};
 use crate::distribute::{distribute, Assignment};
 use crate::joinphase::run_join_phase_impl;
 use crate::localjoin::{LocalJoinStats, TupleFilter};
@@ -113,8 +113,9 @@ impl Tkij {
     }
 
     /// Rejects queries the engine cannot evaluate against `dataset`:
-    /// `k = 0`, or a vertex referencing a collection the dataset does not
-    /// hold. Planning and execution are infallible afterwards.
+    /// `k = 0`, a configuration with no reducers, or a vertex referencing
+    /// a collection the dataset does not hold. Planning and execution are
+    /// infallible afterwards.
     pub(crate) fn validate(
         &self,
         dataset: &PreparedDataset,
@@ -123,6 +124,9 @@ impl Tkij {
     ) -> Result<(), TemporalError> {
         if k == 0 {
             return Err(TemporalError::InvalidQuery("k must be ≥ 1".into()));
+        }
+        if self.config.reducers == 0 {
+            return Err(TemporalError::InvalidQuery("the join needs at least one reducer".into()));
         }
         for cid in &query.vertices {
             if cid.0 as usize >= dataset.collections.len() {
@@ -236,8 +240,6 @@ impl Tkij {
             assignment,
             k,
             &cluster,
-            self.config.local_backend,
-            self.config.sweep_scan,
             filter,
             self.intra_join(),
             pools,
@@ -261,8 +263,6 @@ impl Tkij {
             granules: dataset.granules,
             strategy: self.config.strategy,
             policy: self.config.distribution,
-            backend: self.config.local_backend,
-            sweep_scan: self.config.sweep_scan,
             topbuckets: topbuckets.clone(),
             distribution: DistributionSummary {
                 policy: self.config.distribution,
@@ -380,13 +380,6 @@ pub struct ExecutionReport {
     pub strategy: Strategy,
     /// Distribution policy used.
     pub policy: DistributionPolicy,
-    /// Local-join candidate-source backend used.
-    pub backend: LocalJoinBackend,
-    /// Sweep run-scan kind used (configuration echo, like `backend`;
-    /// never part of determinism fingerprints — the kinds are
-    /// counter-identical by contract, so nothing else in this report
-    /// may depend on it).
-    pub sweep_scan: SweepScanKind,
     /// TopBuckets telemetry (Fig. 9 black box, Fig. 10c pruning curve).
     pub topbuckets: TopBucketsStats,
     /// Distribution telemetry (shuffle cost comparisons of §4.2.2).
@@ -436,18 +429,12 @@ impl ExecutionReport {
     }
 
     /// Total stored items the indexes examined serving those probes —
-    /// the per-backend scan-effort the bench harnesses compare.
+    /// the scan effort behind the window probes.
     pub fn items_scanned(&self) -> u64 {
         self.local_stats.iter().map(|s| s.items_scanned).sum()
     }
 
-    /// Reducer buckets indexed with the R-tree across all reducers (all
-    /// or none: one backend serves every bucket).
-    pub fn buckets_rtree(&self) -> u64 {
-        self.local_stats.iter().map(|s| s.buckets_rtree).sum()
-    }
-
-    /// Reducer buckets indexed with the sweeping store across reducers.
+    /// Reducer buckets indexed across all reducers.
     pub fn buckets_sweep(&self) -> u64 {
         self.local_stats.iter().map(|s| s.buckets_sweep).sum()
     }
@@ -572,33 +559,29 @@ mod tests {
     }
 
     #[test]
-    fn all_strategy_policy_backend_combinations_agree() {
+    fn all_strategy_policy_combinations_agree() {
         let base = uniform_collections(3, 40, 99);
         let q = table1::q_sm(PredicateParams::P2);
         let mut reference: Option<Vec<f64>> = None;
         for (_, strategy) in Strategy::all() {
             for policy in [DistributionPolicy::Dtb, DistributionPolicy::Lpt] {
-                for (bname, backend) in LocalJoinBackend::all() {
-                    let tk = Tkij::new(
-                        TkijConfig::default()
-                            .with_granules(5)
-                            .with_reducers(3)
-                            .with_strategy(strategy)
-                            .with_distribution(policy)
-                            .with_local_backend(backend),
-                    );
-                    let dataset = tk.prepare(base.clone()).unwrap();
-                    let report = tk.execute(&dataset, &q, 9).unwrap();
-                    assert_eq!(report.backend, backend);
-                    let scores: Vec<f64> = report.results.iter().map(|t| t.score).collect();
-                    match &reference {
-                        None => reference = Some(scores),
-                        Some(r) => {
-                            let tag = format!("{}/{policy:?}/{bname}", strategy.name());
-                            assert_eq!(r.len(), scores.len(), "{tag}");
-                            for (a, b) in r.iter().zip(&scores) {
-                                assert!((a - b).abs() < 1e-9, "{tag}");
-                            }
+                let tk = Tkij::new(
+                    TkijConfig::default()
+                        .with_granules(5)
+                        .with_reducers(3)
+                        .with_strategy(strategy)
+                        .with_distribution(policy),
+                );
+                let dataset = tk.prepare(base.clone()).unwrap();
+                let report = tk.execute(&dataset, &q, 9).unwrap();
+                let scores: Vec<f64> = report.results.iter().map(|t| t.score).collect();
+                match &reference {
+                    None => reference = Some(scores),
+                    Some(r) => {
+                        let tag = format!("{}/{policy:?}", strategy.name());
+                        assert_eq!(r.len(), scores.len(), "{tag}");
+                        for (a, b) in r.iter().zip(&scores) {
+                            assert!((a - b).abs() < 1e-9, "{tag}");
                         }
                     }
                 }
@@ -622,8 +605,6 @@ mod tests {
         assert!(report.total_wall() >= report.topbuckets.duration);
         assert!(!report.phase_line().is_empty());
         assert!(report.pruned_pct() >= 0.0 && report.pruned_pct() <= 100.0);
-        assert_eq!(report.backend, LocalJoinBackend::Sweep, "default backend");
-        assert_eq!(report.sweep_scan, SweepScanKind::Chunked, "default scan kind");
         assert!(report.index_probes() > 0, "probes are counted");
         assert!(report.items_scanned() > 0, "scan effort is counted");
         assert!(report.probe_chunks() > 0, "probe chunks are counted");
@@ -639,44 +620,12 @@ mod tests {
             "TopBuckets pruning counters account for every candidate"
         );
         assert!(report.topbuckets.worker_groups >= 1);
-        // The fixed sweep backend indexes every bucket with the sweep.
-        assert!(report.buckets_sweep() > 0);
-        assert_eq!(report.buckets_rtree(), 0);
+        assert!(report.buckets_sweep() > 0, "shipped buckets are indexed");
         // The join shuffle matches the assignment estimate.
         assert_eq!(
             report.join.total_shuffle_records(),
             report.distribution.estimated_shuffle_records
         );
-    }
-
-    #[test]
-    fn scan_kind_is_echoed_and_counter_invariant() {
-        // The engine-level version of the lanes contract: flipping
-        // `sweep_scan` changes the report's configuration echo and
-        // nothing else — results (ids included) and every work counter
-        // are bit-identical.
-        let base = uniform_collections(3, 50, 321);
-        let q = table1::q_om(PredicateParams::P1);
-        let mut reports = Vec::new();
-        for (_, scan) in SweepScanKind::all() {
-            let tk = Tkij::new(
-                TkijConfig::default().with_granules(5).with_reducers(3).with_sweep_scan(scan),
-            );
-            let dataset = tk.prepare(base.clone()).unwrap();
-            let report = tk.execute(&dataset, &q, 8).unwrap();
-            assert_eq!(report.sweep_scan, scan, "report echoes the configured kind");
-            reports.push(report);
-        }
-        let (a, b) = (&reports[0], &reports[1]);
-        assert_eq!(a.items_scanned(), b.items_scanned());
-        assert_eq!(a.index_probes(), b.index_probes());
-        assert_eq!(a.tuples_scored(), b.tuples_scored());
-        assert_eq!(a.probe_chunks(), b.probe_chunks());
-        assert_eq!(a.results.len(), b.results.len());
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-            assert_eq!(x.ids, y.ids, "scan kinds may not exchange tie tuples");
-        }
     }
 
     #[test]
@@ -717,6 +666,15 @@ mod tests {
         };
         assert!(tk.execute(&dataset, &q2, 0).is_err(), "k = 0 rejected");
         assert!(tk.execute(&dataset, &q2, 3).is_ok());
+        // A configuration without reducers is an error on every entry
+        // point, not a panic inside planning.
+        let no_reducers = Tkij::new(TkijConfig { reducers: 0, ..tk.config.clone() });
+        let invalid = |got: Result<(), TemporalError>| {
+            assert!(matches!(got, Err(TemporalError::InvalidQuery(_))), "{got:?}");
+        };
+        invalid(no_reducers.execute(&dataset, &q2, 3).map(drop));
+        invalid(no_reducers.plan_query(&dataset, &q2, 3).map(drop));
+        invalid(no_reducers.serve(dataset).query(&q2, 3).map(drop));
     }
 
     #[test]

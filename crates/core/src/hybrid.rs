@@ -124,7 +124,7 @@ pub fn execute_hybrid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{LocalJoinBackend, TkijConfig};
+    use crate::config::TkijConfig;
     use crate::naive::naive_topk_where;
     use tkij_datagen::uniform_collections;
     use tkij_temporal::params::PredicateParams;
@@ -188,18 +188,15 @@ mod tests {
     fn no_constraints_degenerates_to_plain_rtj() {
         // Hybrid *is* the pipeline: with nothing to filter it runs the
         // unpruned plan through the same join, so results and every
-        // counter equal the `without_pruning` engine's — on each backend.
+        // counter equal the `without_pruning` engine's.
         let q = table1::q_sm(PredicateParams::P2);
-        for (name, backend) in LocalJoinBackend::all() {
-            let config =
-                TkijConfig::default().with_granules(5).with_reducers(3).with_local_backend(backend);
-            let tk = Tkij::new(config.clone());
-            let dataset = tk.prepare(uniform_collections(3, 20, 11)).unwrap();
-            let tables = mod_tables(&dataset, 5);
-            let hybrid = execute_hybrid(&tk, &dataset, &q, &tables, &[], 4).unwrap();
-            let unpruned = Tkij::new(config.without_pruning()).execute(&dataset, &q, 4).unwrap();
-            assert_eq!(hybrid.fingerprint(), unpruned.fingerprint(), "{name}");
-        }
+        let config = TkijConfig::default().with_granules(5).with_reducers(3);
+        let tk = Tkij::new(config.clone());
+        let dataset = tk.prepare(uniform_collections(3, 20, 11)).unwrap();
+        let tables = mod_tables(&dataset, 5);
+        let hybrid = execute_hybrid(&tk, &dataset, &q, &tables, &[], 4).unwrap();
+        let unpruned = Tkij::new(config.without_pruning()).execute(&dataset, &q, 4).unwrap();
+        assert_eq!(hybrid.fingerprint(), unpruned.fingerprint());
     }
 
     #[test]

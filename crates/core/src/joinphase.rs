@@ -59,8 +59,8 @@ impl Record for VRec {
     }
 }
 
-/// Runs the join phase with the default local-join backend. `combos`
-/// must be the selected `Ω_{k,S}` that `assignment` distributes.
+/// Runs the join phase. `combos` must be the selected `Ω_{k,S}` that
+/// `assignment` distributes.
 pub fn run_join_phase(
     dataset: &PreparedDataset,
     query: &Query,
@@ -76,29 +76,23 @@ pub fn run_join_phase(
         assignment,
         k,
         cluster,
-        LocalJoinBackend::default(),
-        SweepScanKind::default(),
         None,
         IntraJoin::default(),
         None,
     )
 }
 
-/// [`run_join_phase`] on an explicit candidate-source backend, with an
-/// optional attribute filter (hybrid queries).
+/// [`run_join_phase`] with an optional attribute filter (hybrid queries)
+/// and an explicit probe-stream sharding plan.
 ///
-/// Every reducer indexes each of its buckets with `backend`; the count
-/// is recorded in its [`LocalJoinStats`] (`buckets_rtree` /
-/// `buckets_sweep`).
+/// `intra` carries the plan (chunk length, shared bound); its *thread*
+/// count is recomputed here from the cluster's nested thread budget so
+/// that concurrent reduce tasks × chunk workers can never oversubscribe
+/// the host, whatever the caller passed.
 ///
-/// `intra` carries the probe-stream sharding plan (chunk length, shared
-/// bound); its *thread* count is recomputed here from the cluster's
-/// nested thread budget so that concurrent reduce tasks × chunk workers
-/// can never oversubscribe the host, whatever the caller passed.
-///
-/// `scan` is the sweep store's run-scan kind (`TkijConfig::sweep_scan`),
-/// threaded to every reducer like `backend`; the kinds are bit-identical
-/// in results and counters, so it is a pure wall-clock knob.
+/// `LocalJoinBackend` and `SweepScanKind` have one value each, so the
+/// two arguments of those types select nothing; they stay in the
+/// signature because the repository's `benchmark/` calls it.
 #[allow(
     clippy::too_many_arguments,
     reason = "a public entry point whose signature the benchmark calls"
@@ -110,14 +104,12 @@ pub fn run_join_phase_with(
     assignment: &Assignment,
     k: usize,
     cluster: &ClusterConfig,
-    backend: LocalJoinBackend,
-    scan: SweepScanKind,
+    _backend: LocalJoinBackend,
+    _scan: SweepScanKind,
     filter: Option<&dyn TupleFilter>,
     intra: IntraJoin,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
-    run_join_phase_impl(
-        dataset, query, combos, assignment, k, cluster, backend, scan, filter, intra, None,
-    )
+    run_join_phase_impl(dataset, query, combos, assignment, k, cluster, filter, intra, None)
 }
 
 /// [`run_join_phase_with`], optionally serving reducer bucket indexes
@@ -127,7 +119,7 @@ pub fn run_join_phase_with(
 /// queries.
 #[allow(
     clippy::too_many_arguments,
-    reason = "run_join_phase_with's arguments plus the index pools"
+    reason = "the join phase's inputs, filter and sharding plan, plus the index pools"
 )]
 pub(crate) fn run_join_phase_impl(
     dataset: &PreparedDataset,
@@ -136,8 +128,6 @@ pub(crate) fn run_join_phase_impl(
     assignment: &Assignment,
     k: usize,
     cluster: &ClusterConfig,
-    backend: LocalJoinBackend,
-    scan: SweepScanKind,
     filter: Option<&dyn TupleFilter>,
     intra: IntraJoin,
     pools: Option<&IndexPools>,
@@ -196,9 +186,9 @@ pub(crate) fn run_join_phase_impl(
         |p, groups| {
             // Reassemble this reducer's (vertex, bucket) → intervals map:
             // one vector per shipped key, in key order. Slices stay in
-            // arrival order — the canonical `(start, end, id)` sort happens
-            // where an index is built from one, so a slice whose index
-            // the serving pool already holds is never sorted (or read).
+            // arrival order — `SweepIndex::build` sorts canonically, so a
+            // slice whose index the serving pool already holds is never
+            // sorted (or read).
             let mut shipped: Vec<Vec<Interval>> = vec![Vec::new(); assignment.bucket_map.len()];
             for (r, records) in groups {
                 debug_assert_eq!(r as usize, p);
@@ -222,8 +212,6 @@ pub(crate) fn run_join_phase_impl(
                 .filter(|(_, slice)| !slice.is_empty())
                 .collect();
             let (topk, stats) = local_topk_join_planned(
-                backend,
-                scan,
                 query,
                 &plan,
                 k,

@@ -17,8 +17,7 @@
 //!    LPT baseline of §4.2.2.
 //! 4. **Distributed join** ([`joinphase`], [`localjoin`]): per-reducer
 //!    rank-joins with threshold access and early termination, every
-//!    bucket of a query indexed by one backend ([`bucketindex`]: the
-//!    sweep store by default, or the paper's R-tree).
+//!    bucket indexed by a `tkij_index::SweepIndex`.
 //! 5. **Merge** ([`merge`]): the final global top-k.
 //!
 //! The [`Tkij`] engine ties the phases together and emits an
@@ -52,7 +51,7 @@ pub mod serving;
 pub mod stats;
 pub mod topbuckets;
 
-pub use bucketindex::{BucketIndex, IndexPools};
+pub use bucketindex::IndexPools;
 pub use combos::{ComboSet, TopBucketsStats, VertexBuckets};
 pub use config::{DistributionPolicy, LocalJoinBackend, Strategy, SweepScanKind, TkijConfig};
 pub use distribute::{distribute, Assignment};

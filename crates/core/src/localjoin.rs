@@ -16,10 +16,9 @@
 //! * cycle edges are checked exactly, and partial tuples whose optimistic
 //!   completion cannot reach `τ` are pruned.
 //!
-//! The candidate index is pluggable ([`LocalJoinBackend`]): every bucket
-//! is served by one [`BucketIndex`] — the paper's R-tree or the
-//! sweeping-based endpoint store — so both evaluate through the same
-//! join code and differ only in how they serve window probes.
+//! Every bucket is indexed by a [`SweepIndex`], the sweeping-based
+//! endpoint store that stands in for the paper's R-tree: it answers the
+//! same score-threshold windows and scans fewer items doing so.
 //!
 //! Pruning uses *strict* comparisons against `τ`, so every tuple that
 //! could enter the final top-k (including ties resolved by the
@@ -48,13 +47,12 @@
 //! work counters are bit-identical for every thread count, including the
 //! sequential `0`; only wall time changes.
 
-use crate::bucketindex::{BucketIndex, IndexPools};
+use crate::bucketindex::IndexPools;
 use crate::combos::ComboSet;
-use crate::config::{LocalJoinBackend, SweepScanKind};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tkij_index::{threshold_candidates, CandidateSource};
+use tkij_index::{threshold_candidates, SweepIndex};
 use tkij_mapreduce::{run_tasks, Counters};
 use tkij_temporal::bucket::BucketId;
 use tkij_temporal::expr::Side;
@@ -76,12 +74,9 @@ pub struct LocalJoinStats {
     /// Window probes issued against the candidate index.
     pub index_probes: u64,
     /// Stored items the index examined serving those probes (≥
-    /// `candidates_visited`; the gap is the backend's scan overhead).
+    /// `candidates_visited`; the gap is the index's scan overhead).
     pub items_scanned: u64,
-    /// Reducer buckets indexed with the R-tree (all or none: one backend
-    /// serves every bucket).
-    pub buckets_rtree: u64,
-    /// Reducer buckets indexed with the sweeping store.
+    /// Reducer buckets indexed (each with a [`SweepIndex`]).
     pub buckets_sweep: u64,
     /// Probe chunks actually evaluated (inline and wave chunks) across
     /// all combinations — the scheduling unit of the intra-reducer
@@ -109,7 +104,6 @@ impl Counters for LocalJoinStats {
             candidates_visited,
             index_probes,
             items_scanned,
-            buckets_rtree,
             buckets_sweep,
             probe_chunks,
             intra_threads_used,
@@ -121,7 +115,6 @@ impl Counters for LocalJoinStats {
         f("candidates_visited", *candidates_visited);
         f("index_probes", *index_probes);
         f("items_scanned", *items_scanned);
-        f("buckets_rtree", *buckets_rtree);
         f("buckets_sweep", *buckets_sweep);
         f("probe_chunks", *probe_chunks);
         f("intra_threads_used", *intra_threads_used);
@@ -206,8 +199,7 @@ pub trait TupleFilter: Sync {
     fn admits(&self, tuple: &[Option<Interval>]) -> bool;
 }
 
-/// Runs the local top-k join of one reducer with the default backend,
-/// sequentially.
+/// Runs the local top-k join of one reducer, sequentially.
 ///
 /// `combo_indices` lists this reducer's combinations (indices into
 /// `combos`); they are re-sorted by descending UB internally. `data` maps
@@ -222,8 +214,6 @@ pub fn local_topk_join(
     data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
 ) -> (TopK, LocalJoinStats) {
     local_topk_join_planned(
-        LocalJoinBackend::default(),
-        SweepScanKind::default(),
         query,
         plan,
         k,
@@ -234,55 +224,6 @@ pub fn local_topk_join(
         IntraJoin::sequential(),
         None,
     )
-}
-
-/// The join-phase entry point: [`local_topk_join`] with every input
-/// explicit.
-///
-/// `backend` is the [`BucketIndex`] variant every shipped bucket is
-/// indexed with. `scan` is the sweep store's run-scan kind; by the lanes
-/// contract it cannot change results or counters. `filter` is a hybrid
-/// query's attribute filter: it never breaks exactness, because
-/// combination upper bounds remain valid for any tuple subset and the
-/// admission threshold only tracks surviving tuples.
-///
-/// With `pools`, bucket indexes come from the serving layer's shared
-/// [`IndexPools`] instead of being built per reducer; visit order and
-/// every work counter are bit-identical either way (see the pool's
-/// soundness documentation). Pool keys translate the reducer's (vertex,
-/// bucket) to (collection, bucket) through `query.vertices`, so
-/// self-join vertices sharing a collection share one index.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one reducer's whole input; grouping it would add a single-use struct"
-)]
-pub(crate) fn local_topk_join_planned(
-    backend: LocalJoinBackend,
-    scan: SweepScanKind,
-    query: &Query,
-    plan: &JoinPlan,
-    k: usize,
-    combos: &ComboSet,
-    combo_indices: &[u32],
-    data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
-    filter: Option<&dyn TupleFilter>,
-    intra: IntraJoin,
-    pools: Option<&IndexPools>,
-) -> (TopK, LocalJoinStats) {
-    join_generic(query, plan, k, combos, combo_indices, data, filter, intra, |key, items| {
-        // Only a build copies the shipped slice, and sorts the copy into
-        // the canonical `(start, end, id)` sequence every index of this
-        // (collection, bucket) is built from; a pool hit reads nothing.
-        let build = || {
-            let mut items = items.to_vec();
-            items.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.id));
-            BucketIndex::build(backend, items, scan)
-        };
-        match pools {
-            Some(pools) => pools.get_or_build((query.vertices[key.0 as usize].0, key.1), build),
-            None => Arc::new(build()),
-        }
-    })
 }
 
 /// The admission interface the rank-join recursion prunes against:
@@ -361,10 +302,24 @@ fn publish_bound(bound: &AtomicU64, value: f64) {
     bound.store(value.to_bits(), Ordering::Relaxed);
 }
 
-/// The rank-join body. `build` yields one bucket's index from its
-/// (vertex, bucket) key and shipped intervals.
-#[allow(clippy::too_many_arguments, reason = "one reducer's whole input plus its index builder")]
-fn join_generic(
+/// The join-phase entry point: [`local_topk_join`] with every input
+/// explicit.
+///
+/// `filter` is a hybrid query's attribute filter: it never breaks
+/// exactness, because combination upper bounds remain valid for any tuple
+/// subset and the admission threshold only tracks surviving tuples.
+///
+/// With `pools`, bucket indexes come from the serving layer's shared
+/// [`IndexPools`] instead of being built per reducer; visit order and
+/// every work counter are bit-identical either way (see the pool's
+/// soundness documentation). Pool keys translate the reducer's (vertex,
+/// bucket) to (collection, bucket) through `query.vertices`, so
+/// self-join vertices sharing a collection share one index.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one reducer's whole input; grouping it would add a single-use struct"
+)]
+pub(crate) fn local_topk_join_planned(
     query: &Query,
     plan: &JoinPlan,
     k: usize,
@@ -373,20 +328,26 @@ fn join_generic(
     data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
     filter: Option<&dyn TupleFilter>,
     intra: IntraJoin,
-    build: impl Fn(&(u16, BucketId), &[Interval]) -> Arc<BucketIndex>,
+    pools: Option<&IndexPools>,
 ) -> (TopK, LocalJoinStats) {
     let mut stats = LocalJoinStats { combos_assigned: combo_indices.len(), ..Default::default() };
     let mut topk = TopK::new(k);
 
-    // Index every shipped bucket once; reused across combinations.
-    let indexes: BucketIndexes =
-        data.iter().map(|(&key, intervals)| (key, build(&key, intervals))).collect();
-    for index in indexes.values() {
-        match index.backend() {
-            LocalJoinBackend::RTree => stats.buckets_rtree += 1,
-            _ => stats.buckets_sweep += 1,
-        }
-    }
+    // Index every shipped bucket once; reused across combinations. Only
+    // a build copies the shipped slice (which `SweepIndex::build` sorts
+    // canonically); a pool hit reads nothing.
+    let indexes: ReducerIndexes = data
+        .iter()
+        .map(|(&key, items)| {
+            let build = || SweepIndex::build(items.to_vec());
+            let index = match pools {
+                Some(pools) => pools.get_or_build((query.vertices[key.0 as usize].0, key.1), build),
+                None => Arc::new(build()),
+            };
+            (key, index)
+        })
+        .collect();
+    stats.buckets_sweep = indexes.len() as u64;
 
     // Access order: descending upper bound (paper §4).
     let mut order: Vec<u32> = combo_indices.to_vec();
@@ -426,14 +387,14 @@ fn join_generic(
 
 /// One reducer's indexes, by (vertex, bucket). `Arc`-held so pooled and
 /// reducer-built indexes are one type.
-type BucketIndexes = BTreeMap<(u16, BucketId), Arc<BucketIndex>>;
+type ReducerIndexes = BTreeMap<(u16, BucketId), Arc<SweepIndex>>;
 
 /// Immutable context of one reducer's combination loop — everything a
 /// probe chunk needs, so wave workers can borrow a single struct.
 struct ComboRun<'a> {
     query: &'a Query,
     plan: &'a JoinPlan,
-    indexes: &'a BucketIndexes,
+    indexes: &'a ReducerIndexes,
     filter: Option<&'a dyn TupleFilter>,
     intra: IntraJoin,
     k: usize,
@@ -443,7 +404,7 @@ struct ComboRun<'a> {
 
 impl ComboRun<'_> {
     /// Evaluates one combination: its first-step candidate run is split
-    /// into fixed-size chunks ([`CandidateSource::item_chunks`]) and
+    /// into fixed-size chunks of [`IntraJoin::chunk_items`] and
     /// consumed as inline chunks (against the global heap) or parallel
     /// waves of private-heap chunks merged back in chunk order.
     fn process_combo(
@@ -458,12 +419,13 @@ impl ComboRun<'_> {
         let Some(index) = self.indexes.get(&(first.vertex as u16, buckets[first.vertex])) else {
             return; // bucket had no shipped data
         };
-        // Chunk a snapshot: indexes are immutable, items are in the
-        // backend's deterministic order. Chunks are consumed strictly in
-        // order, so [`CandidateSource::item_chunks`] — the one source of
-        // truth for chunk boundaries — serves both inline chunks and
-        // wave slices without materializing a chunk list per combination.
-        let mut chunk_iter = index.item_chunks(self.intra.chunk_items);
+        // Chunk a snapshot: indexes are immutable, items are in their
+        // canonical order. Chunk boundaries depend only on that order and
+        // `chunk_items` (clamped to ≥ 1), never on the thread count, and
+        // chunks are consumed strictly in order, so one iterator serves
+        // both inline chunks and wave slices without materializing a
+        // chunk list per combination.
+        let mut chunk_iter = index.items().chunks(self.intra.chunk_items.max(1));
         let nchunks = chunk_iter.len();
         let mut next = 0usize;
         while next < nchunks {
@@ -579,7 +541,7 @@ impl Scratch {
 struct JoinCx<'a, H> {
     query: &'a Query,
     plan: &'a JoinPlan,
-    indexes: &'a BucketIndexes,
+    indexes: &'a ReducerIndexes,
     heap: &'a mut H,
     stats: &'a mut LocalJoinStats,
     /// Partial tuple, indexed by vertex (borrowed [`Scratch`]).
@@ -640,7 +602,7 @@ impl<H: ProbeHeap> JoinCx<'_, H> {
         // whole loop instead of being skipped.
         let mut candidates: Vec<(f64, Interval)> = Vec::new();
         let scanned = threshold_candidates(
-            &**index,
+            index,
             &edge.predicate,
             &anchor_iv,
             anchor.anchor_side,
@@ -775,31 +737,6 @@ mod tests {
         (combos, indices, data)
     }
 
-    /// The sequential, unpooled join on an explicit backend.
-    fn join_on(
-        backend: LocalJoinBackend,
-        query: &Query,
-        plan: &JoinPlan,
-        k: usize,
-        combos: &ComboSet,
-        combo_indices: &[u32],
-        data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
-    ) -> (TopK, LocalJoinStats) {
-        local_topk_join_planned(
-            backend,
-            SweepScanKind::default(),
-            query,
-            plan,
-            k,
-            combos,
-            combo_indices,
-            data,
-            None,
-            IntraJoin::sequential(),
-            None,
-        )
-    }
-
     fn random_collections(seed: u64, m: usize, size: usize, span: i64) -> Vec<IntervalCollection> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..m as u32)
@@ -817,21 +754,9 @@ mod tests {
     }
 
     fn assert_matches_naive(query: &Query, collections: &[IntervalCollection], k: usize, g: u32) {
-        for (_, backend) in LocalJoinBackend::all() {
-            assert_matches_naive_on(backend, query, collections, k, g);
-        }
-    }
-
-    fn assert_matches_naive_on(
-        backend: LocalJoinBackend,
-        query: &Query,
-        collections: &[IntervalCollection],
-        k: usize,
-        g: u32,
-    ) {
         let (combos, indices, data) = full_setup(query, collections, g);
         let plan = query.plan();
-        let (topk, stats) = join_on(backend, query, &plan, k, &combos, &indices, &data);
+        let (topk, stats) = local_topk_join(query, &plan, k, &combos, &indices, &data);
         let refs: Vec<&IntervalCollection> =
             query.vertices.iter().map(|c| &collections[c.0 as usize]).collect();
         let expected = naive_topk(query, &refs, k);
@@ -955,58 +880,14 @@ mod tests {
             }
         }
         let plan = q.plan();
-        // Early termination is a property of the rank-join, not of the
-        // candidate source: every backend must skip the dominated combo.
-        for (name, backend) in LocalJoinBackend::all() {
-            let (topk, stats) = join_on(backend, &q, &plan, 3, &selected, &indices, &data);
-            assert_eq!(topk.len(), 3, "{name}");
-            assert!((topk.min_score().unwrap() - 1.0).abs() < 1e-9, "{name}");
-            assert!(
-                stats.combos_processed < stats.combos_assigned,
-                "{name}: early termination must fire: {stats:?}"
-            );
-            assert_eq!(
-                stats.combos_processed, 1,
-                "{name}: UB-0.4 combo must be skipped: {stats:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn backends_agree_exactly_and_sweep_scans_less() {
-        let collections = random_collections(17, 3, 40, 400);
-        let q = table1::q_om(PredicateParams::P1);
-        let (combos, indices, data) = full_setup(&q, &collections, 8);
-        let plan = q.plan();
-        let (rt_topk, rt_stats) =
-            join_on(LocalJoinBackend::RTree, &q, &plan, 12, &combos, &indices, &data);
-        let (sw_topk, sw_stats) =
-            join_on(LocalJoinBackend::Sweep, &q, &plan, 12, &combos, &indices, &data);
-        let a = rt_topk.into_sorted_vec();
-        let b = sw_topk.into_sorted_vec();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            // Scores are computed by identical fp arithmetic on the same
-            // winning tuples: bitwise equality, not epsilon equality.
-            assert_eq!(x.score.to_bits(), y.score.to_bits(), "{x:?} vs {y:?}");
-        }
-        assert!(rt_stats.index_probes > 0 && sw_stats.index_probes > 0);
-        assert!(rt_stats.items_scanned >= rt_stats.candidates_visited);
-        assert!(sw_stats.items_scanned >= sw_stats.candidates_visited);
-        // Fixed backends index every bucket with their own structure.
-        assert!(rt_stats.buckets_rtree > 0 && rt_stats.buckets_sweep == 0);
-        assert!(sw_stats.buckets_sweep > 0 && sw_stats.buckets_rtree == 0);
-        assert_eq!(rt_stats.buckets_rtree, sw_stats.buckets_sweep, "same shipped buckets");
-        // The perf property this backend exists for: the sweep store
-        // examines at most the R-tree's items for the same join (it scans
-        // the tighter of the two endpoint runs; the R-tree scans every
-        // leaf its traversal touches).
+        let (topk, stats) = local_topk_join(&q, &plan, 3, &selected, &indices, &data);
+        assert_eq!(topk.len(), 3);
+        assert!((topk.min_score().unwrap() - 1.0).abs() < 1e-9);
         assert!(
-            sw_stats.items_scanned <= rt_stats.items_scanned,
-            "sweep must not out-scan the R-tree: {} vs {}",
-            sw_stats.items_scanned,
-            rt_stats.items_scanned
+            stats.combos_processed < stats.combos_assigned,
+            "early termination must fire: {stats:?}"
         );
+        assert_eq!(stats.combos_processed, 1, "UB-0.4 combo must be skipped: {stats:?}");
     }
 
     #[test]
@@ -1036,7 +917,6 @@ mod tests {
 
     /// Runs the sharded join end-to-end on a full (unpruned) setup.
     fn run_sharded(
-        backend: LocalJoinBackend,
         intra: IntraJoin,
         query: &Query,
         collections: &[IntervalCollection],
@@ -1045,19 +925,8 @@ mod tests {
     ) -> ShardedRun {
         let (combos, indices, data) = full_setup(query, collections, g);
         let plan = query.plan();
-        let (topk, stats) = local_topk_join_planned(
-            backend,
-            SweepScanKind::default(),
-            query,
-            &plan,
-            k,
-            &combos,
-            &indices,
-            &data,
-            None,
-            intra,
-            None,
-        );
+        let (topk, stats) =
+            local_topk_join_planned(query, &plan, k, &combos, &indices, &data, None, intra, None);
         (topk.into_sorted_vec(), stats)
     }
 
@@ -1068,46 +937,38 @@ mod tests {
         let refs: Vec<&IntervalCollection> =
             q.vertices.iter().map(|c| &collections[c.0 as usize]).collect();
         let expected = naive_topk(&q, &refs, 9);
-        for (name, backend) in LocalJoinBackend::all() {
-            for chunk_items in [1usize, 2, 5, 16, 64, 10_000] {
-                let intra = IntraJoin { chunk_items, ..IntraJoin::default() };
-                let (seq_results, seq_stats) = run_sharded(backend, intra, &q, &collections, 9, 6);
-                // Exact score multiset vs the oracle, at every chunk size
-                // (incl. 1 and longer than every candidate run).
-                assert_eq!(seq_results.len(), expected.len(), "{name}/chunk={chunk_items}");
-                for (got, want) in seq_results.iter().zip(&expected) {
-                    assert!(
-                        (got.score - want.score).abs() < 1e-9,
-                        "{name}/chunk={chunk_items}: {got:?} vs {want:?}"
-                    );
+        for chunk_items in [1usize, 2, 5, 16, 64, 10_000] {
+            let intra = IntraJoin { chunk_items, ..IntraJoin::default() };
+            let (seq_results, seq_stats) = run_sharded(intra, &q, &collections, 9, 6);
+            // Exact score multiset vs the oracle, at every chunk size
+            // (incl. 1 and longer than every candidate run).
+            assert_eq!(seq_results.len(), expected.len(), "chunk={chunk_items}");
+            for (got, want) in seq_results.iter().zip(&expected) {
+                assert!(
+                    (got.score - want.score).abs() < 1e-9,
+                    "chunk={chunk_items}: {got:?} vs {want:?}"
+                );
+            }
+            // The thread count only executes the fixed plan: results (ids
+            // included) and every work counter are bit-identical to the
+            // sequential execution.
+            for threads in [1usize, 2, 4] {
+                let (par_results, par_stats) =
+                    run_sharded(IntraJoin { threads, ..intra }, &q, &collections, 9, 6);
+                assert_eq!(seq_results.len(), par_results.len());
+                for (a, b) in seq_results.iter().zip(&par_results) {
+                    assert_eq!(a.ids, b.ids, "chunk={chunk_items}/threads={threads}");
+                    assert_eq!(a.score.to_bits(), b.score.to_bits());
                 }
-                // The thread count only executes the fixed plan: results
-                // (ids included) and every work counter are bit-identical
-                // to the sequential execution.
-                for threads in [1usize, 2, 4] {
-                    let (par_results, par_stats) = run_sharded(
-                        backend,
-                        IntraJoin { threads, ..intra },
-                        &q,
-                        &collections,
-                        9,
-                        6,
-                    );
-                    assert_eq!(seq_results.len(), par_results.len());
-                    for (a, b) in seq_results.iter().zip(&par_results) {
-                        assert_eq!(a.ids, b.ids, "{name}/chunk={chunk_items}/threads={threads}");
-                        assert_eq!(a.score.to_bits(), b.score.to_bits());
-                    }
-                    // `intra_threads_used` records the execution shape
-                    // (it *should* differ across thread counts); every
-                    // other field must match exactly.
-                    let mut normalized = par_stats.clone();
-                    normalized.intra_threads_used = seq_stats.intra_threads_used;
-                    assert_eq!(
-                        normalized, seq_stats,
-                        "{name}/chunk={chunk_items}/threads={threads}: counters diverge"
-                    );
-                }
+                // `intra_threads_used` records the execution shape (it
+                // *should* differ across thread counts); every other
+                // field must match exactly.
+                let mut normalized = par_stats.clone();
+                normalized.intra_threads_used = seq_stats.intra_threads_used;
+                assert_eq!(
+                    normalized, seq_stats,
+                    "chunk={chunk_items}/threads={threads}: counters diverge"
+                );
             }
         }
     }
@@ -1123,8 +984,8 @@ mod tests {
         for chunk_items in [3usize, 10, 32] {
             let on = IntraJoin { chunk_items, ..IntraJoin::default() };
             let off = IntraJoin { shared_bound: false, ..on };
-            let (r_on, s_on) = run_sharded(LocalJoinBackend::Sweep, on, &q, &collections, 7, 5);
-            let (r_off, s_off) = run_sharded(LocalJoinBackend::Sweep, off, &q, &collections, 7, 5);
+            let (r_on, s_on) = run_sharded(on, &q, &collections, 7, 5);
+            let (r_off, s_off) = run_sharded(off, &q, &collections, 7, 5);
             assert_eq!(r_on.len(), r_off.len(), "chunk={chunk_items}");
             for (a, b) in r_on.iter().zip(&r_off) {
                 assert_eq!(a.score.to_bits(), b.score.to_bits(), "chunk={chunk_items}");
@@ -1151,7 +1012,7 @@ mod tests {
         let collections = random_collections(91, 3, 200, 4000);
         let q = table1::q_om(PredicateParams::P1);
         let intra = IntraJoin { threads: 2, chunk_items: 16, shared_bound: true };
-        let (results, stats) = run_sharded(LocalJoinBackend::Sweep, intra, &q, &collections, 50, 1);
+        let (results, stats) = run_sharded(intra, &q, &collections, 50, 1);
         assert_eq!(results.len(), 50);
         // Nominal chunk count of the one candidate run: ⌈200 / 16⌉.
         let nominal = collections[0].len().div_ceil(16) as u64;
@@ -1163,14 +1024,7 @@ mod tests {
         assert_eq!(stats.intra_threads_used, 2, "waves ran on the configured workers: {stats:?}");
         // Sequential execution of the identical plan: same counters,
         // but no wave ever ran on extra workers.
-        let (_, seq) = run_sharded(
-            LocalJoinBackend::Sweep,
-            IntraJoin { threads: 0, ..intra },
-            &q,
-            &collections,
-            50,
-            1,
-        );
+        let (_, seq) = run_sharded(IntraJoin { threads: 0, ..intra }, &q, &collections, 50, 1);
         assert_eq!(seq.probe_chunks, stats.probe_chunks);
         assert_eq!(seq.items_scanned, stats.items_scanned);
         assert_eq!(seq.intra_threads_used, 0);

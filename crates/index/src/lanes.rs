@@ -2,41 +2,39 @@
 //! scan behind [`crate::SweepIndex`]'s hot loop.
 //!
 //! A sweep probe binary-searches an endpoint run and then tests the
-//! *other* coordinate of every item in the run against the window. Since
-//! PR 2 that test was one scalar, branchy compare per item; this module
-//! replaces it with the batched formulation Piatov-style sweep joins
-//! exploit: the run's filter coordinates live in a gapless
-//! structure-of-arrays lane, scanned in fixed-width chunks of
-//! [`LANE_WIDTH`] values. Each chunk is compared branch-free into a hit
-//! *mask* (one bit per lane slot, assembled with integer shifts), and
-//! matching slots are drained from the mask in ascending bit order; a
-//! trailing partial chunk falls back to an explicit scalar tail. The
-//! chunk body is a fixed-trip-count, branch-free loop over `[f64;
-//! LANE_WIDTH]` — exactly the shape LLVM's autovectorizer turns into
-//! packed `cmppd`/`vcmppd` compares on every x86-64 baseline.
+//! *other* coordinate of every item in the run against the window, in the
+//! batched formulation Piatov-style sweep joins exploit: the run's filter
+//! coordinates live in a gapless structure-of-arrays lane, scanned in
+//! fixed-width chunks of [`LANE_WIDTH`] values. Each chunk is compared
+//! branch-free into a hit *mask* (one bit per lane slot, assembled with
+//! integer shifts), and matching slots are drained from the mask in
+//! ascending bit order; a trailing partial chunk falls back to the scalar
+//! tail, [`scan_scalar`]. The chunk body is a fixed-trip-count,
+//! branch-free loop over `[f64; LANE_WIDTH]` — exactly the shape LLVM's
+//! autovectorizer turns into packed `cmppd`/`vcmppd` compares on every
+//! x86-64 baseline.
 //!
 //! # Why `f64` key lanes (and not raw `u64` endpoint keys)
 //!
-//! The reference semantics every backend must reproduce is
-//! [`Window::contains`]: `(endpoint as f64)` compared against `f64`
-//! window bounds (which may be infinite). Storing the *cast* endpoint in
-//! the lane makes the chunked compare bit-identical to the scalar
+//! The reference semantics the sweep must reproduce is
+//! [`ThresholdWindow::admits`]: `(endpoint as f64)` compared against
+//! `f64` window bounds (which may be infinite). Storing the *cast*
+//! endpoint in the lane makes the chunked compare bit-identical to that
 //! reference by construction — the cast is performed once at build time
 //! instead of per probe, and no bound-to-integer conversion (with its
-//! rounding edge cases near `2^63`) is ever needed. Packed `f64`
-//! compares are also the portably vectorizable choice: SSE2 has
-//! `cmppd`, while 64-bit integer compares only arrive with SSE4.2.
+//! rounding edge cases near `2^63`) is ever needed. Packed `f64` compares
+//! are also the portably vectorizable choice: SSE2 has `cmppd`, while
+//! 64-bit integer compares only arrive with SSE4.2.
 //!
-//! # Determinism contract
+//! # The scalar oracle
 //!
-//! [`SweepScanKind::Scalar`] and [`SweepScanKind::Chunked`] visit the
-//! **same slots in the same ascending order** and examine the same run
-//! (the caller's `items_scanned` telemetry is the run length for both).
-//! The kinds differ only in instruction schedule — wall clock moves,
-//! counters cannot. `tests/sweep_scan_equivalence.rs` locks this with a
-//! scalar-oracle battery over every tail path.
+//! [`scan_scalar`] — one compare-and-branch per slot — is both the
+//! chunked scan's tail and the oracle its tests compare against:
+//! [`scan_chunked`] must visit the **same slots in the same ascending
+//! order** for every lane and window. The tests below and
+//! `tests/sweep_scan_equivalence.rs` pin that over every tail path.
 //!
-//! [`Window::contains`]: crate::rtree::Window::contains
+//! [`ThresholdWindow::admits`]: crate::ThresholdWindow::admits
 
 use std::ops::Range;
 
@@ -46,46 +44,14 @@ use std::ops::Range;
 /// most `LANE_WIDTH - 1` trailing slots.
 pub const LANE_WIDTH: usize = 8;
 
-/// How [`crate::SweepIndex`] tests a swept run against the window: the
-/// scalar reference (one branchy compare per item, PR-2 behavior) or
-/// the chunked lane scan ([`LANE_WIDTH`]-wide hit masks with a scalar
-/// tail). Both kinds visit the identical set in the identical order and
-/// report the identical scan count — the knob trades nothing but wall
-/// clock, which is why `Chunked` is the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SweepScanKind {
-    /// One compare-and-branch per run item — the bit-identical
-    /// reference the equivalence battery checks `Chunked` against.
-    Scalar,
-    /// Fixed-width `[f64; LANE_WIDTH]` compares producing a hit mask,
-    /// drained in ascending bit order, with an explicit scalar tail.
-    #[default]
-    Chunked,
-}
-
-impl SweepScanKind {
-    /// All scan kinds with display names, for harness sweeps.
-    pub fn all() -> [(&'static str, SweepScanKind); 2] {
-        [("scalar", SweepScanKind::Scalar), ("chunked", SweepScanKind::Chunked)]
-    }
-
-    /// Display name of the scan kind.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SweepScanKind::Scalar => "scalar",
-            SweepScanKind::Chunked => "chunked",
-        }
-    }
-}
-
 /// One endpoint order of a sweep store, as gapless structure-of-arrays
 /// lanes: a sorted **key** lane (binary-search target) and an aligned
 /// **filter** lane holding the other coordinate of the same item (sweep
 /// test). Both lanes store the `as f64` cast of the endpoint, computed
 /// once at build time, so probes compare exactly what
-/// [`Window::contains`] would — see the module docs.
+/// [`ThresholdWindow::admits`] would — see the module docs.
 ///
-/// [`Window::contains`]: crate::rtree::Window::contains
+/// [`ThresholdWindow::admits`]: crate::ThresholdWindow::admits
 #[derive(Debug, Clone, Default)]
 pub struct EndpointLanes {
     keys: Vec<f64>,
@@ -121,30 +87,18 @@ impl EndpointLanes {
         i0..i1.max(i0)
     }
 
-    /// Sweeps `run` of the filter lane for values in `[lo, hi]`,
-    /// invoking `on_hit` with each matching **absolute** slot index in
-    /// ascending order. The visit set, order, and (caller-counted) run
-    /// length are identical for both kinds.
+    /// Sweeps `run` of the filter lane for values in `[lo, hi]` with
+    /// [`scan_chunked`], invoking `on_hit` with each matching
+    /// **absolute** slot index in ascending order.
     #[inline]
-    pub fn sweep(
-        &self,
-        kind: SweepScanKind,
-        run: Range<usize>,
-        lo: f64,
-        hi: f64,
-        mut on_hit: impl FnMut(usize),
-    ) {
+    pub fn sweep(&self, run: Range<usize>, lo: f64, hi: f64, mut on_hit: impl FnMut(usize)) {
         let base = run.start;
-        let lane = &self.filters[run];
-        match kind {
-            SweepScanKind::Scalar => scan_scalar(lane, lo, hi, |i| on_hit(base + i)),
-            SweepScanKind::Chunked => scan_chunked(lane, lo, hi, |i| on_hit(base + i)),
-        }
+        scan_chunked(&self.filters[run], lo, hi, |i| on_hit(base + i));
     }
 }
 
-/// The scalar reference scan: one compare-and-branch per slot, in slot
-/// order — byte-for-byte the PR-2 sweep loop.
+/// The scalar scan: one compare-and-branch per slot, in slot order — the
+/// chunked scan's tail and the oracle its tests compare against.
 #[inline]
 pub fn scan_scalar(lane: &[f64], lo: f64, hi: f64, mut on_hit: impl FnMut(usize)) {
     for (i, &v) in lane.iter().enumerate() {
@@ -159,7 +113,7 @@ pub fn scan_scalar(lane: &[f64], lo: f64, hi: f64, mut on_hit: impl FnMut(usize)
 /// window) whose set bits are drained in ascending order; the trailing
 /// partial chunk runs the explicit scalar tail. Equivalent to
 /// [`scan_scalar`] in visit set *and* order for every input — the
-/// property the scalar-oracle battery pins.
+/// property the scalar-oracle tests pin.
 #[inline]
 pub fn scan_chunked(lane: &[f64], lo: f64, hi: f64, mut on_hit: impl FnMut(usize)) {
     let mut chunks = lane.chunks_exact(LANE_WIDTH);
@@ -170,7 +124,7 @@ pub fn scan_chunked(lane: &[f64], lo: f64, hi: f64, mut on_hit: impl FnMut(usize
         // to packed compares and the mask assembles with shifts — the
         // autovectorizer-friendly shape. NaN bounds compare false, so a
         // degenerate window produces an all-zero mask, like the scalar
-        // reference.
+        // scan.
         let mut mask = 0u32;
         for (j, &v) in c.iter().enumerate() {
             mask |= (((v >= lo) & (v <= hi)) as u32) << j;
@@ -202,19 +156,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn hits(kind: SweepScanKind, lane: &[f64], lo: f64, hi: f64) -> Vec<usize> {
-        let lanes = EndpointLanes::new(vec![0.0; lane.len()], lane.to_vec());
+    fn scalar(lane: &[f64], lo: f64, hi: f64) -> Vec<usize> {
         let mut out = Vec::new();
-        lanes.sweep(kind, 0..lane.len(), lo, hi, |i| out.push(i));
+        scan_scalar(lane, lo, hi, |i| out.push(i));
         out
     }
 
-    #[test]
-    fn names_match_the_registry() {
-        for (name, kind) in SweepScanKind::all() {
-            assert_eq!(kind.name(), name);
-        }
-        assert_eq!(SweepScanKind::default(), SweepScanKind::Chunked);
+    fn chunked(lane: &[f64], lo: f64, hi: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        scan_chunked(lane, lo, hi, |i| out.push(i));
+        out
     }
 
     #[test]
@@ -226,8 +177,8 @@ mod tests {
             let lane: Vec<f64> = (0..n).map(|i| ((i * 7) % 10) as f64).collect();
             for (lo, hi) in [(2.0, 6.0), (0.0, 9.0), (11.0, 20.0), (5.0, 5.0), (6.0, 2.0)] {
                 assert_eq!(
-                    hits(SweepScanKind::Chunked, &lane, lo, hi),
-                    hits(SweepScanKind::Scalar, &lane, lo, hi),
+                    chunked(&lane, lo, hi),
+                    scalar(&lane, lo, hi),
                     "n={n} window=[{lo}, {hi}]"
                 );
             }
@@ -246,13 +197,13 @@ mod tests {
             (f64::NAN, 5.0),
             (0.0, f64::NAN),
         ] {
-            let chunked = hits(SweepScanKind::Chunked, &lane, lo, hi);
-            assert_eq!(chunked, hits(SweepScanKind::Scalar, &lane, lo, hi), "[{lo}, {hi}]");
+            let hits = chunked(&lane, lo, hi);
+            assert_eq!(hits, scalar(&lane, lo, hi), "[{lo}, {hi}]");
             if lo.is_nan() || hi.is_nan() {
-                assert!(chunked.is_empty(), "NaN bounds admit nothing");
+                assert!(hits.is_empty(), "NaN bounds admit nothing");
             }
         }
-        assert_eq!(hits(SweepScanKind::Chunked, &lane, -inf, inf).len(), 27);
+        assert_eq!(chunked(&lane, -inf, inf).len(), 27);
     }
 
     #[test]
@@ -268,7 +219,7 @@ mod tests {
         assert!(inverted.is_empty(), "reversed bounds clamp to an empty run: {inverted:?}");
         assert_eq!((inverted.start, inverted.end), (5, 5));
         // A clamped (empty) run is safe to sweep directly.
-        lanes.sweep(SweepScanKind::Chunked, inverted, 0.0, 10.0, |_| panic!("no slots"));
+        lanes.sweep(inverted, 0.0, 10.0, |_| panic!("no slots"));
         assert!(EndpointLanes::default().is_empty());
         assert_eq!(EndpointLanes::default().run(f64::NEG_INFINITY, f64::INFINITY), 0..0);
     }
@@ -278,16 +229,16 @@ mod tests {
         let filters: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let keys = filters.clone();
         let lanes = EndpointLanes::new(keys, filters);
-        for kind in [SweepScanKind::Scalar, SweepScanKind::Chunked] {
-            let mut out = Vec::new();
-            lanes.sweep(kind, 10..20, 0.0, 14.0, |i| out.push(i));
-            assert_eq!(out, vec![10, 11, 12, 13, 14], "{kind:?}");
-        }
+        let mut out = Vec::new();
+        lanes.sweep(10..20, 0.0, 14.0, |i| out.push(i));
+        assert_eq!(out, vec![10, 11, 12, 13, 14]);
     }
 
     proptest! {
-        /// Chunked and scalar scans agree on visit set AND order for
-        /// arbitrary lanes and windows, at arbitrary run offsets.
+        /// The chunked scan agrees with the scalar scan on visit set AND
+        /// order for arbitrary lanes and windows, and a sweep at an
+        /// arbitrary run offset reports the scalar scan's hits shifted to
+        /// absolute slots.
         #[test]
         fn chunked_equals_scalar(
             lane in proptest::collection::vec(-50i64..50, 0..100),
@@ -297,18 +248,15 @@ mod tests {
         ) {
             let lane: Vec<f64> = lane.into_iter().map(|v| v as f64).collect();
             let (lo, hi) = (lo as f64, (lo + width) as f64);
-            prop_assert_eq!(
-                hits(SweepScanKind::Chunked, &lane, lo, hi),
-                hits(SweepScanKind::Scalar, &lane, lo, hi)
-            );
+            prop_assert_eq!(chunked(&lane, lo, hi), scalar(&lane, lo, hi));
             // Sub-runs starting mid-lane exercise misaligned chunk bases.
             let cut = cut.min(lane.len());
+            let want: Vec<usize> =
+                scalar(&lane[cut..], lo, hi).into_iter().map(|i| cut + i).collect();
             let lanes = EndpointLanes::new(vec![0.0; lane.len()], lane);
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            lanes.sweep(SweepScanKind::Chunked, cut..lanes.len(), lo, hi, |i| a.push(i));
-            lanes.sweep(SweepScanKind::Scalar, cut..lanes.len(), lo, hi, |i| b.push(i));
-            prop_assert_eq!(a, b);
+            let mut got = Vec::new();
+            lanes.sweep(cut..lanes.len(), lo, hi, |i| got.push(i));
+            prop_assert_eq!(got, want);
         }
     }
 }

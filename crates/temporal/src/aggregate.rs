@@ -53,7 +53,7 @@ impl Aggregation {
     /// `fixed` already have known scores and every other edge is
     /// optimistically assumed to score `1.0`.
     ///
-    /// Used by the local rank-join to derive R-tree thresholds: candidates
+    /// Used by the local rank-join to derive index-probe thresholds: candidates
     /// scoring below the returned value cannot contribute a top-k result.
     /// A non-positive return value means the edge is unconstrained.
     pub fn required_edge_score(

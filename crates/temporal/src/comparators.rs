@@ -20,7 +20,7 @@
 //!
 //! * **threshold regions** ([`Tolerance::equals_region`],
 //!   [`Tolerance::greater_region`]): the exact set `{d : f(d) ≥ v}`, used to
-//!   translate score thresholds into R-tree windows (paper §4, "local query
+//!   translate score thresholds into index windows (paper §4, "local query
 //!   execution ... returns only intervals x_j s.t. s-p(x_i, x_j) ≥ v"), and
 //! * **range enclosures** ([`Tolerance::equals_range`],
 //!   [`Tolerance::greater_range`]): the exact image of an interval of `d`

@@ -14,7 +14,7 @@
 //! | [`temporal`] | intervals, scored predicates, queries, granules, bucket statistics |
 //! | [`solver`] | branch-and-bound score bounds for bucket combinations |
 //! | [`mapreduce`] | the Map-Reduce engine with shuffle accounting |
-//! | [`index`] | R-tree / sweep / grid access paths with score-threshold windows |
+//! | [`index`] | the sweeping endpoint index the local joins probe with score-threshold windows |
 //! | [`datagen`] | synthetic and simulated network-traffic workloads |
 //! | [`core`](mod@core) | the TKIJ engine itself (statistics, TopBuckets, DTB, joins) |
 //! | [`baselines`] | the Boolean competitors RCCIS and All-Matrix |
@@ -78,7 +78,7 @@ pub use tkij_solver as solver;
 pub use tkij_temporal as temporal;
 
 // Compile-check every Rust block in the README as a doctest, so the
-// examples there (quickstart, serving layer, backends) cannot rot.
+// examples there cannot rot.
 #[cfg(doctest)]
 #[doc = include_str!("../README.md")]
 struct ReadmeDoctests;
@@ -87,9 +87,8 @@ struct ReadmeDoctests;
 pub mod prelude {
     pub use tkij_core::{
         collect_statistics, naive_boolean, naive_topk, Counters, DistributionPolicy,
-        ExecutionReport, Fingerprint, IntraJoin, LatencySnapshot, LocalJoinBackend, PlanKey,
-        PreparedDataset, QueryHandle, QueryPlan, ServingStats, Strategy, SweepScanKind, Tkij,
-        TkijConfig, TkijServer,
+        ExecutionReport, Fingerprint, IntraJoin, LatencySnapshot, PlanKey, PreparedDataset,
+        QueryHandle, QueryPlan, ServingStats, Strategy, Tkij, TkijConfig, TkijServer,
     };
     pub use tkij_datagen::{traffic_collection, uniform_collections, TrafficConfig};
     pub use tkij_mapreduce::ClusterConfig;

@@ -83,13 +83,12 @@ fn every_impl_visits_each_counter_once_under_a_unique_name() {
             candidates_visited: 4,
             index_probes: 5,
             items_scanned: 6,
-            buckets_rtree: 7,
-            buckets_sweep: 8,
-            probe_chunks: 9,
-            intra_threads_used: 10,
+            buckets_sweep: 7,
+            probe_chunks: 8,
+            intra_threads_used: 9,
             kth_score: 0.5,
         },
-        11,
+        10,
     );
     assert_visits_each_field_once(
         "ServingStats",
@@ -120,7 +119,6 @@ fn report_accessors_fold_the_same_named_local_join_counter() {
         ("tuples_scored", report.tuples_scored()),
         ("index_probes", report.index_probes()),
         ("items_scanned", report.items_scanned()),
-        ("buckets_rtree", report.buckets_rtree()),
         ("buckets_sweep", report.buckets_sweep()),
         ("probe_chunks", report.probe_chunks()),
     ] {

@@ -7,17 +7,15 @@
 //! the fingerprint counters, `local.*` (`LocalJoinStats` summed over
 //! reducers), `shuffle.*` (the merged spill accounting) and `probe.*`.
 //! Runs that share a counter by contract share its label and must agree:
-//! planning ignores backend, transport and threads (`dense`, `hot`), and
-//! both sweep scan kinds do the same work (the dense `sweep` run and the
-//! probe microbench each run both). Every run spells out the config a pin
-//! depends on; nothing in the environment can move one. To re-pin, paste
-//! the lines a failure prints, `("key", value),`, with a one-line reason
-//! per key.
+//! planning ignores transport and threads (`dense`, `hot`). Every run
+//! spells out the config a pin depends on; nothing in the environment can
+//! move one. To re-pin, paste the lines a failure prints,
+//! `("key", value),`, with a one-line reason per key.
 
 use std::collections::BTreeMap;
 use tkij::core::summed_counters;
 use tkij::datagen::synthetic::{uniform_collection, SyntheticConfig};
-use tkij::index::{threshold_candidates, CandidateSource, RTree, SweepIndex};
+use tkij::index::{threshold_candidates, SweepIndex};
 use tkij::prelude::*;
 use tkij::temporal::expr::Side;
 
@@ -49,7 +47,7 @@ impl Visited {
     }
 
     /// The probe microbench: one `meets` window (v = 0.8) per tenth item.
-    fn probe(&mut self, label: &str, index: &impl CandidateSource, items: &[Interval]) {
+    fn probe(&mut self, label: &str, index: &SweepIndex, items: &[Interval]) {
         let pred = TemporalPredicate::meets(PredicateParams::P1);
         let (mut scanned, mut hits) = (0, 0);
         for anchor in items.iter().step_by(10) {
@@ -94,20 +92,13 @@ fn work_counters_match_the_pins() {
     let mut visited = Visited::default();
 
     // Dense: ~30 concurrent intervals per timestamp, g = 20, 4 reducers,
-    // on every backend, again on sweep with the scalar scan (same label:
-    // the scan kind may not move a counter), then on sweep through the
-    // spill path at threshold 0 (one segment per record).
-    let config = |b| TkijConfig::default().with_granules(20).with_reducers(4).with_local_backend(b);
-    let dense = engine(config(LocalJoinBackend::Sweep), 0).prepare(uniform(6_000, 20_000)).unwrap();
-    let mut scores = Vec::new();
-    for (name, backend) in LocalJoinBackend::all() {
-        scores.push(visited.run("dense", name, &dense, engine(config(backend), 0)));
-    }
-    let scalar = config(LocalJoinBackend::Sweep).with_sweep_scan(SweepScanKind::Scalar);
-    scores.push(visited.run("dense", "sweep", &dense, engine(scalar, 0)));
-    let spill = config(LocalJoinBackend::Sweep).with_shuffle_spill_threshold_bytes(0);
-    scores.push(visited.run("dense", "spill", &dense, engine(spill, 0)));
-    assert!(scores.windows(2).all(|w| w[0] == w[1]), "the dense top-k diverges across runs");
+    // in memory, then through the spill path at threshold 0 (one segment
+    // per record).
+    let config = TkijConfig::default().with_granules(20).with_reducers(4);
+    let dense = engine(config.clone(), 0).prepare(uniform(6_000, 20_000)).unwrap();
+    let sweep = visited.run("dense", "sweep", &dense, engine(config.clone(), 0));
+    let spill = config.with_shuffle_spill_threshold_bytes(0);
+    assert_eq!(visited.run("dense", "spill", &dense, engine(spill, 0)), sweep, "the dense top-k");
 
     // Hot: g = 1 is one combination on one reducer, the regime only
     // intra-join sharding parallelises; sequential and on 4 workers.
@@ -117,10 +108,7 @@ fn work_counters_match_the_pins() {
     assert_eq!(visited.run("hot", "hot_par", &hot, engine(config, 4)), seq, "the hot top-k");
 
     let items = uniform(20_000, 20_000).swap_remove(0).intervals().to_vec();
-    visited.probe("rtree", &RTree::bulk_load(items.clone()), &items);
-    for kind in [SweepScanKind::Scalar, SweepScanKind::Chunked] {
-        visited.probe("sweep", &SweepIndex::build_with_scan(items.clone(), kind), &items);
-    }
+    visited.probe("sweep", &SweepIndex::build(items.clone()), &items);
 
     let drift = drift(PINNED, &visited.0);
     assert!(drift.is_empty(), "pinned counters drifted; re-pin with a reason per key:\n{drift}");
@@ -169,7 +157,7 @@ const PINNED: &[(&str, u64)] = &[
     ("hot.topbuckets.worker_groups", 1), ("hot_par.join.shuffle.checksum", 0),
     ("hot_par.join.shuffle.records_spilled", 0), ("hot_par.join.shuffle.spill_bytes", 0),
     ("hot_par.join.shuffle.spill_segments", 0), ("hot_par.join.shuffle_bytes", 360000),
-    ("hot_par.join.shuffle_records", 12000), ("hot_par.local.buckets_rtree", 0),
+    ("hot_par.join.shuffle_records", 12000),
     ("hot_par.local.buckets_sweep", 3), ("hot_par.local.candidates_visited", 338665),
     ("hot_par.local.combos_assigned", 1), ("hot_par.local.combos_processed", 1),
     ("hot_par.local.index_probes", 4010), ("hot_par.local.intra_threads_used", 4),
@@ -183,7 +171,7 @@ const PINNED: &[(&str, u64)] = &[
     ("hot_seq.join.shuffle.checksum", 0), ("hot_seq.join.shuffle.records_spilled", 0),
     ("hot_seq.join.shuffle.spill_bytes", 0), ("hot_seq.join.shuffle.spill_segments", 0),
     ("hot_seq.join.shuffle_bytes", 360000), ("hot_seq.join.shuffle_records", 12000),
-    ("hot_seq.local.buckets_rtree", 0), ("hot_seq.local.buckets_sweep", 3),
+    ("hot_seq.local.buckets_sweep", 3),
     ("hot_seq.local.candidates_visited", 338665), ("hot_seq.local.combos_assigned", 1),
     ("hot_seq.local.combos_processed", 1), ("hot_seq.local.index_probes", 4010),
     ("hot_seq.local.intra_threads_used", 0), ("hot_seq.local.items_scanned", 339875),
@@ -193,25 +181,12 @@ const PINNED: &[(&str, u64)] = &[
     ("hot_seq.merge.shuffle.spill_segments", 0), ("hot_seq.merge.shuffle_bytes", 3300),
     ("hot_seq.merge.shuffle_records", 100), ("hot_seq.shuffle.checksum", 0),
     ("hot_seq.shuffle.records_spilled", 0), ("hot_seq.shuffle.spill_bytes", 0),
-    ("hot_seq.shuffle.spill_segments", 0), ("probe.hits", 29985), ("probe.rtree.scanned", 201632),
-    ("probe.sweep.scanned", 29985), ("rtree.join.shuffle.checksum", 0),
-    ("rtree.join.shuffle.records_spilled", 0), ("rtree.join.shuffle.spill_bytes", 0),
-    ("rtree.join.shuffle.spill_segments", 0), ("rtree.join.shuffle_bytes", 2062770),
-    ("rtree.join.shuffle_records", 68759), ("rtree.local.buckets_rtree", 431),
-    ("rtree.local.buckets_sweep", 0), ("rtree.local.candidates_visited", 889581),
-    ("rtree.local.combos_assigned", 14087), ("rtree.local.combos_processed", 12),
-    ("rtree.local.index_probes", 17985), ("rtree.local.intra_threads_used", 0),
-    ("rtree.local.items_scanned", 894594), ("rtree.local.kth_score", 18428729675200069632),
-    ("rtree.local.probe_chunks", 16), ("rtree.local.tuples_scored", 2783),
-    ("rtree.merge.shuffle.checksum", 0), ("rtree.merge.shuffle.records_spilled", 0),
-    ("rtree.merge.shuffle.spill_bytes", 0), ("rtree.merge.shuffle.spill_segments", 0),
-    ("rtree.merge.shuffle_bytes", 13200), ("rtree.merge.shuffle_records", 400),
-    ("rtree.shuffle.checksum", 0), ("rtree.shuffle.records_spilled", 0),
-    ("rtree.shuffle.spill_bytes", 0), ("rtree.shuffle.spill_segments", 0),
+    ("hot_seq.shuffle.spill_segments", 0), ("probe.hits", 29985),
+    ("probe.sweep.scanned", 29985),
     ("spill.join.shuffle.checksum", 1175183932), ("spill.join.shuffle.records_spilled", 68759),
     ("spill.join.shuffle.spill_bytes", 3437950), ("spill.join.shuffle.spill_segments", 68759),
     ("spill.join.shuffle_bytes", 2062770), ("spill.join.shuffle_records", 68759),
-    ("spill.local.buckets_rtree", 0), ("spill.local.buckets_sweep", 431),
+    ("spill.local.buckets_sweep", 431),
     ("spill.local.candidates_visited", 865323), ("spill.local.combos_assigned", 14087),
     ("spill.local.combos_processed", 12), ("spill.local.index_probes", 15730),
     ("spill.local.intra_threads_used", 0), ("spill.local.items_scanned", 865465),
@@ -224,7 +199,7 @@ const PINNED: &[(&str, u64)] = &[
     ("spill.shuffle.spill_segments", 69159), ("sweep.join.shuffle.checksum", 0),
     ("sweep.join.shuffle.records_spilled", 0), ("sweep.join.shuffle.spill_bytes", 0),
     ("sweep.join.shuffle.spill_segments", 0), ("sweep.join.shuffle_bytes", 2062770),
-    ("sweep.join.shuffle_records", 68759), ("sweep.local.buckets_rtree", 0),
+    ("sweep.join.shuffle_records", 68759),
     ("sweep.local.buckets_sweep", 431), ("sweep.local.candidates_visited", 865323),
     ("sweep.local.combos_assigned", 14087), ("sweep.local.combos_processed", 12),
     ("sweep.local.index_probes", 15730), ("sweep.local.intra_threads_used", 0),

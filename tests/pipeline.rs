@@ -171,3 +171,26 @@ fn empty_selection_yields_empty_results_not_errors() {
     assert_eq!(report.results.len(), 2);
     assert!(report.results.iter().all(|t| t.score == 0.0));
 }
+
+#[test]
+fn zero_reducers_is_an_error_not_a_panic() {
+    // A join with no reducer to run on is rejected by every query entry
+    // point — solo, planned, hybrid and served — before planning starts.
+    let engine = Tkij::new(TkijConfig::default().with_granules(4).with_reducers(0));
+    let dataset = engine.prepare(uniform_collections(3, 30, 5)).unwrap();
+    let q = table1::q_om(PredicateParams::P1);
+    let rejected = |got: Result<(), tkij::temporal::error::TemporalError>| {
+        let message = got.expect_err("zero reducers must be rejected").to_string();
+        assert!(message.contains("reducer"), "{message}");
+    };
+    rejected(engine.execute(&dataset, &q, 3).map(drop));
+    rejected(engine.plan_query(&dataset, &q, 3).map(drop));
+    let tables: Vec<BTreeMap<u64, u64>> = dataset
+        .collections
+        .iter()
+        .map(|c| c.intervals().iter().map(|iv| (iv.id, iv.id % 2)).collect())
+        .collect();
+    let constraint = [AttrConstraint { src: 0, dst: 1, predicate: AttrPredicate::Equal }];
+    rejected(execute_hybrid(&engine, &dataset, &q, &tables, &constraint, 3).map(drop));
+    rejected(engine.serve(dataset).query(&q, 3).map(drop));
+}

@@ -29,8 +29,8 @@ fn mixed_queries() -> Vec<Query> {
     ]
 }
 
-fn engine(backend: LocalJoinBackend) -> Tkij {
-    Tkij::new(TkijConfig::default().with_granules(6).with_reducers(4).with_local_backend(backend))
+fn engine() -> Tkij {
+    Tkij::new(TkijConfig::default().with_granules(6).with_reducers(4))
 }
 
 /// Serves every query `ROUNDS` times from each of `threads` concurrent
@@ -38,8 +38,8 @@ fn engine(backend: LocalJoinBackend) -> Tkij {
 /// different shapes genuinely interleave), asserting every served
 /// report reproduces its solo reference bit for bit. With `spill`, every
 /// job runs the serialized shuffle at threshold 0.
-fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize, spill: bool) {
-    let mut engine = engine(backend);
+fn assert_serving_matches_solo(threads: usize, spill: bool) {
+    let mut engine = engine();
     if spill {
         engine.config = engine.config.with_shuffle_spill_threshold_bytes(0);
     }
@@ -49,7 +49,7 @@ fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize, spill:
         .iter()
         .map(|q| {
             let report = engine.execute(&dataset, q, K).unwrap();
-            assert_eq!(report.shuffle_stats().records_spilled > 0, spill, "{backend:?}");
+            assert_eq!(report.shuffle_stats().records_spilled > 0, spill);
             report.fingerprint()
         })
         .collect();
@@ -76,8 +76,8 @@ fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize, spill:
             for (qi, fp) in worker.join().unwrap() {
                 assert_eq!(
                     fp, solo[qi],
-                    "backend {backend:?}, threads {threads}, spill {spill}: served query {qi} \
-                     diverges from its solo fingerprint"
+                    "threads {threads}, spill {spill}: served query {qi} diverges from its solo \
+                     fingerprint"
                 );
             }
         }
@@ -114,19 +114,9 @@ fn assert_serving_matches_solo(backend: LocalJoinBackend, threads: usize, spill:
 fn served_fingerprints_match_solo_at_all_thread_counts() {
     for spill in [false, true] {
         for threads in [1usize, 2, 4] {
-            assert_serving_matches_solo(LocalJoinBackend::default(), threads, spill);
+            assert_serving_matches_solo(threads, spill);
         }
     }
-}
-
-#[test]
-fn rtree_backend_serving_matches_solo_interleaved() {
-    assert_serving_matches_solo(LocalJoinBackend::RTree, 2, false);
-}
-
-#[test]
-fn rtree_backend_serving_matches_solo_through_the_spill_path() {
-    assert_serving_matches_solo(LocalJoinBackend::RTree, 4, true);
 }
 
 /// Two vertices over collection 0: the same bucket plays two roles.
@@ -146,9 +136,10 @@ fn self_join() -> Query {
 #[test]
 fn pool_hits_on_unsorted_storage_match_solo() {
     // Collections stored in *descending* start order: no shipped slice
-    // arrives canonically sorted. The first served answer builds (and
-    // sorts) every index; the second is all pool hits and sorts nothing.
-    // Both must equal the solo run, in memory and through the spill path.
+    // arrives canonically sorted. The first served answer builds every
+    // index (`SweepIndex::build` sorts its copy); the second is all pool
+    // hits and sorts nothing. Both must equal the solo run, in memory and
+    // through the spill path.
     let collections: Vec<IntervalCollection> = uniform_collections(3, 80, 555)
         .into_iter()
         .map(|c| {
@@ -157,29 +148,26 @@ fn pool_hits_on_unsorted_storage_match_solo() {
             IntervalCollection::new(c.id, intervals).unwrap()
         })
         .collect();
-    for (name, backend) in LocalJoinBackend::all() {
-        for spill in [false, true] {
-            let mut config = engine(backend).config;
-            if spill {
-                config = config.with_shuffle_spill_threshold_bytes(0);
-            }
-            let engine = Tkij::new(config);
-            let dataset = engine.prepare(collections.clone()).unwrap();
-            let queries = [table1::q_om(PredicateParams::P1), self_join()];
-            let solo: Vec<Fingerprint> = queries
-                .iter()
-                .map(|q| {
-                    let report = engine.execute(&dataset, q, K).unwrap();
-                    assert!(!spill || report.shuffle_stats().records_spilled > 0, "{name}");
-                    report.fingerprint()
-                })
-                .collect();
-            let server = engine.serve(dataset);
-            for round in 0..2 {
-                for (q, solo) in queries.iter().zip(&solo) {
-                    let served = server.query(q, K).unwrap().fingerprint();
-                    assert_eq!(&served, solo, "{name}, spill {spill}, round {round}");
-                }
+    for spill in [false, true] {
+        let mut engine = engine();
+        if spill {
+            engine.config = engine.config.with_shuffle_spill_threshold_bytes(0);
+        }
+        let dataset = engine.prepare(collections.clone()).unwrap();
+        let queries = [table1::q_om(PredicateParams::P1), self_join()];
+        let solo: Vec<Fingerprint> = queries
+            .iter()
+            .map(|q| {
+                let report = engine.execute(&dataset, q, K).unwrap();
+                assert!(!spill || report.shuffle_stats().records_spilled > 0);
+                report.fingerprint()
+            })
+            .collect();
+        let server = engine.serve(dataset);
+        for round in 0..2 {
+            for (q, solo) in queries.iter().zip(&solo) {
+                let served = server.query(q, K).unwrap().fingerprint();
+                assert_eq!(&served, solo, "spill {spill}, round {round}");
             }
         }
     }
@@ -190,27 +178,25 @@ fn pool_holds_one_index_per_shipped_collection_bucket() {
     // Two shapes over one dataset sharing collection 0 — one of them a
     // self-join, whose two vertices read the same indexes. The pool is
     // keyed by (collection, bucket), so after serving both it holds
-    // exactly the distinct pairs the two plans ship, on every backend.
+    // exactly the distinct pairs the two plans ship.
     let queries = [table1::q_om(PredicateParams::P1), self_join()];
-    for (name, backend) in LocalJoinBackend::all() {
-        let engine = engine(backend);
-        let dataset = engine.prepare(uniform_collections(3, 80, 555)).unwrap();
-        let mut shipped = std::collections::BTreeSet::new();
-        let mut solo = Vec::new();
-        for q in &queries {
-            let plan = engine.plan_query(&dataset, q, K).unwrap();
-            let keys = plan.assignment.bucket_map.keys();
-            shipped.extend(keys.map(|&(v, bucket)| (q.vertices[v as usize].0, bucket)));
-            solo.push(engine.execute(&dataset, q, K).unwrap().fingerprint());
+    let engine = engine();
+    let dataset = engine.prepare(uniform_collections(3, 80, 555)).unwrap();
+    let mut shipped = std::collections::BTreeSet::new();
+    let mut solo = Vec::new();
+    for q in &queries {
+        let plan = engine.plan_query(&dataset, q, K).unwrap();
+        let keys = plan.assignment.bucket_map.keys();
+        shipped.extend(keys.map(|&(v, bucket)| (q.vertices[v as usize].0, bucket)));
+        solo.push(engine.execute(&dataset, q, K).unwrap().fingerprint());
+    }
+    let server = engine.serve(dataset);
+    for round in 0..2 {
+        for (q, solo) in queries.iter().zip(&solo) {
+            let served = server.query(q, K).unwrap().fingerprint();
+            assert_eq!(&served, solo, "round {round}");
         }
-        let server = engine.serve(dataset);
-        for round in 0..2 {
-            for (q, solo) in queries.iter().zip(&solo) {
-                let served = server.query(q, K).unwrap().fingerprint();
-                assert_eq!(&served, solo, "{name}, round {round}");
-            }
-            assert_eq!(server.index_pool_len(), shipped.len(), "{name}, round {round}");
-        }
+        assert_eq!(server.index_pool_len(), shipped.len(), "round {round}");
     }
 }
 
@@ -220,7 +206,7 @@ fn repeated_serving_runs_are_bit_identical() {
     // interleaved workload: every fingerprint and the final serving
     // counters must repeat exactly.
     let run = || {
-        let engine = engine(LocalJoinBackend::default());
+        let engine = engine();
         let dataset = engine.prepare(uniform_collections(3, 80, 777)).unwrap();
         let server = engine.serve(dataset);
         let mut fps = Vec::new();

@@ -1,8 +1,7 @@
 //! Plan-cache correctness, property-tested: a cache-*hit* query must be
 //! bitwise-identical — scores, ids, and every work counter except the
 //! serving cache counters themselves — to a cold-cache run and to a
-//! solo `Tkij::execute` run, across all three TopBuckets strategies and
-//! both local-join backends (the paper's R-tree and the sweep store).
+//! solo `Tkij::execute` run, across all three TopBuckets strategies.
 //!
 //! This is the property that makes plan caching safe to enable by
 //! default: planning is a pure function of (dataset statistics, query,
@@ -23,7 +22,7 @@ struct Capture {
     topbuckets_selected: usize,
     topbuckets_solver_calls: usize,
     shuffle_records: u64,
-    buckets: (u64, u64),
+    buckets: u64,
 }
 
 fn capture(report: &ExecutionReport) -> Capture {
@@ -33,7 +32,7 @@ fn capture(report: &ExecutionReport) -> Capture {
         topbuckets_selected: report.topbuckets.selected,
         topbuckets_solver_calls: report.topbuckets.solver_calls,
         shuffle_records: report.join.total_shuffle_records(),
-        buckets: (report.buckets_rtree(), report.buckets_sweep()),
+        buckets: report.buckets_sweep(),
     }
 }
 
@@ -56,33 +55,24 @@ proptest! {
             _ => table1::q_bb(PredicateParams::P3),
         };
         for (sname, strategy) in Strategy::all() {
-            for (bname, backend) in LocalJoinBackend::all() {
-                let engine = Tkij::new(
-                    TkijConfig::default()
-                        .with_granules(g)
-                        .with_reducers(3)
-                        .with_strategy(strategy)
-                        .with_local_backend(backend),
-                );
-                // Statistics collection is deterministic, so a second
-                // prepare of the same collections is the same dataset.
-                let dataset = engine.prepare(collections.clone()).unwrap();
-                let solo = capture(&engine.execute(&dataset, &q, k).unwrap());
-                let server = engine.serve(dataset);
-                let cold = capture(&server.query(&q, k).unwrap());
-                let hit = capture(&server.query(&q, k).unwrap());
-                let stats = server.stats();
-                prop_assert_eq!(stats.plan_cache_misses, 1);
-                prop_assert_eq!(stats.plan_cache_hits, 1);
-                prop_assert_eq!(
-                    &cold, &solo,
-                    "{}/{}: cold-cache serving diverges from solo execute", sname, bname
-                );
-                prop_assert_eq!(
-                    &hit, &cold,
-                    "{}/{}: cache-hit run diverges from cold-cache run", sname, bname
-                );
-            }
+            let engine = Tkij::new(
+                TkijConfig::default().with_granules(g).with_reducers(3).with_strategy(strategy),
+            );
+            // Statistics collection is deterministic, so a second prepare
+            // of the same collections is the same dataset.
+            let dataset = engine.prepare(collections.clone()).unwrap();
+            let solo = capture(&engine.execute(&dataset, &q, k).unwrap());
+            let server = engine.serve(dataset);
+            let cold = capture(&server.query(&q, k).unwrap());
+            let hit = capture(&server.query(&q, k).unwrap());
+            let stats = server.stats();
+            prop_assert_eq!(stats.plan_cache_misses, 1);
+            prop_assert_eq!(stats.plan_cache_hits, 1);
+            prop_assert_eq!(
+                &cold, &solo,
+                "{}: cold-cache serving diverges from solo execute", sname
+            );
+            prop_assert_eq!(&hit, &cold, "{}: cache-hit run diverges from cold-cache run", sname);
         }
     }
 }

@@ -2,7 +2,7 @@
 //! be **bit-transparent** — identical results (ids and score bits),
 //! identical work counters, identical statistics — to the in-memory
 //! transport on the full grid of spill thresholds `{0, 1 KiB, unbounded}`
-//! × local-join backends × `worker_threads ∈ {0, 2}`, for both spill
+//! × `worker_threads ∈ {0, 2}`, for both spill
 //! sinks (in-memory segments and a real temp directory), plus repeat-run
 //! bit-identity of the spill counters themselves.
 //!
@@ -50,9 +50,9 @@ impl SpillRun {
 
 /// One full pipeline run (prepare + execute) on a fixed seeded workload
 /// under an explicit shuffle mode.
-fn run(backend: LocalJoinBackend, threads: usize, shuffle: ShuffleMode) -> SpillRun {
+fn run(threads: usize, shuffle: ShuffleMode) -> SpillRun {
     let engine = Tkij::with_cluster(
-        TkijConfig::default().with_granules(6).with_reducers(4).with_local_backend(backend),
+        TkijConfig::default().with_granules(6).with_reducers(4),
         ClusterConfig { worker_threads: threads, shuffle, ..Default::default() },
     );
     let dataset = engine.prepare(uniform_collections(3, 100, 4242)).unwrap();
@@ -80,73 +80,70 @@ fn serialized(threshold: u64) -> ShuffleMode {
 
 #[test]
 fn spill_grid_is_bit_identical_to_in_memory() {
-    for (name, backend) in LocalJoinBackend::all() {
-        let reference = run(backend, 0, ShuffleMode::InMemory);
-        assert!(!reference.report.results.is_empty(), "{name}: workload produces results");
-        assert!(
-            reference.spill_lanes().iter().all(|(_, value)| *value == 0),
-            "{name}: the in-memory transport spills nothing"
-        );
-        // In-memory is thread-invariant (re-pinned here so the serialized
-        // cells below compare against a battle-tested reference).
-        assert_eq!(run(backend, 2, ShuffleMode::InMemory), reference, "{name}: in-memory");
+    let reference = run(0, ShuffleMode::InMemory);
+    assert!(!reference.report.results.is_empty(), "workload produces results");
+    assert!(
+        reference.spill_lanes().iter().all(|(_, value)| *value == 0),
+        "the in-memory transport spills nothing"
+    );
+    // In-memory is thread-invariant (re-pinned here so the serialized
+    // cells below compare against a battle-tested reference).
+    assert_eq!(run(2, ShuffleMode::InMemory), reference, "in-memory");
 
-        let mut checksums = Vec::new();
-        for threshold in THRESHOLDS {
-            let mut per_thread = Vec::new();
-            for threads in [0usize, 2] {
-                let fp = run(backend, threads, serialized(threshold));
-                assert_eq!(
-                    sans_spill(&fp),
-                    sans_spill(&reference),
-                    "{name}: serialized shuffle (threshold {threshold}, threads {threads}) \
-                     changed a result or work counter"
-                );
-                for job in ["stats", "join", "merge"] {
-                    assert!(
-                        fp.spill(job, "records_spilled") > 0,
-                        "{name}/{job}: serialization spills every record"
-                    );
-                    assert!(
-                        fp.spill(job, "spill_segments") > 0 && fp.spill(job, "spill_bytes") > 0,
-                        "{name}/{job}: segments are accounted"
-                    );
-                }
-                // Every shuffled record serializes, regardless of threshold.
-                for job in ["join", "merge"] {
-                    assert_eq!(
-                        fp.spill(job, "records_spilled"),
-                        reference.counter(&format!("{job}.shuffle_records")),
-                        "{name}: {job} spill count"
-                    );
-                }
-                per_thread.push(fp);
-            }
-            // The flush schedule is data-determined: segment/byte counts
-            // may depend on the threshold, never on the thread knob.
+    let mut checksums = Vec::new();
+    for threshold in THRESHOLDS {
+        let mut per_thread = Vec::new();
+        for threads in [0usize, 2] {
+            let fp = run(threads, serialized(threshold));
             assert_eq!(
-                per_thread[0].spill_lanes(),
-                per_thread[1].spill_lanes(),
-                "{name}: spill counters drifted across worker_threads at threshold {threshold}"
+                sans_spill(&fp),
+                sans_spill(&reference),
+                "serialized shuffle (threshold {threshold}, threads {threads}) changed a result \
+                 or work counter"
             );
-            checksums.push((
-                per_thread[0].spill("stats", "checksum"),
-                per_thread[0].spill("join", "checksum"),
-            ));
+            for job in ["stats", "join", "merge"] {
+                assert!(
+                    fp.spill(job, "records_spilled") > 0,
+                    "{job}: serialization spills every record"
+                );
+                assert!(
+                    fp.spill(job, "spill_segments") > 0 && fp.spill(job, "spill_bytes") > 0,
+                    "{job}: segments are accounted"
+                );
+            }
+            // Every shuffled record serializes, regardless of threshold.
+            for job in ["join", "merge"] {
+                assert_eq!(
+                    fp.spill(job, "records_spilled"),
+                    reference.counter(&format!("{job}.shuffle_records")),
+                    "{job} spill count"
+                );
+            }
+            per_thread.push(fp);
         }
-        // Xor-folded frame CRCs are segmentation-invariant.
-        assert!(
-            checksums.windows(2).all(|w| w[0] == w[1]),
-            "{name}: shuffle checksum varies with the spill threshold: {checksums:?}"
+        // The flush schedule is data-determined: segment/byte counts may
+        // depend on the threshold, never on the thread knob.
+        assert_eq!(
+            per_thread[0].spill_lanes(),
+            per_thread[1].spill_lanes(),
+            "spill counters drifted across worker_threads at threshold {threshold}"
         );
+        checksums.push((
+            per_thread[0].spill("stats", "checksum"),
+            per_thread[0].spill("join", "checksum"),
+        ));
     }
+    // Xor-folded frame CRCs are segmentation-invariant.
+    assert!(
+        checksums.windows(2).all(|w| w[0] == w[1]),
+        "shuffle checksum varies with the spill threshold: {checksums:?}"
+    );
 }
 
 #[test]
 fn threshold_extremes_bound_the_segment_counts() {
-    let backend = LocalJoinBackend::default();
-    let fine = run(backend, 0, serialized(0));
-    let coarse = run(backend, 0, serialized(u64::MAX));
+    let fine = run(0, serialized(0));
+    let coarse = run(0, serialized(u64::MAX));
     for job in ["join", "merge"] {
         // Threshold 0 flushes after every record: one segment each.
         assert_eq!(
@@ -175,9 +172,8 @@ fn threshold_extremes_bound_the_segment_counts() {
 #[test]
 fn temp_dir_sink_matches_the_memory_sink_bit_for_bit() {
     for threshold in [0u64, 1024] {
-        let mem = run(LocalJoinBackend::default(), 2, serialized(threshold));
+        let mem = run(2, serialized(threshold));
         let disk = run(
-            LocalJoinBackend::default(),
             2,
             ShuffleMode::Serialized {
                 spill_threshold_bytes: threshold,
@@ -192,8 +188,8 @@ fn temp_dir_sink_matches_the_memory_sink_bit_for_bit() {
 
 #[test]
 fn repeated_spill_runs_are_bit_identical() {
-    let a = run(LocalJoinBackend::RTree, 2, serialized(1024));
-    let b = run(LocalJoinBackend::RTree, 2, serialized(1024));
+    let a = run(2, serialized(1024));
+    let b = run(2, serialized(1024));
     assert_eq!(a, b);
 }
 

@@ -1,14 +1,10 @@
-//! Scalar-oracle battery for the vectorized sweep lanes: the chunked
-//! in-window scan (`SweepScanKind::Chunked`) must be **indistinguishable**
-//! from the scalar reference (`SweepScanKind::Scalar`) in everything but
-//! wall clock — identical visit set, identical visit *order*, identical
-//! hit counts, and an identical `items_scanned` telemetry count, for
-//! `window_query`, `item_chunks`, and `threshold_candidates` alike.
-//!
-//! This is the contract that lets the chunked kind be the engine default
-//! without moving a single `tests/pinned_counters.rs` pin or
-//! determinism fingerprint: if any of these assertions can fail, the
-//! kinds are not interchangeable and the knob is broken.
+//! Scalar-oracle battery for the sweep store: the chunked in-window scan
+//! (`lanes::scan_chunked`) must be **indistinguishable** from the scalar
+//! scan (`lanes::scan_scalar`) — identical visit set and visit *order* —
+//! a `SweepIndex::window_query` (and `threshold_candidates`, the join's
+//! probe) must visit exactly the items a linear `ThresholdWindow::admits`
+//! filter keeps, examining exactly the swept run, and a build must not
+//! depend on the order its items arrive in.
 //!
 //! Coverage: randomized interval sets (duplicates, zero-width intervals,
 //! touching runs) × randomized windows (zero-width, reversed, degenerate,
@@ -18,34 +14,39 @@
 //! scan.
 
 use proptest::prelude::*;
-use tkij::index::lanes::LANE_WIDTH;
-use tkij::index::{threshold_candidates, SweepIndex, SweepScanKind, Window};
+use tkij::index::lanes::{scan_chunked, scan_scalar, LANE_WIDTH};
+use tkij::index::{threshold_candidates, SweepIndex, ThresholdWindow};
 use tkij::prelude::*;
 use tkij::temporal::expr::Side;
-use tkij::temporal::predicate::{PredicateKind, TemporalPredicate};
+
+/// An unbounded axis.
+const ANY: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 
 fn iv(id: u64, s: i64, e: i64) -> Interval {
     Interval::new(id, s, e).unwrap()
 }
 
-/// One probe's full observable behavior: ids in visit order + the
-/// examined-items count.
-fn probe(index: &SweepIndex, w: &Window) -> (Vec<u64>, u64) {
-    let mut ids = Vec::new();
-    let scanned = index.window_query(w, |i| ids.push(i.id));
-    (ids, scanned)
+/// The slots each scan visits, in visit order.
+fn scans(lane: &[f64], lo: f64, hi: f64) -> (Vec<usize>, Vec<usize>) {
+    let (mut chunked, mut scalar) = (Vec::new(), Vec::new());
+    scan_chunked(lane, lo, hi, |i| chunked.push(i));
+    scan_scalar(lane, lo, hi, |i| scalar.push(i));
+    (chunked, scalar)
 }
 
-/// Builds both kinds over the same items and asserts a window probe is
-/// observationally identical; returns the (shared) observation.
-fn assert_probe_identical(items: &[Interval], w: &Window) -> (Vec<u64>, u64) {
-    let scalar = SweepIndex::build_with_scan(items.to_vec(), SweepScanKind::Scalar);
-    let chunked = SweepIndex::build_with_scan(items.to_vec(), SweepScanKind::Chunked);
-    let (ids_s, scanned_s) = probe(&scalar, w);
-    let (ids_c, scanned_c) = probe(&chunked, w);
-    assert_eq!(ids_c, ids_s, "visit sequence diverges for {w:?}");
-    assert_eq!(scanned_c, scanned_s, "items_scanned diverges for {w:?}");
-    (ids_c, scanned_c)
+/// One probe's full observable behavior — ids in visit order and the
+/// examined-items count — after asserting its visit set is exactly the
+/// linear filter's.
+fn probe(items: &[Interval], w: &ThresholdWindow) -> (Vec<u64>, u64) {
+    let index = SweepIndex::build(items.to_vec());
+    let mut ids = Vec::new();
+    let scanned = index.window_query(w, |i| ids.push(i.id));
+    let mut got = ids.clone();
+    got.sort_unstable();
+    let mut want: Vec<u64> = items.iter().filter(|i| w.admits(i)).map(|i| i.id).collect();
+    want.sort_unstable();
+    assert_eq!(got, want, "visit set diverges from the linear filter for {w:?}");
+    (ids, scanned)
 }
 
 /// Pins a probe whose swept run has *exactly* `run_len` items, with a
@@ -63,11 +64,16 @@ fn pinned_run(run_len: usize) {
     for f in 0..(run_len as u64 + 2) {
         items.push(iv(1_000 + f, (f as i64 * 3) % 500, 2_000 + f as i64));
     }
-    let w = Window { start: (0.0, 1_000.0), end: (1_000.0, 1_000.0) };
-    let (ids, scanned) = assert_probe_identical(&items, &w);
+    let w = ThresholdWindow { start: (0.0, 1_000.0), end: (1_000.0, 1_000.0) };
+    let (ids, scanned) = probe(&items, &w);
     assert_eq!(scanned as usize, run_len, "swept run length must be exactly {run_len}");
     let expect: Vec<u64> = (0..run_len as u64).filter(|i| i % 3 != 0).collect();
     assert_eq!(ids, expect, "run_len = {run_len}: in-window subset in (end, start, id) order");
+    // The same run as a bare filter lane: the chunked and scalar scans
+    // agree slot for slot.
+    let lane: Vec<f64> = items[..run_len].iter().map(|i| i.start as f64).collect();
+    let (chunked, scalar) = scans(&lane, 0.0, 1_000.0);
+    assert_eq!(chunked, scalar, "run_len = {run_len}");
 }
 
 #[test]
@@ -81,49 +87,49 @@ fn every_chunk_and_tail_path_is_pinned() {
 }
 
 #[test]
-fn degenerate_windows_are_identical_and_scan_free() {
+fn degenerate_windows_are_scan_free() {
     let items: Vec<Interval> = (0..100)
         .map(|i| iv(i, (i as i64 * 7) % 40, (i as i64 * 7) % 40 + (i as i64 % 5)))
         .collect();
-    for w in [
-        Window { start: (20.0, 10.0), end: (f64::NEG_INFINITY, f64::INFINITY) }, // reversed
-        Window { start: (f64::NEG_INFINITY, f64::INFINITY), end: (30.0, 1.0) },  // reversed
-        Window { start: (5.0, 1.0), end: (9.0, 3.0) },                           // both reversed
-        Window { start: (f64::INFINITY, f64::NEG_INFINITY), end: (0.0, 50.0) },  // inverted ∞
-        Window { start: (10_000.0, 20_000.0), end: (f64::NEG_INFINITY, f64::INFINITY) }, // disjoint
+    for (start, end) in [
+        ((20.0, 10.0), ANY),                               // reversed
+        (ANY, (30.0, 1.0)),                                // reversed
+        ((5.0, 1.0), (9.0, 3.0)),                          // both reversed
+        ((f64::INFINITY, f64::NEG_INFINITY), (0.0, 50.0)), // inverted ∞
+        ((10_000.0, 20_000.0), ANY),                       // disjoint
     ] {
-        let (ids, scanned) = assert_probe_identical(&items, &w);
+        let w = ThresholdWindow { start, end };
+        let (ids, scanned) = probe(&items, &w);
         assert_eq!((ids.len(), scanned), (0, 0), "{w:?}: degenerate windows never sweep");
-    }
-}
-
-#[test]
-fn item_chunks_are_kind_independent() {
-    // The probe-stream sharding unit reads the backend's item order,
-    // which the scan kind must not touch: chunk boundaries and contents
-    // are identical, so the intra-join chunk plan cannot move.
-    use tkij::index::CandidateSource;
-    let items: Vec<Interval> =
-        (0..70).map(|i| iv(i, (i as i64 * 13) % 90, (i as i64 * 13) % 90 + 20)).collect();
-    let scalar = SweepIndex::build_with_scan(items.clone(), SweepScanKind::Scalar);
-    let chunked = SweepIndex::build_with_scan(items, SweepScanKind::Chunked);
-    assert_eq!(scalar.items(), chunked.items(), "item order is kind-independent");
-    for chunk_items in [1usize, 7, 16, 70, 500] {
-        let a: Vec<&[Interval]> = scalar.item_chunks(chunk_items).collect();
-        let b: Vec<&[Interval]> = chunked.item_chunks(chunk_items).collect();
-        assert_eq!(a, b, "chunk_items = {chunk_items}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    /// Random lanes × random windows, bounded, reversed and half-open:
+    /// the chunked scan visits the scalar scan's slots in its order.
+    #[test]
+    fn chunked_scan_equals_scalar_scan(
+        lane in proptest::collection::vec(-60i64..60, 0..120),
+        lo in -70i64..70, width in -10i64..80,
+        open_lo in proptest::bool::ANY,
+        open_hi in proptest::bool::ANY,
+    ) {
+        let lane: Vec<f64> = lane.into_iter().map(|v| v as f64).collect();
+        let lo_b = if open_lo { f64::NEG_INFINITY } else { lo as f64 };
+        let hi_b = if open_hi { f64::INFINITY } else { (lo + width) as f64 };
+        let (chunked, scalar) = scans(&lane, lo_b, hi_b);
+        prop_assert_eq!(chunked, scalar);
+    }
+
     /// Random interval sets — duplicates (small value space), zero-width
     /// and touching intervals — × random windows, including zero-width
-    /// and reversed axes: both kinds report the identical visit
-    /// sequence, hit count, and scan count.
+    /// and reversed axes: a probe visits exactly the linear filter's set
+    /// (checked inside `probe`), in one of the two canonical endpoint
+    /// orders, examining at least every visit and at most the index.
     #[test]
-    fn window_probes_identical(
+    fn window_probes_match_the_linear_filter(
         points in proptest::collection::vec((0i64..60, 0i64..20), 0..250),
         ws in -5i64..70, ww in -10i64..40,
         we in -5i64..90, wh in -10i64..40,
@@ -136,39 +142,27 @@ proptest! {
             .map(|(i, (s, w))| iv(i as u64, *s, s + w))
             .collect();
         // Negative widths produce reversed (empty) axes on purpose.
-        let w = Window {
-            start: if open_start {
-                (f64::NEG_INFINITY, f64::INFINITY)
-            } else {
-                (ws as f64, (ws + ww) as f64)
-            },
-            end: if open_end {
-                (f64::NEG_INFINITY, f64::INFINITY)
-            } else {
-                (we as f64, (we + wh) as f64)
-            },
+        let w = ThresholdWindow {
+            start: if open_start { ANY } else { (ws as f64, (ws + ww) as f64) },
+            end: if open_end { ANY } else { (we as f64, (we + wh) as f64) },
         };
-        let scalar = SweepIndex::build_with_scan(items.clone(), SweepScanKind::Scalar);
-        let chunked = SweepIndex::build_with_scan(items.clone(), SweepScanKind::Chunked);
-        let (ids_s, scanned_s) = probe(&scalar, &w);
-        let (ids_c, scanned_c) = probe(&chunked, &w);
-        prop_assert_eq!(&ids_c, &ids_s, "visit order diverges");
-        prop_assert_eq!(scanned_c, scanned_s, "items_scanned diverges");
-        // Both equal the linear-scan oracle as a *set* (order is the
-        // backend's deterministic endpoint order, checked above).
-        let mut got = ids_c;
-        got.sort_unstable();
-        let mut want: Vec<u64> =
-            items.iter().filter(|i| w.contains(i)).map(|i| i.id).collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want, "visit set diverges from the linear oracle");
+        let (ids, scanned) = probe(&items, &w);
+        prop_assert!(ids.len() as u64 <= scanned && scanned as usize <= items.len());
+        let visited: Vec<&Interval> = ids.iter().map(|&id| &items[id as usize]).collect();
+        let by_start = visited.windows(2).all(|p| {
+            (p[0].start, p[0].end, p[0].id) <= (p[1].start, p[1].end, p[1].id)
+        });
+        let by_end = visited.windows(2).all(|p| {
+            (p[0].end, p[0].start, p[0].id) <= (p[1].end, p[1].start, p[1].id)
+        });
+        prop_assert!(by_start || by_end, "visit order is neither endpoint order: {:?}", ids);
     }
 
-    /// The join-facing probe path: `threshold_candidates` over random
-    /// predicates, anchors, sides, and thresholds reports the identical
-    /// candidate sequence and scan count for both kinds.
+    /// The join-facing probe: `threshold_candidates` over random
+    /// predicates, anchors, sides and thresholds visits exactly the items
+    /// the predicate's threshold window admits.
     #[test]
-    fn threshold_probes_identical(
+    fn threshold_probes_match_the_linear_filter(
         kind_idx in 0usize..16,
         points in proptest::collection::vec((0i64..150, 0i64..40), 1..120),
         a_s in 0i64..150, a_w in 0i64..40,
@@ -182,17 +176,49 @@ proptest! {
             .enumerate()
             .map(|(i, (s, w))| iv(i as u64, *s, s + w))
             .collect();
-        let scalar = SweepIndex::build_with_scan(items.clone(), SweepScanKind::Scalar);
-        let chunked = SweepIndex::build_with_scan(items, SweepScanKind::Chunked);
+        let index = SweepIndex::build(items.clone());
         let anchor = iv(9_999, a_s, a_s + a_w);
         let side = if anchor_left { Side::Left } else { Side::Right };
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        let scanned_s =
-            threshold_candidates(&scalar, &pred, &anchor, side, v, |c| a.push(c.id));
-        let scanned_c =
-            threshold_candidates(&chunked, &pred, &anchor, side, v, |c| b.push(c.id));
-        prop_assert_eq!(b, a, "{:?} side={:?} v={}: candidate order", kind, side, v);
-        prop_assert_eq!(scanned_c, scanned_s, "{:?} side={:?} v={}: scan count", kind, side, v);
+        let window = pred.threshold_window(&anchor, side, v);
+        let mut got = Vec::new();
+        threshold_candidates(&index, &pred, &anchor, side, v, |c| got.push(c.id));
+        got.sort_unstable();
+        let mut want: Vec<u64> =
+            items.iter().filter(|c| window.admits(c)).map(|c| c.id).collect();
+        want.sort_unstable();
+        prop_assert_eq!(got, want, "{:?} side={:?} v={}", kind, side, v);
+    }
+
+    /// Any arrival order of one item set builds the identical index —
+    /// the same items in the same canonical order, and the same visits
+    /// and scan count for every probe — which is what lets reducers
+    /// build from slices in arrival order and the serving pool share one
+    /// build between queries.
+    #[test]
+    fn build_is_input_order_independent(
+        points in proptest::collection::vec((0i64..40, 0i64..10), 0..150),
+        rotate in 0usize..150,
+        ws in 0i64..40, ww in 0i64..20,
+    ) {
+        let items: Vec<Interval> = points
+            .iter()
+            .enumerate()
+            .map(|(i, (s, w))| iv(i as u64, *s, s + w))
+            .collect();
+        let mut arrived = items.clone();
+        arrived.reverse();
+        let shift = rotate.min(arrived.len());
+        arrived.rotate_left(shift);
+        let (a, b) = (SweepIndex::build(items), SweepIndex::build(arrived));
+        prop_assert_eq!(a.items(), b.items());
+        for w in [
+            ThresholdWindow { start: (ws as f64, (ws + ww) as f64), end: ANY },
+            ThresholdWindow { start: ANY, end: (ws as f64, (ws + ww) as f64) },
+        ] {
+            let (mut va, mut vb) = (Vec::new(), Vec::new());
+            let sa = a.window_query(&w, |i| va.push(i.id));
+            let sb = b.window_query(&w, |i| vb.push(i.id));
+            prop_assert_eq!((va, sa), (vb, sb), "{:?}", w);
+        }
     }
 }
