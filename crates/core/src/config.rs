@@ -53,6 +53,18 @@ pub enum LocalJoinBackend {
     Sweep,
 }
 
+/// The former probe-stream sharding plan of the local join. Each reducer
+/// now runs one sequential rank-join, so this is ignored; it remains only
+/// because the repository's `benchmark/` passes [`crate::Tkij::intra_join`]
+/// to [`crate::run_join_phase_with`]. ROADMAP step 0(a) deletes it.
+#[derive(Debug, Clone, Copy)]
+pub struct IntraJoin;
+
+/// Ignored: the former probe-chunk length, kept as
+/// [`TkijConfig::probe_chunk_items`]' default because the repository's
+/// `benchmark/` names it. ROADMAP step 0(a) deletes it.
+pub const PROBE_CHUNK_ITEMS: usize = 256;
+
 /// The workload-distribution policy of the join phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DistributionPolicy {
@@ -96,17 +108,13 @@ pub struct TkijConfig {
     /// Parallel TopBuckets groups (the paper splits B₁ into 6 worker
     /// groups); 1 disables partitioning.
     pub topbuckets_workers: usize,
-    /// Fixed probe-chunk length of the intra-reducer sharded local join
-    /// (`tkij_core::localjoin::PROBE_CHUNK_ITEMS` by default). An
-    /// algorithmic knob: it fixes the deterministic chunk plan, while the
-    /// thread count executing that plan comes from
-    /// `ClusterConfig::intra_join_threads` via the nested thread budget.
+    /// Ignored: the former probe-chunk length of the sharded local join.
+    /// It remains because the repository's `benchmark/` sets it; ROADMAP
+    /// step 0(a) deletes it.
     pub probe_chunk_items: usize,
-    /// Ablation switch of the sharded join's shared score bound: when
-    /// `false`, wave chunks start unbounded (the maximally stale bound).
-    /// Results stay exact; work can only grow — the bound may only
-    /// *prune*, which the equivalence suite asserts by comparing
-    /// `items_scanned` across this switch.
+    /// Ignored: the former shared-bound switch of the sharded local
+    /// join. It remains because the repository's `benchmark/` sets it;
+    /// ROADMAP step 0(a) deletes it.
     pub intra_shared_bound: bool,
     /// Ablation switch: when `false`, `getTopBuckets` pruning is disabled
     /// and every bucket combination is processed (bounds are still
@@ -164,7 +172,7 @@ impl Default for TkijConfig {
             // sampling makes most pair problems converge at the root.
             solver: SolverConfig { eps: 0.01, max_nodes: 500 },
             topbuckets_workers: 6,
-            probe_chunk_items: crate::localjoin::PROBE_CHUNK_ITEMS,
+            probe_chunk_items: PROBE_CHUNK_ITEMS,
             intra_shared_bound: true,
             pruning: true,
             plan_cache: true,
@@ -196,19 +204,6 @@ impl TkijConfig {
     /// Convenience: override the number of reducers.
     pub fn with_reducers(mut self, r: usize) -> Self {
         self.reducers = r;
-        self
-    }
-
-    /// Convenience: override the sharded join's probe-chunk length.
-    pub fn with_probe_chunk_items(mut self, items: usize) -> Self {
-        self.probe_chunk_items = items;
-        self
-    }
-
-    /// Convenience: disable the sharded join's shared score bound
-    /// (ablation — wave chunks run maximally stale).
-    pub fn without_intra_bound(mut self) -> Self {
-        self.intra_shared_bound = false;
         self
     }
 
@@ -253,8 +248,6 @@ mod tests {
         assert_eq!(c.strategy, Strategy::Loose);
         assert_eq!(c.distribution, DistributionPolicy::Dtb);
         assert_eq!(c.topbuckets_workers, 6);
-        assert_eq!(c.probe_chunk_items, crate::localjoin::PROBE_CHUNK_ITEMS);
-        assert!(c.intra_shared_bound, "the shared bound is on by default");
         assert!(c.plan_cache, "the serving plan cache is on by default");
         assert_eq!(c.plan_cache_capacity, PLAN_CACHE_CAPACITY, "bounded by default");
         assert_eq!(c.shuffle_spill_threshold_bytes, None, "in-memory shuffle by default");
@@ -267,8 +260,6 @@ mod tests {
             .with_strategy(Strategy::TwoPhase)
             .with_distribution(DistributionPolicy::Lpt)
             .with_reducers(8)
-            .with_probe_chunk_items(64)
-            .without_intra_bound()
             .without_plan_cache()
             .with_plan_cache_capacity(16)
             .with_shuffle_spill_threshold_bytes(4096);
@@ -276,8 +267,6 @@ mod tests {
         assert_eq!(c.strategy.name(), "two-phase");
         assert_eq!(c.distribution.name(), "LPT");
         assert_eq!(c.reducers, 8);
-        assert_eq!(c.probe_chunk_items, 64);
-        assert!(!c.intra_shared_bound);
         assert!(!c.plan_cache);
         assert_eq!(c.plan_cache_capacity, 16);
         assert_eq!(c.shuffle_spill_threshold_bytes, Some(4096));

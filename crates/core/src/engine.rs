@@ -55,18 +55,11 @@ impl Tkij {
         Tkij { config, cluster }
     }
 
-    /// The probe-stream sharding plan this engine hands the join phase:
-    /// chunk length and bound switch from [`TkijConfig`]. `threads` is
-    /// deliberately left 0 — the join phase always derives the effective
-    /// chunk-worker count from the cluster's nested thread budget and the
-    /// actual reduce-task count, so a caller-side value would only be
-    /// discarded (or, worse, mistaken for what executes).
-    pub fn intra_join(&self) -> crate::localjoin::IntraJoin {
-        crate::localjoin::IntraJoin {
-            threads: 0,
-            chunk_items: self.config.probe_chunk_items,
-            shared_bound: self.config.intra_shared_bound,
-        }
+    /// Ignored: the argument `benchmark/` hands
+    /// [`crate::run_join_phase_with`], which no longer reads it. ROADMAP
+    /// step 0(a) deletes it.
+    pub fn intra_join(&self) -> crate::config::IntraJoin {
+        crate::config::IntraJoin
     }
 
     /// The cluster shape engine jobs actually run on: the configured
@@ -228,22 +221,11 @@ impl Tkij {
     ) -> ExecutionReport {
         let QueryPlan { selected, topbuckets, assignment } = plan;
 
-        // (d) Distributed local joins (probe streams sharded per the
-        // engine's intra-join plan; threads come from the cluster's
-        // nested budget inside the join phase). Results and counters are
-        // identical with or without a pool.
+        // (d) Distributed local joins, one rank-join per reducer. Results
+        // and counters are identical with or without a pool.
         let cluster = self.job_cluster();
-        let (outputs, join_metrics) = run_join_phase_impl(
-            dataset,
-            query,
-            selected,
-            assignment,
-            k,
-            &cluster,
-            filter,
-            self.intra_join(),
-            pools,
-        );
+        let (outputs, join_metrics) =
+            run_join_phase_impl(dataset, query, selected, assignment, k, &cluster, filter, pools);
 
         // (e) Merge.
         let (results, merge_metrics) = run_merge_phase(&outputs, k, &cluster);
@@ -439,21 +421,6 @@ impl ExecutionReport {
         self.local_stats.iter().map(|s| s.buckets_sweep).sum()
     }
 
-    /// Probe chunks evaluated across all reducers — the scheduling unit
-    /// of the intra-reducer sharded join (a deficit against the nominal
-    /// chunk count witnesses per-chunk early termination).
-    pub fn probe_chunks(&self) -> u64 {
-        self.local_stats.iter().map(|s| s.probe_chunks).sum()
-    }
-
-    /// Largest chunk-worker count any reducer's wave actually ran with
-    /// (`0` = every chunk was evaluated sequentially). An execution-shape
-    /// record: deterministic per configuration, but — unlike every other
-    /// counter — it legitimately varies with the thread knobs.
-    pub fn intra_threads_used(&self) -> u64 {
-        self.local_stats.iter().map(|s| s.intra_threads_used).max().unwrap_or(0)
-    }
-
     /// Combined serialized-shuffle spill accounting of the online jobs
     /// (join + merge): summed spill counters, xor-folded checksum.
     /// All-zero when both jobs ran the in-memory transport.
@@ -607,8 +574,6 @@ mod tests {
         assert!(report.pruned_pct() >= 0.0 && report.pruned_pct() <= 100.0);
         assert!(report.index_probes() > 0, "probes are counted");
         assert!(report.items_scanned() > 0, "scan effort is counted");
-        assert!(report.probe_chunks() > 0, "probe chunks are counted");
-        assert_eq!(report.intra_threads_used(), 0, "sequential default spawns no chunk workers");
         // Phase-level work counters are filled and self-consistent.
         assert!(report.distribution.assignments_scored > 0, "distribution work is counted");
         assert_eq!(report.distribution.cap_fallbacks, 0);

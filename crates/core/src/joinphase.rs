@@ -7,9 +7,9 @@
 
 use crate::bucketindex::IndexPools;
 use crate::combos::{BucketSlots, ComboSet};
-use crate::config::{LocalJoinBackend, SweepScanKind};
+use crate::config::{IntraJoin, LocalJoinBackend, SweepScanKind};
 use crate::distribute::Assignment;
-use crate::localjoin::{local_topk_join_planned, IntraJoin, LocalJoinStats, TupleFilter};
+use crate::localjoin::{local_topk_join_planned, LocalJoinStats, TupleFilter};
 use crate::stats::PreparedDataset;
 use std::collections::BTreeMap;
 use tkij_mapreduce::{
@@ -69,30 +69,14 @@ pub fn run_join_phase(
     k: usize,
     cluster: &ClusterConfig,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
-    run_join_phase_impl(
-        dataset,
-        query,
-        combos,
-        assignment,
-        k,
-        cluster,
-        None,
-        IntraJoin::default(),
-        None,
-    )
+    run_join_phase_impl(dataset, query, combos, assignment, k, cluster, None, None)
 }
 
-/// [`run_join_phase`] with an optional attribute filter (hybrid queries)
-/// and an explicit probe-stream sharding plan.
+/// [`run_join_phase`] with an optional attribute filter (hybrid queries).
 ///
-/// `intra` carries the plan (chunk length, shared bound); its *thread*
-/// count is recomputed here from the cluster's nested thread budget so
-/// that concurrent reduce tasks × chunk workers can never oversubscribe
-/// the host, whatever the caller passed.
-///
-/// `LocalJoinBackend` and `SweepScanKind` have one value each, so the
-/// two arguments of those types select nothing; they stay in the
-/// signature because the repository's `benchmark/` calls it.
+/// The `LocalJoinBackend`, `SweepScanKind` and [`IntraJoin`] arguments are
+/// ignored; they stay in the signature because the repository's
+/// `benchmark/` calls it, and ROADMAP step 0(a) deletes them.
 #[allow(
     clippy::too_many_arguments,
     reason = "a public entry point whose signature the benchmark calls"
@@ -107,9 +91,9 @@ pub fn run_join_phase_with(
     _backend: LocalJoinBackend,
     _scan: SweepScanKind,
     filter: Option<&dyn TupleFilter>,
-    intra: IntraJoin,
+    _intra: IntraJoin,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
-    run_join_phase_impl(dataset, query, combos, assignment, k, cluster, filter, intra, None)
+    run_join_phase_impl(dataset, query, combos, assignment, k, cluster, filter, None)
 }
 
 /// [`run_join_phase_with`], optionally serving reducer bucket indexes
@@ -119,7 +103,7 @@ pub fn run_join_phase_with(
 /// queries.
 #[allow(
     clippy::too_many_arguments,
-    reason = "the join phase's inputs, filter and sharding plan, plus the index pools"
+    reason = "the join phase's inputs and filter, plus the index pools"
 )]
 pub(crate) fn run_join_phase_impl(
     dataset: &PreparedDataset,
@@ -129,7 +113,6 @@ pub(crate) fn run_join_phase_impl(
     k: usize,
     cluster: &ClusterConfig,
     filter: Option<&dyn TupleFilter>,
-    intra: IntraJoin,
     pools: Option<&IndexPools>,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
     // Map input: the intervals of every collection some vertex reads.
@@ -150,12 +133,6 @@ pub(crate) fn run_join_phase_impl(
         vertices_of[cid.0 as usize].push(v as u16);
     }
     let plan = query.plan();
-    // Nested thread budget: the reduce wave's actual concurrency caps
-    // how many chunk workers each reduce task may spawn. Thread count
-    // never changes results or counters — only the execution of the
-    // fixed chunk schedule.
-    let intra =
-        IntraJoin { threads: cluster.intra_join_plan(assignment.num_reducers.max(1)), ..intra };
     // Shipped-key rank of every (vertex, bucket) slot: where a reducer
     // drops a record without walking a map (`NOT_SHIPPED` elsewhere).
     const NOT_SHIPPED: u32 = u32::MAX;
@@ -219,7 +196,6 @@ pub(crate) fn run_join_phase_impl(
                 &assignment.reducer_combos[p],
                 &data,
                 filter,
-                intra,
                 pools,
             );
             vec![ReducerOutput { reducer: p as u32, results: topk.into_sorted_vec(), stats }]

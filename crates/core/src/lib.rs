@@ -53,13 +53,13 @@ pub mod topbuckets;
 
 pub use bucketindex::IndexPools;
 pub use combos::{ComboSet, TopBucketsStats, VertexBuckets};
-pub use config::{DistributionPolicy, LocalJoinBackend, Strategy, SweepScanKind, TkijConfig};
+pub use config::{
+    DistributionPolicy, LocalJoinBackend, Strategy, SweepScanKind, TkijConfig, PROBE_CHUNK_ITEMS,
+};
 pub use distribute::{distribute, Assignment};
 pub use engine::{DistributionSummary, ExecutionReport, Fingerprint, QueryPlan, Tkij};
 pub use joinphase::{run_join_phase, run_join_phase_with, ReducerOutput};
-pub use localjoin::{
-    local_topk_join, IntraJoin, LocalJoinStats, INTRA_WAVE_CHUNKS, PROBE_CHUNK_ITEMS,
-};
+pub use localjoin::{local_topk_join, LocalJoinStats};
 pub use merge::run_merge_phase;
 pub use naive::{all_pair_scores, naive_boolean, naive_topk};
 pub use plancache::PlanCache;

@@ -25,35 +25,18 @@
 //! deterministic id order) is still generated — local results equal the
 //! naive oracle's exactly, which the tests verify.
 //!
-//! # Intra-reducer parallelism: sharding the probe stream
-//!
-//! One reducer's probes are independent (Piatov et al.'s endpoint-lane
-//! probes are embarrassingly parallel), so the candidate run of each
-//! combination is split into **deterministic fixed-size chunks**
-//! ([`IntraJoin::chunk_items`]) and evaluated in waves of
-//! [`INTRA_WAVE_CHUNKS`] chunks. Each wave chunk gets a private top-k
-//! heap (`ShardHeap` internally) and private probe counters; partial
-//! heaps are merged back **in chunk order**, and partial counters are
-//! summed the same way. Rank-join early termination survives sharding
-//! the way Tziavelis et al. describe for partitioned rank joins: a
-//! shared score bound — the merged global `τ`, published to a relaxed
-//! atomic **only between waves**, never while a wave is in flight — lets
-//! every chunk skip dominated probes from its first item. Because the
-//! bound is frozen during a wave, *when* a chunk observes it can affect
-//! neither correctness (any stale value is a valid lower bound on the
-//! final `τ`) nor a single work counter. The chunk schedule, wave
-//! boundaries and bound publication points depend only on the data and
-//! `chunk_items` — never on [`IntraJoin::threads`] — so results *and*
-//! work counters are bit-identical for every thread count, including the
-//! sequential `0`; only wall time changes.
+//! One reducer runs one sequential rank-join: it walks each
+//! combination's first-step run once, against its single live top-k, so
+//! every probe prunes against the current `τ`. Parallelism lives one
+//! layer up, across the join phase's reduce tasks
+//! (`ClusterConfig::worker_threads`).
 
 use crate::bucketindex::IndexPools;
 use crate::combos::ComboSet;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tkij_index::{threshold_candidates, SweepIndex};
-use tkij_mapreduce::{run_tasks, Counters};
+use tkij_mapreduce::Counters;
 use tkij_temporal::bucket::BucketId;
 use tkij_temporal::expr::Side;
 use tkij_temporal::interval::Interval;
@@ -78,18 +61,6 @@ pub struct LocalJoinStats {
     pub items_scanned: u64,
     /// Reducer buckets indexed (each with a [`SweepIndex`]).
     pub buckets_sweep: u64,
-    /// Probe chunks actually evaluated (inline and wave chunks) across
-    /// all combinations — the scheduling unit of the intra-reducer
-    /// parallel join. Chunks skipped because their combination became
-    /// dominated mid-run are not counted, so a deficit against the
-    /// nominal chunk count witnesses per-chunk early termination.
-    pub probe_chunks: u64,
-    /// Largest chunk-worker count any wave of this reducer actually ran
-    /// with (`0` = every chunk was evaluated sequentially). An
-    /// execution-*shape* record, like the timing fields: unlike every
-    /// other counter it legitimately varies with the configured thread
-    /// knobs — though never between repeat runs of one configuration.
-    pub intra_threads_used: u64,
     /// Minimum score among the returned local top-k (Fig. 8c), 0 when
     /// empty.
     pub kth_score: f64,
@@ -105,8 +76,6 @@ impl Counters for LocalJoinStats {
             index_probes,
             items_scanned,
             buckets_sweep,
-            probe_chunks,
-            intra_threads_used,
             kth_score,
         } = self;
         f("combos_assigned", *combos_assigned as u64);
@@ -116,77 +85,7 @@ impl Counters for LocalJoinStats {
         f("index_probes", *index_probes);
         f("items_scanned", *items_scanned);
         f("buckets_sweep", *buckets_sweep);
-        f("probe_chunks", *probe_chunks);
-        f("intra_threads_used", *intra_threads_used);
         f("kth_score", kth_score.to_bits());
-    }
-}
-
-impl LocalJoinStats {
-    /// Folds one probe chunk's private counters into the reducer totals
-    /// (the chunk-order merge of the sharded local join). Only the four
-    /// probe-level counters are chunk-local; everything else is
-    /// maintained by the coordinating thread.
-    pub fn absorb_probe_counters(&mut self, chunk: &LocalJoinStats) {
-        self.tuples_scored += chunk.tuples_scored;
-        self.candidates_visited += chunk.candidates_visited;
-        self.index_probes += chunk.index_probes;
-        self.items_scanned += chunk.items_scanned;
-    }
-}
-
-/// Probe items per chunk of the sharded candidate run — the
-/// [`IntraJoin::chunk_items`] default. Small enough that a hot bucket
-/// splits into many schedulable chunks, large enough that per-chunk
-/// heap and merge overhead stays marginal next to the probe work.
-pub const PROBE_CHUNK_ITEMS: usize = 256;
-
-/// Chunks per parallel wave. Between waves the coordinator merges the
-/// partial heaps (in chunk order) and republishes the shared score
-/// bound, so larger waves expose more parallelism but prune with a
-/// staler bound. A constant — never a function of the thread count —
-/// because wave boundaries and bound publication points are part of the
-/// deterministic plan.
-pub const INTRA_WAVE_CHUNKS: usize = 8;
-
-/// The probe-stream sharding plan of one reducer's local join.
-///
-/// The *plan* (chunk boundaries, wave structure, bound publication
-/// points) is fixed by `chunk_items` and the data alone; `threads` only
-/// chooses how many OS threads execute it. Results and work counters
-/// are therefore bit-identical for every `threads` value — the property
-/// `tests/determinism.rs` locks in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntraJoin {
-    /// Worker threads evaluating one wave's chunks; `0` (like
-    /// `ClusterConfig::worker_threads`) evaluates them sequentially on
-    /// the calling thread. Derive this from the cluster with
-    /// `ClusterConfig::intra_join_plan` so outer × inner task
-    /// parallelism never oversubscribes the host.
-    pub threads: usize,
-    /// Fixed probe-chunk length (clamped to ≥ 1). An *algorithmic* knob:
-    /// changing it moves chunk boundaries, which may exchange tie tuples
-    /// of equal score — the score multiset stays exact for every value.
-    pub chunk_items: usize,
-    /// Whether wave chunks read the shared score bound (ablation
-    /// switch). Disabling it starts every wave chunk unbounded — the
-    /// maximally stale bound: results stay exact and work can only grow,
-    /// i.e. the bound may only *prune* (asserted by the equivalence
-    /// suite).
-    pub shared_bound: bool,
-}
-
-impl Default for IntraJoin {
-    fn default() -> Self {
-        IntraJoin { threads: 0, chunk_items: PROBE_CHUNK_ITEMS, shared_bound: true }
-    }
-}
-
-impl IntraJoin {
-    /// The sequential default plan: chunked protocol, calling thread
-    /// only.
-    pub fn sequential() -> Self {
-        Self::default()
     }
 }
 
@@ -199,7 +98,7 @@ pub trait TupleFilter: Sync {
     fn admits(&self, tuple: &[Option<Interval>]) -> bool;
 }
 
-/// Runs the local top-k join of one reducer, sequentially.
+/// Runs the local top-k join of one reducer.
 ///
 /// `combo_indices` lists this reducer's combinations (indices into
 /// `combos`); they are re-sorted by descending UB internally. `data` maps
@@ -213,93 +112,7 @@ pub fn local_topk_join(
     combo_indices: &[u32],
     data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
 ) -> (TopK, LocalJoinStats) {
-    local_topk_join_planned(
-        query,
-        plan,
-        k,
-        combos,
-        combo_indices,
-        data,
-        None,
-        IntraJoin::sequential(),
-        None,
-    )
-}
-
-/// The admission interface the rank-join recursion prunes against:
-/// either the reducer's global [`TopK`] (inline chunks, full sequential
-/// fidelity) or a wave chunk's private [`ShardHeap`] view.
-trait ProbeHeap {
-    /// Whether `k` results are (known to be) retained.
-    fn is_full(&self) -> bool;
-    /// A valid lower bound on the final k-th score (the pruning `τ`).
-    fn admission_score(&self) -> f64;
-    /// Offers a complete tuple.
-    fn offer(&mut self, tuple: MatchTuple) -> bool;
-}
-
-impl ProbeHeap for TopK {
-    fn is_full(&self) -> bool {
-        TopK::is_full(self)
-    }
-
-    fn admission_score(&self) -> f64 {
-        TopK::admission_score(self)
-    }
-
-    fn offer(&mut self, tuple: MatchTuple) -> bool {
-        TopK::offer(self, tuple)
-    }
-}
-
-/// A wave chunk's private view of the reducer's top-k: its own heap for
-/// the chunk's tuples, plus the shared score bound frozen at wave start
-/// (`floor`, with `floor_full` recording that the global heap backing it
-/// held `k` results). `admission_score` is always a valid lower bound on
-/// the final k-th score — the floor is the published global threshold
-/// and the local k-th is the k-th of a *subset* of all offers — so
-/// pruning against it preserves the exact score multiset no matter how
-/// stale the floor is.
-struct ShardHeap {
-    local: TopK,
-    floor: f64,
-    floor_full: bool,
-}
-
-impl ProbeHeap for ShardHeap {
-    fn is_full(&self) -> bool {
-        self.floor_full || self.local.is_full()
-    }
-
-    fn admission_score(&self) -> f64 {
-        self.floor.max(self.local.admission_score())
-    }
-
-    fn offer(&mut self, tuple: MatchTuple) -> bool {
-        self.local.offer(tuple)
-    }
-}
-
-/// Publishes a new value of the shared score bound. Called only at
-/// deterministic merge points (between chunk waves), never while a wave
-/// is in flight, so every load a wave chunk issues observes the same
-/// value regardless of scheduling — observation timing can affect
-/// neither correctness nor any work counter. Relaxed ordering suffices:
-/// the scope join/spawn already orders the memory, and even a stale
-/// value would only be a weaker, still-valid lower bound.
-///
-/// # Panics
-///
-/// Hard-asserts monotonicity: the rank-join admission threshold never
-/// decreases, so a regressing publication means a bookkeeping bug that
-/// would silently weaken pruning.
-fn publish_bound(bound: &AtomicU64, value: f64) {
-    let prev = f64::from_bits(bound.load(Ordering::Relaxed));
-    assert!(
-        value >= prev,
-        "shared intra-join score bound must be monotone: publishing {value} after {prev}"
-    );
-    bound.store(value.to_bits(), Ordering::Relaxed);
+    local_topk_join_planned(query, plan, k, combos, combo_indices, data, None, None)
 }
 
 /// The join-phase entry point: [`local_topk_join`] with every input
@@ -327,12 +140,8 @@ pub(crate) fn local_topk_join_planned(
     combo_indices: &[u32],
     data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
     filter: Option<&dyn TupleFilter>,
-    intra: IntraJoin,
     pools: Option<&IndexPools>,
 ) -> (TopK, LocalJoinStats) {
-    let mut stats = LocalJoinStats { combos_assigned: combo_indices.len(), ..Default::default() };
-    let mut topk = TopK::new(k);
-
     // Index every shipped bucket once; reused across combinations. Only
     // a build copies the shipped slice (which `SweepIndex::build` sorts
     // canonically); a pool hit reads nothing.
@@ -347,7 +156,6 @@ pub(crate) fn local_topk_join_planned(
             (key, index)
         })
         .collect();
-    stats.buckets_sweep = indexes.len() as u64;
 
     // Access order: descending upper bound (paper §4).
     let mut order: Vec<u32> = combo_indices.to_vec();
@@ -358,29 +166,31 @@ pub(crate) fn local_topk_join_planned(
             .then_with(|| combos.buckets(a as usize).cmp(combos.buckets(b as usize)))
     });
 
-    let run = ComboRun {
+    let mut cx = JoinCx {
         query,
         plan,
         indexes: &indexes,
         filter,
-        intra,
-        k,
-        bound: AtomicU64::new(0f64.to_bits()),
+        topk: TopK::new(k),
+        stats: LocalJoinStats {
+            combos_assigned: combo_indices.len(),
+            buckets_sweep: indexes.len() as u64,
+            ..Default::default()
+        },
+        tuple: vec![None; query.n()],
+        fixed: Vec::with_capacity(query.edges.len()),
+        scores: vec![0.0; query.edges.len()],
     };
-    let mut scratch = Scratch::for_query(query);
     for &ci in &order {
         let ci = ci as usize;
-        // Once the heap is full, a combination whose UB only *ties* the
-        // k-th score cannot change the top-k score multiset: skip it.
-        // (The paper's guarantee is the exact top-k ranking by score; tie
-        // tuples are interchangeable.)
-        if topk.is_full() && combos.ub(ci) <= topk.admission_score() {
+        if cx.dominated(combos.ub(ci)) {
             break; // no remaining combination can beat the k-th result
         }
-        stats.combos_processed += 1;
-        run.process_combo(combos.buckets(ci), combos.ub(ci), &mut topk, &mut stats, &mut scratch);
+        cx.stats.combos_processed += 1;
+        cx.process_combo(combos.buckets(ci), combos.ub(ci));
     }
 
+    let JoinCx { topk, mut stats, .. } = cx;
     stats.kth_score = topk.min_score().unwrap_or(0.0);
     (topk, stats)
 }
@@ -389,179 +199,49 @@ pub(crate) fn local_topk_join_planned(
 /// reducer-built indexes are one type.
 type ReducerIndexes = BTreeMap<(u16, BucketId), Arc<SweepIndex>>;
 
-/// Immutable context of one reducer's combination loop — everything a
-/// probe chunk needs, so wave workers can borrow a single struct.
-struct ComboRun<'a> {
+/// One reducer's rank-join state: its inputs, its live top-k, its
+/// counters, and the recursion scratch. The recursion restores the
+/// scratch on exit, so one allocation serves every combination.
+struct JoinCx<'a> {
     query: &'a Query,
     plan: &'a JoinPlan,
     indexes: &'a ReducerIndexes,
-    filter: Option<&'a dyn TupleFilter>,
-    intra: IntraJoin,
-    k: usize,
-    /// Bits of the shared score bound ([`publish_bound`]).
-    bound: AtomicU64,
-}
-
-impl ComboRun<'_> {
-    /// Evaluates one combination: its first-step candidate run is split
-    /// into fixed-size chunks of [`IntraJoin::chunk_items`] and
-    /// consumed as inline chunks (against the global heap) or parallel
-    /// waves of private-heap chunks merged back in chunk order.
-    fn process_combo(
-        &self,
-        buckets: &[BucketId],
-        combo_ub: f64,
-        topk: &mut TopK,
-        stats: &mut LocalJoinStats,
-        scratch: &mut Scratch,
-    ) {
-        let first = &self.plan.steps[0];
-        let Some(index) = self.indexes.get(&(first.vertex as u16, buckets[first.vertex])) else {
-            return; // bucket had no shipped data
-        };
-        // Chunk a snapshot: indexes are immutable, items are in their
-        // canonical order. Chunk boundaries depend only on that order and
-        // `chunk_items` (clamped to ≥ 1), never on the thread count, and
-        // chunks are consumed strictly in order, so one iterator serves
-        // both inline chunks and wave slices without materializing a
-        // chunk list per combination.
-        let mut chunk_iter = index.items().chunks(self.intra.chunk_items.max(1));
-        let nchunks = chunk_iter.len();
-        let mut next = 0usize;
-        while next < nchunks {
-            if topk.is_full() && combo_ub <= topk.admission_score() {
-                break; // the whole combination became dominated mid-run
-            }
-            if !topk.is_full() || nchunks - next == 1 {
-                // Inline chunk, evaluated directly against the global
-                // heap with exact sequential fidelity: while the heap is
-                // still filling there is no meaningful bound to shard
-                // under, and a lone trailing chunk gains nothing from a
-                // wave. Both conditions depend only on data and config.
-                let mut cx = JoinCx {
-                    query: self.query,
-                    plan: self.plan,
-                    indexes: self.indexes,
-                    heap: &mut *topk,
-                    stats,
-                    tuple: &mut scratch.tuple,
-                    fixed: &mut scratch.fixed,
-                    filter: self.filter,
-                };
-                cx.run_chunk(
-                    chunk_iter.next().expect("nchunks counts the chunks"),
-                    buckets,
-                    combo_ub,
-                );
-                stats.probe_chunks += 1;
-                next += 1;
-                continue;
-            }
-            let end = (next + INTRA_WAVE_CHUNKS).min(nchunks);
-            let wave: Vec<&[Interval]> = chunk_iter.by_ref().take(end - next).collect();
-            publish_bound(&self.bound, topk.admission_score());
-            for (local, chunk_stats) in self.run_wave(&wave, buckets, combo_ub) {
-                stats.absorb_probe_counters(&chunk_stats);
-                // Chunk-order merge: the global heap's total order makes
-                // the merged content offer-order independent, and fixing
-                // the order anyway keeps the protocol easy to reason
-                // about (and to mirror in tests).
-                for tuple in local.into_sorted_vec() {
-                    topk.offer(tuple);
-                }
-            }
-            stats.probe_chunks += wave.len() as u64;
-            if self.intra.threads >= 2 {
-                stats.intra_threads_used =
-                    stats.intra_threads_used.max(self.intra.threads.min(wave.len()) as u64);
-            }
-            next = end;
-        }
-    }
-
-    /// Evaluates one wave's chunks through [`run_tasks`] — sequentially,
-    /// or on chunk workers claiming chunks by index — and returns each
-    /// chunk's private heap and counters, in chunk order.
-    /// Which thread evaluates a chunk can never matter: a chunk's work
-    /// is a pure function of (chunk, frozen bound).
-    fn run_wave(
-        &self,
-        wave: &[&[Interval]],
-        buckets: &[BucketId],
-        combo_ub: f64,
-    ) -> Vec<(TopK, LocalJoinStats)> {
-        let eval = |chunk: &[Interval]| -> (TopK, LocalJoinStats) {
-            let (floor, floor_full) = if self.intra.shared_bound {
-                // Relaxed ordering suffices: the bound is published only
-                // between waves ([`publish_bound`]), the scope join/spawn
-                // already orders the memory, and any value read here is a
-                // valid (monotone) admission floor.
-                (f64::from_bits(self.bound.load(Ordering::Relaxed)), true)
-            } else {
-                (0.0, false) // ablation: the maximally stale bound
-            };
-            let mut heap = ShardHeap { local: TopK::new(self.k), floor, floor_full };
-            let mut chunk_stats = LocalJoinStats::default();
-            // Wave chunks genuinely need private scratch: they may run
-            // concurrently with each other.
-            let mut scratch = Scratch::for_query(self.query);
-            let mut cx = JoinCx {
-                query: self.query,
-                plan: self.plan,
-                indexes: self.indexes,
-                heap: &mut heap,
-                stats: &mut chunk_stats,
-                tuple: &mut scratch.tuple,
-                fixed: &mut scratch.fixed,
-                filter: self.filter,
-            };
-            cx.run_chunk(chunk, buckets, combo_ub);
-            (heap.local, chunk_stats)
-        };
-        run_tasks(wave.len(), self.intra.threads, |i| eval(wave[i]))
-    }
-}
-
-/// Reusable recursion scratch (partial tuple + fixed edge scores): the
-/// recursion restores both on exit, so one allocation serves every
-/// inline chunk of a reducer; wave chunks carry their own.
-struct Scratch {
-    tuple: Vec<Option<Interval>>,
-    fixed: Vec<(usize, f64)>,
-}
-
-impl Scratch {
-    fn for_query(query: &Query) -> Self {
-        Scratch { tuple: vec![None; query.n()], fixed: Vec::with_capacity(query.edges.len()) }
-    }
-}
-
-/// Mutable evaluation context threaded through the recursion, generic
-/// over the heap it prunes against ([`ProbeHeap`]).
-struct JoinCx<'a, H> {
-    query: &'a Query,
-    plan: &'a JoinPlan,
-    indexes: &'a ReducerIndexes,
-    heap: &'a mut H,
-    stats: &'a mut LocalJoinStats,
-    /// Partial tuple, indexed by vertex (borrowed [`Scratch`]).
-    tuple: &'a mut Vec<Option<Interval>>,
-    /// Fixed (edge, score) pairs along the current path.
-    fixed: &'a mut Vec<(usize, f64)>,
     /// Optional attribute filter (hybrid queries).
     filter: Option<&'a dyn TupleFilter>,
+    topk: TopK,
+    stats: LocalJoinStats,
+    /// Partial tuple, indexed by vertex.
+    tuple: Vec<Option<Interval>>,
+    /// Fixed (edge, score) pairs along the current path.
+    fixed: Vec<(usize, f64)>,
+    /// Per-edge score vector handed to the aggregation.
+    scores: Vec<f64>,
 }
 
-impl<H: ProbeHeap> JoinCx<'_, H> {
-    /// Evaluates one probe chunk: each item seeds the first plan step.
-    fn run_chunk(&mut self, chunk: &[Interval], buckets: &[BucketId], combo_ub: f64) {
+impl JoinCx<'_> {
+    /// Whether a combination (or the rest of one) bounded by `ub` can no
+    /// longer change the top-k score multiset. Once the heap is full, a
+    /// UB that only *ties* the k-th score is dominated too: the paper's
+    /// guarantee is the exact top-k ranking by score, and tie tuples are
+    /// interchangeable.
+    fn dominated(&self, ub: f64) -> bool {
+        self.topk.is_full() && ub <= self.topk.admission_score()
+    }
+
+    /// Evaluates one combination: each item of its first-step run, in
+    /// the index's canonical order, seeds the first plan step.
+    fn process_combo(&mut self, buckets: &[BucketId], combo_ub: f64) {
         let first_vertex = self.plan.steps[0].vertex;
-        for x in chunk {
-            if self.heap.is_full() && combo_ub <= self.heap.admission_score() {
-                break; // the whole combination became dominated mid-way
+        let indexes = self.indexes;
+        let Some(index) = indexes.get(&(first_vertex as u16, buckets[first_vertex])) else {
+            return; // bucket had no shipped data
+        };
+        for x in index.items() {
+            if self.dominated(combo_ub) {
+                break; // the whole combination became dominated mid-run
             }
             self.tuple[first_vertex] = Some(*x);
-            if self.filter.is_none_or(|f| f.admits(self.tuple)) {
+            if self.filter.is_none_or(|f| f.admits(&self.tuple)) {
                 self.extend(1, buckets);
             }
             self.tuple[first_vertex] = None;
@@ -578,12 +258,12 @@ impl<H: ProbeHeap> JoinCx<'_, H> {
         let anchor = step.anchor.expect("non-first steps have anchors");
         let edge = &self.query.edges[anchor.edge];
         let anchor_iv = self.tuple[anchor.bound_vertex].expect("anchor bound");
-        let tau = self.heap.admission_score();
+        let tau = self.topk.admission_score();
         // With a full heap, only strictly-better totals matter (ties
         // cannot change the score multiset).
-        let strict = self.heap.is_full();
+        let strict = self.topk.is_full();
         let needed = self.query.aggregation.required_edge_score(
-            self.fixed,
+            &self.fixed,
             anchor.edge,
             self.query.edges.len(),
             tau,
@@ -629,12 +309,12 @@ impl<H: ProbeHeap> JoinCx<'_, H> {
             // Recompute the requirement against the *current* τ: it only
             // grows, and the stream is sorted descending, so a failure
             // here dominates every remaining candidate.
-            let strict = self.heap.is_full();
+            let strict = self.topk.is_full();
             let needed_now = self.query.aggregation.required_edge_score(
-                self.fixed,
+                &self.fixed,
                 anchor.edge,
                 self.query.edges.len(),
-                self.heap.admission_score(),
+                self.topk.admission_score(),
             );
             if s_anchor < needed_now || (strict && s_anchor <= needed_now) {
                 break;
@@ -642,7 +322,7 @@ impl<H: ProbeHeap> JoinCx<'_, H> {
             self.fixed.push((anchor.edge, s_anchor));
             self.tuple[step.vertex] = Some(cand);
             // Cycle edges between the new vertex and bound ones.
-            let mut ok = self.filter.is_none_or(|f| f.admits(self.tuple));
+            let mut ok = self.filter.is_none_or(|f| f.admits(&self.tuple));
             let mut pushed = 1;
             for &ce in &step.checks {
                 if !ok {
@@ -655,8 +335,8 @@ impl<H: ProbeHeap> JoinCx<'_, H> {
                 self.fixed.push((ce, sc));
                 pushed += 1;
                 let optimistic = self.optimistic_total();
-                let tau_now = self.heap.admission_score();
-                if optimistic < tau_now || (self.heap.is_full() && optimistic <= tau_now) {
+                let tau_now = self.topk.admission_score();
+                if optimistic < tau_now || (self.topk.is_full() && optimistic <= tau_now) {
                     ok = false;
                     break;
                 }
@@ -671,26 +351,24 @@ impl<H: ProbeHeap> JoinCx<'_, H> {
         }
     }
 
-    /// Best achievable total given the fixed edges (free edges at 1.0).
-    fn optimistic_total(&self) -> f64 {
-        let mut scores = vec![1.0; self.query.edges.len()];
-        for &(e, s) in self.fixed.iter() {
-            scores[e] = s;
+    /// Best achievable total given the fixed edges (free edges at 1.0);
+    /// the exact total once every edge is fixed. Fills the reused
+    /// per-edge buffer instead of allocating.
+    fn optimistic_total(&mut self) -> f64 {
+        self.scores.fill(1.0);
+        for &(e, s) in &self.fixed {
+            self.scores[e] = s;
         }
-        self.query.aggregation.eval(&scores)
+        self.query.aggregation.eval(&self.scores)
     }
 
     /// Scores and offers a complete tuple.
     fn finish(&mut self) {
-        let tuple: Vec<Interval> = self.tuple.iter().map(|t| t.expect("complete tuple")).collect();
         debug_assert_eq!(self.fixed.len(), self.query.edges.len());
-        let mut scores = vec![0.0; self.query.edges.len()];
-        for &(e, s) in self.fixed.iter() {
-            scores[e] = s;
-        }
-        let total = self.query.aggregation.eval(&scores);
+        let total = self.optimistic_total();
         self.stats.tuples_scored += 1;
-        self.heap.offer(MatchTuple::new(tuple.iter().map(|iv| iv.id).collect(), total));
+        let ids = self.tuple.iter().map(|t| t.expect("complete tuple").id).collect();
+        self.topk.offer(MatchTuple::new(ids, total));
     }
 }
 
@@ -911,145 +589,6 @@ mod tests {
             (results, stats)
         };
         assert_eq!(run(&reversed), run(&sorted));
-    }
-
-    type ShardedRun = (Vec<MatchTuple>, LocalJoinStats);
-
-    /// Runs the sharded join end-to-end on a full (unpruned) setup.
-    fn run_sharded(
-        intra: IntraJoin,
-        query: &Query,
-        collections: &[IntervalCollection],
-        k: usize,
-        g: u32,
-    ) -> ShardedRun {
-        let (combos, indices, data) = full_setup(query, collections, g);
-        let plan = query.plan();
-        let (topk, stats) =
-            local_topk_join_planned(query, &plan, k, &combos, &indices, &data, None, intra, None);
-        (topk.into_sorted_vec(), stats)
-    }
-
-    #[test]
-    fn sharded_join_is_thread_invariant_and_exact_for_any_chunk_size() {
-        let collections = random_collections(61, 3, 48, 300);
-        let q = table1::q_om(PredicateParams::P1);
-        let refs: Vec<&IntervalCollection> =
-            q.vertices.iter().map(|c| &collections[c.0 as usize]).collect();
-        let expected = naive_topk(&q, &refs, 9);
-        for chunk_items in [1usize, 2, 5, 16, 64, 10_000] {
-            let intra = IntraJoin { chunk_items, ..IntraJoin::default() };
-            let (seq_results, seq_stats) = run_sharded(intra, &q, &collections, 9, 6);
-            // Exact score multiset vs the oracle, at every chunk size
-            // (incl. 1 and longer than every candidate run).
-            assert_eq!(seq_results.len(), expected.len(), "chunk={chunk_items}");
-            for (got, want) in seq_results.iter().zip(&expected) {
-                assert!(
-                    (got.score - want.score).abs() < 1e-9,
-                    "chunk={chunk_items}: {got:?} vs {want:?}"
-                );
-            }
-            // The thread count only executes the fixed plan: results (ids
-            // included) and every work counter are bit-identical to the
-            // sequential execution.
-            for threads in [1usize, 2, 4] {
-                let (par_results, par_stats) =
-                    run_sharded(IntraJoin { threads, ..intra }, &q, &collections, 9, 6);
-                assert_eq!(seq_results.len(), par_results.len());
-                for (a, b) in seq_results.iter().zip(&par_results) {
-                    assert_eq!(a.ids, b.ids, "chunk={chunk_items}/threads={threads}");
-                    assert_eq!(a.score.to_bits(), b.score.to_bits());
-                }
-                // `intra_threads_used` records the execution shape (it
-                // *should* differ across thread counts); every other
-                // field must match exactly.
-                let mut normalized = par_stats.clone();
-                normalized.intra_threads_used = seq_stats.intra_threads_used;
-                assert_eq!(
-                    normalized, seq_stats,
-                    "chunk={chunk_items}/threads={threads}: counters diverge"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn shared_bound_only_prunes() {
-        // Disabling the shared bound is the maximally stale bound every
-        // wave chunk could ever observe: the exact same score multiset
-        // must come back, and no counter may shrink — the bound can only
-        // remove work, never add or redirect it.
-        let collections = random_collections(77, 3, 60, 250);
-        let q = table1::q_om(PredicateParams::P1);
-        for chunk_items in [3usize, 10, 32] {
-            let on = IntraJoin { chunk_items, ..IntraJoin::default() };
-            let off = IntraJoin { shared_bound: false, ..on };
-            let (r_on, s_on) = run_sharded(on, &q, &collections, 7, 5);
-            let (r_off, s_off) = run_sharded(off, &q, &collections, 7, 5);
-            assert_eq!(r_on.len(), r_off.len(), "chunk={chunk_items}");
-            for (a, b) in r_on.iter().zip(&r_off) {
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "chunk={chunk_items}");
-            }
-            assert!(
-                s_on.items_scanned <= s_off.items_scanned,
-                "chunk={chunk_items}: the bound must only prune scans: {} vs {}",
-                s_on.items_scanned,
-                s_off.items_scanned
-            );
-            assert!(s_on.index_probes <= s_off.index_probes, "chunk={chunk_items}");
-            assert!(s_on.tuples_scored <= s_off.tuples_scored, "chunk={chunk_items}");
-        }
-    }
-
-    #[test]
-    fn waves_fire_and_record_chunking_telemetry() {
-        // A single hot bucket (g = 1) much longer than the chunk size:
-        // once the heap fills, the remaining chunks run as waves on the
-        // configured workers.
-        // k is large enough that the admission threshold stays below the
-        // combination's UB (1.0) — otherwise mid-run early termination
-        // correctly skips the remaining chunks before any wave fires.
-        let collections = random_collections(91, 3, 200, 4000);
-        let q = table1::q_om(PredicateParams::P1);
-        let intra = IntraJoin { threads: 2, chunk_items: 16, shared_bound: true };
-        let (results, stats) = run_sharded(intra, &q, &collections, 50, 1);
-        assert_eq!(results.len(), 50);
-        // Nominal chunk count of the one candidate run: ⌈200 / 16⌉.
-        let nominal = collections[0].len().div_ceil(16) as u64;
-        assert_eq!(nominal, 13, "200 items / 16 per chunk");
-        assert!(
-            stats.probe_chunks >= 2 && stats.probe_chunks <= nominal,
-            "chunks evaluated within the nominal bound: {stats:?}"
-        );
-        assert_eq!(stats.intra_threads_used, 2, "waves ran on the configured workers: {stats:?}");
-        // Sequential execution of the identical plan: same counters,
-        // but no wave ever ran on extra workers.
-        let (_, seq) = run_sharded(IntraJoin { threads: 0, ..intra }, &q, &collections, 50, 1);
-        assert_eq!(seq.probe_chunks, stats.probe_chunks);
-        assert_eq!(seq.items_scanned, stats.items_scanned);
-        assert_eq!(seq.intra_threads_used, 0);
-    }
-
-    #[test]
-    fn shard_heap_admission_is_a_valid_lower_bound() {
-        let mut heap = ShardHeap { local: TopK::new(2), floor: 0.5, floor_full: true };
-        assert!(heap.is_full(), "the frozen global heap was full");
-        assert_eq!(heap.admission_score(), 0.5, "floor governs until the local k-th beats it");
-        heap.offer(MatchTuple::new(vec![1], 0.9));
-        assert_eq!(heap.admission_score(), 0.5, "local heap below k: floor still governs");
-        heap.offer(MatchTuple::new(vec![2], 0.7));
-        assert_eq!(heap.admission_score(), 0.7, "local k-th overtakes the floor");
-        let empty = ShardHeap { local: TopK::new(2), floor: 0.0, floor_full: false };
-        assert!(!empty.is_full());
-        assert_eq!(empty.admission_score(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be monotone")]
-    fn publish_bound_rejects_regressions() {
-        let bound = AtomicU64::new(0f64.to_bits());
-        publish_bound(&bound, 0.8);
-        publish_bound(&bound, 0.5); // a regressing bound is a bookkeeping bug
     }
 
     #[test]

@@ -15,20 +15,14 @@
 //!   threads (partitions are sorted and grouped before reduction), so
 //!   distributed execution order can never change query answers.
 //!
-//! Two nested layers of real OS-thread parallelism are available, each
-//! defaulting to sequential (`0`): whole tasks execute on a pool of
-//! [`ClusterConfig::worker_threads`], and one join-phase reduce task may
-//! additionally shard its probe stream across
-//! [`ClusterConfig::intra_join_threads`] chunk workers (the intra-reducer
-//! parallel join of `tkij_core::localjoin`). The layers share one
-//! thread budget, the larger knob: [`ClusterConfig::intra_join_plan`]
-//! throttles the inner layer so `outer × inner` never oversubscribes the
-//! host. Sequential
-//! execution remains the benchmark default: on a single-core host it
-//! gives unpolluted per-task timings, and wave makespans are *computed*
-//! by list-scheduling the measured durations onto the configured slots —
-//! see [`JobMetrics`]. Neither knob can change outputs or work counters.
-
+//! One layer of real OS-thread parallelism is available: whole tasks
+//! execute on [`ClusterConfig::worker_threads`] threads (`0` =
+//! sequential, on the calling thread). Each join-phase reduce task runs
+//! one sequential rank-join, so parallelism is across tasks, as in the
+//! paper's 24 reducers on 6 workers. Wave makespans are *computed* by
+//! list-scheduling the measured task durations onto the configured slots
+//! — see [`JobMetrics`]. The thread count never changes outputs or work
+//! counters.
 //!
 //! Two **shuffle transports** sit behind [`ShuffleMode`]: the default
 //! in-memory `Vec` gather, and a serialized out-of-core path

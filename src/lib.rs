@@ -87,8 +87,8 @@ struct ReadmeDoctests;
 pub mod prelude {
     pub use tkij_core::{
         collect_statistics, naive_boolean, naive_topk, Counters, DistributionPolicy,
-        ExecutionReport, Fingerprint, IntraJoin, LatencySnapshot, PlanKey, PreparedDataset,
-        QueryHandle, QueryPlan, ServingStats, Strategy, Tkij, TkijConfig, TkijServer,
+        ExecutionReport, Fingerprint, LatencySnapshot, PlanKey, PreparedDataset, QueryHandle,
+        QueryPlan, ServingStats, Strategy, Tkij, TkijConfig, TkijServer,
     };
     pub use tkij_datagen::{traffic_collection, uniform_collections, TrafficConfig};
     pub use tkij_mapreduce::ClusterConfig;

@@ -84,11 +84,9 @@ fn every_impl_visits_each_counter_once_under_a_unique_name() {
             index_probes: 5,
             items_scanned: 6,
             buckets_sweep: 7,
-            probe_chunks: 8,
-            intra_threads_used: 9,
             kth_score: 0.5,
         },
-        10,
+        8,
     );
     assert_visits_each_field_once(
         "ServingStats",
@@ -103,10 +101,7 @@ fn every_impl_visits_each_counter_once_under_a_unique_name() {
 }
 
 fn sample_report() -> ExecutionReport {
-    let engine = Tkij::with_cluster(
-        TkijConfig::default().with_granules(4).with_reducers(3).with_probe_chunk_items(16),
-        ClusterConfig::default().with_intra_join_threads(2),
-    );
+    let engine = Tkij::new(TkijConfig::default().with_granules(4).with_reducers(3));
     let dataset = engine.prepare(uniform_collections(3, 120, 99)).unwrap();
     engine.execute(&dataset, &table1::q_om(PredicateParams::P1), 20).unwrap()
 }
@@ -120,20 +115,10 @@ fn report_accessors_fold_the_same_named_local_join_counter() {
         ("index_probes", report.index_probes()),
         ("items_scanned", report.items_scanned()),
         ("buckets_sweep", report.buckets_sweep()),
-        ("probe_chunks", report.probe_chunks()),
     ] {
         let (_, sum) = sums.iter().find(|(n, _)| *n == name).expect("a visited counter");
         assert_eq!(accessor, *sum, "ExecutionReport::{name}()");
     }
-    // The execution-shape record folds by max, not by sum.
-    let max = report
-        .local_stats
-        .iter()
-        .flat_map(|s| visited(s))
-        .filter(|(name, _)| *name == "intra_threads_used")
-        .map(|(_, value)| value)
-        .max();
-    assert_eq!(Some(report.intra_threads_used()), max);
 }
 
 #[test]

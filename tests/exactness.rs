@@ -157,3 +157,55 @@ fn two_way_queries_are_supported() {
         assert_exact(&engine, &dataset, &q, 12, &pred.to_string());
     }
 }
+
+#[test]
+fn reported_scores_are_bit_identical_to_rescoring_the_tuple() {
+    // The rank-join aggregates each tuple's edge scores in one per-reducer
+    // buffer reused across tuples and cycle checks. A stale entry left in
+    // it would shift a reported score away from `Query::score_tuple` of
+    // the same intervals, so the two must agree to the bit — for chains,
+    // stars and the cyclic `Q_{s,f,m}`, under every aggregation.
+    let engine = Tkij::new(TkijConfig::default().with_granules(6).with_reducers(3));
+    let dataset = engine.prepare(uniform_collections(3, 40, 5)).unwrap();
+    let avg = dataset.collections[0].avg_length();
+    let p = PredicateParams::P2;
+    let mut queries = table1::all(p, avg);
+    for (name, agg) in [
+        ("chain/min", Aggregation::Min),
+        ("chain/weighted", Aggregation::WeightedSum(vec![3.0, 1.0])),
+    ] {
+        let q = Query::new(
+            vec![CollectionId(0), CollectionId(1), CollectionId(2)],
+            vec![
+                QueryEdge { src: 0, dst: 1, predicate: TemporalPredicate::overlaps(p) },
+                QueryEdge { src: 1, dst: 2, predicate: TemporalPredicate::meets(p) },
+            ],
+            agg,
+        )
+        .unwrap();
+        queries.push((name, q));
+    }
+    for (name, q) in &queries {
+        let report = engine.execute(&dataset, q, 12).expect(name);
+        assert!(!report.results.is_empty(), "{name}: produces results");
+        for (i, got) in report.results.iter().enumerate() {
+            let tuple: Vec<Interval> = got
+                .ids
+                .iter()
+                .zip(&q.vertices)
+                .map(|(id, c)| {
+                    *dataset.collections[c.0 as usize]
+                        .intervals()
+                        .iter()
+                        .find(|iv| iv.id == *id)
+                        .unwrap_or_else(|| panic!("{name}: unknown id {id}"))
+                })
+                .collect();
+            assert_eq!(
+                q.score_tuple(&tuple).to_bits(),
+                got.score.to_bits(),
+                "{name}: rank {i} reports a score its intervals do not give"
+            );
+        }
+    }
+}

@@ -1,7 +1,8 @@
 //! Local-join equivalence, end to end through the public facade: every
 //! TopBuckets strategy must return the naive oracle's top-k scores for
-//! randomized workloads and queries, the sharded join must not depend on
-//! its thread count, and the shared score bound may only prune.
+//! randomized workloads and queries, every shipped bucket is indexed
+//! once, and runtime early termination saves work without changing the
+//! top-k.
 
 use proptest::prelude::*;
 use tkij::prelude::*;
@@ -63,73 +64,41 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The sharded/parallel local join at random chunk sizes — including
-    /// 1 and longer than every candidate run — stays exact against the
-    /// naive oracle, is bit-identical (ids and counters included) to its
-    /// own sequential execution, and its shared score bound may only
-    /// *prune*: `items_scanned` never exceeds the unbounded run's (and
-    /// exactly equals the sequential path's, since the thread count
-    /// cannot change the plan).
+    /// Each reducer runs one sequential rank-join, so the worker-thread
+    /// count only schedules the reduce tasks: on random workloads the
+    /// results stay the oracle's, and every id, tie-break and work
+    /// counter is bit-identical to the sequential run's.
     #[test]
-    fn sharded_path_is_exact_thread_invariant_and_bound_only_prunes(
+    fn one_rank_join_per_reducer_is_exact_at_every_worker_count(
         seed in 0u64..10_000,
         size in 20usize..60,
         k in 1usize..10,
-        chunk_sel in 0usize..6,
+        workers in 1usize..5,
     ) {
-        // Chunk sizes spanning the degenerate (1), several non-divisors,
-        // and one longer than any candidate run.
-        let chunk = [1usize, 2, 7, 19, 64, 100_000][chunk_sel];
         let collections = uniform_collections(3, size, seed);
         let q = table1::q_om(PredicateParams::P1);
-        let exec = |threads: usize, bound: bool| {
-            let mut config =
-                TkijConfig::default().with_granules(5).with_reducers(3).with_probe_chunk_items(chunk);
-            if !bound {
-                config = config.without_intra_bound();
-            }
+        let exec = |worker_threads: usize| {
             let engine = Tkij::with_cluster(
-                config,
-                ClusterConfig::default().with_intra_join_threads(threads),
+                TkijConfig::default().with_granules(5).with_reducers(3),
+                ClusterConfig { worker_threads, ..Default::default() },
             );
             let dataset = engine.prepare(collections.clone()).unwrap();
             engine.execute(&dataset, &q, k).unwrap()
         };
-        let seq = exec(0, true);
-        let par = exec(2, true);
-        let unbounded = exec(2, false);
+        let seq = exec(0);
+        let par = exec(workers);
 
-        // Exact vs the oracle.
         let refs: Vec<&IntervalCollection> =
             q.vertices.iter().map(|c| &collections[c.0 as usize]).collect();
         let expected = naive_topk(&q, &refs, k);
-        prop_assert_eq!(par.results.len(), expected.len(), "chunk={}", chunk);
+        prop_assert_eq!(par.results.len(), expected.len(), "workers={}", workers);
         for (got, want) in par.results.iter().zip(&expected) {
             prop_assert!(
                 (got.score - want.score).abs() < 1e-9,
-                "chunk={}: {} vs oracle {}", chunk, got.score, want.score
+                "workers={}: {} vs oracle {}", workers, got.score, want.score
             );
         }
-        // Thread-invariance: same plan, bit-identical execution record.
-        prop_assert_eq!(seq.results.len(), par.results.len());
-        for (a, b) in seq.results.iter().zip(&par.results) {
-            prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
-            prop_assert_eq!(&a.ids, &b.ids, "chunk={}: tie-breaks diverge", chunk);
-        }
-        prop_assert_eq!(seq.items_scanned(), par.items_scanned());
-        prop_assert_eq!(seq.index_probes(), par.index_probes());
-        prop_assert_eq!(seq.probe_chunks(), par.probe_chunks());
-        prop_assert_eq!(seq.tuples_scored(), par.tuples_scored());
-        // The shared bound may only prune: identical scores, never more
-        // scans than the unbounded (maximally stale) run.
-        for (a, b) in par.results.iter().zip(&unbounded.results) {
-            prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-        prop_assert!(
-            par.items_scanned() <= unbounded.items_scanned(),
-            "chunk={}: bound added scans: {} vs {}",
-            chunk, par.items_scanned(), unbounded.items_scanned()
-        );
+        prop_assert_eq!(seq.fingerprint(), par.fingerprint(), "workers={}", workers);
     }
 }
 
@@ -179,9 +148,11 @@ fn every_shipped_bucket_is_indexed_once_across_densities() {
 
 #[test]
 fn early_termination_fires_with_the_sweep_backend() {
-    // A workload with a dominant score cluster: once k high scorers are
-    // found, dominated combinations must be skipped by the runtime
-    // early-termination check.
+    // A 2-vertex `meets` workload with a dominant score cluster, static
+    // TopBuckets pruning off: every combination survives with honest
+    // bounds, so any work saving comes from *runtime* early termination.
+    // Once k high scorers are found, dominated combinations and the rest
+    // of a dominated first-step run must be skipped.
     let engine =
         Tkij::new(TkijConfig::default().with_granules(10).with_reducers(2).without_pruning());
     let dataset = engine.prepare(uniform_collections(2, 120, 31)).unwrap();
@@ -199,6 +170,7 @@ fn early_termination_fires_with_the_sweep_backend() {
         .unwrap()
     };
     let report = engine.execute(&dataset, &q, 3).unwrap();
+    assert_eq!(report.results.len(), 3);
     let assigned: usize = report.local_stats.iter().map(|s| s.combos_assigned).sum();
     let processed: usize = report.local_stats.iter().map(|s| s.combos_processed).sum();
     assert!(processed > 0);
@@ -207,4 +179,58 @@ fn early_termination_fires_with_the_sweep_backend() {
         "early termination must skip dominated combos with the sweep backend \
          (processed {processed} of {assigned})"
     );
+
+    // Exhaustive reference: a k no workload of this size can fill, so
+    // the admission threshold never rises and nothing is ever skipped.
+    let exhaustive = engine.execute(&dataset, &q, 100_000).unwrap();
+    assert!(
+        report.index_probes() < exhaustive.index_probes(),
+        "probes must stay below the exhaustive count: {} vs {}",
+        report.index_probes(),
+        exhaustive.index_probes()
+    );
+    assert!(
+        report.items_scanned() < exhaustive.items_scanned(),
+        "scans must stay below the exhaustive count: {} vs {}",
+        report.items_scanned(),
+        exhaustive.items_scanned()
+    );
+    // The exhaustive run returns every tuple; the early-terminated run's
+    // scores must be its true top prefix.
+    for (got, want) in report.results.iter().zip(&exhaustive.results) {
+        assert_eq!(got.score.to_bits(), want.score.to_bits());
+    }
+}
+
+#[test]
+fn a_combination_dominated_mid_run_stops_its_first_step_walk() {
+    // Every pair scores the same s < 1, and the one combination's upper
+    // bound is exactly s. Once k tuples fill the heap, τ = s = UB, so the
+    // rest of the first-step run is dominated and must not be walked: the
+    // probe threshold alone (s must beat τ < 1) would still probe once
+    // per remaining item.
+    use tkij::core::{local_topk_join, ComboSet};
+    use tkij::temporal::bucket::BucketId;
+    let q = Query::new(
+        vec![CollectionId(0), CollectionId(1)],
+        vec![QueryEdge {
+            src: 0,
+            dst: 1,
+            predicate: TemporalPredicate::meets(PredicateParams::P1),
+        }],
+        Aggregation::NormalizedSum,
+    )
+    .unwrap();
+    let left: Vec<Interval> = (0..8).map(|id| Interval::new(id, 0, 10).unwrap()).collect();
+    let right: Vec<Interval> = (0..8).map(|id| Interval::new(id, 20, 30).unwrap()).collect();
+    let s = q.score_tuple(&[left[0], right[0]]);
+    assert!(s > 0.0 && s < 1.0, "a partial score, so the probe threshold stays below 1: {s}");
+    let bucket = BucketId::new(0, 0);
+    let mut combos = ComboSet::new(2);
+    combos.push(&[bucket, bucket], 64, s, s);
+    let data = std::collections::BTreeMap::from([((0, bucket), left), ((1, bucket), right)]);
+    let (topk, stats) = local_topk_join(&q, &q.plan(), 3, &combos, &[0], &data);
+    assert_eq!(topk.sorted_scores(), vec![s; 3]);
+    assert_eq!(stats.index_probes, 1, "the walk must stop once the combination is dominated");
+    assert_eq!(stats.tuples_scored, 3);
 }

@@ -83,10 +83,6 @@ fn uniform(size: usize, span: i64) -> Vec<IntervalCollection> {
     (0..3).map(|i| uniform_collection(CollectionId(i), &cfg)).collect()
 }
 
-fn engine(config: TkijConfig, intra_join_threads: usize) -> Tkij {
-    Tkij::with_cluster(config, ClusterConfig::default().with_intra_join_threads(intra_join_threads))
-}
-
 #[test]
 fn work_counters_match_the_pins() {
     let mut visited = Visited::default();
@@ -95,17 +91,16 @@ fn work_counters_match_the_pins() {
     // in memory, then through the spill path at threshold 0 (one segment
     // per record).
     let config = TkijConfig::default().with_granules(20).with_reducers(4);
-    let dense = engine(config.clone(), 0).prepare(uniform(6_000, 20_000)).unwrap();
-    let sweep = visited.run("dense", "sweep", &dense, engine(config.clone(), 0));
+    let dense = Tkij::new(config.clone()).prepare(uniform(6_000, 20_000)).unwrap();
+    let sweep = visited.run("dense", "sweep", &dense, Tkij::new(config.clone()));
     let spill = config.with_shuffle_spill_threshold_bytes(0);
-    assert_eq!(visited.run("dense", "spill", &dense, engine(spill, 0)), sweep, "the dense top-k");
+    assert_eq!(visited.run("dense", "spill", &dense, Tkij::new(spill)), sweep, "the dense top-k");
 
-    // Hot: g = 1 is one combination on one reducer, the regime only
-    // intra-join sharding parallelises; sequential and on 4 workers.
+    // Hot: g = 1 is one combination on one reducer, one rank-join over a
+    // single 4,000-item first-step run.
     let config = TkijConfig::default().with_granules(1).with_reducers(1);
-    let hot = engine(config.clone(), 0).prepare(uniform(4_000, 120_000)).unwrap();
-    let seq = visited.run("hot", "hot_seq", &hot, engine(config.clone(), 0));
-    assert_eq!(visited.run("hot", "hot_par", &hot, engine(config, 4)), seq, "the hot top-k");
+    let hot = Tkij::new(config.clone()).prepare(uniform(4_000, 120_000)).unwrap();
+    visited.run("hot", "hot_seq", &hot, Tkij::new(config));
 
     let items = uniform(20_000, 20_000).swap_remove(0).intervals().to_vec();
     visited.probe("sweep", &SweepIndex::build(items.clone()), &items);
@@ -136,8 +131,7 @@ fn a_visited_key_without_a_pin_fails_naming_the_key() {
 /// Every visited counter, sorted by key as a failure prints them.
 #[rustfmt::skip]
 const PINNED: &[(&str, u64)] = &[
-    ("dense.distribution.assignments_scored", 35219),
-    ("dense.distribution.cap_fallbacks", 0),
+    ("dense.distribution.assignments_scored", 35219), ("dense.distribution.cap_fallbacks", 0),
     ("dense.distribution.estimated_shuffle_records", 68759),
     ("dense.distribution.replication_factor", 4615784168988305406), // 3.819944
     ("dense.distribution.result_imbalance", 4608892355109582890), // 1.379682
@@ -154,57 +148,45 @@ const PINNED: &[(&str, u64)] = &[
     ("hot.topbuckets.selected", 1), ("hot.topbuckets.selected_results_hi", 0),
     ("hot.topbuckets.selected_results_lo", 64000000000), ("hot.topbuckets.solver_calls", 2),
     ("hot.topbuckets.total_results_hi", 0), ("hot.topbuckets.total_results_lo", 64000000000),
-    ("hot.topbuckets.worker_groups", 1), ("hot_par.join.shuffle.checksum", 0),
-    ("hot_par.join.shuffle.records_spilled", 0), ("hot_par.join.shuffle.spill_bytes", 0),
-    ("hot_par.join.shuffle.spill_segments", 0), ("hot_par.join.shuffle_bytes", 360000),
-    ("hot_par.join.shuffle_records", 12000),
-    ("hot_par.local.buckets_sweep", 3), ("hot_par.local.candidates_visited", 338665),
-    ("hot_par.local.combos_assigned", 1), ("hot_par.local.combos_processed", 1),
-    ("hot_par.local.index_probes", 4010), ("hot_par.local.intra_threads_used", 4),
-    ("hot_par.local.items_scanned", 339875), ("hot_par.local.kth_score", 4607182418800017408),
-    ("hot_par.local.probe_chunks", 9), ("hot_par.local.tuples_scored", 1163),
-    ("hot_par.merge.shuffle.checksum", 0), ("hot_par.merge.shuffle.records_spilled", 0),
-    ("hot_par.merge.shuffle.spill_bytes", 0), ("hot_par.merge.shuffle.spill_segments", 0),
-    ("hot_par.merge.shuffle_bytes", 3300), ("hot_par.merge.shuffle_records", 100),
-    ("hot_par.shuffle.checksum", 0), ("hot_par.shuffle.records_spilled", 0),
-    ("hot_par.shuffle.spill_bytes", 0), ("hot_par.shuffle.spill_segments", 0),
-    ("hot_seq.join.shuffle.checksum", 0), ("hot_seq.join.shuffle.records_spilled", 0),
-    ("hot_seq.join.shuffle.spill_bytes", 0), ("hot_seq.join.shuffle.spill_segments", 0),
-    ("hot_seq.join.shuffle_bytes", 360000), ("hot_seq.join.shuffle_records", 12000),
-    ("hot_seq.local.buckets_sweep", 3),
-    ("hot_seq.local.candidates_visited", 338665), ("hot_seq.local.combos_assigned", 1),
-    ("hot_seq.local.combos_processed", 1), ("hot_seq.local.index_probes", 4010),
-    ("hot_seq.local.intra_threads_used", 0), ("hot_seq.local.items_scanned", 339875),
-    ("hot_seq.local.kth_score", 4607182418800017408), ("hot_seq.local.probe_chunks", 9),
-    ("hot_seq.local.tuples_scored", 1163), ("hot_seq.merge.shuffle.checksum", 0),
-    ("hot_seq.merge.shuffle.records_spilled", 0), ("hot_seq.merge.shuffle.spill_bytes", 0),
-    ("hot_seq.merge.shuffle.spill_segments", 0), ("hot_seq.merge.shuffle_bytes", 3300),
-    ("hot_seq.merge.shuffle_records", 100), ("hot_seq.shuffle.checksum", 0),
-    ("hot_seq.shuffle.records_spilled", 0), ("hot_seq.shuffle.spill_bytes", 0),
-    ("hot_seq.shuffle.spill_segments", 0), ("probe.hits", 29985),
-    ("probe.sweep.scanned", 29985),
+    ("hot.topbuckets.worker_groups", 1), ("hot_seq.join.shuffle.checksum", 0),
+    ("hot_seq.join.shuffle.records_spilled", 0), ("hot_seq.join.shuffle.spill_bytes", 0),
+    ("hot_seq.join.shuffle.spill_segments", 0), ("hot_seq.join.shuffle_bytes", 360000),
+    ("hot_seq.join.shuffle_records", 12000), ("hot_seq.local.buckets_sweep", 3),
+    // Re-pinned: the frozen wave floor is gone; every probe prunes against the live heap.
+    ("hot_seq.local.candidates_visited", 336569),
+    ("hot_seq.local.combos_assigned", 1), ("hot_seq.local.combos_processed", 1),
+    // Re-pinned: the frozen wave floor is gone; every probe prunes against the live heap.
+    ("hot_seq.local.index_probes", 947),
+    // Re-pinned: the frozen wave floor is gone; every probe prunes against the live heap.
+    ("hot_seq.local.items_scanned", 336799),
+    ("hot_seq.local.kth_score", 4607182418800017408),
+    // Re-pinned: the frozen wave floor is gone; every probe prunes against the live heap.
+    ("hot_seq.local.tuples_scored", 373),
+    ("hot_seq.merge.shuffle.checksum", 0), ("hot_seq.merge.shuffle.records_spilled", 0),
+    ("hot_seq.merge.shuffle.spill_bytes", 0), ("hot_seq.merge.shuffle.spill_segments", 0),
+    ("hot_seq.merge.shuffle_bytes", 3300), ("hot_seq.merge.shuffle_records", 100),
+    ("hot_seq.shuffle.checksum", 0), ("hot_seq.shuffle.records_spilled", 0),
+    ("hot_seq.shuffle.spill_bytes", 0), ("hot_seq.shuffle.spill_segments", 0),
+    ("probe.hits", 29985), ("probe.sweep.scanned", 29985),
     ("spill.join.shuffle.checksum", 1175183932), ("spill.join.shuffle.records_spilled", 68759),
     ("spill.join.shuffle.spill_bytes", 3437950), ("spill.join.shuffle.spill_segments", 68759),
     ("spill.join.shuffle_bytes", 2062770), ("spill.join.shuffle_records", 68759),
-    ("spill.local.buckets_sweep", 431),
-    ("spill.local.candidates_visited", 865323), ("spill.local.combos_assigned", 14087),
-    ("spill.local.combos_processed", 12), ("spill.local.index_probes", 15730),
-    ("spill.local.intra_threads_used", 0), ("spill.local.items_scanned", 865465),
-    ("spill.local.kth_score", 18428729675200069632), ("spill.local.probe_chunks", 16),
-    ("spill.local.tuples_scored", 2443), ("spill.merge.shuffle.checksum", 3537127936),
-    ("spill.merge.shuffle.records_spilled", 400), ("spill.merge.shuffle.spill_bytes", 21200),
-    ("spill.merge.shuffle.spill_segments", 400), ("spill.merge.shuffle_bytes", 13200),
-    ("spill.merge.shuffle_records", 400), ("spill.shuffle.checksum", 2497685564),
-    ("spill.shuffle.records_spilled", 69159), ("spill.shuffle.spill_bytes", 3459150),
-    ("spill.shuffle.spill_segments", 69159), ("sweep.join.shuffle.checksum", 0),
-    ("sweep.join.shuffle.records_spilled", 0), ("sweep.join.shuffle.spill_bytes", 0),
-    ("sweep.join.shuffle.spill_segments", 0), ("sweep.join.shuffle_bytes", 2062770),
-    ("sweep.join.shuffle_records", 68759),
+    ("spill.local.buckets_sweep", 431), ("spill.local.candidates_visited", 865323),
+    ("spill.local.combos_assigned", 14087), ("spill.local.combos_processed", 12),
+    ("spill.local.index_probes", 15730), ("spill.local.items_scanned", 865465),
+    ("spill.local.kth_score", 18428729675200069632), ("spill.local.tuples_scored", 2443),
+    ("spill.merge.shuffle.checksum", 3537127936), ("spill.merge.shuffle.records_spilled", 400),
+    ("spill.merge.shuffle.spill_bytes", 21200), ("spill.merge.shuffle.spill_segments", 400),
+    ("spill.merge.shuffle_bytes", 13200), ("spill.merge.shuffle_records", 400),
+    ("spill.shuffle.checksum", 2497685564), ("spill.shuffle.records_spilled", 69159),
+    ("spill.shuffle.spill_bytes", 3459150), ("spill.shuffle.spill_segments", 69159),
+    ("sweep.join.shuffle.checksum", 0), ("sweep.join.shuffle.records_spilled", 0),
+    ("sweep.join.shuffle.spill_bytes", 0), ("sweep.join.shuffle.spill_segments", 0),
+    ("sweep.join.shuffle_bytes", 2062770), ("sweep.join.shuffle_records", 68759),
     ("sweep.local.buckets_sweep", 431), ("sweep.local.candidates_visited", 865323),
     ("sweep.local.combos_assigned", 14087), ("sweep.local.combos_processed", 12),
-    ("sweep.local.index_probes", 15730), ("sweep.local.intra_threads_used", 0),
-    ("sweep.local.items_scanned", 865465), ("sweep.local.kth_score", 18428729675200069632),
-    ("sweep.local.probe_chunks", 16), ("sweep.local.tuples_scored", 2443),
+    ("sweep.local.index_probes", 15730), ("sweep.local.items_scanned", 865465),
+    ("sweep.local.kth_score", 18428729675200069632), ("sweep.local.tuples_scored", 2443),
     ("sweep.merge.shuffle.checksum", 0), ("sweep.merge.shuffle.records_spilled", 0),
     ("sweep.merge.shuffle.spill_bytes", 0), ("sweep.merge.shuffle.spill_segments", 0),
     ("sweep.merge.shuffle_bytes", 13200), ("sweep.merge.shuffle_records", 400),

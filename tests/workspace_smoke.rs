@@ -80,7 +80,7 @@ fn q_om_is_deterministic_across_runs() {
 /// DET005: every atomic memory ordering in `tkij_core` and
 /// `tkij_mapreduce` carries a `//` comment mentioning "ordering" that
 /// argues why it cannot reach a result or counter, on its line or within
-/// the 15 lines above (see `publish_bound` in `tkij_core::localjoin`).
+/// the 15 lines above (see the task cursor in `tkij_mapreduce::run_tasks`).
 #[test]
 fn atomic_orderings_carry_a_rationale() {
     const LOOKBACK: usize = 15;
