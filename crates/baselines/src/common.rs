@@ -24,11 +24,6 @@ impl BaselineReport {
     pub fn total_wall(&self) -> Duration {
         self.phases.iter().map(|(_, m)| m.wall).sum()
     }
-
-    /// Simulated cluster running time (see `tkij-mapreduce`).
-    pub fn simulated_total(&self, cluster: &tkij_mapreduce::ClusterConfig) -> Duration {
-        self.phases.iter().map(|(_, m)| m.simulated_runtime(cluster)).sum()
-    }
 }
 
 /// The granules a closed interval overlaps under a partitioning, as an

@@ -102,7 +102,7 @@ impl Tkij {
         k: usize,
     ) -> Result<ExecutionReport, TemporalError> {
         let plan = self.plan_query(dataset, query, k)?;
-        Ok(self.execute_planned_impl(dataset, query, k, &plan, None, None))
+        Ok(self.execute_planned_impl(dataset, &plan, None, None))
     }
 
     /// Rejects queries the engine cannot evaluate against `dataset`:
@@ -145,6 +145,12 @@ impl Tkij {
         k: usize,
         static_pruning: bool,
     ) -> QueryPlan {
+        // The plan's own copy of the query is made first: allocated after
+        // the temporaries of TopBuckets and distribute are freed, the
+        // small long-lived copy lands at the top of the heap and keeps it
+        // from shrinking (under glibc malloc, +5 MB peak RSS on the
+        // `serve-mix` benchmark workload).
+        let own_query = query.clone();
         // (b) TopBuckets: bound and prune bucket combinations.
         let effective_k = if static_pruning { k as u64 } else { u64::MAX };
         let (selected, topbuckets) = run_topbuckets(
@@ -165,7 +171,7 @@ impl Tkij {
             &dataset.matrices,
         );
 
-        QueryPlan { selected, topbuckets, assignment }
+        QueryPlan { query: own_query, k, selected, topbuckets, assignment }
     }
 
     /// Planning phase: validates the query, then runs the driver-side
@@ -189,22 +195,22 @@ impl Tkij {
 
     /// Execution phase: evaluates a previously planned query — the
     /// distributed join (paper Fig. 5d) and merge (Fig. 5e) — and
-    /// assembles the full [`ExecutionReport`].
+    /// assembles the full [`ExecutionReport`]. The query and `k` are the
+    /// plan's own, so a plan cannot be run against a shape it was not
+    /// made for.
     ///
-    /// `plan` must come from [`Tkij::plan_query`] on the same (dataset,
-    /// query, k, config); the report is then bit-identical to what
+    /// `plan` must come from [`Tkij::plan_query`] on the same dataset
+    /// and config; the report is then bit-identical to what
     /// [`Tkij::execute`] would produce (the plan's recorded TopBuckets
     /// and distribution wall times are replayed verbatim — timings are
     /// never part of determinism fingerprints).
     pub fn execute_planned(
         &self,
         dataset: &PreparedDataset,
-        query: &Query,
-        k: usize,
         plan: &QueryPlan,
     ) -> Result<ExecutionReport, TemporalError> {
-        self.validate(dataset, query, k)?;
-        Ok(self.execute_planned_impl(dataset, query, k, plan, None, None))
+        self.validate(dataset, &plan.query, plan.k)?;
+        Ok(self.execute_planned_impl(dataset, plan, None, None))
     }
 
     /// [`Tkij::execute_planned`] after validation — the one place the
@@ -213,13 +219,12 @@ impl Tkij {
     pub(crate) fn execute_planned_impl(
         &self,
         dataset: &PreparedDataset,
-        query: &Query,
-        k: usize,
         plan: &QueryPlan,
         filter: Option<&dyn TupleFilter>,
         pools: Option<&IndexPools>,
     ) -> ExecutionReport {
-        let QueryPlan { selected, topbuckets, assignment } = plan;
+        let QueryPlan { query, k, selected, topbuckets, assignment } = plan;
+        let k = *k;
 
         // (d) Distributed local joins, one rank-join per reducer. Results
         // and counters are identical with or without a pool.
@@ -271,8 +276,9 @@ impl Tkij {
 }
 
 /// An immutable driver-side execution plan for one (query, k) shape: the
-/// selected combinations `Ω_{k,S}` from TopBuckets, the phase's
-/// telemetry, and the reducer assignment the distribution policy chose.
+/// shape itself, the selected combinations `Ω_{k,S}` from TopBuckets,
+/// the phase's telemetry, and the reducer assignment the distribution
+/// policy chose.
 ///
 /// Produced by [`Tkij::plan_query`], consumed (any number of times) by
 /// [`Tkij::execute_planned`]. The serving layer caches plans per query
@@ -281,6 +287,11 @@ impl Tkij {
 /// query, k, config).
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
+    /// The query the plan was made for.
+    pub query: Query,
+    /// The result budget the plan was made for (TopBuckets pruned
+    /// against it).
+    pub k: usize,
     /// The selected bucket-combination set `Ω_{k,S}` (TopBuckets output).
     pub selected: ComboSet,
     /// TopBuckets telemetry recorded when the plan was made (its
@@ -383,16 +394,6 @@ impl ExecutionReport {
     /// Measured wall time of the online phases.
     pub fn total_wall(&self) -> Duration {
         self.topbuckets.duration + self.distribution.duration + self.join.wall + self.merge.wall
-    }
-
-    /// Simulated cluster running time: TopBuckets and distribution run on
-    /// the driver; the two Map-Reduce jobs are list-scheduled onto the
-    /// cluster's slots (see `tkij-mapreduce`).
-    pub fn simulated_total(&self, cluster: &ClusterConfig) -> Duration {
-        self.topbuckets.duration
-            + self.distribution.duration
-            + self.join.simulated_runtime(cluster)
-            + self.merge.simulated_runtime(cluster)
     }
 
     /// Minimum score of the k-th result across reducers (Fig. 8c).

@@ -116,7 +116,7 @@ pub fn execute_hybrid(
     // bounded and kept, so UB ordering and early termination still apply.
     let plan = engine.plan_unchecked(dataset, query, k, false);
     let filter = AttrFilter { query, tables, constraints };
-    let mut report = engine.execute_planned_impl(dataset, query, k, &plan, Some(&filter), None);
+    let mut report = engine.execute_planned_impl(dataset, &plan, Some(&filter), None);
     report.query_name = format!("{}+{}attr", query.name(), constraints.len());
     Ok(report)
 }

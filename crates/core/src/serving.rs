@@ -261,14 +261,7 @@ impl ServerInner {
         } else {
             self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let report = self.engine.execute_planned_impl(
-            &self.dataset,
-            query,
-            k,
-            plan,
-            None,
-            Some(&self.pools),
-        );
+        let report = self.engine.execute_planned_impl(&self.dataset, plan, None, Some(&self.pools));
         self.latency.lock().record(started.elapsed().as_micros());
         Ok(report)
     }

@@ -10,16 +10,13 @@
 //!   60-second gap rule, with packet-level sampling for the scalability
 //!   sweeps. See DESIGN.md for the substitution rationale.
 //!
-//! [`histogram`] renders Fig. 12-style percent-of-max distributions and
 //! [`distributions`] holds the seeded samplers. Everything is
 //! deterministic given a seed.
 
 pub mod distributions;
-pub mod histogram;
 pub mod synthetic;
 pub mod traffic;
 
-pub use histogram::{percent_histogram, PercentBin};
 pub use synthetic::{uniform_collection, uniform_collections, SyntheticConfig};
 pub use traffic::{
     build_connections, connections_to_collection, generate_packets, sample_packets,

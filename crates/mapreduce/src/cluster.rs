@@ -1,6 +1,5 @@
-//! Cluster shape: slots used for simulated scheduling and thread pool
-//! sizing, the task-level thread count, and the shuffle-transport
-//! selection ([`ShuffleMode`]).
+//! Cluster shape: the map-split count, the task-level thread count, and
+//! the shuffle-transport selection ([`ShuffleMode`]).
 
 use crate::shuffle::ShuffleMode;
 
@@ -20,8 +19,10 @@ use crate::shuffle::ShuffleMode;
 pub struct ClusterConfig {
     /// Concurrent map slots (the paper's 6 workers).
     pub map_slots: usize,
-    /// Reducer slots; the join phase runs one reduce task per partition
-    /// and its wave makespan is computed over these slots.
+    /// Ignored: the former reduce-wave slot count of the simulated
+    /// makespan model. The join phase's reducer count is
+    /// `TkijConfig::reducers`. It remains because the repository's
+    /// `benchmark/` sets it; ROADMAP step 0(a) deletes it.
     pub reduce_slots: usize,
     /// OS threads actually used to execute tasks; `0` runs tasks
     /// sequentially (deterministic timings on small hosts). Outputs are
@@ -51,14 +52,6 @@ impl Default for ClusterConfig {
     }
 }
 
-impl ClusterConfig {
-    /// A config with the given number of reducers, keeping paper defaults
-    /// elsewhere.
-    pub fn with_reducers(reducers: usize) -> Self {
-        ClusterConfig { reduce_slots: reducers, ..Default::default() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,15 +60,7 @@ mod tests {
     fn defaults_match_paper_platform() {
         let c = ClusterConfig::default();
         assert_eq!(c.map_slots, 6);
-        assert_eq!(c.reduce_slots, 24);
         assert_eq!(c.worker_threads, 0);
         assert_eq!(c.shuffle, ShuffleMode::InMemory);
-    }
-
-    #[test]
-    fn with_reducers_overrides_only_reducers() {
-        let c = ClusterConfig::with_reducers(20);
-        assert_eq!(c.reduce_slots, 20);
-        assert_eq!(c.map_slots, 6);
     }
 }

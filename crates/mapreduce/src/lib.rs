@@ -8,9 +8,8 @@
 //! * the **dataflow**: per-split stateful mappers → map-side partitioning
 //!   → a real shuffle stage → per-partition grouped reducers;
 //! * the **cost counters** the paper reasons about: shuffle records and
-//!   bytes per reducer (replication/input cost), per-task durations, the
-//!   simulated makespan on a fixed number of reducer slots, and the
-//!   max/avg reducer imbalance plotted in Fig. 10b;
+//!   bytes per reducer (replication/input cost), per-task durations, and
+//!   the max/avg reducer imbalance plotted in Fig. 10b;
 //! * **determinism**: outputs are independent of the number of worker
 //!   threads (partitions are sorted and grouped before reduction), so
 //!   distributed execution order can never change query answers.
@@ -19,10 +18,8 @@
 //! execute on [`ClusterConfig::worker_threads`] threads (`0` =
 //! sequential, on the calling thread). Each join-phase reduce task runs
 //! one sequential rank-join, so parallelism is across tasks, as in the
-//! paper's 24 reducers on 6 workers. Wave makespans are *computed* by
-//! list-scheduling the measured task durations onto the configured slots
-//! — see [`JobMetrics`]. The thread count never changes outputs or work
-//! counters.
+//! paper's 24 reducers on 6 workers. The thread count never changes
+//! outputs or work counters.
 //!
 //! Two **shuffle transports** sit behind [`ShuffleMode`]: the default
 //! in-memory `Vec` gather, and a serialized out-of-core path
@@ -40,7 +37,7 @@ pub mod sizeof;
 
 pub use cluster::ClusterConfig;
 pub use engine::{run_map_reduce, run_map_reduce_with, run_tasks, try_run_map_reduce, Emitter};
-pub use metrics::{list_schedule_makespan, summed_counters, Counters, JobMetrics};
+pub use metrics::{summed_counters, Counters, JobMetrics};
 pub use shuffle::{
     CodecError, FrameReader, Record, ShuffleError, ShuffleMode, ShuffleStats, ShuffleTransport,
     SpillSinkKind, TaskSink, SPILL_THRESHOLD_ENV,

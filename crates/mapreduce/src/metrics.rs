@@ -107,37 +107,6 @@ impl JobMetrics {
         }
         self.max_reduce().as_secs_f64() / avg
     }
-
-    /// Simulated duration of the map wave on `map_slots` parallel slots.
-    pub fn map_makespan(&self, map_slots: usize) -> Duration {
-        list_schedule_makespan(&self.map_durations, map_slots)
-    }
-
-    /// Simulated duration of the reduce wave on `reduce_slots` slots.
-    pub fn reduce_makespan(&self, reduce_slots: usize) -> Duration {
-        list_schedule_makespan(&self.reduce_durations, reduce_slots)
-    }
-
-    /// Simulated job runtime on the configured cluster: map wave followed
-    /// by reduce wave (shuffle overlaps the map wave, as in Hadoop).
-    pub fn simulated_runtime(&self, cfg: &crate::ClusterConfig) -> Duration {
-        self.map_makespan(cfg.map_slots) + self.reduce_makespan(cfg.reduce_slots)
-    }
-}
-
-/// Greedy list-scheduling makespan: tasks are assigned in order to the
-/// least-loaded of `slots` machines. This mirrors how a Hadoop
-/// job-tracker fills free slots and is how the harnesses translate
-/// measured per-task durations into cluster-level running times on a
-/// single-core host.
-pub fn list_schedule_makespan(tasks: &[Duration], slots: usize) -> Duration {
-    let slots = slots.max(1);
-    let mut loads = vec![Duration::ZERO; slots];
-    for &t in tasks {
-        let min = loads.iter_mut().min_by_key(|d| **d).expect("slots ≥ 1");
-        *min += t;
-    }
-    loads.into_iter().max().unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -146,33 +115,6 @@ mod tests {
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
-    }
-
-    #[test]
-    fn makespan_single_slot_is_sum() {
-        let tasks = [ms(10), ms(20), ms(30)];
-        assert_eq!(list_schedule_makespan(&tasks, 1), ms(60));
-    }
-
-    #[test]
-    fn makespan_many_slots_is_max() {
-        let tasks = [ms(10), ms(20), ms(30)];
-        assert_eq!(list_schedule_makespan(&tasks, 3), ms(30));
-        assert_eq!(list_schedule_makespan(&tasks, 10), ms(30));
-    }
-
-    #[test]
-    fn makespan_greedy_two_slots() {
-        // Order matters for list scheduling: 10 → slot A, 20 → slot B,
-        // 30 → slot A (10 < 20) ⇒ loads (40, 20).
-        let tasks = [ms(10), ms(20), ms(30)];
-        assert_eq!(list_schedule_makespan(&tasks, 2), ms(40));
-    }
-
-    #[test]
-    fn makespan_handles_empty_and_zero_slots() {
-        assert_eq!(list_schedule_makespan(&[], 4), Duration::ZERO);
-        assert_eq!(list_schedule_makespan(&[ms(5)], 0), ms(5), "slots clamp to 1");
     }
 
     #[test]
@@ -198,16 +140,5 @@ mod tests {
         };
         assert_eq!(m.total_shuffle_records(), 7);
         assert_eq!(m.total_shuffle_bytes(), 350);
-    }
-
-    #[test]
-    fn simulated_runtime_composes_waves() {
-        let m = JobMetrics {
-            map_durations: vec![ms(10), ms(10)],
-            reduce_durations: vec![ms(30), ms(10)],
-            ..Default::default()
-        };
-        let cfg = crate::ClusterConfig { map_slots: 2, reduce_slots: 2, ..Default::default() };
-        assert_eq!(m.simulated_runtime(&cfg), ms(10) + ms(30));
     }
 }

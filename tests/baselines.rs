@@ -1,6 +1,6 @@
-//! Consistency between the Boolean competitors (RCCIS, All-Matrix), the
-//! exhaustive Boolean oracle and TKIJ under the PB parameterization
-//! (paper §4.2.5's comparison methodology).
+//! Consistency between the Boolean competitors (RCCIS, All-Matrix) and
+//! the exhaustive Boolean oracle (paper §4.2.5's comparison
+//! methodology). TKIJ-PB against them is in `paper_claims.rs`.
 
 use tkij::baselines::{feasible_signatures, run_all_matrix, run_rccis};
 use tkij::datagen::synthetic::{uniform_collection, SyntheticConfig};
@@ -55,51 +55,6 @@ fn all_matrix_and_oracle_agree_on_every_sequence_query() {
         got.sort();
         assert_eq!(got, expected, "{name}");
     }
-}
-
-#[test]
-fn tkij_pb_dominates_boolean_matches() {
-    // Under PB, every Boolean match scores exactly 1.0. If at least k
-    // Boolean matches exist, TKIJ-PB's top-k must be k tuples of score
-    // 1.0 — i.e. TKIJ returns (a subset of) exactly what the Boolean
-    // baselines hunt for.
-    let collections = dense(3, 80, 9);
-    let q = table1::q_oo(PredicateParams::PB);
-    let refs: Vec<_> = q.vertices.iter().map(|c| &collections[c.0 as usize]).collect();
-    let boolean = naive_boolean(&q, &refs);
-    assert!(boolean.len() >= 10, "need enough Boolean matches for the test");
-
-    let engine = Tkij::new(TkijConfig::default().with_granules(8).with_reducers(4));
-    let dataset = engine.prepare(collections.clone()).unwrap();
-    let report = engine.execute(&dataset, &q, 10).unwrap();
-    assert_eq!(report.results.len(), 10);
-    let matches: std::collections::BTreeSet<Vec<u64>> = boolean.into_iter().collect();
-    for t in &report.results {
-        assert!((t.score - 1.0).abs() < 1e-12, "PB top-k must be perfect scores");
-        assert!(matches.contains(&t.ids), "TKIJ-PB result must be a Boolean match");
-    }
-
-    // And the baselines, capped at the same k, also return 10 matches.
-    let rccis = run_rccis(&q, &collections, 10, 12, &ClusterConfig::default()).unwrap();
-    assert_eq!(rccis.results.len(), 10);
-}
-
-#[test]
-fn tkij_scored_returns_k_even_when_boolean_is_scarce() {
-    // §4.2.5: "Because TKIJ must return k results, if only k' < k results
-    // satisfy the Boolean predicates, k−k' other results that do not
-    // satisfy at least one predicate will be returned (with S(t) < 1)".
-    let collections = dense(3, 25, 13);
-    let q = table1::q_ss(PredicateParams::PB); // equality-heavy, scarce
-    let refs: Vec<_> = q.vertices.iter().map(|c| &collections[c.0 as usize]).collect();
-    let boolean = naive_boolean(&q, &refs).len();
-    let k = boolean + 5;
-    let engine = Tkij::new(TkijConfig::default().with_granules(6).with_reducers(3));
-    let dataset = engine.prepare(collections).unwrap();
-    let report = engine.execute(&dataset, &q, k).unwrap();
-    assert_eq!(report.results.len(), k.min(25 * 25 * 25));
-    let perfect = report.results.iter().filter(|t| (t.score - 1.0).abs() < 1e-12).count();
-    assert_eq!(perfect, boolean, "exactly the Boolean matches score 1.0 under PB");
 }
 
 #[test]

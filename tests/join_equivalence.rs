@@ -137,7 +137,7 @@ fn every_shipped_bucket_is_indexed_once_across_densities() {
             })
             .map(|(_, reducers)| reducers.len() as u64)
             .sum();
-        let report = engine.execute_planned(&dataset, &q, 100, &plan).unwrap();
+        let report = engine.execute_planned(&dataset, &plan).unwrap();
         assert_eq!(report.results.len(), 100, "size {size} span {span}");
         assert_eq!(report.buckets_sweep(), shipped, "size {size} span {span}");
         for stats in &report.local_stats {
@@ -233,4 +233,33 @@ fn a_combination_dominated_mid_run_stops_its_first_step_walk() {
     assert_eq!(topk.sorted_scores(), vec![s; 3]);
     assert_eq!(stats.index_probes, 1, "the walk must stop once the combination is dominated");
     assert_eq!(stats.tuples_scored, 3);
+}
+
+#[test]
+fn a_plan_executes_the_query_and_k_it_was_made_for() {
+    // A plan carries its own (query, k), so no caller can run it against
+    // another shape: a k = 1 plan (one selected combination) and a
+    // k = 5000 plan each return their own exact top-k, and a plan for a
+    // 2-vertex star stays that query beside a 3-vertex one.
+    let engine = Tkij::new(TkijConfig::default().with_granules(8).with_reducers(4));
+    let dataset = engine.prepare(uniform_collections(3, 60, 5)).unwrap();
+    let p = PredicateParams::P1;
+    for (q, k) in [
+        (table1::q_bb(p), 1),
+        (table1::q_bb(p), 5000),
+        (table1::q_b_star(2, p), 10),
+        (table1::q_sfm(p), 10),
+    ] {
+        let plan = engine.plan_query(&dataset, &q, k).unwrap();
+        assert_eq!((&plan.query, plan.k), (&q, k));
+        let report = engine.execute_planned(&dataset, &plan).unwrap();
+        assert_eq!(report.fingerprint(), engine.execute(&dataset, &q, k).unwrap().fingerprint());
+        let refs: Vec<&IntervalCollection> =
+            q.vertices.iter().map(|c| &dataset.collections[c.0 as usize]).collect();
+        let expected = naive_topk(&q, &refs, k);
+        assert_eq!(report.results.len(), expected.len(), "{} k = {k}", q.name());
+        for (got, want) in report.results.iter().zip(&expected) {
+            assert_eq!(got.score.to_bits(), want.score.to_bits(), "{} k = {k}", q.name());
+        }
+    }
 }

@@ -56,32 +56,6 @@ fn two_phase_refinement_never_grows_the_selection() {
 }
 
 #[test]
-fn solver_effort_ranks_strategies() {
-    // loose: O(|E|·pairs) solver calls; brute-force: one per combination
-    // (n-ary); two-phase: loose + refinements. On a 3-vertex query with
-    // b buckets per vertex: pairs = 2b², combos = b³ — brute-force must
-    // invoke the solver more often than loose for b > 2·arity.
-    let collections = uniform_collections(3, 200, 9);
-    let q = table1::q_oo(PredicateParams::P1);
-    let mut calls = std::collections::BTreeMap::new();
-    for (name, strategy) in Strategy::all() {
-        let engine = Tkij::new(
-            TkijConfig::default().with_granules(10).with_reducers(4).with_strategy(strategy),
-        );
-        let dataset = engine.prepare(collections.clone()).unwrap();
-        let report = engine.execute(&dataset, &q, 5).unwrap();
-        calls.insert(name, report.topbuckets.solver_calls);
-    }
-    assert!(
-        calls["loose"] < calls["brute-force"],
-        "loose {} must beat brute-force {}",
-        calls["loose"],
-        calls["brute-force"]
-    );
-    assert!(calls["two-phase"] >= calls["loose"], "two-phase refines on top of loose");
-}
-
-#[test]
 fn topbuckets_worker_partitioning_is_transparent() {
     let collections = uniform_collections(3, 80, 3);
     let q = table1::q_om(PredicateParams::P2);
@@ -102,25 +76,4 @@ fn topbuckets_worker_partitioning_is_transparent() {
             }
         }
     }
-}
-
-#[test]
-fn pruning_improves_with_finer_granularity() {
-    // Fig. 10c's driving effect: more granules → tighter buckets → larger
-    // share of the potential result space pruned (for a fixed query/k).
-    let collections = uniform_collections(3, 400, 21);
-    let q = table1::q_om(PredicateParams::P1);
-    let mut last = -1.0f64;
-    for g in [5u32, 20, 60] {
-        let engine = Tkij::new(TkijConfig::default().with_granules(g).with_reducers(6));
-        let dataset = engine.prepare(collections.clone()).unwrap();
-        let report = engine.execute(&dataset, &q, 5).unwrap();
-        let pruned = report.pruned_pct();
-        assert!(
-            pruned >= last - 5.0,
-            "pruning should not collapse as g grows: g={g}: {pruned} after {last}"
-        );
-        last = last.max(pruned);
-    }
-    assert!(last > 50.0, "fine granularity should prune most of the space, got {last}%");
 }
