@@ -28,14 +28,19 @@ fn sample_intervals(n: usize, seed: u64) -> Vec<Interval> {
     uniform_collection(CollectionId(0), &SyntheticConfig::paper(n, seed)).intervals().to_vec()
 }
 
-fn bench_scoring(c: &mut Criterion) {
+/// The four predicates the scoring and predicate-kernel benches share.
+fn four_predicates() -> [TemporalPredicate; 4] {
     let p = PredicateParams::P1;
-    let preds = [
+    [
         TemporalPredicate::before(p),
         TemporalPredicate::overlaps(p),
         TemporalPredicate::starts(p),
         TemporalPredicate::sparks(p, 10),
-    ];
+    ]
+}
+
+fn bench_scoring(c: &mut Criterion) {
+    let preds = four_predicates();
     let x = Interval::new(0, 100, 180).unwrap();
     let y = Interval::new(1, 120, 260).unwrap();
     c.bench_function("scoring/4_predicates_pair", |b| {
@@ -43,6 +48,34 @@ fn bench_scoring(c: &mut Criterion) {
             let mut acc = 0.0;
             for pred in &preds {
                 acc += pred.score(black_box(&x), black_box(&y));
+            }
+            acc
+        })
+    });
+}
+
+/// The two per-primitive kernels below scoring: the index probe's
+/// threshold window and the solver's score enclosure.
+fn bench_predicate_kernels(c: &mut Criterion) {
+    let preds = four_predicates();
+    let anchor = Interval::new(0, 100, 180).unwrap();
+    c.bench_function("predicate/threshold_window_4_predicates", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for pred in &preds {
+                acc +=
+                    pred.threshold_window(black_box(&anchor), Side::Left, black_box(0.5)).start.0;
+            }
+            acc
+        })
+    });
+    let left = EndpointBox::new((100, 149), (150, 199));
+    let right = EndpointBox::new((120, 169), (200, 299));
+    c.bench_function("predicate/score_range_4_predicates", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for pred in &preds {
+                acc += pred.score_range(black_box(&left), black_box(&right)).1;
             }
             acc
         })
@@ -240,7 +273,7 @@ fn configured() -> Criterion {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_scoring, bench_solver, bench_index_ablation, bench_topbuckets,
-              bench_distribute, bench_topk, bench_local_join
+    targets = bench_scoring, bench_predicate_kernels, bench_solver, bench_index_ablation,
+              bench_topbuckets, bench_distribute, bench_topk, bench_local_join
 }
 criterion_main!(benches);

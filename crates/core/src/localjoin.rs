@@ -220,12 +220,25 @@ struct JoinCx<'a> {
 
 impl JoinCx<'_> {
     /// Whether a combination (or the rest of one) bounded by `ub` can no
-    /// longer change the top-k score multiset. Once the heap is full, a
-    /// UB that only *ties* the k-th score is dominated too: the paper's
-    /// guarantee is the exact top-k ranking by score, and tie tuples are
-    /// interchangeable.
+    /// longer change the top-k score multiset. A UB that only *ties* the
+    /// k-th score is dominated too: the paper's guarantee is the exact
+    /// top-k ranking by score, and tie tuples are interchangeable. Every
+    /// cut of the rank-join is this one comparison against
+    /// [`TopK::threshold`] (`−∞` until the heap is full), applied to the
+    /// total or to the edge score that total requires.
     fn dominated(&self, ub: f64) -> bool {
-        self.topk.is_full() && ub <= self.topk.admission_score()
+        ub <= self.topk.threshold()
+    }
+
+    /// Minimum score `edge` must reach, given the fixed edges, for a
+    /// tuple to beat the current threshold (`−∞` until the heap is full).
+    fn required_score(&self, edge: usize) -> f64 {
+        self.query.aggregation.required_edge_score(
+            &self.fixed,
+            edge,
+            self.query.edges.len(),
+            self.topk.threshold(),
+        )
     }
 
     /// Evaluates one combination: each item of its first-step run, in
@@ -258,17 +271,8 @@ impl JoinCx<'_> {
         let anchor = step.anchor.expect("non-first steps have anchors");
         let edge = &self.query.edges[anchor.edge];
         let anchor_iv = self.tuple[anchor.bound_vertex].expect("anchor bound");
-        let tau = self.topk.admission_score();
-        // With a full heap, only strictly-better totals matter (ties
-        // cannot change the score multiset).
-        let strict = self.topk.is_full();
-        let needed = self.query.aggregation.required_edge_score(
-            &self.fixed,
-            anchor.edge,
-            self.query.edges.len(),
-            tau,
-        );
-        if needed > 1.0 || (strict && needed >= 1.0) {
+        let needed = self.required_score(anchor.edge);
+        if 1.0 <= needed {
             return; // even a perfect edge score cannot beat τ
         }
         let Some(index) = self.indexes.get(&(step.vertex as u16, buckets[step.vertex])) else {
@@ -309,14 +313,7 @@ impl JoinCx<'_> {
             // Recompute the requirement against the *current* τ: it only
             // grows, and the stream is sorted descending, so a failure
             // here dominates every remaining candidate.
-            let strict = self.topk.is_full();
-            let needed_now = self.query.aggregation.required_edge_score(
-                &self.fixed,
-                anchor.edge,
-                self.query.edges.len(),
-                self.topk.admission_score(),
-            );
-            if s_anchor < needed_now || (strict && s_anchor <= needed_now) {
+            if s_anchor <= self.required_score(anchor.edge) {
                 break;
             }
             self.fixed.push((anchor.edge, s_anchor));
@@ -335,8 +332,7 @@ impl JoinCx<'_> {
                 self.fixed.push((ce, sc));
                 pushed += 1;
                 let optimistic = self.optimistic_total();
-                let tau_now = self.topk.admission_score();
-                if optimistic < tau_now || (self.topk.is_full() && optimistic <= tau_now) {
+                if self.dominated(optimistic) {
                     ok = false;
                     break;
                 }

@@ -47,7 +47,7 @@ pub fn naive_topk(query: &Query, data: &[&IntervalCollection], k: usize) -> Vec<
         let score = query.score_tuple(tuple);
         // Cheap admission pre-check to keep the oracle usable at bench
         // scale; TopK re-checks deterministically.
-        if score >= top.admission_score() {
+        if score >= top.threshold() {
             top.offer(MatchTuple::new(tuple.iter().map(|iv| iv.id).collect(), score));
         }
     });

@@ -152,6 +152,18 @@ mod tests {
         assert_eq!(s.required_edge_score(&[], 1, 3, 0.7), 0.7);
     }
 
+    #[test]
+    fn unbounded_target_requires_nothing() {
+        // A top-k heap that is not yet full has threshold −∞: no edge is
+        // constrained, whatever the aggregation and the fixed scores.
+        for agg in
+            [Aggregation::NormalizedSum, Aggregation::WeightedSum(vec![3.0, 1.0]), Aggregation::Min]
+        {
+            let need = agg.required_edge_score(&[(1, 0.4)], 0, 2, f64::NEG_INFINITY);
+            assert_eq!(need, f64::NEG_INFINITY, "{agg:?}");
+        }
+    }
+
     proptest! {
         /// Monotonicity: raising any single edge score never lowers the
         /// aggregate.

@@ -8,9 +8,9 @@
 //! * [`IntervalCollection`] — the joined relations `C_1 … C_m`.
 //! * Graded endpoint comparators `equals`/`greater` (paper Fig. 3) in
 //!   [`comparators`], controlled by a [`Tolerance`] `(λ, ρ)`.
-//! * Boolean and **scored temporal predicates** (paper Fig. 2 and Fig. 4):
-//!   the seven Allen predicates plus `justBefore`, `shiftMeets`, `sparks`,
-//!   in [`predicate`].
+//! * **Scored temporal predicates** (paper Fig. 2 and Fig. 4) and their
+//!   Boolean form, derived at `PB`: the seven Allen predicates plus
+//!   `justBefore`, `shiftMeets`, `sparks`, in [`predicate`].
 //! * Monotone aggregation functions in [`aggregate`].
 //! * The n-ary RTJ [`Query`] graph and the paper's Table 1 query set.
 //! * Uniform time partitioning into granules ([`TimePartitioning`]) and

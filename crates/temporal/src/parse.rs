@@ -23,35 +23,14 @@ use crate::params::PredicateParams;
 use crate::predicate::{PredicateKind, TemporalPredicate};
 use crate::query::{Query, QueryEdge};
 
-/// Resolves a predicate name (long or short form, case-insensitive for
-/// long forms).
+/// Resolves a predicate name: a short name (case-sensitive: `sB` vs
+/// `sp`) or a [`PredicateKind::long_name`] (case-insensitive).
 pub fn predicate_kind(name: &str) -> Option<PredicateKind> {
-    // Short names are case-sensitive (`sB` vs `sp`); long names are not.
-    for k in PredicateKind::all() {
-        if k.short_name() == name {
-            return Some(k);
-        }
-    }
-    let lower = name.to_ascii_lowercase();
-    Some(match lower.as_str() {
-        "before" => PredicateKind::Before,
-        "equals" => PredicateKind::Equals,
-        "meets" => PredicateKind::Meets,
-        "overlaps" => PredicateKind::Overlaps,
-        "contains" => PredicateKind::Contains,
-        "starts" => PredicateKind::Starts,
-        "finishedby" => PredicateKind::FinishedBy,
-        "after" => PredicateKind::After,
-        "metby" => PredicateKind::MetBy,
-        "overlappedby" => PredicateKind::OverlappedBy,
-        "during" => PredicateKind::During,
-        "startedby" => PredicateKind::StartedBy,
-        "finishes" => PredicateKind::Finishes,
-        "justbefore" => PredicateKind::JustBefore,
-        "shiftmeets" => PredicateKind::ShiftMeets,
-        "sparks" => PredicateKind::Sparks,
-        _ => return None,
-    })
+    let kinds = PredicateKind::all();
+    kinds
+        .into_iter()
+        .find(|k| k.short_name() == name)
+        .or_else(|| kinds.into_iter().find(|k| k.long_name().eq_ignore_ascii_case(name)))
 }
 
 /// Parses the textual query syntax into a validated [`Query`].

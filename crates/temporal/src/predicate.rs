@@ -1,18 +1,24 @@
-//! Boolean and scored temporal predicates (paper Figures 2 and 4).
+//! Scored temporal predicates and their Boolean degeneration (paper
+//! Figures 2–4, Table 2).
 //!
-//! A temporal predicate relates two intervals through (in)equalities on
-//! affine expressions of their endpoints. Every predicate here carries:
+//! A temporal predicate relates two intervals through graded comparisons
+//! of affine expressions of their endpoints. Each relation is written
+//! once, as a function of its [`PredicateParams`] returning the graded
+//! [`Primitive`] comparators (`equals` / `greater` of Fig. 3) whose
+//! minimum is the relation's score. A [`TemporalPredicate`] keeps that
+//! function's output twice:
 //!
-//! * its **Boolean** form — a conjunction of strict comparisons, used by
-//!   the Boolean competitors (RCCIS, All-Matrix) and by tests, and
-//! * its **scored** form `s-p(x, y) ∈ [0, 1]` — the minimum of graded
-//!   [`Primitive`] comparators (`equals` / `greater` of Fig. 3), which is
-//!   what TKIJ evaluates and bounds.
+//! * at the caller's parameterization — the **scored** form
+//!   `s-p(x, y) ∈ [0, 1]`, which is what TKIJ evaluates and bounds, and
+//! * at [`PredicateParams::PB`] — the **crisp** form. With `λ = ρ = 0`
+//!   every comparator is a step function of its endpoint difference, so
+//!   the Boolean predicate `p(x, y)` is *derived*: it holds iff every
+//!   crisp primitive scores `1.0`. The Boolean competitors (RCCIS,
+//!   All-Matrix) and the tests use this form; that is how the paper runs
+//!   TKIJ-PB against them.
 //!
-//! With the Boolean parameterization `PB = ((0,0),(0,0))` the scored form
-//! returns exactly `1.0` on tuples satisfying the Boolean form and `0.0`
-//! otherwise (verified by property tests), which is how the paper runs
-//! TKIJ-PB against the Boolean baselines.
+//! The tests check the derived Boolean form against plain endpoint
+//! comparisons taken from each constructor's doc line.
 
 use crate::comparators::Tolerance;
 use crate::expr::{Endpoint, EndpointBox, EndpointExpr, Side};
@@ -29,15 +35,14 @@ pub enum PrimitiveKind {
     Greater,
 }
 
-/// One graded comparator `kind(lhs, rhs)` with its tolerance.
+/// One graded comparator `kind(lhs, rhs)` with its tolerance, kept as the
+/// one endpoint difference `d = lhs − rhs` it grades (Fig. 3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Primitive {
     /// Which comparator shape.
     pub kind: PrimitiveKind,
-    /// Left expression.
-    pub lhs: EndpointExpr,
-    /// Right expression.
-    pub rhs: EndpointExpr,
+    /// The graded difference `lhs − rhs`, like terms merged.
+    pub diff: EndpointExpr,
     /// Tolerance `(λ, ρ)` of this primitive.
     pub tol: Tolerance,
 }
@@ -45,23 +50,18 @@ pub struct Primitive {
 impl Primitive {
     /// Builds a graded-equality primitive.
     pub fn equals(lhs: EndpointExpr, rhs: EndpointExpr, tol: Tolerance) -> Self {
-        Primitive { kind: PrimitiveKind::Equals, lhs, rhs, tol }
+        Primitive { kind: PrimitiveKind::Equals, diff: lhs.minus(&rhs), tol }
     }
 
     /// Builds a graded `lhs > rhs` primitive.
     pub fn greater(lhs: EndpointExpr, rhs: EndpointExpr, tol: Tolerance) -> Self {
-        Primitive { kind: PrimitiveKind::Greater, lhs, rhs, tol }
-    }
-
-    /// The combined difference expression `lhs − rhs`.
-    pub fn difference(&self) -> EndpointExpr {
-        self.lhs.minus(&self.rhs)
+        Primitive { kind: PrimitiveKind::Greater, diff: lhs.minus(&rhs), tol }
     }
 
     /// Score of the primitive on a concrete pair.
     #[inline]
     pub fn score(&self, x: &Interval, y: &Interval) -> f64 {
-        let d = self.lhs.eval(x, y) - self.rhs.eval(x, y);
+        let d = self.diff.eval(x, y);
         match self.kind {
             PrimitiveKind::Equals => self.tol.equals(d),
             PrimitiveKind::Greater => self.tol.greater(d),
@@ -70,21 +70,10 @@ impl Primitive {
 
     /// Sound (and per-primitive exact) score range over endpoint boxes.
     pub fn score_range(&self, left: &EndpointBox, right: &EndpointBox) -> (f64, f64) {
-        let (dlo, dhi) = self.difference().range(left, right);
+        let (dlo, dhi) = self.diff.range(left, right);
         match self.kind {
             PrimitiveKind::Equals => self.tol.equals_range(dlo, dhi),
             PrimitiveKind::Greater => self.tol.greater_range(dlo, dhi),
-        }
-    }
-
-    /// Boolean satisfaction of the *crisp* comparison underlying the
-    /// primitive (ignoring tolerances): `lhs = rhs` / `lhs > rhs`.
-    #[inline]
-    pub fn holds_crisp(&self, x: &Interval, y: &Interval) -> bool {
-        let d = self.lhs.eval(x, y) - self.rhs.eval(x, y);
-        match self.kind {
-            PrimitiveKind::Equals => d == 0,
-            PrimitiveKind::Greater => d > 0,
         }
     }
 
@@ -106,10 +95,9 @@ impl Primitive {
             Side::Left => Side::Right,
             Side::Right => Side::Left,
         };
-        let diff = self.difference();
-        let (endpoint, coeff) = diff.single_free_endpoint(free_side)?;
+        let (endpoint, coeff) = self.diff.single_free_endpoint(free_side)?;
         // d = coeff·f + K, where K gathers the anchored terms + constant.
-        let k = diff.eval_side(anchor_side, anchor, true);
+        let k = self.diff.eval_side(anchor_side, anchor, true);
         let region = match self.kind {
             PrimitiveKind::Equals => self.tol.equals_region(v),
             PrimitiveKind::Greater => self.tol.greater_region(v),
@@ -123,42 +111,6 @@ impl Primitive {
             (-(dhi - k as f64), -(dlo - k as f64))
         };
         Some((endpoint, flo, fhi))
-    }
-}
-
-/// The crisp comparison operator of a Boolean atom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BoolOp {
-    /// `lhs = rhs`
-    Eq,
-    /// `lhs < rhs`
-    Lt,
-    /// `lhs ≤ rhs`
-    Le,
-    /// `lhs > rhs`
-    Gt,
-}
-
-/// One conjunct of a Boolean temporal predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoolAtom {
-    /// Comparison operator.
-    pub op: BoolOp,
-    /// Left expression.
-    pub lhs: EndpointExpr,
-    /// Right expression.
-    pub rhs: EndpointExpr,
-}
-
-impl BoolAtom {
-    fn holds(&self, x: &Interval, y: &Interval) -> bool {
-        let d = self.lhs.eval(x, y) - self.rhs.eval(x, y);
-        match self.op {
-            BoolOp::Eq => d == 0,
-            BoolOp::Lt => d < 0,
-            BoolOp::Le => d <= 0,
-            BoolOp::Gt => d > 0,
-        }
     }
 }
 
@@ -222,6 +174,28 @@ impl PredicateKind {
             PredicateKind::JustBefore => "jB",
             PredicateKind::ShiftMeets => "sM",
             PredicateKind::Sparks => "sp",
+        }
+    }
+
+    /// The relation's name as the paper spells it, e.g. `finishedBy`.
+    pub fn long_name(&self) -> &'static str {
+        match self {
+            PredicateKind::Before => "before",
+            PredicateKind::Equals => "equals",
+            PredicateKind::Meets => "meets",
+            PredicateKind::Overlaps => "overlaps",
+            PredicateKind::Contains => "contains",
+            PredicateKind::Starts => "starts",
+            PredicateKind::FinishedBy => "finishedBy",
+            PredicateKind::After => "after",
+            PredicateKind::MetBy => "metBy",
+            PredicateKind::OverlappedBy => "overlappedBy",
+            PredicateKind::During => "during",
+            PredicateKind::StartedBy => "startedBy",
+            PredicateKind::Finishes => "finishes",
+            PredicateKind::JustBefore => "justBefore",
+            PredicateKind::ShiftMeets => "shiftMeets",
+            PredicateKind::Sparks => "sparks",
         }
     }
 
@@ -300,53 +274,47 @@ pub enum PredicateClass {
     Sequence,
 }
 
-/// A temporal predicate with both Boolean and scored interpretations.
+/// A temporal predicate: one relation, kept at the caller's
+/// parameterization (scored) and at `PB` (crisp, i.e. Boolean).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TemporalPredicate {
     /// Predicate family.
     pub kind: PredicateKind,
-    /// Conjunction defining the Boolean form.
-    pub boolean: Vec<BoolAtom>,
     /// Min-combined graded primitives defining the scored form.
     pub primitives: Vec<Primitive>,
+    /// The same relation at [`PredicateParams::PB`]: the Boolean form
+    /// holds iff every one of these scores `1.0`.
+    pub crisp: Vec<Primitive>,
 }
 
 impl TemporalPredicate {
+    /// Evaluates a relation, written once as a function of its
+    /// parameterization, at `p` (the scored form) and at `PB` (the crisp
+    /// form).
+    fn derive(
+        kind: PredicateKind,
+        p: PredicateParams,
+        relation: impl Fn(PredicateParams) -> Vec<Primitive>,
+    ) -> Self {
+        TemporalPredicate { kind, primitives: relation(p), crisp: relation(PredicateParams::PB) }
+    }
+
     /// `before(x, y) ⇔ x̄ < y̲`; `s-before = greater(y̲, x̄)`.
     pub fn before(p: PredicateParams) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::Before,
-            boolean: vec![BoolAtom {
-                op: BoolOp::Lt,
-                lhs: EndpointExpr::end(Side::Left),
-                rhs: EndpointExpr::start(Side::Right),
-            }],
-            primitives: vec![Primitive::greater(
+        Self::derive(PredicateKind::Before, p, |p| {
+            vec![Primitive::greater(
                 EndpointExpr::start(Side::Right),
                 EndpointExpr::end(Side::Left),
                 p.greater,
-            )],
-        }
+            )]
+        })
     }
 
     /// `equals(x, y) ⇔ x̲ = y̲ ∧ x̄ = ȳ`;
     /// `s-equals = min{equals(x̲, y̲), equals(x̄, ȳ)}`.
     pub fn equals(p: PredicateParams) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::Equals,
-            boolean: vec![
-                BoolAtom {
-                    op: BoolOp::Eq,
-                    lhs: EndpointExpr::start(Side::Left),
-                    rhs: EndpointExpr::start(Side::Right),
-                },
-                BoolAtom {
-                    op: BoolOp::Eq,
-                    lhs: EndpointExpr::end(Side::Left),
-                    rhs: EndpointExpr::end(Side::Right),
-                },
-            ],
-            primitives: vec![
+        Self::derive(PredicateKind::Equals, p, |p| {
+            vec![
                 Primitive::equals(
                     EndpointExpr::start(Side::Left),
                     EndpointExpr::start(Side::Right),
@@ -357,50 +325,26 @@ impl TemporalPredicate {
                     EndpointExpr::end(Side::Right),
                     p.equals,
                 ),
-            ],
-        }
+            ]
+        })
     }
 
     /// `meets(x, y) ⇔ x̄ = y̲`; `s-meets = equals(x̄, y̲)`.
     pub fn meets(p: PredicateParams) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::Meets,
-            boolean: vec![BoolAtom {
-                op: BoolOp::Eq,
-                lhs: EndpointExpr::end(Side::Left),
-                rhs: EndpointExpr::start(Side::Right),
-            }],
-            primitives: vec![Primitive::equals(
+        Self::derive(PredicateKind::Meets, p, |p| {
+            vec![Primitive::equals(
                 EndpointExpr::end(Side::Left),
                 EndpointExpr::start(Side::Right),
                 p.equals,
-            )],
-        }
+            )]
+        })
     }
 
     /// `overlaps(x, y) ⇔ x̲ < y̲ ∧ x̄ > y̲ ∧ x̄ < ȳ`;
     /// `s-overlaps = min{greater(y̲, x̲), greater(x̄, y̲), greater(ȳ, x̄)}`.
     pub fn overlaps(p: PredicateParams) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::Overlaps,
-            boolean: vec![
-                BoolAtom {
-                    op: BoolOp::Lt,
-                    lhs: EndpointExpr::start(Side::Left),
-                    rhs: EndpointExpr::start(Side::Right),
-                },
-                BoolAtom {
-                    op: BoolOp::Gt,
-                    lhs: EndpointExpr::end(Side::Left),
-                    rhs: EndpointExpr::start(Side::Right),
-                },
-                BoolAtom {
-                    op: BoolOp::Lt,
-                    lhs: EndpointExpr::end(Side::Left),
-                    rhs: EndpointExpr::end(Side::Right),
-                },
-            ],
-            primitives: vec![
+        Self::derive(PredicateKind::Overlaps, p, |p| {
+            vec![
                 Primitive::greater(
                     EndpointExpr::start(Side::Right),
                     EndpointExpr::start(Side::Left),
@@ -416,28 +360,15 @@ impl TemporalPredicate {
                     EndpointExpr::end(Side::Left),
                     p.greater,
                 ),
-            ],
-        }
+            ]
+        })
     }
 
     /// `contains(x, y) ⇔ x̲ < y̲ ∧ x̄ > ȳ`;
     /// `s-contains = min{greater(y̲, x̲), greater(x̄, ȳ)}`.
     pub fn contains(p: PredicateParams) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::Contains,
-            boolean: vec![
-                BoolAtom {
-                    op: BoolOp::Lt,
-                    lhs: EndpointExpr::start(Side::Left),
-                    rhs: EndpointExpr::start(Side::Right),
-                },
-                BoolAtom {
-                    op: BoolOp::Gt,
-                    lhs: EndpointExpr::end(Side::Left),
-                    rhs: EndpointExpr::end(Side::Right),
-                },
-            ],
-            primitives: vec![
+        Self::derive(PredicateKind::Contains, p, |p| {
+            vec![
                 Primitive::greater(
                     EndpointExpr::start(Side::Right),
                     EndpointExpr::start(Side::Left),
@@ -448,28 +379,15 @@ impl TemporalPredicate {
                     EndpointExpr::end(Side::Right),
                     p.greater,
                 ),
-            ],
-        }
+            ]
+        })
     }
 
     /// `starts(x, y) ⇔ x̲ = y̲ ∧ x̄ < ȳ`;
     /// `s-starts = min{equals(x̲, y̲), greater(ȳ, x̄)}`.
     pub fn starts(p: PredicateParams) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::Starts,
-            boolean: vec![
-                BoolAtom {
-                    op: BoolOp::Eq,
-                    lhs: EndpointExpr::start(Side::Left),
-                    rhs: EndpointExpr::start(Side::Right),
-                },
-                BoolAtom {
-                    op: BoolOp::Lt,
-                    lhs: EndpointExpr::end(Side::Left),
-                    rhs: EndpointExpr::end(Side::Right),
-                },
-            ],
-            primitives: vec![
+        Self::derive(PredicateKind::Starts, p, |p| {
+            vec![
                 Primitive::equals(
                     EndpointExpr::start(Side::Left),
                     EndpointExpr::start(Side::Right),
@@ -480,28 +398,15 @@ impl TemporalPredicate {
                     EndpointExpr::end(Side::Left),
                     p.greater,
                 ),
-            ],
-        }
+            ]
+        })
     }
 
     /// `finishedBy(x, y) ⇔ x̲ < y̲ ∧ x̄ = ȳ`;
     /// `s-finishedBy = min{greater(y̲, x̲), equals(x̄, ȳ)}`.
     pub fn finished_by(p: PredicateParams) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::FinishedBy,
-            boolean: vec![
-                BoolAtom {
-                    op: BoolOp::Lt,
-                    lhs: EndpointExpr::start(Side::Left),
-                    rhs: EndpointExpr::start(Side::Right),
-                },
-                BoolAtom {
-                    op: BoolOp::Eq,
-                    lhs: EndpointExpr::end(Side::Left),
-                    rhs: EndpointExpr::end(Side::Right),
-                },
-            ],
-            primitives: vec![
+        Self::derive(PredicateKind::FinishedBy, p, |p| {
+            vec![
                 Primitive::greater(
                     EndpointExpr::start(Side::Right),
                     EndpointExpr::start(Side::Left),
@@ -512,8 +417,8 @@ impl TemporalPredicate {
                     EndpointExpr::end(Side::Right),
                     p.equals,
                 ),
-            ],
-        }
+            ]
+        })
     }
 
     /// Fig. 4 `justBefore(x, y) ⇔ x̄ < y̲ ∧ y̲ − x̄ ≤ avg`, where `avg` is
@@ -521,23 +426,11 @@ impl TemporalPredicate {
     ///
     /// Scored form per the paper: `min{greater(y̲, x̄), equals(x̄, y̲)}` with
     /// `λ_greater = ρ_greater = 0`, `λ_equals = avg` and `ρ_equals` taken
-    /// from `p` (any positive value).
+    /// from `p` (any positive value). The plateau `λ_equals = avg` is
+    /// structural, so it stays at `PB` and bounds the crisp gap by `avg`.
     pub fn just_before(p: PredicateParams, avg: i64) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::JustBefore,
-            boolean: vec![
-                BoolAtom {
-                    op: BoolOp::Lt,
-                    lhs: EndpointExpr::end(Side::Left),
-                    rhs: EndpointExpr::start(Side::Right),
-                },
-                BoolAtom {
-                    op: BoolOp::Le,
-                    lhs: EndpointExpr::start(Side::Right),
-                    rhs: EndpointExpr::end(Side::Left).plus(avg),
-                },
-            ],
-            primitives: vec![
+        Self::derive(PredicateKind::JustBefore, p, |p| {
+            vec![
                 Primitive::greater(
                     EndpointExpr::start(Side::Right),
                     EndpointExpr::end(Side::Left),
@@ -548,26 +441,20 @@ impl TemporalPredicate {
                     EndpointExpr::start(Side::Right),
                     Tolerance::new(avg.max(0), p.equals.rho),
                 ),
-            ],
-        }
+            ]
+        })
     }
 
     /// Fig. 4 `shiftMeets(x, y) ⇔ y̲ = x̄ + avg`;
     /// `s-shiftMeets = equals(x̄ + avg, y̲)`.
     pub fn shift_meets(p: PredicateParams, avg: i64) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::ShiftMeets,
-            boolean: vec![BoolAtom {
-                op: BoolOp::Eq,
-                lhs: EndpointExpr::start(Side::Right),
-                rhs: EndpointExpr::end(Side::Left).plus(avg),
-            }],
-            primitives: vec![Primitive::equals(
+        Self::derive(PredicateKind::ShiftMeets, p, |p| {
+            vec![Primitive::equals(
                 EndpointExpr::end(Side::Left).plus(avg),
                 EndpointExpr::start(Side::Right),
                 p.equals,
-            )],
-        }
+            )]
+        })
     }
 
     /// Fig. 4 `sparks(x, y) ⇔ x̄ < y̲ ∧ (ȳ − y̲) > factor·(x̄ − x̲)`;
@@ -576,21 +463,8 @@ impl TemporalPredicate {
     /// The paper fixes `factor = 10` ("the preceding hashtag lasted 10
     /// times shorter").
     pub fn sparks(p: PredicateParams, factor: i64) -> Self {
-        TemporalPredicate {
-            kind: PredicateKind::Sparks,
-            boolean: vec![
-                BoolAtom {
-                    op: BoolOp::Lt,
-                    lhs: EndpointExpr::end(Side::Left),
-                    rhs: EndpointExpr::start(Side::Right),
-                },
-                BoolAtom {
-                    op: BoolOp::Gt,
-                    lhs: EndpointExpr::length(Side::Right),
-                    rhs: EndpointExpr::length(Side::Left).scaled(factor),
-                },
-            ],
-            primitives: vec![
+        Self::derive(PredicateKind::Sparks, p, |p| {
+            vec![
                 Primitive::greater(
                     EndpointExpr::start(Side::Right),
                     EndpointExpr::end(Side::Left),
@@ -601,12 +475,12 @@ impl TemporalPredicate {
                     EndpointExpr::length(Side::Left).scaled(factor),
                     p.greater,
                 ),
-            ],
-        }
+            ]
+        })
     }
 
-    /// The inverse relation `p⁻¹(x, y) = p(y, x)`: every endpoint
-    /// expression has its sides exchanged and the kind is mapped through
+    /// The inverse relation `p⁻¹(x, y) = p(y, x)`: every primitive has the
+    /// sides of its difference exchanged and the kind is mapped through
     /// [`PredicateKind::inverse`]. Completes the 13-relation Allen
     /// algebra from the paper's 7 base relations.
     ///
@@ -614,28 +488,10 @@ impl TemporalPredicate {
     /// `sparks`), which have no named inverse in the algebra.
     pub fn inverse(&self) -> Self {
         let kind = self.kind.inverse().unwrap_or_else(|| panic!("{self} has no inverse relation"));
-        TemporalPredicate {
-            kind,
-            boolean: self
-                .boolean
-                .iter()
-                .map(|a| BoolAtom {
-                    op: a.op,
-                    lhs: a.lhs.clone().swap_sides(),
-                    rhs: a.rhs.clone().swap_sides(),
-                })
-                .collect(),
-            primitives: self
-                .primitives
-                .iter()
-                .map(|pr| Primitive {
-                    kind: pr.kind,
-                    lhs: pr.lhs.clone().swap_sides(),
-                    rhs: pr.rhs.clone().swap_sides(),
-                    tol: pr.tol,
-                })
-                .collect(),
-        }
+        let swap = |prims: &[Primitive]| {
+            prims.iter().map(|pr| Primitive { diff: pr.diff.clone().swap_sides(), ..*pr }).collect()
+        };
+        TemporalPredicate { kind, primitives: swap(&self.primitives), crisp: swap(&self.crisp) }
     }
 
     /// Allen `after(x, y) ⇔ before(y, x)`.
@@ -705,10 +561,10 @@ impl TemporalPredicate {
         s
     }
 
-    /// Boolean evaluation `p(x, y)`.
+    /// Boolean evaluation `p(x, y)`: every crisp primitive scores `1.0`.
     #[inline]
     pub fn holds(&self, x: &Interval, y: &Interval) -> bool {
-        self.boolean.iter().all(|a| a.holds(x, y))
+        self.crisp.iter().all(|c| c.score(x, y) == 1.0)
     }
 
     /// Sound score enclosure over endpoint boxes: interval min of the
@@ -804,25 +660,7 @@ impl ThresholdWindow {
 impl fmt::Display for TemporalPredicate {
     /// Writes the scored name, e.g. `s-overlaps`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self.kind {
-            PredicateKind::Before => "before",
-            PredicateKind::Equals => "equals",
-            PredicateKind::Meets => "meets",
-            PredicateKind::Overlaps => "overlaps",
-            PredicateKind::Contains => "contains",
-            PredicateKind::Starts => "starts",
-            PredicateKind::FinishedBy => "finishedBy",
-            PredicateKind::After => "after",
-            PredicateKind::MetBy => "metBy",
-            PredicateKind::OverlappedBy => "overlappedBy",
-            PredicateKind::During => "during",
-            PredicateKind::StartedBy => "startedBy",
-            PredicateKind::Finishes => "finishes",
-            PredicateKind::JustBefore => "justBefore",
-            PredicateKind::ShiftMeets => "shiftMeets",
-            PredicateKind::Sparks => "sparks",
-        };
-        write!(f, "s-{name}")
+        write!(f, "s-{}", self.kind.long_name())
     }
 }
 
@@ -833,6 +671,30 @@ mod tests {
 
     fn iv(id: u64, s: i64, e: i64) -> Interval {
         Interval::new(id, s, e).unwrap()
+    }
+
+    /// The Boolean oracle: each relation as the plain endpoint comparisons
+    /// of its constructor's doc line, independent of the primitives.
+    fn reference_holds(kind: PredicateKind, x: &Interval, y: &Interval, avg: i64) -> bool {
+        let (xs, xe, ys, ye) = (x.start, x.end, y.start, y.end);
+        match kind {
+            PredicateKind::Before => xe < ys,
+            PredicateKind::Equals => xs == ys && xe == ye,
+            PredicateKind::Meets => xe == ys,
+            PredicateKind::Overlaps => xs < ys && xe > ys && xe < ye,
+            PredicateKind::Contains => xs < ys && xe > ye,
+            PredicateKind::Starts => xs == ys && xe < ye,
+            PredicateKind::FinishedBy => xs < ys && xe == ye,
+            PredicateKind::After => ye < xs,
+            PredicateKind::MetBy => ye == xs,
+            PredicateKind::OverlappedBy => ys < xs && ye > xs && ye < xe,
+            PredicateKind::During => ys < xs && ye > xe,
+            PredicateKind::StartedBy => ys == xs && ye < xe,
+            PredicateKind::Finishes => ys < xs && ye == xe,
+            PredicateKind::JustBefore => xe < ys && ys - xe <= avg,
+            PredicateKind::ShiftMeets => ys == xe + avg,
+            PredicateKind::Sparks => xe < ys && ye - ys > 10 * (xe - xs),
+        }
     }
 
     #[test]
@@ -1017,21 +879,29 @@ mod tests {
             );
         }
 
-        /// With PB, scored == Boolean indicator, for every predicate kind.
+        /// With PB, the scored form is the Boolean indicator, and both it
+        /// and the derived `holds` (at any parameterization) agree with
+        /// the plain endpoint comparisons, for every predicate kind. Every
+        /// `y` near `x` is checked, so each relation's boundaries (endpoint
+        /// ties, a gap of exactly `avg`, a length of exactly `10·|x|`) are.
         #[test]
-        fn pb_scored_equals_boolean(
-            kind_idx in 0usize..16,
-            xs in -50i64..50, xw in 0i64..30,
-            ys in -50i64..50, yw in 0i64..30,
-            avg in 1i64..10,
-        ) {
-            let kind = PredicateKind::all()[kind_idx];
-            let pred = TemporalPredicate::from_kind(kind, PredicateParams::PB, avg);
+        fn pb_scored_equals_boolean(xs in -50i64..50, xw in 0i64..5, avg in 1i64..6) {
             let x = iv(0, xs, xs + xw);
-            let y = iv(1, ys, ys + yw);
-            let s = pred.score(&x, &y);
-            prop_assert!(s == 0.0 || s == 1.0, "PB must be crisp, got {s}");
-            prop_assert_eq!(s == 1.0, pred.holds(&x, &y), "kind {:?}", kind);
+            for kind in PredicateKind::all() {
+                let pb = TemporalPredicate::from_kind(kind, PredicateParams::PB, avg);
+                let p1 = TemporalPredicate::from_kind(kind, PredicateParams::P1, avg);
+                for ys in xs - 4..=xs + xw + avg + 4 {
+                    for yw in 0..=10 * xw + 2 {
+                        let y = iv(1, ys, ys + yw);
+                        let expected = reference_holds(kind, &x, &y, avg);
+                        let s = pb.score(&x, &y);
+                        prop_assert!(s == 0.0 || s == 1.0, "PB must be crisp, got {s}");
+                        prop_assert_eq!(s == 1.0, expected, "PB score, {:?} {:?}", kind, y);
+                        prop_assert_eq!(pb.holds(&x, &y), expected, "PB holds, {:?} {:?}", kind, y);
+                        prop_assert_eq!(p1.holds(&x, &y), expected, "P1 holds, {:?} {:?}", kind, y);
+                    }
+                }
+            }
         }
 
         /// Scores are within [0,1] and score_range encloses the score at

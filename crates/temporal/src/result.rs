@@ -89,21 +89,15 @@ impl TopK {
         self.heap.len() >= self.k
     }
 
-    /// The score of the currently-worst retained tuple once full
-    /// (the running `τ_k` threshold used for pruning); `None` before that.
-    pub fn threshold(&self) -> Option<f64> {
-        if self.is_full() {
-            self.heap.peek().map(|w| w.0.score)
-        } else {
-            None
+    /// The running `τ_k` threshold used for pruning: the score of the
+    /// currently-worst retained tuple once full, `−∞` before that (every
+    /// tuple is admitted). Anything bounded by `bound ≤ threshold()` can no
+    /// longer change the top-k score multiset.
+    pub fn threshold(&self) -> f64 {
+        match self.heap.peek() {
+            Some(w) if self.is_full() => w.0.score,
+            _ => f64::NEG_INFINITY,
         }
-    }
-
-    /// Score a candidate must *exceed-or-tie into* to be accepted right
-    /// now: 0 while not full (any score competes — scores are
-    /// non-negative), else the k-th score.
-    pub fn admission_score(&self) -> f64 {
-        self.threshold().unwrap_or(0.0)
     }
 
     /// Offers a tuple; returns `true` if it was retained.
@@ -166,7 +160,7 @@ mod tests {
         assert!(top.offer(t(&[1], 0.5)));
         assert!(top.offer(t(&[2], 0.9)));
         assert!(top.is_full());
-        assert_eq!(top.threshold(), Some(0.5));
+        assert_eq!(top.threshold(), 0.5);
         assert!(top.offer(t(&[3], 0.7)));
         assert!(!top.offer(t(&[4], 0.2)));
         let out = top.into_sorted_vec();
@@ -193,14 +187,14 @@ mod tests {
     }
 
     #[test]
-    fn admission_score_is_zero_until_full() {
+    fn threshold_is_neg_infinity_until_full() {
         let mut top = TopK::new(3);
-        assert_eq!(top.admission_score(), 0.0);
+        assert_eq!(top.threshold(), f64::NEG_INFINITY);
         top.offer(t(&[1], 0.9));
-        assert_eq!(top.admission_score(), 0.0);
+        assert_eq!(top.threshold(), f64::NEG_INFINITY);
         top.offer(t(&[2], 0.8));
         top.offer(t(&[3], 0.7));
-        assert_eq!(top.admission_score(), 0.7);
+        assert_eq!(top.threshold(), 0.7);
     }
 
     #[test]
@@ -249,10 +243,10 @@ mod tests {
         #[test]
         fn threshold_monotone(scores in proptest::collection::vec(0.0f64..1.0, 1..60)) {
             let mut top = TopK::new(4);
-            let mut last = 0.0f64;
+            let mut last = f64::NEG_INFINITY;
             for (i, s) in scores.iter().enumerate() {
                 top.offer(t(&[i as u64], *s));
-                let now = top.admission_score();
+                let now = top.threshold();
                 prop_assert!(now >= last - 1e-15);
                 last = now;
             }
