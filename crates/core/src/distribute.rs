@@ -35,10 +35,9 @@ pub type VertexBucket = (u16, BucketId);
 pub struct Assignment {
     /// Number of reducers `r`.
     pub num_reducers: usize,
-    /// Reducer of each combination (indexed like the input `ComboSet`).
-    pub combo_reducer: Vec<u32>,
-    /// Combinations per reducer, in assignment order (descending UB for
-    /// DTB).
+    /// Combinations per reducer (indices into the input `ComboSet`), in
+    /// assignment order (descending UB for DTB). Every combination is in
+    /// exactly one list.
     pub reducer_combos: Vec<Vec<u32>>,
     /// Potential results (`Σ nbRes`) per reducer.
     pub reducer_results: Vec<u128>,
@@ -103,7 +102,6 @@ pub fn distribute(
     let total: u128 = combos.total_results();
     let avg_res = total as f64 / r as f64; // Alg. 3 line 2
 
-    let mut combo_reducer = vec![0u32; combos.len()];
     let mut reducer_combos: Vec<Vec<u32>> = vec![Vec::new(); r];
     let mut reducer_results: Vec<u128> = vec![0; r];
     // `present[slot · r + j]`: reducer `j` already holds that (vertex,
@@ -143,7 +141,6 @@ pub fn distribute(
                 (0..r).min_by_key(|&j| (reducer_results[j], j)).expect("r ≥ 1")
             }
         };
-        combo_reducer[ci] = rj as u32;
         reducer_combos[rj].push(ci as u32);
         reducer_results[rj] += combos.nb_res(ci) as u128;
         under_cap[rj] = is_under_cap(reducer_results[rj], avg_res);
@@ -169,7 +166,6 @@ pub fn distribute(
     }
     Assignment {
         num_reducers: r,
-        combo_reducer,
         reducer_combos,
         reducer_results,
         bucket_map,
@@ -278,6 +274,18 @@ mod tests {
         (q, vec![m])
     }
 
+    /// The reducer of each of `combos` combinations, read off
+    /// `reducer_combos`; panics unless each is assigned exactly once.
+    fn combo_reducer(a: &Assignment, combos: usize) -> Vec<u32> {
+        let mut of = vec![None; combos];
+        for (rj, list) in a.reducer_combos.iter().enumerate() {
+            for &ci in list {
+                assert!(of[ci as usize].replace(rj as u32).is_none(), "combo {ci} assigned twice");
+            }
+        }
+        of.into_iter().map(|rj| rj.expect("every combination is assigned")).collect()
+    }
+
     fn combos_with_bounds(granules: u32, per_bucket: u64) -> ComboSet {
         // One combination per (g, g) diagonal pair, UB descending in g.
         let mut set = ComboSet::new(2);
@@ -294,15 +302,8 @@ mod tests {
         let combos = combos_with_bounds(8, 3);
         for policy in [Dtb, Lpt] {
             let a = distribute(&combos, policy, 4, &q, &m);
-            assert_eq!(a.combo_reducer.len(), combos.len());
-            let spread: usize = a.reducer_combos.iter().map(Vec::len).sum();
-            assert_eq!(spread, combos.len());
-            // Reducer lists and combo_reducer agree.
-            for (rj, list) in a.reducer_combos.iter().enumerate() {
-                for &ci in list {
-                    assert_eq!(a.combo_reducer[ci as usize] as usize, rj);
-                }
-            }
+            assert_eq!(a.reducer_combos.len(), 4);
+            combo_reducer(&a, combos.len()); // panics unless assigned exactly once
         }
     }
 
@@ -311,8 +312,7 @@ mod tests {
         let (q, m) = setup(2, 6);
         let combos = combos_with_bounds(6, 2);
         let a = distribute(&combos, Dtb, 3, &q, &m);
-        for ci in 0..combos.len() {
-            let rj = a.combo_reducer[ci];
+        for (ci, rj) in combo_reducer(&a, combos.len()).into_iter().enumerate() {
             for (v, &b) in combos.buckets(ci).iter().enumerate() {
                 let rs = &a.bucket_map[&(v as u16, b)];
                 assert!(rs.contains(&rj), "combo {ci}: bucket missing its reducer");
@@ -329,9 +329,10 @@ mod tests {
         let (q, m) = setup(2, 8);
         let combos = combos_with_bounds(8, 2);
         let a = distribute(&combos, Dtb, 4, &q, &m);
+        let reducer = combo_reducer(&a, combos.len());
         let order = combos.indices_by_ub_desc();
         let first_four: std::collections::BTreeSet<u32> =
-            order[..4].iter().map(|&i| a.combo_reducer[i as usize]).collect();
+            order[..4].iter().map(|&i| reducer[i as usize]).collect();
         assert_eq!(first_four.len(), 4, "top-UB combos must hit distinct reducers");
     }
 
@@ -346,8 +347,9 @@ mod tests {
         set.push(&[BucketId::new(2, 2), BucketId::new(3, 3)], 4, 0.0, 0.8);
         set.push(&[BucketId::new(0, 0), BucketId::new(1, 1)], 4, 0.0, 0.7);
         let a = distribute(&set, Dtb, 2, &q, &m);
-        assert_eq!(a.combo_reducer[0], a.combo_reducer[2], "C co-locates with A");
-        assert_ne!(a.combo_reducer[0], a.combo_reducer[1]);
+        let reducer = combo_reducer(&a, set.len());
+        assert_eq!(reducer[0], reducer[2], "C co-locates with A");
+        assert_ne!(reducer[0], reducer[1]);
         // No replication happened: each bucket lives on exactly 1 reducer.
         assert!((a.replication_factor - 1.0).abs() < 1e-12);
     }
@@ -364,7 +366,7 @@ mod tests {
             set.push(&[b, b], 4, 0.1, 0.9 - g as f64 * 0.01);
         }
         let a = distribute(&set, Dtb, 4, &q, &m);
-        let giant_reducer = a.combo_reducer[0] as usize;
+        let giant_reducer = combo_reducer(&a, set.len())[0] as usize;
         assert_eq!(a.reducer_combos[giant_reducer].len(), 1, "cap must divert small combos");
     }
 
@@ -378,8 +380,9 @@ mod tests {
         let a = distribute(&set, Lpt, 2, &q, &m);
         // LPT order: 100 → r0, 60 → r1, 50 → r1 (60+50=110 vs 100... no:
         // after 100→r0 and 60→r1, least loaded is r1 (60 < 100) → 50→r1).
-        assert_eq!(a.reducer_results[a.combo_reducer[0] as usize], 100);
-        assert_eq!(a.combo_reducer[1], a.combo_reducer[2]);
+        let reducer = combo_reducer(&a, set.len());
+        assert_eq!(a.reducer_results[reducer[0] as usize], 100);
+        assert_eq!(reducer[1], reducer[2]);
     }
 
     #[test]
@@ -448,10 +451,10 @@ mod tests {
         assert!((a.result_imbalance() - 1.0).abs() < 1e-9, "equal combos spread evenly");
     }
 
-    /// Everything an `Assignment` decides: `combo_reducer`, `reducer_combos`,
-    /// `bucket_map`, and `[assignments_scored, cap_fallbacks,
-    /// estimated_shuffle_records, replication_factor bits]`.
-    type Decisions = (Vec<u32>, Vec<Vec<u32>>, BTreeMap<VertexBucket, Vec<u32>>, [u64; 4]);
+    /// Everything an `Assignment` decides: `reducer_combos`, `bucket_map`,
+    /// and `[assignments_scored, cap_fallbacks, estimated_shuffle_records,
+    /// replication_factor bits]`.
+    type Decisions = (Vec<Vec<u32>>, BTreeMap<VertexBucket, Vec<u32>>, [u64; 4]);
 
     /// Oracle — Algorithms 3–4 with a map of reducer lists per bucket.
     fn oracle_distribute(
@@ -467,7 +470,7 @@ mod tests {
             Dtb => combos.indices_by_ub_desc(),
             Lpt => combos.indices_by_nbres_desc(),
         };
-        let (mut combo_reducer, mut lists) = (vec![0; combos.len()], vec![Vec::new(); r]);
+        let mut lists = vec![Vec::new(); r];
         let (mut loads, mut scored, mut fallbacks) = (vec![0u128; r], 0u64, 0u64);
         let mut holders: BTreeMap<VertexBucket, std::collections::BTreeSet<u32>> = BTreeMap::new();
         for ci in order {
@@ -491,7 +494,6 @@ mod tests {
                 scored += tied.clone().count() as u64;
                 *tied.min_by_key(|&&j| (new_input(j), j)).unwrap()
             };
-            combo_reducer[ci as usize] = rj as u32;
             lists[rj].push(ci);
             loads[rj] += combos.nb_res(ci as usize) as u128;
             for (v, &b) in buckets.iter().enumerate() {
@@ -504,7 +506,7 @@ mod tests {
         let replication = if distinct == 0 { 1.0 } else { shipped as f64 / distinct as f64 };
         let bucket_map =
             holders.into_iter().map(|(key, h)| (key, h.into_iter().collect())).collect();
-        (combo_reducer, lists, bucket_map, [scored, fallbacks, shipped, replication.to_bits()])
+        (lists, bucket_map, [scored, fallbacks, shipped, replication.to_bits()])
     }
 
     #[test]
@@ -532,7 +534,6 @@ mod tests {
                 for r in [1, 3, 24, 70] {
                     let a = distribute(&combos, policy, r, query, &matrices);
                     let got: Decisions = (
-                        a.combo_reducer,
                         a.reducer_combos,
                         a.bucket_map,
                         [

@@ -471,90 +471,12 @@ impl ExecutionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::naive::naive_topk;
     use tkij_datagen::uniform_collections;
     use tkij_temporal::params::PredicateParams;
     use tkij_temporal::query::table1;
 
     fn engine(g: u32, r: usize) -> Tkij {
         Tkij::new(TkijConfig::default().with_granules(g).with_reducers(r))
-    }
-
-    /// Exactness in the paper's sense: the returned score sequence equals
-    /// the oracle's, and every returned tuple is genuine (its recomputed
-    /// score matches). Tuple *ids* may differ from the oracle only among
-    /// equal scores: TopBuckets legitimately prunes combinations that can
-    /// merely tie the k-th score.
-    fn assert_exact(
-        name: &str,
-        q: &Query,
-        dataset: &crate::stats::PreparedDataset,
-        report: &ExecutionReport,
-        k: usize,
-    ) {
-        let refs: Vec<_> = q.vertices.iter().map(|c| &dataset.collections[c.0 as usize]).collect();
-        let expected = naive_topk(q, &refs, k);
-        assert_eq!(report.results.len(), expected.len(), "{name}");
-        for (g, e) in report.results.iter().zip(&expected) {
-            assert!((g.score - e.score).abs() < 1e-9, "{name}: {g:?} vs {e:?}");
-            // Returned tuples must be genuine.
-            let tuple: Vec<_> = g
-                .ids
-                .iter()
-                .zip(&q.vertices)
-                .map(|(id, c)| {
-                    *dataset.collections[c.0 as usize]
-                        .intervals()
-                        .iter()
-                        .find(|iv| iv.id == *id)
-                        .unwrap_or_else(|| panic!("{name}: unknown id {id}"))
-                })
-                .collect();
-            let rescored = q.score_tuple(&tuple);
-            assert!((rescored - g.score).abs() < 1e-9, "{name}: reported score is wrong");
-        }
-    }
-
-    #[test]
-    fn end_to_end_matches_naive_all_queries() {
-        let tk = engine(6, 5);
-        let dataset = tk.prepare(uniform_collections(3, 50, 2024)).unwrap();
-        let avg = dataset.collections[0].avg_length();
-        for (name, q) in table1::all(PredicateParams::P1, avg) {
-            let report = tk.execute(&dataset, &q, 7).unwrap();
-            assert_exact(name, &q, &dataset, &report, 7);
-        }
-    }
-
-    #[test]
-    fn all_strategy_policy_combinations_agree() {
-        let base = uniform_collections(3, 40, 99);
-        let q = table1::q_sm(PredicateParams::P2);
-        let mut reference: Option<Vec<f64>> = None;
-        for (_, strategy) in Strategy::all() {
-            for policy in [DistributionPolicy::Dtb, DistributionPolicy::Lpt] {
-                let tk = Tkij::new(
-                    TkijConfig::default()
-                        .with_granules(5)
-                        .with_reducers(3)
-                        .with_strategy(strategy)
-                        .with_distribution(policy),
-                );
-                let dataset = tk.prepare(base.clone()).unwrap();
-                let report = tk.execute(&dataset, &q, 9).unwrap();
-                let scores: Vec<f64> = report.results.iter().map(|t| t.score).collect();
-                match &reference {
-                    None => reference = Some(scores),
-                    Some(r) => {
-                        let tag = format!("{}/{policy:?}", strategy.name());
-                        assert_eq!(r.len(), scores.len(), "{tag}");
-                        for (a, b) in r.iter().zip(&scores) {
-                            assert!((a - b).abs() < 1e-9, "{tag}");
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -647,91 +569,19 @@ mod tests {
     fn no_pruning_ablation_same_results_more_work() {
         let collections = uniform_collections(3, 60, 500);
         let q = table1::q_om(PredicateParams::P1);
-        let pruned = Tkij::new(TkijConfig::default().with_granules(6).with_reducers(4));
-        let unpruned =
-            Tkij::new(TkijConfig::default().with_granules(6).with_reducers(4).without_pruning());
-        let d1 = pruned.prepare(collections.clone()).unwrap();
-        let d2 = unpruned.prepare(collections).unwrap();
-        let r1 = pruned.execute(&d1, &q, 5).unwrap();
-        let r2 = unpruned.execute(&d2, &q, 5).unwrap();
+        let run = |config: TkijConfig| {
+            let tk = Tkij::new(config.with_granules(6).with_reducers(4));
+            tk.execute(&tk.prepare(collections.clone()).unwrap(), &q, 5).unwrap()
+        };
+        let (r1, r2) = (run(TkijConfig::default()), run(TkijConfig::default().without_pruning()));
         // Same exact answers...
-        let s1: Vec<f64> = r1.results.iter().map(|t| t.score).collect();
-        let s2: Vec<f64> = r2.results.iter().map(|t| t.score).collect();
-        for (a, b) in s1.iter().zip(&s2) {
-            assert!((a - b).abs() < 1e-9);
+        for (a, b) in r1.results.iter().zip(&r2.results) {
+            assert!((a.score - b.score).abs() < 1e-9);
         }
         // ...but the ablation keeps every combination and ships more.
         assert_eq!(r2.topbuckets.selected, r2.topbuckets.candidates);
         assert!(r1.topbuckets.selected <= r2.topbuckets.selected);
-        assert!(
-            r1.distribution.estimated_shuffle_records <= r2.distribution.estimated_shuffle_records
-        );
-    }
-
-    #[test]
-    fn k_exceeding_result_space_returns_everything() {
-        let tk = engine(3, 2);
-        let dataset = tk.prepare(uniform_collections(3, 4, 13)).unwrap();
-        let q = table1::q_bb(PredicateParams::P1);
-        let report = tk.execute(&dataset, &q, 1000).unwrap();
-        assert_eq!(report.results.len(), 64, "4³ tuples exist");
-    }
-
-    #[test]
-    fn spill_knob_is_result_and_counter_transparent() {
-        // The out-of-core knob reroutes every job through the serialized
-        // transport: identical results (ids included) and work counters,
-        // with the spill counters lighting up.
-        let q = table1::q_om(PredicateParams::P1);
-        let base = TkijConfig::default().with_granules(5).with_reducers(4);
-        let in_mem = Tkij::new(base.clone());
-        let spilled = Tkij::new(base.with_shuffle_spill_threshold_bytes(0));
-        assert_eq!(in_mem.job_cluster().shuffle, ShuffleMode::InMemory);
-        assert_eq!(
-            spilled.job_cluster().shuffle,
-            ShuffleMode::Serialized { spill_threshold_bytes: 0, sink: SpillSinkKind::Memory }
-        );
-        let d1 = in_mem.prepare(uniform_collections(3, 60, 555)).unwrap();
-        let d2 = spilled.prepare(uniform_collections(3, 60, 555)).unwrap();
-        assert_eq!(d1.matrices, d2.matrices, "statistics survive the spill path");
-        let r1 = in_mem.execute(&d1, &q, 6).unwrap();
-        let r2 = spilled.execute(&d2, &q, 6).unwrap();
-        let a: Vec<_> = r1.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect();
-        let b: Vec<_> = r2.results.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect();
-        assert_eq!(a, b, "spilling may not change a result bit");
-        assert_eq!(r1.join.shuffle_records, r2.join.shuffle_records);
-        assert_eq!(r1.join.shuffle_bytes, r2.join.shuffle_bytes);
-        assert_eq!(r1.merge.shuffle_records, r2.merge.shuffle_records);
-        assert_eq!(r1.shuffle_stats(), ShuffleStats::default(), "in-memory spills nothing");
-        let spilled_stats = r2.shuffle_stats();
-        assert_eq!(
-            spilled_stats.records_spilled,
-            r2.join.total_shuffle_records() + r2.merge.total_shuffle_records(),
-            "threshold 0 serializes every shuffled record"
-        );
-        assert!(spilled_stats.spill_segments > 0);
-        assert!(spilled_stats.spill_bytes > 0);
-        assert!(
-            d2.stats_metrics.shuffle.records_spilled > 0,
-            "prepare routes through the spill path too"
-        );
-    }
-
-    #[test]
-    fn deterministic_across_runs_and_worker_threads() {
-        let q = table1::q_sfm(PredicateParams::P1);
-        let mut reports = Vec::new();
-        for threads in [0, 3] {
-            let tk = Tkij::with_cluster(
-                TkijConfig::default().with_granules(5).with_reducers(4),
-                ClusterConfig { worker_threads: threads, ..Default::default() },
-            );
-            let dataset = tk.prepare(uniform_collections(3, 60, 555)).unwrap();
-            let report = tk.execute(&dataset, &q, 6).unwrap();
-            reports.push(report);
-        }
-        let a: Vec<_> = reports[0].results.iter().map(|t| (t.ids.clone(), t.score)).collect();
-        let b: Vec<_> = reports[1].results.iter().map(|t| (t.ids.clone(), t.score)).collect();
-        assert_eq!(a, b);
+        let shipped = |r: &ExecutionReport| r.distribution.estimated_shuffle_records;
+        assert!(shipped(&r1) <= shipped(&r2));
     }
 }

@@ -59,20 +59,9 @@ impl Record for VRec {
     }
 }
 
-/// Runs the join phase. `combos` must be the selected `Ω_{k,S}` that
-/// `assignment` distributes.
-pub fn run_join_phase(
-    dataset: &PreparedDataset,
-    query: &Query,
-    combos: &ComboSet,
-    assignment: &Assignment,
-    k: usize,
-    cluster: &ClusterConfig,
-) -> (Vec<ReducerOutput>, JobMetrics) {
-    run_join_phase_impl(dataset, query, combos, assignment, k, cluster, None, None)
-}
-
-/// [`run_join_phase`] with an optional attribute filter (hybrid queries).
+/// Runs the join phase, with an optional attribute filter (hybrid
+/// queries). `combos` must be the selected `Ω_{k,S}` that `assignment`
+/// distributes.
 ///
 /// The `LocalJoinBackend`, `SweepScanKind` and [`IntraJoin`] arguments are
 /// ignored; they stay in the signature because the repository's
@@ -214,59 +203,66 @@ mod tests {
     use crate::topbuckets::run_topbuckets;
     use tkij_datagen::uniform_collections;
     use tkij_solver::SolverConfig;
-    use tkij_temporal::collection::IntervalCollection;
+    use tkij_temporal::aggregate::Aggregation;
+    use tkij_temporal::collection::{CollectionId, IntervalCollection};
     use tkij_temporal::params::PredicateParams;
-    use tkij_temporal::query::table1;
+    use tkij_temporal::predicate::TemporalPredicate;
+    use tkij_temporal::query::{table1, QueryEdge};
+    use tkij_temporal::result::TopK;
 
+    /// Collection 0 joined with collection `dst` (itself at 0) on `predicate`.
+    fn two_way(dst: u32, predicate: TemporalPredicate) -> Query {
+        let edge = QueryEdge { src: 0, dst: 1, predicate };
+        Query::new(vec![CollectionId(0), CollectionId(dst)], vec![edge], Aggregation::NormalizedSum)
+            .unwrap()
+    }
+
+    /// Plans at Loose and runs the join phase; returns the merged local
+    /// top-ks, the join's metrics, the assignment's shuffle estimate, and
+    /// `naive_topk`'s answer.
     fn run_pipeline(
         collections: Vec<IntervalCollection>,
         query: &Query,
         k: usize,
-        g: u32,
-        reducers: usize,
+        (g, reducers, workers): (u32, usize, usize),
         policy: DistributionPolicy,
-    ) -> (Vec<ReducerOutput>, JobMetrics, Vec<MatchTuple>) {
+    ) -> (Vec<MatchTuple>, JobMetrics, u64, Vec<MatchTuple>) {
         let cluster = ClusterConfig::default();
         let dataset = collect_statistics(collections, g, &cluster).unwrap();
-        let (selected, _) = run_topbuckets(
-            query,
-            &dataset.matrices,
-            k as u64,
-            Strategy::Loose,
-            &SolverConfig::default(),
-            2,
-        );
+        let solver = SolverConfig::default();
+        let (selected, _) =
+            run_topbuckets(query, &dataset.matrices, k as u64, Strategy::Loose, &solver, workers);
         let assignment = distribute(&selected, policy, reducers, query, &dataset.matrices);
         let (outputs, metrics) =
-            run_join_phase(&dataset, query, &selected, &assignment, k, &cluster);
+            run_join_phase_impl(&dataset, query, &selected, &assignment, k, &cluster, None, None);
+        // Globally merge the local top-ks.
+        let mut all = TopK::new(k);
+        for t in outputs.into_iter().flat_map(|o| o.results) {
+            all.offer(t);
+        }
         let refs: Vec<&IntervalCollection> =
             query.vertices.iter().map(|c| &dataset.collections[c.0 as usize]).collect();
         let expected = naive_topk(query, &refs, k);
-        (outputs, metrics, expected)
+        (all.into_sorted_vec(), metrics, assignment.estimated_shuffle_records, expected)
+    }
+
+    /// Score sequences must match exactly; ids may differ only among
+    /// equal scores (ties prunable by TopBuckets).
+    fn assert_same_scores(got: &[MatchTuple], expected: &[MatchTuple], what: &str) {
+        assert_eq!(got.len(), expected.len(), "{what}");
+        for (g, e) in got.iter().zip(expected) {
+            assert!((g.score - e.score).abs() < 1e-9, "{what}: {g:?} vs {e:?}");
+        }
     }
 
     #[test]
     fn reducers_jointly_cover_the_exact_topk() {
         let collections = uniform_collections(3, 60, 77);
         let q = table1::q_om(PredicateParams::P1);
-        let k = 8;
         for policy in [DistributionPolicy::Dtb, DistributionPolicy::Lpt] {
-            let (outputs, metrics, expected) =
-                run_pipeline(collections.clone(), &q, k, 6, 4, policy);
-            // Globally merge local top-ks; must equal the oracle.
-            let mut all = tkij_temporal::result::TopK::new(k);
-            for o in &outputs {
-                for t in &o.results {
-                    all.offer(t.clone());
-                }
-            }
-            let got = all.into_sorted_vec();
-            assert_eq!(got.len(), expected.len(), "{policy:?}");
-            for (g, e) in got.iter().zip(&expected) {
-                // Score sequences must match exactly; ids may differ only
-                // among equal scores (ties prunable by TopBuckets).
-                assert!((g.score - e.score).abs() < 1e-9, "{policy:?}: {g:?} vs {e:?}");
-            }
+            let (got, metrics, _, expected) =
+                run_pipeline(collections.clone(), &q, 8, (6, 4, 2), policy);
+            assert_same_scores(&got, &expected, &format!("{policy:?}"));
             assert_eq!(metrics.reduce_durations.len(), 4);
             assert!(metrics.total_shuffle_records() > 0);
         }
@@ -274,30 +270,12 @@ mod tests {
 
     #[test]
     fn shuffle_matches_assignment_estimate() {
-        let collections = uniform_collections(2, 40, 5);
-        let p = PredicateParams::P2;
-        let q = Query::new(
-            vec![
-                tkij_temporal::collection::CollectionId(0),
-                tkij_temporal::collection::CollectionId(1),
-            ],
-            vec![tkij_temporal::query::QueryEdge {
-                src: 0,
-                dst: 1,
-                predicate: tkij_temporal::predicate::TemporalPredicate::before(p),
-            }],
-            tkij_temporal::aggregate::Aggregation::NormalizedSum,
-        )
-        .unwrap();
-        let cluster = ClusterConfig::default();
-        let dataset = collect_statistics(collections, 5, &cluster).unwrap();
-        let (selected, _) =
-            run_topbuckets(&q, &dataset.matrices, 4, Strategy::Loose, &SolverConfig::default(), 1);
-        let assignment = distribute(&selected, DistributionPolicy::Dtb, 3, &q, &dataset.matrices);
-        let (_, metrics) = run_join_phase(&dataset, &q, &selected, &assignment, 4, &cluster);
+        let q = two_way(1, TemporalPredicate::before(PredicateParams::P2));
+        let (_, metrics, estimate, _) =
+            run_pipeline(uniform_collections(2, 40, 5), &q, 4, (5, 3, 1), DistributionPolicy::Dtb);
         assert_eq!(
             metrics.total_shuffle_records(),
-            assignment.estimated_shuffle_records,
+            estimate,
             "mapper shipment must equal DTB's estimate"
         );
     }
@@ -306,38 +284,9 @@ mod tests {
     fn self_join_ships_per_vertex_roles() {
         // Both vertices read collection 0: every needed interval is
         // shipped once per vertex role.
-        let collections = uniform_collections(1, 30, 9);
-        let q = Query::new(
-            vec![
-                tkij_temporal::collection::CollectionId(0),
-                tkij_temporal::collection::CollectionId(0),
-            ],
-            vec![tkij_temporal::query::QueryEdge {
-                src: 0,
-                dst: 1,
-                predicate: tkij_temporal::predicate::TemporalPredicate::meets(PredicateParams::P1),
-            }],
-            tkij_temporal::aggregate::Aggregation::NormalizedSum,
-        )
-        .unwrap();
-        let cluster = ClusterConfig::default();
-        let dataset = collect_statistics(collections, 4, &cluster).unwrap();
-        let (selected, _) =
-            run_topbuckets(&q, &dataset.matrices, 5, Strategy::Loose, &SolverConfig::default(), 1);
-        let assignment = distribute(&selected, DistributionPolicy::Dtb, 2, &q, &dataset.matrices);
-        let (outputs, _) = run_join_phase(&dataset, &q, &selected, &assignment, 5, &cluster);
-        let mut all = tkij_temporal::result::TopK::new(5);
-        for o in outputs {
-            for t in o.results {
-                all.offer(t);
-            }
-        }
-        let refs = vec![&dataset.collections[0], &dataset.collections[0]];
-        let expected = naive_topk(&q, &refs, 5);
-        let got = all.into_sorted_vec();
-        assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(&expected) {
-            assert!((g.score - e.score).abs() < 1e-9, "{g:?} vs {e:?}");
-        }
+        let q = two_way(0, TemporalPredicate::meets(PredicateParams::P1));
+        let (got, _, _, expected) =
+            run_pipeline(uniform_collections(1, 30, 9), &q, 5, (4, 2, 1), DistributionPolicy::Dtb);
+        assert_same_scores(&got, &expected, "self-join");
     }
 }

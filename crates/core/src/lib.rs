@@ -58,12 +58,12 @@ pub use config::{
 };
 pub use distribute::{distribute, Assignment};
 pub use engine::{DistributionSummary, ExecutionReport, Fingerprint, QueryPlan, Tkij};
-pub use joinphase::{run_join_phase, run_join_phase_with, ReducerOutput};
+pub use joinphase::{run_join_phase_with, ReducerOutput};
 pub use localjoin::{local_topk_join, LocalJoinStats};
 pub use merge::run_merge_phase;
 pub use naive::{all_pair_scores, naive_boolean, naive_topk};
 pub use plancache::PlanCache;
-pub use serving::{LatencySnapshot, PlanKey, QueryHandle, ServingStats, TkijServer};
+pub use serving::{LatencySnapshot, PlanKey, ServingStats, TkijServer};
 pub use stats::{collect_statistics, PreparedDataset};
 pub use topbuckets::{get_top_buckets, run_topbuckets};
 // The out-of-core shuffle vocabulary callers need to read

@@ -9,7 +9,7 @@
 //!   the result in a [`TkijServer`] freezes dataset, configuration, and
 //!   cluster shape into shared immutable state.
 //! * **Query many** — any number of threads call [`TkijServer::query`]
-//!   (or clone a cheap [`QueryHandle`]) concurrently. Each query gets
+//!   concurrently, each on a shared reference or a cheap clone. Each query gets
 //!   its own top-k heap, work counters, and [`ExecutionReport`]; the
 //!   *shared* state is strictly read-only.
 //!
@@ -202,7 +202,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Shared immutable state behind a server and all its handles.
+/// Shared immutable state behind a server and all its clones.
 #[derive(Debug)]
 struct ServerInner {
     engine: Tkij,
@@ -312,7 +312,10 @@ impl ServerInner {
 /// assert_eq!(stats.plan_cache_misses, 1, "one distinct shape");
 /// assert_eq!(stats.plan_cache_hits, 1);
 /// ```
-#[derive(Debug)]
+///
+/// Clones are cheap and share the dataset, plan cache, index pool and
+/// counters.
+#[derive(Debug, Clone)]
 pub struct TkijServer {
     inner: Arc<ServerInner>,
 }
@@ -345,10 +348,10 @@ impl TkijServer {
         self.inner.query(query, k)
     }
 
-    /// A cheap cloneable handle sharing this server's state — the thing
-    /// to hand each worker thread of a request loop.
-    pub fn handle(&self) -> QueryHandle {
-        QueryHandle { inner: Arc::clone(&self.inner) }
+    /// A clone sharing this server's state — the thing to hand each
+    /// worker thread of a request loop.
+    pub fn handle(&self) -> TkijServer {
+        self.clone()
     }
 
     /// Snapshot of the serving counters.
@@ -378,7 +381,7 @@ impl TkijServer {
     }
 
     /// Per-query wall-latency percentiles recorded so far (p50/p95/p99
-    /// over every query served by this server, all handles included).
+    /// over every query served by this server and its clones).
     pub fn latency(&self) -> LatencySnapshot {
         self.inner.latency.lock().snapshot()
     }
@@ -386,30 +389,6 @@ impl TkijServer {
     /// Indexes currently in the shared (collection, bucket) pool.
     pub fn index_pool_len(&self) -> usize {
         self.inner.pools.len()
-    }
-}
-
-/// A cheap cloneable query handle onto a [`TkijServer`] — all clones
-/// share the server's dataset, plan cache, index pool, and counters.
-#[derive(Debug, Clone)]
-pub struct QueryHandle {
-    inner: Arc<ServerInner>,
-}
-
-impl QueryHandle {
-    /// [`TkijServer::query`] through the handle.
-    pub fn query(&self, query: &Query, k: usize) -> Result<ExecutionReport, TemporalError> {
-        self.inner.query(query, k)
-    }
-
-    /// [`TkijServer::stats`] through the handle.
-    pub fn stats(&self) -> ServingStats {
-        self.inner.stats()
-    }
-
-    /// [`TkijServer::latency`] through the handle.
-    pub fn latency(&self) -> LatencySnapshot {
-        self.inner.latency.lock().snapshot()
     }
 }
 

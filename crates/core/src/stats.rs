@@ -166,9 +166,25 @@ pub fn collect_statistics(
 
 impl PreparedDataset {
     /// Insert-style update: extends the collection and its matrix.
-    pub fn insert(&mut self, collection: usize, iv: Interval) {
+    ///
+    /// The interval must lie inside the collection's prepared
+    /// partitioning, `[origin, end()]`. Outside it, the interval would be
+    /// counted in an edge bucket whose endpoint box does not contain it,
+    /// and the TopBuckets bounds and the rank-join's combination bounds
+    /// would no longer be sound. Such an interval is rejected with
+    /// [`TemporalError::InvalidPartitioning`] and the dataset is left
+    /// unchanged; re-prepare the collections to widen the range.
+    pub fn insert(&mut self, collection: usize, iv: Interval) -> Result<(), TemporalError> {
+        let part = self.matrices[collection].partitioning();
+        if iv.start < part.origin || iv.end > part.end() {
+            let range = [part.origin, part.end()];
+            return Err(TemporalError::InvalidPartitioning(format!(
+                "{iv:?} lies outside collection {collection}'s prepared range {range:?}"
+            )));
+        }
         self.matrices[collection].insert(&iv);
         self.collections[collection].push(iv);
+        Ok(())
     }
 
     /// Delete-style update: removes by id, maintaining the matrix.
@@ -241,7 +257,7 @@ mod tests {
         let c0 = coll(0, &[(0, 10), (20, 30), (55, 60)]);
         let mut prepared = collect_statistics(vec![c0], 6, &ClusterConfig::default()).unwrap();
         let added = Interval::new(77, 21, 29).unwrap();
-        prepared.insert(0, added);
+        prepared.insert(0, added).unwrap();
         assert_eq!(prepared.matrices[0].total(), 4);
         let rebuilt = BucketMatrix::build(
             prepared.matrices[0].partitioning(),
@@ -257,5 +273,29 @@ mod tests {
         );
         assert_eq!(prepared.matrices[0], rebuilt, "remove matches rebuild");
         assert!(prepared.remove(0, 999).is_none());
+    }
+
+    #[test]
+    fn inserts_outside_the_prepared_range_are_rejected() {
+        // [0, 60] in 6 granules of width 11: the partitioning ends at 65.
+        let c0 = coll(0, &[(0, 10), (20, 30), (55, 60)]);
+        let mut prepared = collect_statistics(vec![c0], 6, &ClusterConfig::default()).unwrap();
+        let part = prepared.matrices[0].partitioning();
+        assert_eq!((part.origin, part.end()), (0, 65));
+        for (id, s, e) in [(10, -1, 5), (11, 60, 66), (12, -3, -1), (13, 66, 70)] {
+            let (collections, matrices) = (prepared.collections.clone(), prepared.matrices.clone());
+            let got = prepared.insert(0, Interval::new(id, s, e).unwrap());
+            assert!(matches!(got, Err(TemporalError::InvalidPartitioning(_))), "[{s}, {e}]");
+            assert_eq!(prepared.collections, collections, "[{s}, {e}] leaves the data unchanged");
+            assert_eq!(prepared.matrices, matrices, "[{s}, {e}] leaves the counts unchanged");
+        }
+        // Both edges of the partitioning, past the data's own maximum.
+        for (id, s, e) in [(20, 0, 0), (21, 0, 65), (22, 65, 65)] {
+            prepared.insert(0, Interval::new(id, s, e).unwrap()).unwrap();
+            let iv = *prepared.collections[0].intervals().last().unwrap();
+            let bucket = prepared.matrices[0].bucket_of(&iv);
+            assert!(prepared.matrices[0].endpoint_box(bucket).contains(&iv), "[{s}, {e}]");
+        }
+        assert_eq!(prepared.matrices[0].total(), 6);
     }
 }

@@ -44,17 +44,26 @@ pub fn get_top_buckets(k: u64, combos: &ComboSet) -> Vec<u32> {
 }
 
 /// Algorithm 1, lines 7–13: walks `combos` in descending upper bound and
-/// keeps combinations until `k` results are covered and the next upper
-/// bound is dominated by `kth_res_lb`.
+/// keeps combinations until the kept ones are certain to hold `k` results
+/// scoring at least `kth_res_lb` (their `lb ≥ kth_res_lb`) and the next
+/// upper bound is dominated by `kth_res_lb` — Definition 2's validity.
+///
+/// Counting every kept result instead, as line 10 does, is unsound under
+/// ties: combinations with high upper bounds but low lower bounds can
+/// cover `k` first, and the cut at `ub ≤ kthResLB` then drops the
+/// combinations whose results tie `kthResLB` while the kept results score
+/// below it.
 fn select_by_ub(k: u64, kth_res_lb: f64, combos: &ComboSet) -> Vec<u32> {
     let mut kept = Vec::new();
-    let mut collected: u128 = 0;
+    let mut certain: u128 = 0;
     for i in combos.indices_by_ub_desc() {
-        if collected >= k as u128 && combos.ub(i as usize) <= kth_res_lb {
+        if certain >= k as u128 && combos.ub(i as usize) <= kth_res_lb {
             break;
         }
         kept.push(i);
-        collected += combos.nb_res(i as usize) as u128;
+        if combos.lb(i as usize) >= kth_res_lb {
+            certain += combos.nb_res(i as usize) as u128;
+        }
     }
     kept
 }
@@ -258,6 +267,7 @@ struct GroupCx<'a> {
 /// The streamed bounds of one vertex-0 group: flat scalars per enumerated
 /// combination (enumeration order) and the two thresholds of its local
 /// `getTopBuckets`.
+#[derive(Default)]
 struct GroupBounds {
     nb_res: Vec<u64>,
     lb: Vec<f64>,
@@ -266,29 +276,45 @@ struct GroupBounds {
     solver_calls: usize,
     /// Algorithm 1's `kthResLB` over the group.
     kth_res_lb: f64,
-    /// The UB at which the UB-descending cumulative `nbRes` reaches `k`
-    /// (`−∞` when the group holds fewer than `k` results).
+    /// The UB at which the UB-descending cumulative `nbRes` of the
+    /// combinations with `lb ≥ kth_res_lb` reaches `k` (`−∞` when the
+    /// group holds fewer than `k` results).
     kth_ub: f64,
 }
 
 impl GroupBounds {
     /// Whether Algorithm 1's walk can reach combination `p`. The walk
     /// keeps a UB-descending prefix: everything up to the combination
-    /// whose cumulative `nbRes` first covers `k` (all of which have
-    /// `ub ≥ kth_ub`), then only combinations with `ub > kth_res_lb`. The
-    /// reachable set is itself a prefix of that order (it is closed under
-    /// UB ties), so walking it alone keeps exactly what walking the whole
-    /// group would. Strictly `>` on `kth_res_lb`: with loose bounds most
-    /// of the lattice ties at `ub == kthResLB == 0`.
+    /// at which the `nbRes` certain to score `≥ kth_res_lb` first covers
+    /// `k` (all of which have `ub ≥ kth_ub`), then only combinations with
+    /// `ub > kth_res_lb`. The reachable set is itself a prefix of that
+    /// order (it is closed under UB ties), so walking it alone keeps
+    /// exactly what walking the whole group would. Strictly `>` on
+    /// `kth_res_lb`: with loose bounds most of the lattice ties at
+    /// `ub == kthResLB == 0`.
     fn reachable(&self, p: usize) -> bool {
         self.ub[p] > self.kth_res_lb || self.ub[p] >= self.kth_ub
+    }
+
+    /// Reads `kth_res_lb`, then `kth_ub`, off the bounds.
+    fn set_thresholds(&mut self, k: u64) {
+        let (mut kth_lb, mut kth_ub) = (WeightedKth::new(k), WeightedKth::new(k));
+        for (&lb, &nb) in self.lb.iter().zip(&self.nb_res) {
+            kth_lb.offer(lb, nb);
+        }
+        self.kth_res_lb = kth_lb.kth();
+        for p in 0..self.ub.len() {
+            if self.lb[p] >= self.kth_res_lb {
+                kth_ub.offer(self.ub[p], self.nb_res[p]);
+            }
+        }
+        self.kth_ub = kth_ub.kth();
     }
 }
 
 impl GroupCx<'_> {
     /// One odometer pass over the group: bounds every combination per the
-    /// strategy and streams the bounds through both weighted-k-th
-    /// trackers, keeping scalars only.
+    /// strategy, keeping scalars only, then reads the thresholds off them.
     fn bound_group(&self, range: std::ops::Range<usize>, k: u64) -> GroupBounds {
         let Self { query, per_vertex, .. } = *self;
         let size = per_vertex[1..].iter().fold(range.len(), |acc, vb| acc.saturating_mul(vb.len()));
@@ -296,12 +322,8 @@ impl GroupCx<'_> {
             nb_res: Vec::with_capacity(size),
             lb: Vec::with_capacity(size),
             ub: Vec::with_capacity(size),
-            total_results: 0,
-            solver_calls: 0,
-            kth_res_lb: f64::NEG_INFINITY,
-            kth_ub: f64::NEG_INFINITY,
+            ..GroupBounds::default()
         };
-        let (mut kth_lb, mut kth_ub) = (WeightedKth::new(k), WeightedKth::new(k));
         let mut bucket_buf = Vec::with_capacity(query.n());
         let mut edge_lb = vec![0.0; query.edges.len()];
         let mut edge_ub = vec![0.0; query.edges.len()];
@@ -323,14 +345,11 @@ impl GroupCx<'_> {
                     (b.lb, b.ub)
                 }
             };
-            kth_lb.offer(lb, nb);
-            kth_ub.offer(ub, nb);
             out.nb_res.push(nb);
             out.lb.push(lb);
             out.ub.push(ub);
         });
-        out.kth_res_lb = kth_lb.kth();
-        out.kth_ub = kth_ub.kth();
+        out.set_thresholds(k);
         out
     }
 
@@ -378,6 +397,7 @@ pub fn combo_boxes(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tkij_temporal::bucket::BucketId;
     use tkij_temporal::collection::CollectionId;
     use tkij_temporal::granule::TimePartitioning;
@@ -532,9 +552,9 @@ pub(crate) mod tests {
             run_topbuckets(&q, &matrices, 2, Strategy::Loose, &SolverConfig::default(), 1);
         let (multi, _) =
             run_topbuckets(&q, &matrices, 2, Strategy::Loose, &SolverConfig::default(), 4);
-        let single_set: std::collections::BTreeSet<Vec<_>> =
+        let single_set: BTreeSet<Vec<_>> =
             (0..single.len()).map(|i| single.buckets(i).to_vec()).collect();
-        let multi_set: std::collections::BTreeSet<Vec<_>> =
+        let multi_set: BTreeSet<Vec<_>> =
             (0..multi.len()).map(|i| multi.buckets(i).to_vec()).collect();
         // Both cover at least k results.
         assert!(single.total_results() >= 2 && multi.total_results() >= 2);
@@ -559,7 +579,10 @@ pub(crate) mod tests {
     fn definition2_validity_on_random_combosets() {
         // Property (paper Def. 2): for every pruned ω there must exist
         // Ψ ⊆ Ω_{k,S} with Σ nbRes ≥ k and ∀ω′∈Ψ: ω′.LB ≥ ω.UB.
-        // Deterministic pseudo-random exploration over many shapes.
+        // Deterministic pseudo-random exploration over many shapes; every
+        // other trial rounds the bounds to halves, so bounds tie. The
+        // streamed pass, which walks only the reachable combinations, must
+        // keep exactly what the walk over all of them keeps.
         let mut state = 0x243F_6A88_85A3_08D3u64;
         let mut next = move || {
             state ^= state << 13;
@@ -571,14 +594,29 @@ pub(crate) mod tests {
             let n_combos = (next() % 40 + 1) as usize;
             let k = next() % 50 + 1;
             let mut set = ComboSet::new(1);
+            let round = |x: f64| if trial % 2 == 0 { (x * 2.0).round() / 2.0 } else { x };
             for i in 0..n_combos {
                 let lb = (next() % 1000) as f64 / 1000.0;
-                let ub = lb + (next() % 1000) as f64 / 1000.0 * (1.0 - lb);
+                let (lb, ub) =
+                    (round(lb), round(lb + (next() % 1000) as f64 / 1000.0 * (1.0 - lb)));
                 let nb = next() % 20 + 1;
                 set.push(&[BucketId::new(i as u32, i as u32)], nb, lb, ub);
             }
+            let mut group = GroupBounds {
+                nb_res: (0..n_combos).map(|i| set.nb_res(i)).collect(),
+                lb: (0..n_combos).map(|i| set.lb(i)).collect(),
+                ub: (0..n_combos).map(|i| set.ub(i)).collect(),
+                ..GroupBounds::default()
+            };
+            group.set_thresholds(k);
+            let reachable: Vec<u32> =
+                (0..n_combos as u32).filter(|&p| group.reachable(p as usize)).collect();
+            let streamed = select_by_ub(k, group.kth_res_lb, &set.subset(&reachable));
+            let streamed: BTreeSet<u32> = streamed.iter().map(|&i| reachable[i as usize]).collect();
+            let walked = BTreeSet::from_iter(select_by_ub(k, group.kth_res_lb, &set));
+            assert_eq!(streamed, walked, "trial {trial}: the streamed walk");
             let kept = get_top_buckets(k, &set);
-            let kept_set: std::collections::BTreeSet<u32> = kept.iter().copied().collect();
+            let kept_set: BTreeSet<u32> = kept.iter().copied().collect();
             for pruned in 0..n_combos as u32 {
                 if kept_set.contains(&pruned) {
                     continue;
@@ -648,7 +686,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// Oracle — Algorithm 1 as the paper writes it.
+    /// Oracle — Algorithm 1 as the paper writes it, with the coverage of
+    /// line 10 counting only results certain to reach `kthResLB`.
     fn oracle_select(k: u64, set: &ComboSet) -> Vec<u32> {
         let sorted_desc = |key: fn(&ComboSet, usize) -> (f64, f64)| {
             let mut idx: Vec<usize> = (0..set.len()).collect();
@@ -667,13 +706,15 @@ pub(crate) mod tests {
                 break;
             }
         }
-        let (mut collected, mut kept) = (0u128, Vec::new());
+        let (mut certain, mut kept) = (0u128, Vec::new());
         for i in sorted_desc(|s, i| (s.ub(i), s.lb(i))) {
-            if collected >= k as u128 && set.ub(i) <= kth_res_lb {
+            if certain >= k as u128 && set.ub(i) <= kth_res_lb {
                 break;
             }
             kept.push(i as u32);
-            collected += set.nb_res(i) as u128;
+            if set.lb(i) >= kth_res_lb {
+                certain += set.nb_res(i) as u128;
+            }
         }
         kept
     }

@@ -13,7 +13,8 @@ pub enum TemporalError {
     InvalidQuery(String),
     /// A malformed line in the plain-text collection format.
     Parse { line: usize, message: String },
-    /// Invalid partitioning parameters (zero granules or non-positive width).
+    /// Invalid partitioning parameters (zero granules, non-positive width, a
+    /// range overflowing `i64`), or an update outside the prepared range.
     InvalidPartitioning(String),
 }
 

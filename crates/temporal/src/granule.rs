@@ -53,8 +53,10 @@ impl TimePartitioning {
     }
 
     /// The granule index containing `t`, clamped to `[0, g)` so that
-    /// out-of-range timestamps (e.g. after an update) still map to a
-    /// granule.
+    /// out-of-range timestamps still map to a granule. A clamped
+    /// timestamp lies outside its granule's range, so bucket statistics
+    /// only ever count in-range intervals
+    /// (`PreparedDataset::insert` rejects the others).
     #[inline]
     pub fn granule_of(&self, t: Timestamp) -> u32 {
         if t < self.origin {

@@ -63,15 +63,12 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// Creates an accumulator for the best `k` tuples (`k ≥ 1`).
+    /// Creates an accumulator for the best `k` tuples (`k ≥ 1`). Nothing
+    /// is reserved up front: `k` may be any `usize`, far beyond the tuples
+    /// that will ever be offered.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "top-k requires k ≥ 1");
-        TopK { k, heap: BinaryHeap::with_capacity(k + 1) }
-    }
-
-    /// The configured `k`.
-    pub fn k(&self) -> usize {
-        self.k
+        TopK { k, heap: BinaryHeap::new() }
     }
 
     /// Number of tuples currently retained.
@@ -114,13 +111,6 @@ impl TopK {
             true
         } else {
             false
-        }
-    }
-
-    /// Merges another accumulator in (used by the final merge job).
-    pub fn merge(&mut self, other: TopK) {
-        for w in other.heap {
-            self.offer(w.0);
         }
     }
 
@@ -198,21 +188,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential_offers() {
-        let tuples: Vec<MatchTuple> = (0..20).map(|i| t(&[i], (i as f64 * 7.0) % 1.0)).collect();
-        let mut a = TopK::new(5);
-        let mut b = TopK::new(5);
-        let mut all = TopK::new(5);
-        for (i, tp) in tuples.iter().enumerate() {
-            if i % 2 == 0 {
-                a.offer(tp.clone());
-            } else {
-                b.offer(tp.clone());
-            }
-            all.offer(tp.clone());
+    fn any_k_allocates_only_what_is_offered() {
+        // A `k` far past any result count must neither reserve `k` slots
+        // nor overflow computing the reservation.
+        for k in [1 << 40, usize::MAX] {
+            let mut top = TopK::new(k);
+            assert_eq!(top.threshold(), f64::NEG_INFINITY);
+            top.offer(t(&[2], 0.25));
+            top.offer(t(&[1], 0.75));
+            assert!(!top.is_full());
+            assert_eq!(top.into_sorted_vec(), vec![t(&[1], 0.75), t(&[2], 0.25)]);
         }
-        a.merge(b);
-        assert_eq!(a.sorted_scores(), all.sorted_scores());
     }
 
     proptest! {

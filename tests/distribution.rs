@@ -21,16 +21,18 @@ fn assignment_invariants_hold_for_both_policies() {
     for policy in [DistributionPolicy::Dtb, DistributionPolicy::Lpt] {
         let a = distribute(&selected, policy, 6, &q, &dataset.matrices);
         // 1. Every combination lands on exactly one reducer.
-        let total: usize = a.reducer_combos.iter().map(Vec::len).sum();
-        assert_eq!(total, selected.len(), "{policy:?}");
+        let mut assigned = a.reducer_combos.concat();
+        assigned.sort_unstable();
+        assert!(assigned.into_iter().eq(0..selected.len() as u32), "{policy:?}");
         // 2. Every bucket of every combination is mapped to its reducer.
-        for ci in 0..selected.len() {
-            let rj = a.combo_reducer[ci];
-            for (v, &b) in selected.buckets(ci).iter().enumerate() {
-                assert!(
-                    a.bucket_map[&(v as u16, b)].contains(&rj),
-                    "{policy:?}: combo {ci} bucket not shipped"
-                );
+        for (rj, list) in a.reducer_combos.iter().enumerate() {
+            for &ci in list {
+                for (v, &b) in selected.buckets(ci as usize).iter().enumerate() {
+                    assert!(
+                        a.bucket_map[&(v as u16, b)].contains(&(rj as u32)),
+                        "{policy:?}: combo {ci} bucket not shipped"
+                    );
+                }
             }
         }
         // 3. Potential-result accounting is consistent.

@@ -122,8 +122,10 @@ fn dtb_spreads_high_ub_combos_more_evenly_than_lpt() {
     let order = selected.indices_by_ub_desc();
     let spread = |policy: DistributionPolicy| -> usize {
         let a = distribute(&selected, policy, r, &q, &dataset.matrices);
-        let reducers: BTreeSet<u32> =
-            order[..r].iter().map(|&i| a.combo_reducer[i as usize]).collect();
+        let reducers: BTreeSet<usize> = order[..r]
+            .iter()
+            .map(|ci| a.reducer_combos.iter().position(|list| list.contains(ci)).unwrap())
+            .collect();
         reducers.len()
     };
     let dtb = spread(DistributionPolicy::Dtb);

@@ -13,9 +13,9 @@ fn updates_are_equivalent_to_rebuilding() {
     let q = table1::q_om(PredicateParams::P1);
 
     // Apply a batch of inserts and deletes.
-    dataset.insert(0, Interval::new(900, 50_000, 50_040).unwrap());
-    dataset.insert(1, Interval::new(901, 50_010, 50_060).unwrap());
-    dataset.insert(2, Interval::new(902, 50_060, 50_100).unwrap());
+    dataset.insert(0, Interval::new(900, 50_000, 50_040).unwrap()).unwrap();
+    dataset.insert(1, Interval::new(901, 50_010, 50_060).unwrap()).unwrap();
+    dataset.insert(2, Interval::new(902, 50_060, 50_100).unwrap()).unwrap();
     let removed = dataset.remove(0, 3).expect("id 3 exists");
     assert_eq!(removed.id, 3);
 
