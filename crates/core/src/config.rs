@@ -105,8 +105,11 @@ pub struct TkijConfig {
     pub sweep_scan: SweepScanKind,
     /// Bound-solver configuration.
     pub solver: SolverConfig,
-    /// Parallel TopBuckets groups (the paper splits B₁ into 6 worker
-    /// groups); 1 disables partitioning.
+    /// TopBuckets worker groups: vertex 0's buckets are split into this
+    /// many groups (the paper's 6), each bounded and locally pruned in
+    /// turn before one merged selection; 1 disables partitioning. The
+    /// groups run one after another, so they buy planner memory, not
+    /// parallelism: only one group's bounds are held at a time.
     pub topbuckets_workers: usize,
     /// Ignored: the former probe-chunk length of the sharded local join.
     /// It remains because the repository's `benchmark/` sets it; ROADMAP

@@ -20,11 +20,15 @@
 //! [`ThresholdWindow::admits`]: `(endpoint as f64)` compared against
 //! `f64` window bounds (which may be infinite). Storing the *cast*
 //! endpoint in the lane makes the chunked compare bit-identical to that
-//! reference by construction — the cast is performed once at build time
-//! instead of per probe, and no bound-to-integer conversion (with its
-//! rounding edge cases near `2^63`) is ever needed. Packed `f64` compares
-//! are also the portably vectorizable choice: SSE2 has `cmppd`, while
-//! 64-bit integer compares only arrive with SSE4.2.
+//! reference by construction, with the cast performed once at build time
+//! instead of per probe. The bounds are exact integer bounds on the
+//! endpoint, worked out in saturating `i64` and cast to `f64` once
+//! (`Primitive::free_axis_window`). The cast is monotone, so every
+//! endpoint inside the exact window passes, at any magnitude. Beyond
+//! `2^53` an endpoint just outside it may pass too, because it rounds to
+//! the same `f64`; the exact score check rejects it. Packed `f64`
+//! compares are also the portably vectorizable choice: SSE2 has `cmppd`,
+//! while 64-bit integer compares only arrive with SSE4.2.
 //!
 //! # The scalar oracle
 //!

@@ -75,7 +75,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Record codec: fixed little-endian frames whose length == SizeOf.
 // ---------------------------------------------------------------------------
 
-/// A decode failure: truncated input, an invalid tag, or malformed UTF-8.
+/// A decode failure: truncated input, trailing bytes, or an invalid tag
+/// or count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError {
     /// What the decoder was reading and why it failed.
@@ -165,16 +166,8 @@ macro_rules! int_record {
     )*};
 }
 
-int_record!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Record for f32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
-        Ok(f32::from_bits(u32::decode(reader)?))
-    }
-}
+// The widths the engine's jobs build their records from.
+int_record!(u8, u16, u32, u64, i64);
 
 impl Record for f64 {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -182,112 +175,6 @@ impl Record for f64 {
     }
     fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
         Ok(f64::from_bits(u64::decode(reader)?))
-    }
-}
-
-impl Record for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(reader)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(CodecError { detail: format!("invalid bool tag {tag}") }),
-        }
-    }
-}
-
-impl Record for char {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(*self as u32).to_le_bytes());
-    }
-    fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
-        let raw = u32::decode(reader)?;
-        char::from_u32(raw).ok_or_else(|| CodecError { detail: format!("invalid char {raw:#x}") })
-    }
-}
-
-impl Record for () {
-    fn encode(&self, _out: &mut Vec<u8>) {}
-    fn decode(_reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
-        Ok(())
-    }
-}
-
-impl Record for String {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        out.extend_from_slice(self.as_bytes());
-    }
-    fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
-        let len = u64::decode(reader)? as usize;
-        let bytes = reader.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| CodecError { detail: format!("invalid utf-8 string: {e}") })
-    }
-}
-
-impl<T: Record> Record for Vec<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for item in self {
-            item.encode(out);
-        }
-    }
-    fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
-        let len = u64::decode(reader)? as usize;
-        // Every element of a non-zero-sized type encodes to >= 1 byte,
-        // so an honest count never exceeds the frame remainder — reject
-        // absurd counts before the allocation below.
-        if std::mem::size_of::<T>() > 0 && len > reader.remaining() {
-            return Err(CodecError { detail: format!("vec count {len} exceeds frame") });
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(reader)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<T: Record> Record for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-        }
-    }
-    fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(reader)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(reader)?)),
-            tag => Err(CodecError { detail: format!("invalid option tag {tag}") }),
-        }
-    }
-}
-
-impl<A: Record, B: Record> Record for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-    fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
-        Ok((A::decode(reader)?, B::decode(reader)?))
-    }
-}
-
-impl<A: Record, B: Record, C: Record> Record for (A, B, C) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-        self.2.encode(out);
-    }
-    fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
-        Ok((A::decode(reader)?, B::decode(reader)?, C::decode(reader)?))
     }
 }
 
@@ -1007,6 +894,38 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A variable-length test record: a count-prefixed run of `u32`s,
+    /// framed like the jobs' tuple records.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Words(Vec<u32>);
+
+    impl SizeOf for Words {
+        fn size_bytes(&self) -> usize {
+            8 + 4 * self.0.len()
+        }
+    }
+
+    impl Record for Words {
+        fn encode(&self, out: &mut Vec<u8>) {
+            (self.0.len() as u64).encode(out);
+            for w in &self.0 {
+                w.encode(out);
+            }
+        }
+        fn decode(reader: &mut FrameReader<'_>) -> Result<Self, CodecError> {
+            let len = u64::decode(reader)? as usize;
+            if len > reader.remaining() / 4 {
+                return Err(CodecError { detail: format!("count {len} exceeds frame") });
+            }
+            (0..len).map(|_| u32::decode(reader)).collect::<Result<_, _>>().map(Words)
+        }
+    }
+
+    /// `Words` numbered `i`, of `i % 4` words.
+    fn words(i: u32) -> Words {
+        Words((0..i % 4).map(|w| i * 10 + w).collect())
+    }
+
     fn roundtrip<T: Record + PartialEq + std::fmt::Debug>(value: &T) {
         let mut bytes = Vec::new();
         value.encode(&mut bytes);
@@ -1021,37 +940,19 @@ mod tests {
         assert_eq!(&back, value);
     }
 
-    /// Satellite: `size_bytes` equals the actual encoded frame length
-    /// for every type the shuffle serializes (and the codec round-trips
-    /// them bit-identically).
+    /// `size_bytes` equals the actual encoded frame length for every
+    /// type the shuffle serializes (and the codec round-trips them
+    /// bit-identically).
     #[test]
     fn sizeof_matches_encoded_length_for_all_record_types() {
         roundtrip(&0xABu8);
         roundtrip(&0xABCDu16);
         roundtrip(&0xDEAD_BEEFu32);
         roundtrip(&0x0123_4567_89AB_CDEFu64);
-        roundtrip(&123_456_789usize);
-        roundtrip(&-5i8);
-        roundtrip(&-500i16);
-        roundtrip(&-70_000i32);
         roundtrip(&i64::MIN);
-        roundtrip(&-42isize);
-        roundtrip(&1.5f32);
         roundtrip(&-0.0f64);
-        roundtrip(&f64::NAN.to_bits()); // NaN via bits; f64 below
-        roundtrip(&true);
-        roundtrip(&false);
-        roundtrip(&'é');
-        roundtrip(&());
-        roundtrip(&String::new());
-        roundtrip(&"héllo wörld".to_string());
-        roundtrip(&Vec::<u64>::new());
-        roundtrip(&vec![1u64, 2, 3]);
-        roundtrip(&vec!["a".to_string(), String::new()]);
-        roundtrip(&None::<u32>);
-        roundtrip(&Some(7u32));
-        roundtrip(&(1u64, "pair".to_string()));
-        roundtrip(&(1u8, 2u16, 3u32));
+        roundtrip(&Words(Vec::new()));
+        roundtrip(&Words(vec![1, 2, 3]));
         // NaN keeps its exact bit pattern through the f64 codec.
         let nan = f64::from_bits(0x7FF8_0000_0000_1234);
         let mut bytes = Vec::new();
@@ -1062,48 +963,38 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_truncation_and_bad_tags() {
+    fn decode_rejects_truncation_and_overrunning_counts() {
         let mut bytes = Vec::new();
         7u64.encode(&mut bytes);
         let mut short = FrameReader::new(&bytes[..5]);
         assert!(u64::decode(&mut short).is_err());
 
-        let mut reader = FrameReader::new(&[2u8]);
-        assert!(bool::decode(&mut reader).is_err());
-        let mut reader = FrameReader::new(&[9u8]);
-        assert!(Option::<u8>::decode(&mut reader).is_err());
-
-        // A string whose length prefix overruns the frame.
+        // A count prefix that overruns the frame.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&100u64.to_le_bytes());
+        100u64.encode(&mut bytes);
         bytes.extend_from_slice(b"short");
-        assert!(String::decode(&mut FrameReader::new(&bytes)).is_err());
+        assert!(Words::decode(&mut FrameReader::new(&bytes)).is_err());
     }
 
     proptest! {
-        /// Satellite: arbitrary `(K, V)` batches encode→decode
-        /// bit-identically through whole segments — including empty
-        /// batches, zero-length strings, and every segment-boundary
-        /// split a random spill threshold induces.
+        /// Arbitrary `(K, V)` batches encode→decode bit-identically
+        /// through whole segments — including empty batches, empty
+        /// records, and every segment-boundary split a random spill
+        /// threshold induces.
         #[test]
         fn prop_segment_roundtrip(
             raw in proptest::collection::vec(
-                (0u64..50, (proptest::collection::vec(0u8..128, 0..12),
-                            proptest::collection::vec(0u32..1000, 0..4))),
+                (0u64..50, proptest::collection::vec(0u32..1000, 0..6)),
                 0..40,
             ),
             threshold in 0u64..256,
         ) {
-            // The string strategy: arbitrary ASCII (always valid UTF-8),
-            // length 0..12 — zero-length strings occur naturally.
-            let records: Vec<(u64, (String, Vec<u32>))> = raw
-                .into_iter()
-                .map(|(k, (s, v))| (k, (String::from_utf8(s).expect("ascii"), v)))
-                .collect();
+            let records: Vec<(u64, Words)> =
+                raw.into_iter().map(|(k, v)| (k, Words(v))).collect();
             // Whole-batch segment round-trip.
             let (bytes, _) = encode_segment(&records);
             let id = SegmentId { task: 0, partition: 0, segment: 0 };
-            let mut reader: SegmentReader<u64, (String, Vec<u32>)> =
+            let mut reader: SegmentReader<u64, Words> =
                 SegmentReader::open(bytes, id).expect("segment verifies");
             let mut back = Vec::new();
             while let Some(record) = reader.next_record() {
@@ -1114,7 +1005,7 @@ mod tests {
             // Threshold-split spill through the sink: the merged read
             // equals the stable-sorted batch, whatever the splits.
             let transport = SerializedTransport::in_memory(threshold);
-            let mut sink: SerializedSink<u64, (String, Vec<u32>)> =
+            let mut sink: SerializedSink<u64, Words> =
                 ShuffleTransport::task_sink(&transport, 0, 1);
             for (k, v) in records.clone() {
                 sink.accept(0, k, v);
@@ -1153,24 +1044,23 @@ mod tests {
         }
     }
 
-    /// Satellite: one flipped byte in a spilled segment surfaces as a
-    /// structured checksum error — not a panic, not a wrong answer.
+    /// One flipped byte in a spilled segment surfaces as a structured
+    /// checksum error — not a panic, not a wrong answer.
     #[test]
     fn corruption_is_detected_as_a_structured_error() {
-        let records: Vec<(u64, String)> =
-            (0..20).map(|i| (i % 5, format!("payload-{i}"))).collect();
+        let records: Vec<(u64, Words)> = (0..20).map(|i| (i as u64 % 5, words(i + 1))).collect();
         let (bytes, _) = encode_segment(&records);
         let id = SegmentId { task: 1, partition: 2, segment: 3 };
 
         // Pristine bytes verify.
-        assert!(SegmentReader::<u64, String>::open(bytes.clone(), id).is_ok());
+        assert!(SegmentReader::<u64, Words>::open(bytes.clone(), id).is_ok());
 
         // Flip one payload byte: the recomputed frame CRC xor-fold must
         // disagree with the header.
         let mut corrupted = bytes.clone();
         let last = corrupted.len() - 1;
         corrupted[last] ^= 0x40;
-        match SegmentReader::<u64, String>::open(corrupted, id) {
+        match SegmentReader::<u64, Words>::open(corrupted, id) {
             Err(ShuffleError::ChecksumMismatch { segment, expected, actual }) => {
                 assert_eq!(segment, id);
                 assert_ne!(expected, actual);
@@ -1180,7 +1070,7 @@ mod tests {
 
         // Truncation is caught by the framing validation.
         let truncated = bytes[..bytes.len() - 3].to_vec();
-        match SegmentReader::<u64, String>::open(truncated, id) {
+        match SegmentReader::<u64, Words>::open(truncated, id) {
             Err(ShuffleError::Corrupt { segment, .. }) => assert_eq!(segment, id),
             other => panic!("expected a corrupt-segment error, got {:?}", other.map(|_| ())),
         }
@@ -1189,7 +1079,7 @@ mod tests {
         let mut bad_magic = bytes;
         bad_magic[0] ^= 0xFF;
         assert!(matches!(
-            SegmentReader::<u64, String>::open(bad_magic, id),
+            SegmentReader::<u64, Words>::open(bad_magic, id),
             Err(ShuffleError::Corrupt { .. })
         ));
     }
@@ -1200,18 +1090,18 @@ mod tests {
     /// within-key order is the stable-sort contract).
     #[test]
     fn serialized_gather_matches_in_memory() {
-        let tasks: Vec<Vec<(u64, String)>> = vec![
-            (0..30).map(|i| (i % 7, format!("t0-{i}"))).collect(),
-            (0..20).map(|i| (i % 3, format!("t1-{i}"))).collect(),
+        let tasks: Vec<Vec<(u64, Words)>> = vec![
+            (0..30).map(|i| (i as u64 % 7, words(i))).collect(),
+            (0..20).map(|i| (i as u64 % 3, words(100 + i))).collect(),
             Vec::new(),
-            (0..10).map(|i| (13 - i, format!("t3-{i}"))).collect(),
+            (0..10).map(|i| (13 - i as u64, words(300 + i))).collect(),
         ];
         let parts = 3;
 
         let in_mem = InMemoryTransport;
         let mut mem_sinks = Vec::new();
         for (t, records) in tasks.iter().enumerate() {
-            let mut sink: MemorySink<u64, String> = ShuffleTransport::task_sink(&in_mem, t, parts);
+            let mut sink: MemorySink<u64, Words> = ShuffleTransport::task_sink(&in_mem, t, parts);
             for (k, v) in records {
                 sink.accept((*k % parts as u64) as usize, *k, v.clone());
             }
@@ -1223,7 +1113,7 @@ mod tests {
             let transport = SerializedTransport::in_memory(threshold);
             let mut sinks = Vec::new();
             for (t, records) in tasks.iter().enumerate() {
-                let mut sink: SerializedSink<u64, String> =
+                let mut sink: SerializedSink<u64, Words> =
                     ShuffleTransport::task_sink(&transport, t, parts);
                 for (k, v) in records {
                     sink.accept((*k % parts as u64) as usize, *k, v.clone());

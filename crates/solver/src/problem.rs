@@ -98,9 +98,9 @@ impl<'q> BoundsProblem<'q> {
             if s_hi < b.start.0 {
                 return None;
             }
-            let s = ((b.start.0 + b.start.1) / 2).clamp(b.start.0, s_hi);
+            let s = midpoint(b.start).clamp(b.start.0, s_hi);
             let e_lo = b.end.0.max(s);
-            let e = ((b.end.0 + b.end.1) / 2).clamp(e_lo, b.end.1);
+            let e = midpoint(b.end).clamp(e_lo, b.end.1);
             point.push(Interval::new_unchecked(i as u64, s, e));
         }
         Some(point)
@@ -110,6 +110,12 @@ impl<'q> BoundsProblem<'q> {
     pub fn feasible(boxes: &[EndpointBox]) -> bool {
         boxes.iter().all(|b| b.start.0 <= b.end.1)
     }
+}
+
+/// `(lo + hi) / 2`, rounded toward zero, computed in `i128` so that it
+/// cannot overflow.
+fn midpoint((lo, hi): (i64, i64)) -> i64 {
+    ((lo as i128 + hi as i128) / 2) as i64
 }
 
 #[cfg(test)]

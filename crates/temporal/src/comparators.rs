@@ -38,25 +38,8 @@ pub struct Tolerance {
     pub rho: i64,
 }
 
-/// An inclusive range of `d = a - b` values, possibly unbounded on either
-/// side. Used to report threshold regions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DRange {
-    /// Lower bound on `d` (−∞ if `None`).
-    pub lo: Option<f64>,
-    /// Upper bound on `d` (+∞ if `None`).
-    pub hi: Option<f64>,
-}
-
-impl DRange {
-    /// The full real line (no constraint).
-    pub const UNBOUNDED: DRange = DRange { lo: None, hi: None };
-
-    /// Whether `d` lies in the range.
-    pub fn contains(&self, d: f64) -> bool {
-        self.lo.is_none_or(|lo| d >= lo) && self.hi.is_none_or(|hi| d <= hi)
-    }
-}
+/// The region every `d` satisfies: `(−∞, +∞)`.
+const UNBOUNDED: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 
 impl Tolerance {
     /// Creates a tolerance; both parameters must be non-negative.
@@ -98,34 +81,33 @@ impl Tolerance {
         }
     }
 
-    /// Exact region `{d : equals(d) ≥ v}` for a threshold `v ∈ (0, 1]`.
-    ///
-    /// Returns `None` when the region is empty (cannot happen for
-    /// `v ≤ 1`), and [`DRange::UNBOUNDED`] when `v ≤ 0` (every `d`
-    /// qualifies).
-    pub fn equals_region(&self, v: f64) -> DRange {
+    /// Exact region `{d : equals(d) ≥ v}` for a threshold `v ∈ (0, 1]`,
+    /// as an inclusive `(lo, hi)`; `(−∞, +∞)` when `v ≤ 0` (every `d`
+    /// qualifies). Never empty, since `equals(0) = 1 ≥ v`.
+    pub fn equals_region(&self, v: f64) -> (f64, f64) {
         if v <= 0.0 {
-            return DRange::UNBOUNDED;
+            return UNBOUNDED;
         }
         let v = v.min(1.0);
         // equals(d) ≥ v  ⇔  |d| ≤ λ + ρ·(1 − v).
         let half = self.lambda as f64 + self.rho as f64 * (1.0 - v);
-        DRange { lo: Some(-half), hi: Some(half) }
+        (-half, half)
     }
 
-    /// Exact region `{d : greater(d) ≥ v}` for a threshold `v ∈ (0, 1]`.
-    pub fn greater_region(&self, v: f64) -> DRange {
+    /// Exact region `{d : greater(d) ≥ v}` for a threshold `v ∈ (0, 1]`,
+    /// as an inclusive `(lo, +∞)`; `(−∞, +∞)` when `v ≤ 0`.
+    pub fn greater_region(&self, v: f64) -> (f64, f64) {
         if v <= 0.0 {
-            return DRange::UNBOUNDED;
+            return UNBOUNDED;
         }
         let v = v.min(1.0);
         if self.rho == 0 {
             // Step function: score ≥ v > 0 ⇔ score = 1 ⇔ d > λ ⇔ d ≥ λ + 1
             // on integer differences.
-            return DRange { lo: Some(self.lambda as f64 + 1.0), hi: None };
+            return (self.lambda as f64 + 1.0, f64::INFINITY);
         }
         // greater(d) ≥ v ⇔ d ≥ λ + ρ·v.
-        DRange { lo: Some(self.lambda as f64 + self.rho as f64 * v), hi: None }
+        (self.lambda as f64 + self.rho as f64 * v, f64::INFINITY)
     }
 
     /// Exact image `[min, max]` of `equals` over all integer `d` in
@@ -218,19 +200,24 @@ mod tests {
         assert!((lo - 0.25).abs() < 1e-12);
     }
 
+    /// Whether `d` lies in the inclusive region `(lo, hi)`.
+    fn contains((lo, hi): (f64, f64), d: i64) -> bool {
+        lo <= d as f64 && d as f64 <= hi
+    }
+
     #[test]
     fn regions_unbounded_below_zero_threshold() {
         let t = Tolerance::new(4, 16);
-        assert_eq!(t.equals_region(0.0), DRange::UNBOUNDED);
-        assert_eq!(t.greater_region(-1.0), DRange::UNBOUNDED);
+        assert_eq!(t.equals_region(0.0), UNBOUNDED);
+        assert_eq!(t.greater_region(-1.0), UNBOUNDED);
     }
 
     #[test]
     fn greater_region_step_function_uses_integer_successor() {
         let t = Tolerance::new(2, 0);
         let r = t.greater_region(0.5);
-        assert_eq!(r.lo, Some(3.0));
-        assert!(r.contains(3.0) && !r.contains(2.0));
+        assert_eq!(r, (3.0, f64::INFINITY));
+        assert!(contains(r, 3) && !contains(r, 2));
     }
 
     proptest! {
@@ -242,9 +229,9 @@ mod tests {
             d in -100i64..100, v in 0.01f64..1.0,
         ) {
             let t = Tolerance::new(lambda, rho);
-            let eq_in = t.equals_region(v).contains(d as f64);
+            let eq_in = contains(t.equals_region(v), d);
             prop_assert_eq!(t.equals(d) >= v - 1e-9, eq_in);
-            let gt_in = t.greater_region(v).contains(d as f64);
+            let gt_in = contains(t.greater_region(v), d);
             prop_assert_eq!(t.greater(d) >= v - 1e-9, gt_in);
         }
 

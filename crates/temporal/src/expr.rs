@@ -30,31 +30,49 @@ pub enum Endpoint {
     End,
 }
 
-/// One linear term `coeff · endpoint`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Term {
-    /// Integer coefficient (e.g. `10` in `10·(x̄ − x̲)` of `sparks`).
-    pub coeff: i64,
-    /// Which interval the endpoint comes from.
-    pub side: Side,
-    /// Which endpoint.
-    pub endpoint: Endpoint,
+/// The symbols of the four coefficient slots, in slot order.
+const SLOT_NAMES: [&str; 4] = ["x.start", "x.end", "y.start", "y.end"];
+
+/// The coefficient slot of `side.endpoint`: `x̲`, `x̄`, `y̲`, `ȳ` are 0–3.
+const fn slot(side: Side, endpoint: Endpoint) -> usize {
+    2 * side as usize + endpoint as usize
 }
 
-/// An affine expression `Σ coeffᵢ·endpointᵢ + constant` over the endpoints
-/// of an interval pair.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// An affine expression `c₀·x̲ + c₁·x̄ + c₂·y̲ + c₃·ȳ + constant` over the
+/// endpoints of an interval pair.
+///
+/// A plain value with one coefficient slot per endpoint, so like terms
+/// merge by construction. The coefficients' absolute sum fits in `i64`
+/// (every constructor checks it), so `constant + Σ cᵢ·vᵢ` over `i64`
+/// endpoints fits in `i128` and evaluation can be exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EndpointExpr {
-    /// Linear terms; kept short (at most 2 in all built-in predicates).
-    pub terms: Vec<Term>,
+    /// Coefficients of `x̲`, `x̄`, `y̲`, `ȳ`, in that order (e.g. the `10`s
+    /// of `10·(x̄ − x̲)` in `sparks`). Private, so that only the checking
+    /// constructors can set them.
+    coeffs: [i64; 4],
     /// Additive constant (e.g. the average length in `shiftMeets`).
-    pub constant: i64,
+    constant: i64,
 }
 
 impl EndpointExpr {
+    /// Builds an expression from possibly overflowed parts, panicking
+    /// unless they and the coefficients' absolute sum fit in `i64`.
+    fn checked(coeffs: [Option<i64>; 4], constant: Option<i64>) -> Self {
+        let l1 = coeffs.into_iter().try_fold(0i64, |l1, c| l1.checked_add(c?.checked_abs()?));
+        match (l1, constant) {
+            (Some(_), Some(constant)) => {
+                EndpointExpr { coeffs: coeffs.map(|c| c.unwrap_or_default()), constant }
+            }
+            _ => panic!("endpoint expression overflows i64"),
+        }
+    }
+
     /// The single endpoint `side.endpoint`.
     pub fn endpoint(side: Side, endpoint: Endpoint) -> Self {
-        EndpointExpr { terms: vec![Term { coeff: 1, side, endpoint }], constant: 0 }
+        let mut coeffs = [0; 4];
+        coeffs[slot(side, endpoint)] = 1;
+        EndpointExpr { coeffs, constant: 0 }
     }
 
     /// Start of the given side: `x̲` or `y̲`.
@@ -69,151 +87,118 @@ impl EndpointExpr {
 
     /// Interval length `end − start` of the given side.
     pub fn length(side: Side) -> Self {
-        EndpointExpr {
-            terms: vec![
-                Term { coeff: 1, side, endpoint: Endpoint::End },
-                Term { coeff: -1, side, endpoint: Endpoint::Start },
-            ],
-            constant: 0,
-        }
+        Self::end(side).minus(Self::start(side))
     }
 
     /// Adds a constant offset (e.g. `x̄ + avg` in `shiftMeets`).
-    pub fn plus(mut self, c: i64) -> Self {
-        self.constant += c;
-        self
+    pub fn plus(self, c: i64) -> Self {
+        Self::checked(self.coeffs.map(Some), self.constant.checked_add(c))
     }
 
     /// The same expression with the two sides exchanged: every `x`
     /// endpoint becomes the corresponding `y` endpoint and vice versa.
     /// Used to derive inverse Allen relations (`p⁻¹(x, y) = p(y, x)`).
-    pub fn swap_sides(mut self) -> Self {
-        for t in &mut self.terms {
-            t.side = match t.side {
-                Side::Left => Side::Right,
-                Side::Right => Side::Left,
-            };
-        }
-        self
+    pub fn swap_sides(self) -> Self {
+        let [xs, xe, ys, ye] = self.coeffs;
+        EndpointExpr { coeffs: [ys, ye, xs, xe], ..self }
     }
 
-    /// The affine difference `self − other`, with like terms merged and
-    /// zero-coefficient terms dropped.
+    /// The affine difference `self − other`.
     ///
     /// A comparator applied to `(lhs, rhs)` only ever depends on this
     /// difference, so the solver and the index layer reason about the
     /// combined expression.
-    pub fn minus(&self, other: &EndpointExpr) -> EndpointExpr {
-        let mut terms: Vec<Term> = self.terms.clone();
-        for t in &other.terms {
-            terms.push(Term { coeff: -t.coeff, ..*t });
-        }
-        // Merge like terms (tiny vectors; quadratic is fine and allocation-free).
-        let mut merged: Vec<Term> = Vec::with_capacity(terms.len());
-        for t in terms {
-            if let Some(m) =
-                merged.iter_mut().find(|m| m.side == t.side && m.endpoint == t.endpoint)
-            {
-                m.coeff += t.coeff;
-            } else {
-                merged.push(t);
-            }
-        }
-        merged.retain(|t| t.coeff != 0);
-        EndpointExpr { terms: merged, constant: self.constant - other.constant }
+    pub fn minus(self, other: EndpointExpr) -> Self {
+        Self::checked(
+            std::array::from_fn(|i| self.coeffs[i].checked_sub(other.coeffs[i])),
+            self.constant.checked_sub(other.constant),
+        )
     }
 
     /// Multiplies every coefficient and the constant by `k`
     /// (e.g. `10·(x̄ − x̲)` in `sparks`).
-    pub fn scaled(mut self, k: i64) -> Self {
-        for t in &mut self.terms {
-            t.coeff *= k;
-        }
-        self.constant *= k;
-        self
+    pub fn scaled(self, k: i64) -> Self {
+        Self::checked(self.coeffs.map(|c| c.checked_mul(k)), self.constant.checked_mul(k))
     }
 
-    /// Evaluates the expression on a concrete pair.
+    /// The expression at endpoint values `v` (in slot order), exact and
+    /// clamped to `±i64::MAX`.
+    ///
+    /// Clamping loses nothing a comparator can see: `equals` and
+    /// `greater` are constant beyond `λ + ρ`, and `−i64::MAX` keeps
+    /// `equals`' `abs` in range. The sum stays in `i64` while that is
+    /// exact and moves to `i128` only when a step would overflow: a
+    /// single `i128` fold made the benchmark's `join-dense` queries 8–17 %
+    /// slower (median p50) on a 2-vCPU x86-64 host.
+    #[inline]
+    fn at(&self, v: [i64; 4]) -> i64 {
+        let mut acc = self.constant;
+        for (c, e) in self.coeffs.into_iter().zip(v) {
+            match c.checked_mul(e).and_then(|t| acc.checked_add(t)) {
+                Some(sum) => acc = sum,
+                None => return self.at_wide(v),
+            }
+        }
+        acc.max(-i64::MAX)
+    }
+
+    /// [`Self::at`] in `i128`, for the sums that leave `i64`. It cannot
+    /// overflow: the coefficients' absolute sum fits in `i64`.
+    #[cold]
+    fn at_wide(&self, v: [i64; 4]) -> i64 {
+        let sum = (0..4)
+            .fold(self.constant as i128, |acc, i| acc + self.coeffs[i] as i128 * v[i] as i128);
+        sum.clamp(-(i64::MAX as i128), i64::MAX as i128) as i64
+    }
+
+    /// Evaluates the expression on a concrete pair, exactly, clamped to
+    /// `±i64::MAX` (beyond which both comparators are constant).
     #[inline]
     pub fn eval(&self, x: &Interval, y: &Interval) -> i64 {
-        let mut acc = self.constant;
-        for t in &self.terms {
-            let iv = match t.side {
-                Side::Left => x,
-                Side::Right => y,
-            };
-            let v = match t.endpoint {
-                Endpoint::Start => iv.start,
-                Endpoint::End => iv.end,
-            };
-            acc += t.coeff * v;
-        }
-        acc
+        self.at([x.start, x.end, y.start, y.end])
     }
 
     /// Range of the expression when each endpoint independently ranges over
     /// the given boxes (`[start_lo, start_hi]`, `[end_lo, end_hi]` per
-    /// side). Exact because the expression is affine.
+    /// side). Exact (up to the clamp of [`EndpointExpr::eval`]) because the
+    /// expression is affine: each end is the value at one corner.
     pub fn range(&self, left: &EndpointBox, right: &EndpointBox) -> (i64, i64) {
-        let mut lo = self.constant;
-        let mut hi = self.constant;
-        for t in &self.terms {
-            let b = match t.side {
-                Side::Left => left,
-                Side::Right => right,
-            };
-            let (vlo, vhi) = match t.endpoint {
-                Endpoint::Start => b.start,
-                Endpoint::End => b.end,
-            };
-            if t.coeff >= 0 {
-                lo += t.coeff * vlo;
-                hi += t.coeff * vhi;
-            } else {
-                lo += t.coeff * vhi;
-                hi += t.coeff * vlo;
-            }
-        }
-        (lo, hi)
+        let axes = [left.start, left.end, right.start, right.end];
+        let corner = |low: bool| {
+            std::array::from_fn(
+                |i| if (self.coeffs[i] >= 0) == low { axes[i].0 } else { axes[i].1 },
+            )
+        };
+        (self.at(corner(true)), self.at(corner(false)))
     }
 
-    /// Splits the expression into the contribution of one side and the
-    /// rest, if the expression touches the `free` side through exactly one
-    /// endpoint with coefficient ±1.
+    /// The endpoint through which the `free` side enters the expression
+    /// and its coefficient, if that is exactly one endpoint with
+    /// coefficient ±1.
     ///
     /// Used by the index layer: when `x` is bound, a constraint on
     /// `expr(x, y)` that touches a single `y`-endpoint linearly translates
     /// into an axis-aligned range on that endpoint.
     pub fn single_free_endpoint(&self, free: Side) -> Option<(Endpoint, i64)> {
-        let mut found: Option<(Endpoint, i64)> = None;
-        for t in &self.terms {
-            if t.side == free {
-                if found.is_some() {
-                    return None; // touches two free endpoints (e.g. a length)
-                }
-                if t.coeff != 1 && t.coeff != -1 {
-                    return None;
-                }
-                found = Some((t.endpoint, t.coeff));
-            }
+        let start = slot(free, Endpoint::Start);
+        match (self.coeffs[start], self.coeffs[start + 1]) {
+            (c @ (1 | -1), 0) => Some((Endpoint::Start, c)),
+            (0, c @ (1 | -1)) => Some((Endpoint::End, c)),
+            _ => None,
         }
-        found
     }
 
-    /// Evaluates only the terms of `side` against a concrete interval;
-    /// returns the partial sum including the constant when `with_constant`.
+    /// Evaluates only the terms of `side` against a concrete interval, plus
+    /// the constant when `with_constant`; exact and clamped like
+    /// [`EndpointExpr::eval`].
     pub fn eval_side(&self, side: Side, iv: &Interval, with_constant: bool) -> i64 {
-        let mut acc = if with_constant { self.constant } else { 0 };
-        for t in &self.terms {
-            if t.side == side {
-                let v = match t.endpoint {
-                    Endpoint::Start => iv.start,
-                    Endpoint::End => iv.end,
-                };
-                acc += t.coeff * v;
-            }
+        let start = slot(side, Endpoint::Start);
+        let mut part = EndpointExpr { coeffs: [0; 4], constant: 0 };
+        part.coeffs[start..start + 2].copy_from_slice(&self.coeffs[start..start + 2]);
+        if with_constant {
+            part.constant = self.constant;
         }
-        acc
+        part.at([iv.start, iv.end, iv.start, iv.end])
     }
 }
 
@@ -252,26 +237,24 @@ impl EndpointBox {
 }
 
 impl fmt::Display for EndpointExpr {
+    /// Writes the non-zero terms in slot order, then the constant.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for t in &self.terms {
-            let sym = match (t.side, t.endpoint) {
-                (Side::Left, Endpoint::Start) => "x.start",
-                (Side::Left, Endpoint::End) => "x.end",
-                (Side::Right, Endpoint::Start) => "y.start",
-                (Side::Right, Endpoint::End) => "y.end",
-            };
+        for (c, sym) in self.coeffs.into_iter().zip(SLOT_NAMES) {
+            if c == 0 {
+                continue;
+            }
             if first {
-                if t.coeff == 1 {
+                if c == 1 {
                     write!(f, "{sym}")?;
                 } else {
-                    write!(f, "{}*{sym}", t.coeff)?;
+                    write!(f, "{c}*{sym}")?;
                 }
                 first = false;
-            } else if t.coeff >= 0 {
-                write!(f, " + {}*{sym}", t.coeff)?;
+            } else if c >= 0 {
+                write!(f, " + {c}*{sym}")?;
             } else {
-                write!(f, " - {}*{sym}", -t.coeff)?;
+                write!(f, " - {}*{sym}", c.unsigned_abs())?;
             }
         }
         if self.constant != 0 || first {
@@ -280,7 +263,7 @@ impl fmt::Display for EndpointExpr {
             } else if self.constant > 0 {
                 write!(f, " + {}", self.constant)?;
             } else {
-                write!(f, " - {}", -self.constant)?;
+                write!(f, " - {}", self.constant.unsigned_abs())?;
             }
         }
         Ok(())
@@ -332,22 +315,50 @@ mod tests {
         let x = iv(0, 10, 20);
         let y = iv(1, 30, 45);
         // (x̄ + 5) − x̄ = 5: terms cancel entirely.
-        let d = EndpointExpr::end(Side::Left).plus(5).minus(&EndpointExpr::end(Side::Left));
-        assert!(d.terms.is_empty());
+        let d = EndpointExpr::end(Side::Left).plus(5).minus(EndpointExpr::end(Side::Left));
+        assert_eq!((d.coeffs, d.constant), ([0; 4], 5));
         assert_eq!(d.eval(&x, &y), 5);
-        // len(y) − 10·len(x) keeps 4 terms and evaluates consistently.
+        // len(y) − 10·len(x) touches all four slots and evaluates consistently.
         let d =
-            EndpointExpr::length(Side::Right).minus(&EndpointExpr::length(Side::Left).scaled(10));
+            EndpointExpr::length(Side::Right).minus(EndpointExpr::length(Side::Left).scaled(10));
         assert_eq!(d.eval(&x, &y), 15 - 100);
-        assert_eq!(d.terms.len(), 4);
+        assert_eq!(d.coeffs, [10, -10, -1, 1]);
+        assert_eq!(d.swap_sides().coeffs, [-1, 1, 10, -10]);
     }
 
     #[test]
     fn display_is_readable() {
         let e = EndpointExpr::length(Side::Left).scaled(10);
-        assert_eq!(e.to_string(), "10*x.end - 10*x.start");
+        assert_eq!(e.to_string(), "-10*x.start + 10*x.end");
         let c = EndpointExpr::end(Side::Left).plus(54);
         assert_eq!(c.to_string(), "x.end + 54");
+    }
+
+    #[test]
+    fn evaluation_is_exact_and_clamped_at_the_i64_extremes() {
+        const E: i64 = 9_000_000_000_000_000_000;
+        let x = iv(0, -E, -E + 5);
+        let y = iv(1, E, E + 5);
+        // y̲ − x̄ = 1.8·10¹⁹ − 5 overflows i64: it clamps to i64::MAX.
+        let gap = EndpointExpr::start(Side::Right).minus(EndpointExpr::end(Side::Left));
+        assert_eq!(gap.eval(&x, &y), i64::MAX);
+        assert_eq!(gap.swap_sides().eval(&x, &y), -i64::MAX, "never i64::MIN");
+        // Overflowing intermediate terms that cancel stay exact.
+        let lengths = EndpointExpr::length(Side::Right).minus(EndpointExpr::length(Side::Left));
+        assert_eq!(lengths.eval(&x, &y), 0);
+        assert_eq!(gap.eval_side(Side::Right, &y, true), E);
+        let back = gap.swap_sides().plus(-i64::MAX);
+        assert_eq!(back.eval_side(Side::Right, &y, true), -i64::MAX);
+        let (lo, hi) = gap.range(&EndpointBox::point(&x), &EndpointBox::point(&y));
+        assert_eq!((lo, hi), (i64::MAX, i64::MAX));
+        let wide = EndpointBox::new((-E, E), (-E, E));
+        assert_eq!(gap.range(&wide, &wide), (-i64::MAX, i64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows i64")]
+    fn coefficients_whose_absolute_sum_leaves_i64_are_rejected() {
+        let _ = EndpointExpr::length(Side::Left).scaled(i64::MAX / 2 + 1);
     }
 
     proptest! {

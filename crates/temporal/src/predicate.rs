@@ -37,11 +37,11 @@ pub enum PrimitiveKind {
 
 /// One graded comparator `kind(lhs, rhs)` with its tolerance, kept as the
 /// one endpoint difference `d = lhs − rhs` it grades (Fig. 3).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Primitive {
     /// Which comparator shape.
     pub kind: PrimitiveKind,
-    /// The graded difference `lhs − rhs`, like terms merged.
+    /// The graded difference `lhs − rhs`.
     pub diff: EndpointExpr,
     /// Tolerance `(λ, ρ)` of this primitive.
     pub tol: Tolerance,
@@ -50,12 +50,12 @@ pub struct Primitive {
 impl Primitive {
     /// Builds a graded-equality primitive.
     pub fn equals(lhs: EndpointExpr, rhs: EndpointExpr, tol: Tolerance) -> Self {
-        Primitive { kind: PrimitiveKind::Equals, diff: lhs.minus(&rhs), tol }
+        Primitive { kind: PrimitiveKind::Equals, diff: lhs.minus(rhs), tol }
     }
 
     /// Builds a graded `lhs > rhs` primitive.
     pub fn greater(lhs: EndpointExpr, rhs: EndpointExpr, tol: Tolerance) -> Self {
-        Primitive { kind: PrimitiveKind::Greater, diff: lhs.minus(&rhs), tol }
+        Primitive { kind: PrimitiveKind::Greater, diff: lhs.minus(rhs), tol }
     }
 
     /// Score of the primitive on a concrete pair.
@@ -98,18 +98,34 @@ impl Primitive {
         let (endpoint, coeff) = self.diff.single_free_endpoint(free_side)?;
         // d = coeff·f + K, where K gathers the anchored terms + constant.
         let k = self.diff.eval_side(anchor_side, anchor, true);
-        let region = match self.kind {
+        let (dlo, dhi) = match self.kind {
             PrimitiveKind::Equals => self.tol.equals_region(v),
             PrimitiveKind::Greater => self.tol.greater_region(v),
         };
-        let (dlo, dhi) =
-            (region.lo.unwrap_or(f64::NEG_INFINITY), region.hi.unwrap_or(f64::INFINITY));
-        // coeff·f ∈ [dlo − K, dhi − K]
-        let (flo, fhi) = if coeff > 0 {
-            (dlo - k as f64, dhi - k as f64)
-        } else {
-            (-(dhi - k as f64), -(dlo - k as f64))
+        // d is an integer, so coeff·f ∈ [⌈dlo⌉ − K, ⌊dhi⌋ − K] exactly. The
+        // integer bounds saturate in i64, which excludes no i64 endpoint,
+        // and are cast once: the cast is monotone and the index compares
+        // `endpoint as f64`, so every endpoint inside the exact window
+        // passes (subtracting K in f64 would round the window away once K
+        // passes 2^53). ⌈d⌉ and ⌊d⌋ come from the truncating cast and one
+        // compare: `f64::ceil`/`floor` are libm calls on baseline x86-64,
+        // and read slower on the threshold-window micro-benchmark.
+        let shift = |d: f64, up: bool| {
+            if !d.is_finite() {
+                return d;
+            }
+            let t = d as i64;
+            let t = if up && (t as f64) < d {
+                t.saturating_add(1)
+            } else if !up && (t as f64) > d {
+                t.saturating_sub(1)
+            } else {
+                t
+            };
+            t.saturating_sub(k) as f64
         };
+        let (lo, hi) = (shift(dlo, true), shift(dhi, false));
+        let (flo, fhi) = if coeff > 0 { (lo, hi) } else { (-hi, -lo) };
         Some((endpoint, flo, fhi))
     }
 }
@@ -489,7 +505,7 @@ impl TemporalPredicate {
     pub fn inverse(&self) -> Self {
         let kind = self.kind.inverse().unwrap_or_else(|| panic!("{self} has no inverse relation"));
         let swap = |prims: &[Primitive]| {
-            prims.iter().map(|pr| Primitive { diff: pr.diff.clone().swap_sides(), ..*pr }).collect()
+            prims.iter().map(|&pr| Primitive { diff: pr.diff.swap_sides(), ..pr }).collect()
         };
         TemporalPredicate { kind, primitives: swap(&self.primitives), crisp: swap(&self.crisp) }
     }
@@ -673,6 +689,13 @@ mod tests {
         Interval::new(id, s, e).unwrap()
     }
 
+    /// Offsets that move a test's intervals to extreme timestamps: none,
+    /// a nanosecond epoch (~1.7·10¹⁸, where one `f64` ulp is 256) on an
+    /// `f64` rounding midpoint, so that nearby endpoints round apart, and
+    /// both ends of `i64`.
+    const FAR: [i64; 4] =
+        [0, 1_700_000_000_000_000_128, -9_200_000_000_000_000_000, 9_200_000_000_000_000_000];
+
     /// The Boolean oracle: each relation as the plain endpoint comparisons
     /// of its constructor's doc line, independent of the primitives.
     fn reference_holds(kind: PredicateKind, x: &Interval, y: &Interval, avg: i64) -> bool {
@@ -848,6 +871,34 @@ mod tests {
     }
 
     #[test]
+    fn scores_stay_exact_when_the_endpoint_difference_leaves_i64() {
+        // y̲ − x̄ ≈ 1.8·10¹⁹ overflows i64; it clamps to i64::MAX, where
+        // both comparators have long saturated.
+        let x = iv(0, FAR[2], FAR[2] + 5);
+        let y = iv(1, FAR[3], FAR[3] + 5);
+        let before = TemporalPredicate::before(PredicateParams::P1);
+        assert_eq!(before.score(&x, &y), 1.0);
+        assert!(before.holds(&x, &y));
+        assert_eq!(before.score(&y, &x), 0.0);
+        assert_eq!(TemporalPredicate::meets(PredicateParams::P1).score(&x, &y), 0.0);
+        let (lo, hi) = before.score_range(&EndpointBox::point(&x), &EndpointBox::point(&y));
+        assert_eq!((lo, hi), (1.0, 1.0));
+    }
+
+    #[test]
+    fn threshold_window_keeps_its_width_beyond_2_pow_53() {
+        // x̄ = e sits 127 above a multiple of 256, one ulp at this
+        // magnitude; y̲ = e + 3 meets it within λ = 4. Subtracting e in
+        // f64 would collapse the window onto e's rounding and drop y.
+        let e = 6_640_625_000_000_000 * 256 + 127;
+        let m = TemporalPredicate::meets(PredicateParams::P1);
+        let (x, y) = (iv(0, e - 10, e), iv(1, e + 3, e + 20));
+        assert_eq!(m.score(&x, &y), 1.0);
+        assert!(m.threshold_window(&x, Side::Left, 1.0).admits(&y));
+        assert!(m.threshold_window(&y, Side::Right, 1.0).admits(&x));
+    }
+
+    #[test]
     #[should_panic(expected = "no inverse relation")]
     fn extended_predicates_have_no_inverse() {
         let _ = TemporalPredicate::sparks(PredicateParams::P1, 10).inverse();
@@ -858,12 +909,12 @@ mod tests {
         /// 13 relations holds. This pins every Boolean definition at once.
         #[test]
         fn thirteen_relations_partition_proper_pairs(
-            xs in -50i64..50, xw in 1i64..30,
-            ys in -50i64..50, yw in 1i64..30,
+            xs in -50i64..50, xw in 1i64..30, xfar in 0usize..4,
+            ys in -50i64..50, yw in 1i64..30, yfar in 0usize..4,
         ) {
             let p = PredicateParams::PB;
-            let x = iv(0, xs, xs + xw);
-            let y = iv(1, ys, ys + yw);
+            let x = iv(0, FAR[xfar] + xs, FAR[xfar] + xs + xw);
+            let y = iv(1, FAR[yfar] + ys, FAR[yfar] + ys + yw);
             let holding: Vec<&str> = PredicateKind::allen()
                 .iter()
                 .filter(|k| TemporalPredicate::from_kind(**k, p, 0).holds(&x, &y))
@@ -881,18 +932,22 @@ mod tests {
 
         /// With PB, the scored form is the Boolean indicator, and both it
         /// and the derived `holds` (at any parameterization) agree with
-        /// the plain endpoint comparisons, for every predicate kind. Every
-        /// `y` near `x` is checked, so each relation's boundaries (endpoint
-        /// ties, a gap of exactly `avg`, a length of exactly `10·|x|`) are.
+        /// the plain endpoint comparisons, for every predicate kind, at
+        /// ordinary and at extreme timestamps. Every `y` near `x` is
+        /// checked, so each relation's boundaries (endpoint ties, a gap of
+        /// exactly `avg`, a length of exactly `10·|x|`) are.
         #[test]
-        fn pb_scored_equals_boolean(xs in -50i64..50, xw in 0i64..5, avg in 1i64..6) {
-            let x = iv(0, xs, xs + xw);
+        fn pb_scored_equals_boolean(
+            xs in -50i64..50, xw in 0i64..5, avg in 1i64..6, far in 0usize..4,
+        ) {
+            let far = FAR[far];
+            let x = iv(0, far + xs, far + xs + xw);
             for kind in PredicateKind::all() {
                 let pb = TemporalPredicate::from_kind(kind, PredicateParams::PB, avg);
                 let p1 = TemporalPredicate::from_kind(kind, PredicateParams::P1, avg);
                 for ys in xs - 4..=xs + xw + avg + 4 {
                     for yw in 0..=10 * xw + 2 {
-                        let y = iv(1, ys, ys + yw);
+                        let y = iv(1, far + ys, far + ys + yw);
                         let expected = reference_holds(kind, &x, &y, avg);
                         let s = pb.score(&x, &y);
                         prop_assert!(s == 0.0 || s == 1.0, "PB must be crisp, got {s}");
@@ -922,23 +977,28 @@ mod tests {
             prop_assert!(lo - 1e-12 <= s && s <= hi + 1e-12);
         }
 
-        /// Any interval scoring ≥ v is admitted by the threshold window.
+        /// Any interval scoring ≥ v is admitted by the threshold window, at
+        /// ordinary and at extreme timestamps. Every `y` starting near `x`
+        /// is checked, so the window's edges are.
         #[test]
         fn threshold_window_soundness(
             kind_idx in 0usize..16,
-            xs in -50i64..50, xw in 0i64..30,
-            ys in -50i64..50, yw in 0i64..30,
+            xs in -50i64..50, xw in 0i64..30, yw in 0i64..30,
             v in 0.05f64..1.0,
         ) {
             let kind = PredicateKind::all()[kind_idx];
             let pred = TemporalPredicate::from_kind(kind, PredicateParams::P2, 5);
-            let x = iv(0, xs, xs + xw);
-            let y = iv(1, ys, ys + yw);
-            if pred.score(&x, &y) >= v {
-                let w = pred.threshold_window(&x, Side::Left, v);
-                prop_assert!(w.admits(&y), "window {w:?} must admit scoring pair");
-                let w = pred.threshold_window(&y, Side::Right, v);
-                prop_assert!(w.admits(&x));
+            for far in FAR {
+                let x = iv(0, far + xs, far + xs + xw);
+                for ys in xs - 25..=xs + xw + 25 {
+                    let y = iv(1, far + ys, far + ys + yw);
+                    if pred.score(&x, &y) >= v {
+                        let w = pred.threshold_window(&x, Side::Left, v);
+                        prop_assert!(w.admits(&y), "window {w:?} must admit scoring {x:?} {y:?}");
+                        let w = pred.threshold_window(&y, Side::Right, v);
+                        prop_assert!(w.admits(&x), "window {w:?} must admit scoring {x:?} {y:?}");
+                    }
+                }
             }
         }
     }

@@ -31,8 +31,12 @@
 //! **What is not generated.** An empty collection cannot be built:
 //! `IntervalCollection::new` rejects it, and `remove_id` refuses to
 //! remove a collection's last interval. A non-finite endpoint cannot be
-//! represented: timestamps are `i64`. Cases stay small by construction
-//! (the naive oracle enumerates every tuple), so no shrinker is needed.
+//! represented: timestamps are `i64`. Their finite extremes are
+//! generated instead ([`Data::Extreme`]): nanosecond epochs, where an
+//! `f64` no longer holds every timestamp, and collections at both ends
+//! of `i64`, whose endpoint differences overflow it. Cases stay small by
+//! construction (the naive oracle enumerates every tuple), so no
+//! shrinker is needed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,9 +67,16 @@ enum Data {
     /// Two uniform collections, so every query of 3 or more vertices is
     /// a self-join.
     TwoCollections,
+    /// Uniform data at extreme timestamps: shifted to nanosecond epochs
+    /// (~1.7·10¹⁸, where one `f64` ulp is 256), or with the collections
+    /// alternating between −9.2·10¹⁸ and +9.2·10¹⁸, so that endpoint
+    /// differences across collections leave `i64`. Each collection's
+    /// prepared range stays one `TimePartitioning::from_range` accepts.
+    Extreme,
 }
 
-/// Every data family; the first six hold three collections.
+/// The data families the other families draw from; the first six hold
+/// three collections. [`Data::Extreme`] runs under its own test only.
 const DATA: [Data; 7] = [
     Data::Uniform,
     Data::Clustered,
@@ -174,16 +185,17 @@ fn pick<T: Copy>(rng: &mut StdRng, from: &[T]) -> T {
     from[rng.gen_range(0..from.len())]
 }
 
-/// Uniform collections over one span, each starting at 0 or half-way.
-fn uniform(rng: &mut StdRng, m: usize, size: usize) -> Vec<IntervalCollection> {
+/// Uniform collections over one span, each starting at 0 or half-way,
+/// plus its collection's `offsets` entry.
+fn uniform(rng: &mut StdRng, offsets: &[i64], size: usize) -> Vec<IntervalCollection> {
     let span = pick(rng, &[60, 150, 1_500, 100_000]);
     let length_range = (1, pick(rng, &[5, 100]));
-    (0..m as u32)
+    (0..offsets.len())
         .map(|c| {
-            let start = pick(rng, &[0, span / 2]);
+            let start = offsets[c] + pick(rng, &[0, span / 2]);
             let start_range = (start, start + span);
             let cfg = SyntheticConfig { size, start_range, length_range, seed: rng.gen() };
-            uniform_collection(CollectionId(c), &cfg)
+            uniform_collection(CollectionId(c as u32), &cfg)
         })
         .collect()
 }
@@ -200,7 +212,16 @@ fn collections(data: Data, rng: &mut StdRng, m: usize, size: usize) -> Vec<Inter
         IntervalCollection::new(CollectionId(c as u32), intervals).unwrap()
     };
     match data {
-        Data::Uniform | Data::Updated | Data::TwoCollections => uniform(rng, m, size),
+        Data::Uniform | Data::Updated | Data::TwoCollections => uniform(rng, &[0; 3][..m], size),
+        Data::Extreme => {
+            let offsets = if rng.gen_bool(0.5) {
+                vec![1_700_000_000_000_000_000 + rng.gen_range(0..1i64 << 20); m]
+            } else {
+                let far = pick(rng, &[-9_200_000_000_000_000_000, 9_200_000_000_000_000_000]);
+                (0..m).map(|c| if c % 2 == 0 { far } else { -far }).collect()
+            };
+            uniform(rng, &offsets, size)
+        }
         Data::Clustered => {
             let outliers = 1 + size as u64 / 5;
             (0..m)
@@ -617,6 +638,11 @@ fn updated_datasets() {
 }
 
 #[test]
+fn extreme_endpoints() {
+    check_seeds(Family::Data(Data::Extreme), 0..24);
+}
+
+#[test]
 fn table1_at_p1() {
     check_seeds(Family::Table1(0), 0..13);
 }
@@ -672,6 +698,77 @@ fn replayed_cases() {
     for (family, seed) in replay {
         check(family, seed);
     }
+}
+
+/// A two-vertex query over collections 0 and 1.
+fn pair_query(predicate: TemporalPredicate) -> Query {
+    let edges = vec![QueryEdge { src: 0, dst: 1, predicate }];
+    Query::new(vec![CollectionId(0), CollectionId(1)], edges, Aggregation::Min).unwrap()
+}
+
+/// Collection `c` of the given `(start, end)` pairs, ids `0..`.
+fn collection(c: u32, ends: &[(i64, i64)]) -> IntervalCollection {
+    let intervals =
+        ends.iter().zip(0..).map(|(&(s, e), id)| Interval::new(id, s, e).unwrap()).collect();
+    IntervalCollection::new(CollectionId(c), intervals).unwrap()
+}
+
+/// Runs `q` at `g` granules and `r` reducers against `naive_topk`.
+fn run_exact(
+    collections: Vec<IntervalCollection>,
+    q: &Query,
+    g: u32,
+    r: usize,
+    k: usize,
+) -> ExecutionReport {
+    let engine = Tkij::new(TkijConfig::default().with_granules(g).with_reducers(r));
+    let dataset = engine.prepare(collections).unwrap();
+    let report = engine.execute(&dataset, q, k).unwrap();
+    let refs: Vec<&IntervalCollection> =
+        q.vertices.iter().map(|c| &dataset.collections[c.0 as usize]).collect();
+    let want: Vec<u64> = naive_topk(q, &refs, k).iter().map(|t| t.score.to_bits()).collect();
+    assert_eq!(score_bits(&report), want, "{}: score bits differ from naive_topk", q.name());
+    report
+}
+
+/// `before` across the two ends of i64: y̲ − x̄ ≈ 1.8·10¹⁹ overflows,
+/// and every pair truly scores 1.0.
+#[test]
+fn extreme_probe_before_across_the_i64_range() {
+    const E: i64 = 9_000_000_000_000_000_000;
+    let xs: Vec<(i64, i64)> = (0..3).map(|i| (-E + i, -E + i + 5)).collect();
+    let ys: Vec<(i64, i64)> = (0..3).map(|i| (E + i, E + i + 5)).collect();
+    let q = pair_query(TemporalPredicate::before(PredicateParams::P1));
+    let report = run_exact(vec![collection(0, &xs), collection(1, &ys)], &q, 4, 2, 3);
+    assert_eq!(report.results.iter().map(|t| t.score).collect::<Vec<_>>(), [1.0; 3]);
+}
+
+/// Bucket boxes near i64::MAX, whose center `(lo + hi) / 2` overflows.
+#[test]
+fn extreme_probe_bucket_centers_near_i64_max() {
+    const TOP: i64 = 9_200_000_000_000_000_000;
+    let shifted = tkij::datagen::uniform_collections(3, 30, 5)
+        .into_iter()
+        .map(|c| {
+            let ends: Vec<(i64, i64)> =
+                c.intervals().iter().map(|iv| (TOP + iv.start, TOP + iv.end)).collect();
+            collection(c.id.0, &ends)
+        })
+        .collect();
+    run_exact(shifted, &table1::q_om(PredicateParams::P1), 4, 2, 10);
+}
+
+/// `meets` within λ at nanosecond epochs, where one f64 ulp is 256: x₁
+/// ends 127 above a multiple of 256 and y₁ starts 3 later (1.0); x₀
+/// meets y₀ 10 apart (0.625), 10⁶ earlier.
+#[test]
+fn extreme_probe_meets_window_below_one_ulp() {
+    let e = 6_640_625_000_000_000 * 256 + 127;
+    let xs = [(e - 1_000_020, e - 1_000_000), (e - 5, e)];
+    let ys = [(e - 999_990, e - 999_980), (e + 3, e + 8)];
+    let q = pair_query(TemporalPredicate::meets(PredicateParams::P1));
+    let report = run_exact(vec![collection(0, &xs), collection(1, &ys)], &q, 1, 1, 1);
+    assert_eq!((report.results[0].ids.as_slice(), report.results[0].score), (&[1, 1][..], 1.0));
 }
 
 /// Brute force bounds each combination jointly, so once its solver
