@@ -15,7 +15,7 @@ use tkij_mapreduce::ClusterConfig;
 use tkij_solver::{nary_bounds, pair_bounds, SolverConfig};
 use tkij_temporal::aggregate::Aggregation;
 use tkij_temporal::bucket::{BucketId, BucketMatrix};
-use tkij_temporal::collection::CollectionId;
+use tkij_temporal::collection::{CollectionId, IntervalCollection};
 use tkij_temporal::expr::{EndpointBox, Side};
 use tkij_temporal::granule::TimePartitioning;
 use tkij_temporal::interval::Interval;
@@ -145,17 +145,18 @@ fn synthetic_combos(count: usize) -> ComboSet {
     set
 }
 
+/// Three uniform collections of `size` intervals (lengths 1–100) over
+/// `[0, span]`, as `benchmark/` generates them.
+fn benchmark_collections(size: usize, span: i64) -> Vec<IntervalCollection> {
+    let cfg = SyntheticConfig { size, start_range: (0, span), length_range: (1, 100), seed: 4242 };
+    (0..3).map(|i| uniform_collection(CollectionId(i), &cfg)).collect()
+}
+
 /// The `plan-wide` shape of `benchmark/`: 3 × 1 000 uniform intervals
 /// over a 3 750 span under 30 granules — a ~200 k-combination lattice for
 /// `Q_{o,m}`, of which ~30 k are selected at k = 100.
 fn planwide_fixture() -> (Query, Vec<BucketMatrix>) {
-    let cfg = SyntheticConfig {
-        size: 1_000,
-        start_range: (0, 3_750),
-        length_range: (1, 100),
-        seed: 4242,
-    };
-    let collections = (0..3).map(|i| uniform_collection(CollectionId(i), &cfg)).collect();
+    let collections = benchmark_collections(1_000, 3_750);
     let matrices = collect_statistics(collections, 30, &ClusterConfig::default()).unwrap().matrices;
     (table1::q_om(PredicateParams::P1), matrices)
 }
@@ -266,6 +267,43 @@ fn bench_local_join(c: &mut Criterion) {
     });
 }
 
+/// The reduce side of `benchmark/`'s `join-dense` shape: 3 × 3 000
+/// uniform intervals over a 5 000 span under 12 granules, the
+/// combinations TopBuckets selects for the two-edge chain `Q_{o,m}` at P1,
+/// spread by DTB over 24 reducers that join in turn, each over the
+/// buckets it is shipped. Once a reducer's heap fills, most probes run at
+/// a requirement of exactly 0 (τ = 0.5 over an anchor edge scoring 1.0),
+/// a path a one-edge query never takes.
+fn bench_local_join_chain(c: &mut Criterion) {
+    let collections = benchmark_collections(3_000, 5_000);
+    let matrices =
+        collect_statistics(collections.clone(), 12, &ClusterConfig::default()).unwrap().matrices;
+    let q = table1::q_om(PredicateParams::P1);
+    let plan = q.plan();
+    let combos = run_topbuckets(&q, &matrices, 100, Strategy::Loose, &SolverConfig::default(), 6).0;
+    let assignment = distribute(&combos, DistributionPolicy::Dtb, 24, &q, &matrices);
+    let mut shipped: Vec<BTreeMap<(u16, BucketId), Vec<Interval>>> = vec![BTreeMap::new(); 24];
+    for (v, cid) in q.vertices.iter().enumerate() {
+        let m = &matrices[cid.0 as usize];
+        for iv in collections[cid.0 as usize].intervals() {
+            let key = (v as u16, m.bucket_of(iv));
+            for &j in assignment.bucket_map.get(&key).into_iter().flatten() {
+                shipped[j as usize].entry(key).or_default().push(*iv);
+            }
+        }
+    }
+    c.bench_function("localjoin/q_om_p1_dense_k100", |b| {
+        b.iter(|| {
+            let reducers = assignment.reducer_combos.iter().zip(&shipped);
+            reducers
+                .map(|(mine, data)| {
+                    tkij_core::local_topk_join(&q, &plan, 100, &combos, mine, data).1.tuples_scored
+                })
+                .sum::<u64>()
+        })
+    });
+}
+
 fn configured() -> Criterion {
     Criterion::default().sample_size(20)
 }
@@ -274,6 +312,7 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = bench_scoring, bench_predicate_kernels, bench_solver, bench_index_ablation,
-              bench_topbuckets, bench_distribute, bench_topk, bench_local_join
+              bench_topbuckets, bench_distribute, bench_topk, bench_local_join,
+              bench_local_join_chain
 }
 criterion_main!(benches);

@@ -12,7 +12,12 @@
 //!   [`JoinPlan`]; candidates for the next vertex are fetched from the
 //!   bucket's index with a **score-threshold window** derived from `τ`
 //!   and the already-fixed edge scores (the paper's "returns only
-//!   intervals x_j s.t. s-p(x_i, x_j) ≥ v");
+//!   intervals x_j s.t. s-p(x_i, x_j) ≥ v"). Once the heap is full the
+//!   probe asks for `s > v` instead: the walk over candidates stops at
+//!   the first score `≤` the requirement, and the requirement only rises
+//!   with `τ`, so a candidate that merely ties it is never reached; the
+//!   strict window leaves most such candidates unscanned, and none is
+//!   materialised or sorted;
 //! * cycle edges are checked exactly, and partial tuples whose optimistic
 //!   completion cannot reach `τ` are pruned.
 //!
@@ -284,19 +289,28 @@ impl JoinCx<'_> {
         // threshold τ early, and because the stream is sorted, the first
         // candidate falling below the (re-evaluated) requirement ends the
         // whole loop instead of being skipped.
+        //
+        // The loop below breaks at `s ≤ requirement`, and the requirement
+        // only rises with τ, so a candidate scoring exactly `needed` is
+        // never reached: probe and keep strictly above it. The probe asks
+        // for the next float above `needed` (`f64::next_up` is newer than
+        // the MSRV; `+ 0.0` folds `-0.0` into `+0.0`). A negative
+        // requirement admits every score, so the probe is then unbounded.
+        let probe_at =
+            if needed >= 0.0 { f64::from_bits((needed + 0.0).to_bits() + 1) } else { 0.0 };
         let mut candidates: Vec<(f64, Interval)> = Vec::new();
         let scanned = threshold_candidates(
             index,
             &edge.predicate,
             &anchor_iv,
             anchor.anchor_side,
-            needed.max(0.0),
+            probe_at,
             |c| {
                 let s = match anchor.anchor_side {
                     Side::Left => edge.predicate.score(&anchor_iv, c),
                     Side::Right => edge.predicate.score(c, &anchor_iv),
                 };
-                if s >= needed {
+                if s > needed {
                     candidates.push((s, *c));
                 }
             },
@@ -562,6 +576,64 @@ mod tests {
             "early termination must fire: {stats:?}"
         );
         assert_eq!(stats.combos_processed, 1, "UB-0.4 combo must be skipped: {stats:?}");
+    }
+
+    #[test]
+    fn a_full_heap_never_materialises_candidates_that_only_tie_the_requirement() {
+        // Chain X —meets→ Y —meets→ Z under NormalizedSum, equals (λ, ρ) =
+        // (0, 64). The plan starts at Y (the chain's middle); both Ys meet
+        // the one X perfectly. Y1's unbounded Z probe (heap not yet full)
+        // offers its 4 positive Zs and then a 0-scoring one, which fills
+        // the k = 5 heap at τ = 0.5. Y2's probes then run at requirement
+        // (2·0.5 − 1.0) − 0 = 0 for both edges: only candidates scoring
+        // > 0 can be reached, so only X and Y2's 3 positive Zs are
+        // materialised. The three Zs at distance exactly λ + ρ = 64 from
+        // Y2 lie on its window's edge and score exactly 0.
+        let params = PredicateParams::new(0, 64, 0, 0);
+        let x = vec![Interval::new(0, 0, 100).unwrap()];
+        let y = vec![Interval::new(0, 100, 200).unwrap(), Interval::new(1, 100, 300).unwrap()];
+        let y1_positive = [201, 203, 205, 207];
+        let y2_positive = [300, 302, 304];
+        let y2_window_edge = [364, 364, 364];
+        let far = 1_000..1_020;
+        let z: Vec<Interval> = y1_positive
+            .into_iter()
+            .chain(y2_positive)
+            .chain(y2_window_edge)
+            .chain(far)
+            .enumerate()
+            .map(|(i, s)| Interval::new(i as u64, s, s + 10 + i as i64).unwrap())
+            .collect();
+        let collections: Vec<IntervalCollection> = [x, y, z.clone()]
+            .into_iter()
+            .enumerate()
+            .map(|(c, ivs)| IntervalCollection::new(CollectionId(c as u32), ivs).unwrap())
+            .collect();
+        let meets = tkij_temporal::predicate::TemporalPredicate::meets(params);
+        let edge =
+            |src, dst| tkij_temporal::query::QueryEdge { src, dst, predicate: meets.clone() };
+        let q = Query::new(
+            (0..3).map(CollectionId).collect(),
+            vec![edge(0, 1), edge(1, 2)],
+            tkij_temporal::aggregate::Aggregation::NormalizedSum,
+        )
+        .unwrap();
+        let k = y1_positive.len() + 1;
+        let (combos, indices, data) = full_setup(&q, &collections, 1);
+        let (topk, stats) = local_topk_join(&q, &q.plan(), k, &combos, &indices, &data);
+
+        // Y1: X and every Z (the heap is not full). Y2: X and the Zs
+        // scoring > 0 against it, out of windows holding those and the
+        // three edge Zs.
+        assert_eq!(stats.index_probes, 4);
+        assert_eq!(stats.candidates_visited, (1 + z.len() + 1 + y2_positive.len()) as u64);
+        let y2_window = y2_positive.len() + y2_window_edge.len();
+        assert_eq!(stats.items_scanned, (1 + z.len() + 1 + y2_window) as u64);
+        let refs: Vec<&IntervalCollection> = collections.iter().collect();
+        let bits = |ts: Vec<MatchTuple>| -> Vec<(Vec<u64>, u64)> {
+            ts.into_iter().map(|t| (t.ids, t.score.to_bits())).collect()
+        };
+        assert_eq!(bits(topk.into_sorted_vec()), bits(naive_topk(&q, &refs, k)));
     }
 
     #[test]

@@ -36,6 +36,13 @@ use tkij_temporal::predicate::TemporalPredicate;
 /// Every interval actually scoring `≥ v` against the anchor is visited
 /// (soundness, property-tested); visited intervals still need an exact
 /// score check because the window is a conservative box.
+///
+/// A `v ≤ 0` window is unbounded. Once its heap is full, the local join
+/// retrieves `s > u` for its requirement `u ≥ 0` by passing the next
+/// float above `u`: a candidate scoring exactly `u` could only tie the
+/// requirement, where its walk stops. Soundness holds at every positive
+/// `v`, including the smallest subnormal and the floats just above the
+/// score breakpoints `j/ρ` (property-tested).
 pub fn threshold_candidates<'t>(
     index: &'t SweepIndex,
     predicate: &TemporalPredicate,
@@ -93,9 +100,28 @@ mod tests {
         assert_eq!((count, scanned), (20, 20));
     }
 
+    /// Offsets that move a case to extreme timestamps: none, a nanosecond
+    /// epoch on an `f64` rounding midpoint, and both ends of `i64`.
+    const FAR: [i64; 4] =
+        [0, 1_700_000_000_000_000_128, -9_200_000_000_000_000_000, 9_200_000_000_000_000_000];
+
+    /// The thresholds the local join probes at once its heap is full, the
+    /// next float above a requirement `u ≥ 0`: above 0 (the smallest
+    /// subnormal), the smallest normal `f64`, and above each breakpoint
+    /// score `j/ρ` of `params`' tolerances, 0.5 included.
+    fn strict_thresholds(params: PredicateParams) -> Vec<f64> {
+        let next_up = |u: f64| f64::from_bits((u + 0.0).to_bits() + 1);
+        let mut thresholds = vec![next_up(0.0), f64::MIN_POSITIVE, next_up(0.5)];
+        for rho in [params.equals.rho, params.greater.rho] {
+            thresholds.extend((0..rho).map(|j| next_up(j as f64 / rho as f64)));
+        }
+        thresholds
+    }
+
     proptest! {
-        /// Soundness across predicates, sides and thresholds: every
-        /// interval scoring ≥ v is visited.
+        /// Soundness across predicates, sides, thresholds (a drawn `v` and
+        /// every threshold a full heap probes at) and timestamp offsets:
+        /// every interval scoring ≥ v is visited.
         #[test]
         fn candidates_superset_of_scorers(
             kind_idx in 0usize..16,
@@ -103,31 +129,38 @@ mod tests {
             a_s in 0i64..120, a_w in 0i64..40,
             v in 0.05f64..1.0,
             anchor_left in proptest::bool::ANY,
+            far in 0usize..4,
         ) {
             let kind = PredicateKind::all()[kind_idx];
-            let pred = TemporalPredicate::from_kind(kind, PredicateParams::P3, 6);
+            let params = PredicateParams::P3;
+            let pred = TemporalPredicate::from_kind(kind, params, 6);
+            let far = FAR[far];
             let items: Vec<Interval> = points
                 .iter()
                 .enumerate()
-                .map(|(i, (s, w))| iv(i as u64, *s, s + w))
+                .map(|(i, (s, w))| iv(i as u64, far + s, far + s + w))
                 .collect();
             let index = SweepIndex::build(items.clone());
-            let anchor = iv(9999, a_s, a_s + a_w);
+            let anchor = iv(9999, far + a_s, far + a_s + a_w);
             let side = if anchor_left { Side::Left } else { Side::Right };
-            let mut seen = std::collections::BTreeSet::new();
-            threshold_candidates(&index, &pred, &anchor, side, v, |c| {
-                seen.insert(c.id);
-            });
-            for c in &items {
-                let score = match side {
-                    Side::Left => pred.score(&anchor, c),
-                    Side::Right => pred.score(c, &anchor),
-                };
-                if score >= v {
-                    prop_assert!(
-                        seen.contains(&c.id),
-                        "{kind:?}: interval {c:?} scores {score} ≥ {v} but was pruned"
-                    );
+            let mut thresholds = strict_thresholds(params);
+            thresholds.push(v);
+            for v in thresholds {
+                let mut seen = std::collections::BTreeSet::new();
+                threshold_candidates(&index, &pred, &anchor, side, v, |c| {
+                    seen.insert(c.id);
+                });
+                for c in &items {
+                    let score = match side {
+                        Side::Left => pred.score(&anchor, c),
+                        Side::Right => pred.score(c, &anchor),
+                    };
+                    if score >= v {
+                        prop_assert!(
+                            seen.contains(&c.id),
+                            "{kind:?}: interval {c:?} scores {score} ≥ {v:e} but was pruned"
+                        );
+                    }
                 }
             }
         }

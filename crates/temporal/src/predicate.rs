@@ -696,6 +696,19 @@ mod tests {
     const FAR: [i64; 4] =
         [0, 1_700_000_000_000_000_128, -9_200_000_000_000_000_000, 9_200_000_000_000_000_000];
 
+    /// The thresholds the local join probes at once its heap is full, the
+    /// next float above a requirement `u ≥ 0`: above 0 (the smallest
+    /// subnormal), the smallest normal `f64`, and above each breakpoint
+    /// score `j/ρ` of `params`' tolerances, 0.5 included.
+    fn strict_thresholds(params: PredicateParams) -> Vec<f64> {
+        let next_up = |u: f64| f64::from_bits((u + 0.0).to_bits() + 1);
+        let mut thresholds = vec![next_up(0.0), f64::MIN_POSITIVE, next_up(0.5)];
+        for rho in [params.equals.rho, params.greater.rho] {
+            thresholds.extend((0..rho).map(|j| next_up(j as f64 / rho as f64)));
+        }
+        thresholds
+    }
+
     /// The Boolean oracle: each relation as the plain endpoint comparisons
     /// of its constructor's doc line, independent of the primitives.
     fn reference_holds(kind: PredicateKind, x: &Interval, y: &Interval, avg: i64) -> bool {
@@ -978,8 +991,10 @@ mod tests {
         }
 
         /// Any interval scoring ≥ v is admitted by the threshold window, at
-        /// ordinary and at extreme timestamps. Every `y` starting near `x`
-        /// is checked, so the window's edges are.
+        /// ordinary and at extreme timestamps, for a drawn `v` and for
+        /// every threshold a full heap probes at (see
+        /// [`strict_thresholds`]). Every `y` starting near `x` is checked,
+        /// so the window's edges are.
         #[test]
         fn threshold_window_soundness(
             kind_idx in 0usize..16,
@@ -987,16 +1002,20 @@ mod tests {
             v in 0.05f64..1.0,
         ) {
             let kind = PredicateKind::all()[kind_idx];
-            let pred = TemporalPredicate::from_kind(kind, PredicateParams::P2, 5);
+            let params = PredicateParams::P2;
+            let pred = TemporalPredicate::from_kind(kind, params, 5);
+            let mut thresholds = strict_thresholds(params);
+            thresholds.push(v);
             for far in FAR {
                 let x = iv(0, far + xs, far + xs + xw);
                 for ys in xs - 25..=xs + xw + 25 {
                     let y = iv(1, far + ys, far + ys + yw);
-                    if pred.score(&x, &y) >= v {
+                    let s = pred.score(&x, &y);
+                    for &v in thresholds.iter().filter(|&&v| s >= v) {
                         let w = pred.threshold_window(&x, Side::Left, v);
-                        prop_assert!(w.admits(&y), "window {w:?} must admit scoring {x:?} {y:?}");
+                        prop_assert!(w.admits(&y), "window {w:?} at {v:e} must admit {x:?} {y:?}");
                         let w = pred.threshold_window(&y, Side::Right, v);
-                        prop_assert!(w.admits(&x), "window {w:?} must admit scoring {x:?} {y:?}");
+                        prop_assert!(w.admits(&x), "window {w:?} at {v:e} must admit {x:?} {y:?}");
                     }
                 }
             }
