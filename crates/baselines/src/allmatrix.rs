@@ -123,12 +123,10 @@ pub fn run_all_matrix(
             }
         },
         |r| *r as usize,
-        |_, groups| {
+        |_, recs| {
             let mut per_vertex: Vec<Vec<Interval>> = vec![Vec::new(); n];
-            for (_, recs) in groups {
-                for VRec(v, iv) in recs {
-                    per_vertex[v as usize].push(iv);
-                }
+            for VRec(v, iv) in recs {
+                per_vertex[v as usize].push(iv);
             }
             for list in &mut per_vertex {
                 list.sort_unstable_by_key(|iv| (iv.id, iv.start));

@@ -177,15 +177,13 @@ pub fn run_rccis(
                 }
             },
             |l| *l as usize,
-            |granule, groups| {
+            |granule, recs| {
                 let mut tuples: Vec<Vec<Interval>> = Vec::new();
                 let mut probes: Vec<Interval> = Vec::new();
-                for (_, recs) in groups {
-                    for rec in recs {
-                        match rec {
-                            StageRec::Tuple(t) => tuples.push(t),
-                            StageRec::Probe(iv) => probes.push(iv),
-                        }
+                for rec in recs {
+                    match rec {
+                        StageRec::Tuple(t) => tuples.push(t),
+                        StageRec::Probe(iv) => probes.push(iv),
                     }
                 }
                 // Deterministic order regardless of shuffle interleaving.

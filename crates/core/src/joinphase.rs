@@ -149,26 +149,23 @@ pub(crate) fn run_join_phase_impl(
             }
         },
         |r| *r as usize,
-        |p, groups| {
+        |p, records| {
             // Reassemble this reducer's (vertex, bucket) → intervals map:
             // one vector per shipped key, in key order. Slices stay in
             // arrival order — `SweepIndex::build` sorts canonically, so a
             // slice whose index the serving pool already holds is never
             // sorted (or read).
             let mut shipped: Vec<Vec<Interval>> = vec![Vec::new(); assignment.bucket_map.len()];
-            for (r, records) in groups {
-                debug_assert_eq!(r as usize, p);
-                for VRec(v, iv) in records {
-                    let matrix = &dataset.matrices[query.vertices[v as usize].0 as usize];
-                    let bucket = matrix.bucket_of(&iv);
-                    let rank = rank_of_slot[slots.slot(v as usize, bucket)];
-                    debug_assert!(rank != NOT_SHIPPED, "record outside `bucket_map`'s keys");
-                    let slice = &mut shipped[rank as usize];
-                    if slice.capacity() == 0 {
-                        slice.reserve_exact(matrix.count(bucket) as usize);
-                    }
-                    slice.push(iv);
+            for VRec(v, iv) in records {
+                let matrix = &dataset.matrices[query.vertices[v as usize].0 as usize];
+                let bucket = matrix.bucket_of(&iv);
+                let rank = rank_of_slot[slots.slot(v as usize, bucket)];
+                debug_assert!(rank != NOT_SHIPPED, "record outside `bucket_map`'s keys");
+                let slice = &mut shipped[rank as usize];
+                if slice.capacity() == 0 {
+                    slice.reserve_exact(matrix.count(bucket) as usize);
                 }
+                slice.push(iv);
             }
             let data: BTreeMap<(u16, BucketId), Vec<Interval>> = assignment
                 .bucket_map

@@ -64,12 +64,10 @@ pub fn run_merge_phase(
             }
         },
         |_| 0,
-        |_, groups| {
+        |_, msgs| {
             let mut top = TopK::new(k);
-            for (_, msgs) in groups {
-                for TupleMsg(t) in msgs {
-                    top.offer(t);
-                }
+            for TupleMsg(t) in msgs {
+                top.offer(t);
             }
             top.into_sorted_vec()
         },

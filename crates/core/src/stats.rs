@@ -120,7 +120,7 @@ pub fn collect_statistics(
     }
     let m = collections.len();
 
-    let (outputs, metrics) = run_map_reduce(
+    let (matrices, metrics) = run_map_reduce(
         &inputs,
         cluster.map_slots.max(1) * 2,
         m,
@@ -137,29 +137,19 @@ pub fn collect_statistics(
                 }
             }
         },
-        |c| *c as usize % m,
-        // Reducer for collection c merges the partial matrices.
-        |p, groups| {
-            let mut merged: Option<(u32, BucketMatrix)> = None;
-            for (c, msgs) in groups {
-                debug_assert_eq!(c as usize % m, p);
-                for MatrixMsg(counts) in msgs {
-                    match merged.as_mut() {
-                        Some((_, acc)) => acc.merge(&counts),
-                        None => merged = Some((c, counts)),
-                    }
-                }
+        |c| *c as usize,
+        // Reducer p merges collection p's partial matrices; partitions
+        // are reduced and concatenated in order, so output c is
+        // collection c's matrix.
+        |p, msgs| {
+            let mut merged = BucketMatrix::new(partitionings[p]);
+            for MatrixMsg(counts) in msgs {
+                merged.merge(&counts);
             }
-            merged.into_iter().collect::<Vec<_>>()
+            vec![merged]
         },
         cluster,
     );
-
-    let mut matrices: Vec<BucketMatrix> =
-        partitionings.iter().map(|&p| BucketMatrix::new(p)).collect();
-    for (c, counts) in outputs {
-        matrices[c as usize] = counts;
-    }
 
     Ok(PreparedDataset { collections, matrices, granules: g, stats_metrics: metrics })
 }

@@ -2,12 +2,13 @@
 //!
 //! One job = per-split mappers emitting `(K, V)` records through a
 //! map-side [`Emitter`] (which partitions immediately, like Hadoop's
-//! map-side partitioner), a shuffle stage that moves, counts, sorts and
-//! groups each partition through a [`ShuffleTransport`], and one reduce
-//! task per partition. Outputs are concatenated in partition order,
-//! making the job deterministic for any thread count — and for either
+//! map-side partitioner), a shuffle stage that moves and counts each
+//! partition's values through a [`ShuffleTransport`], and one reduce
+//! task per partition, which receives the values in (map task,
+//! emission) order. Outputs are concatenated in partition order, making
+//! the job deterministic for any thread count — and for either
 //! transport: the serialized spill path reproduces the in-memory
-//! gather's grouped partitions bit for bit.
+//! gather's partitions bit for bit.
 
 use crate::cluster::ClusterConfig;
 use crate::metrics::JobMetrics;
@@ -26,7 +27,6 @@ pub struct Emitter<'p, K, V> {
     partitioner: &'p (dyn Fn(&K) -> usize + Sync),
     sink: &'p mut dyn TaskSink<K, V>,
     num_partitions: usize,
-    emitted: usize,
 }
 
 impl<'p, K, V> Emitter<'p, K, V> {
@@ -35,7 +35,7 @@ impl<'p, K, V> Emitter<'p, K, V> {
         partitioner: &'p (dyn Fn(&K) -> usize + Sync),
         sink: &'p mut dyn TaskSink<K, V>,
     ) -> Self {
-        Emitter { partitioner, sink, num_partitions, emitted: 0 }
+        Emitter { partitioner, sink, num_partitions }
     }
 
     /// Emits one record; the partitioner must return an index `<`
@@ -56,12 +56,6 @@ impl<'p, K, V> Emitter<'p, K, V> {
             self.num_partitions
         );
         self.sink.accept(p, key, value);
-        self.emitted += 1;
-    }
-
-    /// Records emitted so far (all partitions).
-    pub fn emitted(&self) -> usize {
-        self.emitted
     }
 }
 
@@ -111,19 +105,17 @@ where
     slots.into_iter().map(|s| s.expect("every task ran")).collect()
 }
 
-/// A reduce partition's grouped input, consumed exactly once by its task.
-type GroupedPartition<K, V> = Mutex<Option<Vec<(K, Vec<V>)>>>;
-
 /// Executes one Map-Reduce job with the transport selected by
 /// `cfg.shuffle`.
 ///
 /// * `inputs` are split into `num_map_tasks` contiguous chunks; `mapper`
 ///   is called once per chunk (stateful per-split mapping, which is what
 ///   TKIJ's statistics job needs to build local matrices).
-/// * `partitioner` routes keys to `num_partitions` reduce partitions.
-/// * `reducer` receives its partition's records grouped by key, keys
-///   sorted ascending, and every partition is reduced (possibly empty),
-///   mirroring Hadoop semantics.
+/// * `partitioner` routes keys to `num_partitions` reduce partitions;
+///   the key does nothing else.
+/// * `reducer` receives its partition index and every value routed
+///   there, in map-task order and within a task in emission order, and
+///   every partition is reduced (possibly empty).
 ///
 /// Returns the concatenated reducer outputs (partition order) and the
 /// job's [`JobMetrics`].
@@ -148,12 +140,12 @@ pub fn run_map_reduce<I, K, V, R, M, P, F>(
 ) -> (Vec<R>, JobMetrics)
 where
     I: Sync,
-    K: Ord + Send + Record,
+    K: Send + Record,
     V: Send + Record,
     R: Send,
     M: Fn(usize, &[I], &mut Emitter<'_, K, V>) + Sync,
     P: Fn(&K) -> usize + Sync,
-    F: Fn(usize, Vec<(K, Vec<V>)>) -> Vec<R> + Sync,
+    F: Fn(usize, Vec<V>) -> Vec<R> + Sync,
 {
     try_run_map_reduce(inputs, num_map_tasks, num_partitions, mapper, partitioner, reducer, cfg)
         .unwrap_or_else(|e| panic!("shuffle transport failed: {e}"))
@@ -177,12 +169,12 @@ pub fn try_run_map_reduce<I, K, V, R, M, P, F>(
 ) -> Result<(Vec<R>, JobMetrics), ShuffleError>
 where
     I: Sync,
-    K: Ord + Send + Record,
+    K: Send + Record,
     V: Send + Record,
     R: Send,
     M: Fn(usize, &[I], &mut Emitter<'_, K, V>) + Sync,
     P: Fn(&K) -> usize + Sync,
-    F: Fn(usize, Vec<(K, Vec<V>)>) -> Vec<R> + Sync,
+    F: Fn(usize, Vec<V>) -> Vec<R> + Sync,
 {
     match cfg.shuffle {
         ShuffleMode::InMemory => run_map_reduce_with(
@@ -228,12 +220,12 @@ pub fn run_map_reduce_with<I, K, V, R, M, P, F, T>(
 ) -> Result<(Vec<R>, JobMetrics), ShuffleError>
 where
     I: Sync,
-    K: Ord + Send,
+    K: Send,
     V: Send,
     R: Send,
     M: Fn(usize, &[I], &mut Emitter<'_, K, V>) + Sync,
     P: Fn(&K) -> usize + Sync,
-    F: Fn(usize, Vec<(K, Vec<V>)>) -> Vec<R> + Sync,
+    F: Fn(usize, Vec<V>) -> Vec<R> + Sync,
     T: ShuffleTransport<K, V>,
 {
     #[allow(clippy::disallowed_methods, reason = "feeds only JobMetrics::wall, a timing field")]
@@ -263,22 +255,23 @@ where
         sinks.push(sink);
     }
 
-    // ---- Shuffle: transport-specific move, account, sort, group ---------
-    let ShuffleOutput { grouped, shuffle_records, shuffle_bytes, stats } =
+    // ---- Shuffle: transport-specific move and account -------------------
+    let ShuffleOutput { partitions, shuffle_records, shuffle_bytes, stats, .. } =
         transport.gather(sinks, num_partitions)?;
 
     // ---- Reduce wave ----------------------------------------------------
-    let grouped_slots: Vec<GroupedPartition<K, V>> =
-        grouped.into_iter().map(|g| Mutex::new(Some(g))).collect();
+    // Each partition's values, consumed exactly once by its task.
+    let slots: Vec<Mutex<Option<Vec<V>>>> =
+        partitions.into_iter().map(|values| Mutex::new(Some(values))).collect();
     let reduce_results: Vec<(Duration, Vec<R>)> =
         run_tasks(num_partitions, cfg.worker_threads, |p| {
-            let groups = grouped_slots[p].lock().take().expect("partition reduced once");
+            let values = slots[p].lock().take().expect("partition reduced once");
             #[allow(
                 clippy::disallowed_methods,
                 reason = "feeds only JobMetrics::reduce_durations, timing fields"
             )]
             let started = Instant::now();
-            let out = reducer(p, groups);
+            let out = reducer(p, values);
             (started.elapsed(), out)
         });
 
@@ -304,9 +297,11 @@ where
 mod tests {
     use super::*;
     use crate::shuffle::{MemorySink, ShuffleStats, SpillSinkKind};
+    use std::collections::BTreeMap;
 
-    /// Word-count over small documents of one-letter words, keyed by the
-    /// letter's byte: the canonical smoke test.
+    /// Word-count over small documents of one-letter words, routed by
+    /// the letter's byte: the canonical smoke test. Each reducer counts
+    /// the letters it receives, several per partition.
     fn word_count(threads: usize) -> (Vec<(u64, u64)>, JobMetrics) {
         word_count_mode(threads, ShuffleMode::InMemory)
     }
@@ -322,12 +317,19 @@ mod tests {
             |_, chunk, em| {
                 for doc in chunk {
                     for w in doc.split_whitespace() {
-                        em.emit(w.as_bytes()[0] as u64, 1u64);
+                        let letter = w.as_bytes()[0] as u64;
+                        em.emit(letter, letter);
                     }
                 }
             },
             |k| *k as usize % 3,
-            |_, groups| groups.into_iter().map(|(k, vs)| (k, vs.iter().sum::<u64>())).collect(),
+            |_, letters| {
+                let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
+                for letter in letters {
+                    *counts.entry(letter).or_default() += 1;
+                }
+                counts.into_iter().collect()
+            },
             &cfg,
         )
     }
@@ -400,30 +402,43 @@ mod tests {
         assert_eq!(dir_metrics.shuffle, spill(8, 0), "temp-dir store spills identically");
     }
 
+    /// The order contract: each reducer receives exactly the values
+    /// routed to it, in map-task order and within a task in emission
+    /// order — never sorted by key — on every transport, spill
+    /// threshold, segment store and thread count. Keys repeat and
+    /// interleave, and each partition holds several of them.
     #[test]
-    fn reducer_keys_arrive_sorted_and_grouped() {
-        let data: Vec<u64> = vec![5, 3, 5, 1, 3, 5];
-        let (out, _) = run_map_reduce(
-            &data,
-            3,
-            1,
-            |_, chunk, em| {
-                for &x in chunk {
-                    em.emit(x, x * 10);
-                }
-            },
-            |_| 0,
-            |_, groups| {
-                // Assert sortedness inside the reducer itself.
-                let keys: Vec<u64> = groups.iter().map(|(k, _)| *k).collect();
-                let mut sorted = keys.clone();
-                sorted.sort_unstable();
-                assert_eq!(keys, sorted);
-                groups.into_iter().map(|(k, vs)| (k, vs.len())).collect::<Vec<_>>()
-            },
-            &ClusterConfig::default(),
-        );
-        assert_eq!(out, vec![(1, 1), (3, 2), (5, 3)]);
+    fn reducer_values_arrive_in_emission_order() {
+        let keys: Vec<u64> = (0..40u64).map(|i| (i * 7 + 3) % 13).collect();
+        let parts = 3;
+        // The mapper emits each input's index, so (map task, emission)
+        // order is index order: tasks take contiguous chunks in order.
+        let mut expected: Vec<(usize, Vec<u64>)> = (0..parts).map(|p| (p, Vec::new())).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            expected[k as usize % parts].1.push(i as u64);
+        }
+        let inputs: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
+        let mut modes = vec![ShuffleMode::InMemory];
+        for sink in [SpillSinkKind::Memory, SpillSinkKind::TempDir] {
+            for spill_threshold_bytes in [0u64, 8, u64::MAX] {
+                modes.push(ShuffleMode::Serialized { spill_threshold_bytes, sink });
+            }
+        }
+        for shuffle in modes {
+            for worker_threads in [0usize, 2] {
+                let cfg = ClusterConfig { worker_threads, shuffle, ..Default::default() };
+                let (out, _) = run_map_reduce(
+                    &inputs,
+                    3,
+                    parts,
+                    |_, chunk, em| chunk.iter().for_each(|&(k, i)| em.emit(k, i)),
+                    |k| *k as usize % parts,
+                    |p, values| vec![(p, values)],
+                    &cfg,
+                );
+                assert_eq!(out, expected, "{shuffle:?}, {worker_threads} threads");
+            }
+        }
     }
 
     #[test]
@@ -442,7 +457,7 @@ mod tests {
                 }
             },
             |_| 0,
-            |_, _groups| {
+            |_, _values| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 Vec::<()>::new()
             },
@@ -466,7 +481,7 @@ mod tests {
                 }
             },
             |k| (*k % 2) as usize,
-            |_, groups| groups,
+            |_, values| values,
             &ClusterConfig::default(),
         );
         // Each record: u64 key (8) + u32 value (4) = 12 bytes.
@@ -487,16 +502,16 @@ mod tests {
                 }
             },
             |_| 0,
-            |_, groups| groups.into_iter().flat_map(|(_, vs)| vs).collect::<Vec<u64>>(),
+            |_, values| values,
             &ClusterConfig::default(),
         );
         assert_eq!(out, vec![1, 2]);
         assert!(metrics.map_durations.len() <= 2);
     }
 
-    /// Randomized end-to-end: grouped sums computed by the engine equal a
-    /// direct hash-map aggregation, for arbitrary data, split counts,
-    /// partition counts, thread counts and shuffle transports.
+    /// Randomized end-to-end: per-key sums computed by the engine's
+    /// reducers equal a direct map aggregation, for arbitrary data, split
+    /// counts, partition counts, thread counts and shuffle transports.
     #[test]
     fn randomized_aggregation_equivalence() {
         let mut state = 0x9E37_79B9u64;
@@ -528,20 +543,23 @@ mod tests {
                 parts,
                 |_, chunk, em| {
                     for &(k, v) in chunk {
-                        em.emit(k, v);
+                        // The value carries its key: the reducer sums
+                        // per key for itself.
+                        em.emit(k, k << 32 | v);
                     }
                 },
                 |k| (*k as usize) % parts,
-                |_, groups| {
-                    groups
-                        .into_iter()
-                        .map(|(k, vs)| (k, vs.iter().sum::<u64>()))
-                        .collect::<Vec<_>>()
+                |_, values| {
+                    let mut sums: BTreeMap<u64, u64> = BTreeMap::new();
+                    for kv in values {
+                        *sums.entry(kv >> 32).or_default() += kv & 0xFFFF_FFFF;
+                    }
+                    sums.into_iter().collect::<Vec<_>>()
                 },
                 &cfg,
             );
             got.sort_unstable();
-            let mut want: std::collections::BTreeMap<u64, u64> = Default::default();
+            let mut want: BTreeMap<u64, u64> = BTreeMap::new();
             for &(k, v) in &data {
                 *want.entry(k).or_default() += v;
             }
@@ -556,7 +574,7 @@ mod tests {
     #[should_panic(expected = "partitioner returned partition 3 for a job with 2 partitions")]
     fn emitter_rejects_out_of_range_partitions() {
         let part = |k: &u64| *k as usize;
-        let mut sink: MemorySink<u64, u64> = MemorySink::new(2);
+        let mut sink: MemorySink<u64> = MemorySink::new(2);
         let mut em = Emitter::new(2, &part, &mut sink);
         em.emit(1, 10); // in range
         em.emit(3, 30); // out of range: must panic with a useful message
@@ -574,18 +592,8 @@ mod tests {
             2,
             |_, chunk, em| chunk.iter().for_each(|&x| em.emit(x, 0u8)),
             |k| *k as usize,
-            |_, groups| groups,
+            |_, values| values,
             &cfg,
         );
-    }
-
-    #[test]
-    fn emitter_counts_emissions() {
-        let part = |_: &u64| 0usize;
-        let mut sink: MemorySink<u64, u64> = MemorySink::new(1);
-        let mut em = Emitter::new(1, &part, &mut sink);
-        em.emit(1, 1);
-        em.emit(2, 2);
-        assert_eq!(em.emitted(), 2);
     }
 }

@@ -6,13 +6,17 @@
 //! depends on:
 //!
 //! * the **dataflow**: per-split stateful mappers → map-side partitioning
-//!   → a real shuffle stage → per-partition grouped reducers;
+//!   → a real shuffle stage → one reducer per partition, which receives
+//!   every value routed there in map-task, then emission order (as the
+//!   paper ships each interval to the reducers that need it, the unit of
+//!   the shuffle is the reducer, not a key);
 //! * the **cost counters** the paper reasons about: shuffle records and
 //!   bytes per reducer (replication/input cost), per-task durations, and
 //!   the max/avg reducer imbalance plotted in Fig. 10b;
 //! * **determinism**: outputs are independent of the number of worker
-//!   threads (partitions are sorted and grouped before reduction), so
-//!   distributed execution order can never change query answers.
+//!   threads (a partition's values arrive in map-task, then emission
+//!   order, whichever thread ran which task), so distributed execution
+//!   order can never change query answers.
 //!
 //! One layer of real OS-thread parallelism is available: whole tasks
 //! execute on [`ClusterConfig::worker_threads`] threads (`0` =
@@ -25,9 +29,9 @@
 //! in-memory `Vec` gather, and a serialized out-of-core path
 //! ([`shuffle::SerializedTransport`]) that frame-encodes records
 //! ([`Record`]), spills checksummed segments once a configurable byte
-//! threshold is exceeded, and merge-sorts them back on the reduce side —
-//! bit-identical grouped partitions either way, with spill work surfaced
-//! in [`ShuffleStats`].
+//! threshold is exceeded, and decodes them back on the reduce side in
+//! (map task, flush) order — bit-identical partitions either way, with
+//! spill work surfaced in [`ShuffleStats`].
 
 pub mod cluster;
 pub mod engine;

@@ -2,26 +2,27 @@
 //!
 //! [`run_map_reduce`](crate::run_map_reduce) moves every mapper-emitted
 //! `(K, V)` record to its reduce partition through a
-//! [`ShuffleTransport`]. Two implementations exist:
+//! [`ShuffleTransport`]. The key only routes: a reducer receives its
+//! partition's values in map-task order, and within a task in emission
+//! order. Two implementations exist:
 //!
-//! * [`InMemoryTransport`] — the default: records stay as `Vec<(K, V)>`
-//!   buffers, the shuffle concatenates them in map-task order and
-//!   stable-sorts each partition. Fast, but the whole shuffle must fit
-//!   in RAM.
+//! * [`InMemoryTransport`] — the default: each map task buffers its
+//!   values per partition, and the shuffle appends the task buffers in
+//!   map-task order into one exact-size `Vec` per partition. Fast, but
+//!   the whole shuffle must fit in RAM.
 //! * [`SerializedTransport`] — the out-of-core path: each map task
 //!   buffers per-partition records, and whenever a partition's buffered
-//!   [`SizeOf`] total exceeds `spill_threshold_bytes` it stable-sorts
-//!   the buffer by key and flushes it as one checksummed **segment** of
-//!   length-prefixed [`Record`] frames (fixed little-endian layout whose
-//!   encoded length equals `size_bytes` exactly). The reduce side streams
-//!   each partition back through a k-way merge over its segments —
-//!   ordered by `(key, segment)` with segments numbered in map-task
-//!   order — which reproduces the in-memory concatenate-then-stable-sort
-//!   order bit for bit. Segments live either in an in-memory byte store
+//!   [`SizeOf`] total exceeds `spill_threshold_bytes` it flushes the
+//!   buffer, in emission order, as one checksummed **segment** of
+//!   length-prefixed [`Record`] frames (key then value, a fixed
+//!   little-endian layout whose encoded length equals `size_bytes`
+//!   exactly). The reduce side decodes each partition's segments in
+//!   (map task, flush) order into one exact-size `Vec` — the in-memory
+//!   order, bit for bit. Segments live either in an in-memory byte store
 //!   (unit tests, CI) or in a self-managed spill directory under the OS
 //!   temp dir (real out-of-core runs; no `tempfile` dependency).
 //!
-//! Both transports produce identical grouped partitions and identical
+//! Both transports produce identical partitions and identical
 //! `shuffle_records` / `shuffle_bytes` accounting; the serialized one
 //! additionally fills [`ShuffleStats`] (records/segments/bytes spilled
 //! plus a CRC-32 xor-fold over every record frame). Because xor is
@@ -32,9 +33,9 @@
 
 use crate::sizeof::SizeOf;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -350,7 +351,7 @@ const SEGMENT_HEADER_BYTES: usize = 16;
 /// Per-frame length prefix.
 const FRAME_PREFIX_BYTES: usize = 4;
 
-/// Encodes sorted records into one segment; returns the bytes and the
+/// Encodes records, in order, into one segment; returns the bytes and the
 /// segment's xor-folded frame CRC.
 fn encode_segment<K: Record, V: Record>(records: &[(K, V)]) -> (Vec<u8>, u32) {
     let mut payload = Vec::new();
@@ -390,7 +391,7 @@ pub struct SegmentReader<K, V> {
     pos: usize,
     left: u32,
     id: SegmentId,
-    _records: std::marker::PhantomData<fn() -> (K, V)>,
+    _records: PhantomData<fn() -> (K, V)>,
 }
 
 fn header_u32(bytes: &[u8], at: usize) -> u32 {
@@ -447,7 +448,7 @@ impl<K: Record, V: Record> SegmentReader<K, V> {
             pos: SEGMENT_HEADER_BYTES,
             left: count,
             id,
-            _records: std::marker::PhantomData,
+            _records: PhantomData,
         })
     }
 
@@ -556,11 +557,10 @@ pub trait TaskSink<K, V> {
     fn accept(&mut self, partition: usize, key: K, value: V);
 }
 
-/// Moves records from map tasks to grouped reduce partitions. `sinks`
-/// arrive in map-task order; [`ShuffleTransport::gather`] must
-/// reproduce the engine's canonical partition order: records
-/// concatenated in task order, stable-sorted by key, grouped by
-/// adjacent equal keys.
+/// Moves records from map tasks to reduce partitions. `sinks` arrive in
+/// map-task order; [`ShuffleTransport::gather`] must reproduce the
+/// engine's canonical partition order: each partition's values in
+/// map-task order, and within a task in emission order.
 pub trait ShuffleTransport<K, V>: Sync {
     /// The per-map-task record receiver.
     type Sink: TaskSink<K, V> + Send;
@@ -568,8 +568,8 @@ pub trait ShuffleTransport<K, V>: Sync {
     /// Creates map task `task`'s sink.
     fn task_sink(&self, task: usize, num_partitions: usize) -> Self::Sink;
 
-    /// Consumes every task's sink (task order) into grouped partitions
-    /// plus the shuffle accounting.
+    /// Consumes every task's sink (task order) into the partitions'
+    /// values plus the shuffle accounting.
     fn gather(
         &self,
         sinks: Vec<Self::Sink>,
@@ -577,98 +577,91 @@ pub trait ShuffleTransport<K, V>: Sync {
     ) -> Result<ShuffleOutput<K, V>, ShuffleError>;
 }
 
-/// What a shuffle produces: each partition's key-grouped records plus
-/// the per-partition record/byte accounting and the spill stats.
+/// What a shuffle produces: each partition's values plus the
+/// per-partition record/byte accounting and the spill stats. `K` is the
+/// records' key type: routing reads it, and no partition keeps it.
 pub struct ShuffleOutput<K, V> {
-    /// Per partition: records grouped by key, keys ascending, values in
-    /// map-task emission order.
-    pub grouped: Vec<Vec<(K, Vec<V>)>>,
+    /// Per partition: its values in (map task, emission) order.
+    pub partitions: Vec<Vec<V>>,
     /// Records shuffled into each partition.
     pub shuffle_records: Vec<u64>,
-    /// [`SizeOf`] bytes shuffled into each partition.
+    /// [`SizeOf`] bytes (key + value) shuffled into each partition.
     pub shuffle_bytes: Vec<u64>,
     /// Spill accounting (all-zero for the in-memory transport).
     pub stats: ShuffleStats,
+    _key: PhantomData<fn() -> K>,
 }
 
-/// The default transport: per-partition `Vec` buffers, gathered and
-/// stable-sorted in memory — byte-identical to the engine's historical
-/// shuffle.
+/// The default transport: per-partition value buffers, appended in
+/// map-task order into one exact-size `Vec` per partition.
 pub struct InMemoryTransport;
 
-/// The in-memory transport's sink: one record buffer per partition.
-pub struct MemorySink<K, V> {
-    buffers: Vec<Vec<(K, V)>>,
+/// The in-memory transport's sink: per partition, the values in
+/// emission order and their records' [`SizeOf`] bytes.
+pub struct MemorySink<V> {
+    values: Vec<Vec<V>>,
+    bytes: Vec<u64>,
 }
 
-impl<K, V> MemorySink<K, V> {
+impl<V> MemorySink<V> {
     pub(crate) fn new(num_partitions: usize) -> Self {
-        MemorySink { buffers: (0..num_partitions).map(|_| Vec::new()).collect() }
-    }
-}
-
-impl<K, V> TaskSink<K, V> for MemorySink<K, V> {
-    fn accept(&mut self, partition: usize, key: K, value: V) {
-        self.buffers[partition].push((key, value));
-    }
-}
-
-/// Stable-sorts one partition's records and groups adjacent equal keys
-/// — the canonical partition order both transports must produce.
-fn group_sorted<K: Ord, V>(mut records: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
-    // Stable sort keeps map-task emission order within equal keys,
-    // which is itself deterministic (task-index order).
-    records.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut groups: Vec<(K, Vec<V>)> = Vec::new();
-    for (k, v) in records {
-        match groups.last_mut() {
-            Some((gk, vs)) if *gk == k => vs.push(v),
-            _ => groups.push((k, vec![v])),
+        MemorySink {
+            values: (0..num_partitions).map(|_| Vec::new()).collect(),
+            bytes: vec![0; num_partitions],
         }
     }
-    groups
+}
+
+impl<K: SizeOf, V: SizeOf> TaskSink<K, V> for MemorySink<V> {
+    fn accept(&mut self, partition: usize, key: K, value: V) {
+        self.bytes[partition] += (key.size_bytes() + value.size_bytes()) as u64;
+        self.values[partition].push(value);
+    }
 }
 
 impl<K, V> ShuffleTransport<K, V> for InMemoryTransport
 where
-    K: Ord + Send + SizeOf,
+    K: SizeOf,
     V: Send + SizeOf,
 {
-    type Sink = MemorySink<K, V>;
+    type Sink = MemorySink<V>;
 
-    fn task_sink(&self, _task: usize, num_partitions: usize) -> MemorySink<K, V> {
+    fn task_sink(&self, _task: usize, num_partitions: usize) -> MemorySink<V> {
         MemorySink::new(num_partitions)
     }
 
     fn gather(
         &self,
-        sinks: Vec<MemorySink<K, V>>,
+        sinks: Vec<MemorySink<V>>,
         num_partitions: usize,
     ) -> Result<ShuffleOutput<K, V>, ShuffleError> {
         let mut shuffle_records = vec![0u64; num_partitions];
         let mut shuffle_bytes = vec![0u64; num_partitions];
-        let mut partitions: Vec<Vec<(K, V)>> = (0..num_partitions).map(|_| Vec::new()).collect();
-        for sink in sinks {
-            for (p, buf) in sink.buffers.into_iter().enumerate() {
-                for (k, v) in buf {
-                    shuffle_records[p] += 1;
-                    shuffle_bytes[p] += (k.size_bytes() + v.size_bytes()) as u64;
-                    partitions[p].push((k, v));
-                }
+        for sink in &sinks {
+            for (p, values) in sink.values.iter().enumerate() {
+                shuffle_records[p] += values.len() as u64;
+                shuffle_bytes[p] += sink.bytes[p];
             }
         }
-        let grouped = partitions.into_iter().map(group_sorted).collect();
+        let mut partitions: Vec<Vec<V>> =
+            shuffle_records.iter().map(|&n| Vec::with_capacity(n as usize)).collect();
+        for sink in sinks {
+            for (partition, mut values) in partitions.iter_mut().zip(sink.values) {
+                partition.append(&mut values);
+            }
+        }
         Ok(ShuffleOutput {
-            grouped,
+            partitions,
             shuffle_records,
             shuffle_bytes,
             stats: ShuffleStats::default(),
+            _key: PhantomData,
         })
     }
 }
 
 /// The out-of-core transport: frame-encoded, checksummed spill segments
-/// with size-triggered flushing and merge-sorted reduce-side reads.
+/// with size-triggered flushing, read back in (task, flush) order.
 pub struct SerializedTransport {
     spill_threshold_bytes: u64,
     store: Arc<SegmentStore>,
@@ -723,8 +716,10 @@ impl<K, V> PartitionBuffer<K, V> {
 }
 
 /// The serialized transport's sink: buffers per partition, flushing a
-/// sorted, checksummed segment whenever the buffered [`SizeOf`] total
-/// exceeds the spill threshold (and always at task end).
+/// checksummed segment whenever the buffered [`SizeOf`] total exceeds
+/// the spill threshold (and always at task end). Once a segment write
+/// fails, the sink drops every later record: the gather reports the
+/// failure, so nothing more of the task is worth holding.
 pub struct SerializedSink<K, V> {
     task: usize,
     threshold: u64,
@@ -733,16 +728,15 @@ pub struct SerializedSink<K, V> {
     error: Option<ShuffleError>,
 }
 
-impl<K: Ord + Record, V: Record> SerializedSink<K, V> {
+impl<K: Record, V: Record> SerializedSink<K, V> {
     fn flush(&mut self, partition: usize) {
         let pb = &mut self.parts[partition];
         if pb.records.is_empty() || self.error.is_some() {
             return;
         }
-        // Sorting at flush time makes each segment a sorted run, which
-        // is what lets the reduce side merge instead of re-sorting.
-        pb.records.sort_by(|a, b| a.0.cmp(&b.0));
         let (bytes, checksum) = encode_segment(&pb.records);
+        pb.records.clear();
+        pb.buffered_bytes = 0;
         let key = (self.task, partition, pb.segments);
         if let Err(e) = self.store.put(key, &bytes) {
             self.error = Some(e);
@@ -751,8 +745,6 @@ impl<K: Ord + Record, V: Record> SerializedSink<K, V> {
         pb.checksum ^= checksum;
         pb.spill_bytes += bytes.len() as u64;
         pb.segments += 1;
-        pb.records.clear();
-        pb.buffered_bytes = 0;
     }
 
     /// Flushes every partition's remaining buffer — called by
@@ -764,8 +756,11 @@ impl<K: Ord + Record, V: Record> SerializedSink<K, V> {
     }
 }
 
-impl<K: Ord + Record, V: Record> TaskSink<K, V> for SerializedSink<K, V> {
+impl<K: Record, V: Record> TaskSink<K, V> for SerializedSink<K, V> {
     fn accept(&mut self, partition: usize, key: K, value: V) {
+        if self.error.is_some() {
+            return;
+        }
         let size = (key.size_bytes() + value.size_bytes()) as u64;
         let pb = &mut self.parts[partition];
         pb.records_total += 1;
@@ -778,66 +773,9 @@ impl<K: Ord + Record, V: Record> TaskSink<K, V> for SerializedSink<K, V> {
     }
 }
 
-/// One merge-front entry: ordered by `(key, source)` so equal keys pop
-/// in segment order — segments are numbered in (task, flush) order, and
-/// each is a stable-sorted run, which together reproduce the in-memory
-/// concatenate-then-stable-sort order exactly.
-struct MergeEntry<K, V> {
-    key: K,
-    value: V,
-    src: usize,
-}
-
-impl<K: Ord, V> PartialEq for MergeEntry<K, V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.src == other.src
-    }
-}
-
-impl<K: Ord, V> Eq for MergeEntry<K, V> {}
-
-impl<K: Ord, V> PartialOrd for MergeEntry<K, V> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord, V> Ord for MergeEntry<K, V> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key).then_with(|| self.src.cmp(&other.src))
-    }
-}
-
-/// K-way merge over one partition's verified segments, grouping
-/// adjacent equal keys.
-#[allow(clippy::type_complexity, reason = "the grouped-partition shape every transport returns")]
-fn merge_segments<K: Ord + Record, V: Record>(
-    mut readers: Vec<SegmentReader<K, V>>,
-) -> Result<Vec<(K, Vec<V>)>, ShuffleError> {
-    let mut heap: BinaryHeap<Reverse<MergeEntry<K, V>>> = BinaryHeap::with_capacity(readers.len());
-    for (src, reader) in readers.iter_mut().enumerate() {
-        if let Some(record) = reader.next_record() {
-            let (key, value) = record?;
-            heap.push(Reverse(MergeEntry { key, value, src }));
-        }
-    }
-    let mut groups: Vec<(K, Vec<V>)> = Vec::new();
-    while let Some(Reverse(entry)) = heap.pop() {
-        if let Some(record) = readers[entry.src].next_record() {
-            let (key, value) = record?;
-            heap.push(Reverse(MergeEntry { key, value, src: entry.src }));
-        }
-        match groups.last_mut() {
-            Some((gk, vs)) if *gk == entry.key => vs.push(entry.value),
-            _ => groups.push((entry.key, vec![entry.value])),
-        }
-    }
-    Ok(groups)
-}
-
 impl<K, V> ShuffleTransport<K, V> for SerializedTransport
 where
-    K: Ord + Send + Record,
+    K: Send + Record,
     V: Send + Record,
 {
     type Sink = SerializedSink<K, V>;
@@ -866,12 +804,13 @@ where
         let mut shuffle_records = vec![0u64; num_partitions];
         let mut shuffle_bytes = vec![0u64; num_partitions];
         let mut stats = ShuffleStats::default();
-        let mut grouped = Vec::with_capacity(num_partitions);
+        let mut partitions = Vec::with_capacity(num_partitions);
         for partition in 0..num_partitions {
-            let mut readers = Vec::new();
+            shuffle_records[partition] =
+                sinks.iter().map(|s| s.parts[partition].records_total).sum();
+            let mut values = Vec::with_capacity(shuffle_records[partition] as usize);
             for sink in &sinks {
                 let pb = &sink.parts[partition];
-                shuffle_records[partition] += pb.records_total;
                 shuffle_bytes[partition] += pb.bytes_total;
                 stats.records_spilled += pb.records_total;
                 stats.spill_segments += pb.segments as u64;
@@ -880,12 +819,15 @@ where
                 for segment in 0..pb.segments {
                     let key = (sink.task, partition, segment);
                     let id = SegmentId { task: sink.task, partition, segment };
-                    readers.push(SegmentReader::open(self.store.take(key)?, id)?);
+                    let mut reader = SegmentReader::<K, V>::open(self.store.take(key)?, id)?;
+                    while let Some(record) = reader.next_record() {
+                        values.push(record?.1);
+                    }
                 }
             }
-            grouped.push(merge_segments(readers)?);
+            partitions.push(values);
         }
-        Ok(ShuffleOutput { grouped, shuffle_records, shuffle_bytes, stats })
+        Ok(ShuffleOutput { partitions, shuffle_records, shuffle_bytes, stats, _key: PhantomData })
     }
 }
 
@@ -1002,8 +944,9 @@ mod tests {
             }
             prop_assert_eq!(&back, &records);
 
-            // Threshold-split spill through the sink: the merged read
-            // equals the stable-sorted batch, whatever the splits.
+            // Threshold-split spill through the sink: the read-back
+            // values are the batch's in emission order, whatever the
+            // splits.
             let transport = SerializedTransport::in_memory(threshold);
             let mut sink: SerializedSink<u64, Words> =
                 ShuffleTransport::task_sink(&transport, 0, 1);
@@ -1011,8 +954,8 @@ mod tests {
                 sink.accept(0, k, v);
             }
             let out = ShuffleTransport::gather(&transport, vec![sink], 1).expect("gather");
-            let expected = group_sorted(records.clone());
-            prop_assert_eq!(&out.grouped[0], &expected);
+            let expected: Vec<Words> = records.iter().map(|(_, v)| v.clone()).collect();
+            prop_assert_eq!(&out.partitions[0], &expected);
             prop_assert_eq!(out.shuffle_records[0] as usize, records.len());
             prop_assert_eq!(out.stats.records_spilled as usize, records.len());
         }
@@ -1085,9 +1028,9 @@ mod tests {
     }
 
     /// The serialized gather must equal the in-memory gather bit for bit
-    /// on grouped output and record/byte accounting, across thresholds
-    /// and multi-task emission patterns (including duplicate keys whose
-    /// within-key order is the stable-sort contract).
+    /// on partition values and record/byte accounting, across thresholds
+    /// and multi-task emission patterns (several keys per partition,
+    /// repeated within and across tasks).
     #[test]
     fn serialized_gather_matches_in_memory() {
         let tasks: Vec<Vec<(u64, Words)>> = vec![
@@ -1098,16 +1041,16 @@ mod tests {
         ];
         let parts = 3;
 
-        let in_mem = InMemoryTransport;
         let mut mem_sinks = Vec::new();
-        for (t, records) in tasks.iter().enumerate() {
-            let mut sink: MemorySink<u64, Words> = ShuffleTransport::task_sink(&in_mem, t, parts);
+        for records in &tasks {
+            let mut sink = MemorySink::new(parts);
             for (k, v) in records {
                 sink.accept((*k % parts as u64) as usize, *k, v.clone());
             }
             mem_sinks.push(sink);
         }
-        let reference = ShuffleTransport::gather(&in_mem, mem_sinks, parts).unwrap();
+        let reference: ShuffleOutput<u64, Words> =
+            ShuffleTransport::gather(&InMemoryTransport, mem_sinks, parts).unwrap();
 
         for threshold in [0u64, 40, 200, u64::MAX] {
             let transport = SerializedTransport::in_memory(threshold);
@@ -1121,7 +1064,7 @@ mod tests {
                 sinks.push(sink);
             }
             let out = ShuffleTransport::gather(&transport, sinks, parts).unwrap();
-            assert_eq!(out.grouped, reference.grouped, "threshold {threshold}");
+            assert_eq!(out.partitions, reference.partitions, "threshold {threshold}");
             assert_eq!(out.shuffle_records, reference.shuffle_records);
             assert_eq!(out.shuffle_bytes, reference.shuffle_bytes);
             assert_eq!(out.stats.records_spilled, 60);
@@ -1140,13 +1083,34 @@ mod tests {
                 sink.accept((i % 2) as usize, i % 5, i);
             }
             let out = ShuffleTransport::gather(&transport, vec![sink], 2).expect("gather");
-            (out.grouped, out.stats)
+            (out.partitions, out.stats)
         };
-        let (mem_grouped, mem_stats) = run(SpillSinkKind::Memory);
-        let (dir_grouped, dir_stats) = run(SpillSinkKind::TempDir);
-        assert_eq!(dir_grouped, mem_grouped);
+        let (mem_partitions, mem_stats) = run(SpillSinkKind::Memory);
+        let (dir_partitions, dir_stats) = run(SpillSinkKind::TempDir);
+        assert_eq!(dir_partitions, mem_partitions);
         assert_eq!(dir_stats, mem_stats);
         assert!(dir_stats.spill_bytes > 0);
+    }
+
+    /// After a failed segment write the sink drops the rest of its
+    /// task's records instead of buffering them, and the gather reports
+    /// the write.
+    #[test]
+    fn failed_sink_drops_later_records() {
+        let transport = SerializedTransport::new(0, SpillSinkKind::TempDir).expect("transport");
+        let SegmentStore::Dir(dir) = &*transport.store else {
+            unreachable!("a temp-dir transport stores segments in its directory")
+        };
+        std::fs::remove_dir_all(&dir.path).expect("remove the spill dir");
+        let mut sink: SerializedSink<u64, u64> = ShuffleTransport::task_sink(&transport, 0, 2);
+        for i in 0..100u64 {
+            sink.accept((i % 2) as usize, i, i);
+        }
+        assert!(sink.parts.iter().all(|pb| pb.records.is_empty()), "a failed sink buffers nothing");
+        match ShuffleTransport::gather(&transport, vec![sink], 2) {
+            Err(ShuffleError::Io { op, .. }) => assert_eq!(op, "write segment"),
+            other => panic!("expected a segment-write error, got {:?}", other.map(|_| ())),
+        }
     }
 
     /// The spill directory removes itself when the transport drops.
