@@ -2,8 +2,8 @@
 
 use tkij_solver::SolverConfig;
 
-/// The sweep store's run-scan kind, which has one kind (defined next to
-/// [`tkij_index::SweepIndex`]; re-exported for
+/// The sweep store's former run-scan kind, which nothing reads (defined
+/// next to [`tkij_index::SweepIndex`]; re-exported for
 /// [`TkijConfig::sweep_scan`]).
 pub use tkij_index::SweepScanKind;
 
@@ -48,7 +48,7 @@ impl Strategy {
 /// `benchmark/` still spells them out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LocalJoinBackend {
-    /// Endpoint-sorted sweeping store with gapless lanes.
+    /// Endpoint-sorted sweeping store.
     #[default]
     Sweep,
 }
@@ -100,7 +100,7 @@ pub struct TkijConfig {
     /// Candidate-source backend of the reducer-local join; it has one
     /// value (see [`LocalJoinBackend`]).
     pub local_backend: LocalJoinBackend,
-    /// Run-scan kind of the sweeping store; it has one value (see
+    /// Former run-scan kind of the sweeping store; ignored (see
     /// [`SweepScanKind`]).
     pub sweep_scan: SweepScanKind,
     /// Bound-solver configuration.

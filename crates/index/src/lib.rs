@@ -8,20 +8,19 @@
 //! with one structure:
 //!
 //! * [`SweepIndex`] — the sweeping-based, endpoint-sorted store (Piatov
-//!   et al.): gapless structure-of-arrays lanes, binary-searched runs,
-//!   sequential sweeps tested by the chunked-mask scan of [`lanes`]. On
-//!   every benchmark workload it scans fewer items and runs faster than
-//!   the R-tree it replaced;
+//!   et al.): the bucket sorted by start and, in a second copy, by end;
+//!   a probe binary-searches both copies and sweeps the shorter run,
+//!   visiting each interval the window admits
+//!   ([`ThresholdWindow::admits`]). On every benchmark workload it scans
+//!   fewer items and runs faster than the R-tree it replaced;
 //! * [`threshold_candidates`] — the predicate-to-window translation that
 //!   implements the quoted retrieval: the score constraint becomes an
 //!   axis-aligned [`ThresholdWindow`] (conservative when a primitive
 //!   compares derived quantities, e.g. `sparks`' lengths), and candidates
 //!   are re-checked exactly by the caller.
 
-pub mod lanes;
 pub mod sweep;
 
-pub use lanes::{EndpointLanes, LANE_WIDTH};
 pub use sweep::{SweepIndex, SweepScanKind};
 pub use tkij_temporal::predicate::ThresholdWindow;
 
@@ -102,7 +101,7 @@ mod tests {
 
     /// Offsets that move a case to extreme timestamps: none, a nanosecond
     /// epoch on an `f64` rounding midpoint, and both ends of `i64`.
-    const FAR: [i64; 4] =
+    pub(crate) const FAR: [i64; 4] =
         [0, 1_700_000_000_000_000_128, -9_200_000_000_000_000_000, 9_200_000_000_000_000_000];
 
     /// The thresholds the local join probes at once its heap is full, the

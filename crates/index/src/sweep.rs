@@ -4,155 +4,121 @@
 //! Piatov et al. ("Cache-Efficient Sweeping-Based Interval Joins for
 //! Extended Allen Relation Predicates") observe that for interval joins,
 //! endpoint-sorted arrays scanned sequentially beat tree structures by
-//! large factors: every probe touches a contiguous run of a flat lane
-//! instead of chasing node pointers. TKIJ's local join only ever asks one
-//! question of its per-bucket index — "which intervals lie inside an
-//! axis-aligned window of the (start, end) endpoint plane?" (the
-//! score-threshold window of [`crate::threshold_candidates`]) — which maps
-//! directly onto that layout:
+//! large factors: every probe reads one contiguous run instead of
+//! chasing node pointers. TKIJ's local join only ever asks one question
+//! of its per-bucket index — "which intervals lie inside an axis-aligned
+//! window of the (start, end) endpoint plane?" (the score-threshold
+//! window of [`crate::threshold_candidates`]) — which maps directly onto
+//! that layout:
 //!
-//! * intervals are kept sorted by start; a parallel **gapless lane** of
-//!   starts supports binary-searching the window's start range into one
-//!   contiguous run;
-//! * a second permutation sorted by end, with its own gapless end/start
-//!   lanes, serves windows that constrain the end axis more tightly;
-//! * a probe binary-searches both lanes, picks the *shorter* run, and
-//!   sweeps it linearly, testing the other coordinate against the window.
+//! * the bucket is kept twice, sorted by `(start, end, id)` and by
+//!   `(end, start, id)`;
+//! * a probe binary-searches each copy for the window's range on that
+//!   copy's leading endpoint, picks the *shorter* of the two runs, and
+//!   sweeps it, visiting every interval [`ThresholdWindow::admits`].
 //!
-//! Both endpoint orders live in [`EndpointLanes`] — structure-of-arrays
-//! `f64` key/filter lanes (the `as f64` cast [`ThresholdWindow::admits`]
-//! compares, hoisted to build time), holding raw endpoints only (no ids,
-//! no padding), so a sweep reads 8 bytes per examined item in strictly
-//! ascending addresses — the access pattern hardware prefetchers are
-//! built for. The in-window test of a swept run is the chunked-mask scan
-//! of [`crate::lanes`]; matching items are resolved back to full
-//! [`Interval`]s on hit only.
+//! The run search compares the `as f64` cast of the leading endpoint,
+//! which is what `admits` compares. The cast is monotone
+//! (non-decreasing), so each copy stays sorted under it and a run holds
+//! exactly the intervals whose leading endpoint the window admits —
+//! beyond `2^53`, where distinct endpoints share one `f64`, the whole
+//! plateau at a bound included.
 
-use crate::lanes::EndpointLanes;
 use tkij_temporal::interval::Interval;
 use tkij_temporal::predicate::ThresholdWindow;
 
-/// The sweep store's run-scan kind. There is one: the chunked-mask scan
-/// of [`crate::lanes`]. The type, [`SweepIndex::build_with_scan`] and
-/// the engine configuration field carrying it remain only because the
-/// repository's `benchmark/` still spells them out.
+/// The sweep store's former run-scan kind, ignored by
+/// [`SweepIndex::build_with_scan`]. The type and the engine configuration
+/// field carrying it remain only because the repository's `benchmark/`
+/// still spells them out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SweepScanKind {
-    /// Fixed-width `[f64; LANE_WIDTH]` compares producing a hit mask,
-    /// drained in ascending bit order, with a scalar tail.
+    /// The only value; it selects nothing.
     #[default]
     Chunked,
 }
 
-/// An endpoint-sorted interval store answering window queries by lane
-/// sweeping.
+/// An endpoint-sorted interval store answering window queries by
+/// sweeping the shorter endpoint run.
 #[derive(Debug, Clone)]
 pub struct SweepIndex {
-    /// Intervals sorted by `(start, end, id)` — the primary order, also
-    /// exposed through [`SweepIndex::items`].
-    items: Vec<Interval>,
-    /// Start-order lanes: keys = starts (sorted), filters = ends.
-    by_start: EndpointLanes,
-    /// Item indexes sorted by `(end, start, id)` — the end-axis sweep
-    /// order.
-    by_end: Vec<u32>,
-    /// End-order lanes: keys = ends in `by_end` order (sorted), filters
-    /// = starts in `by_end` order.
-    end_lanes: EndpointLanes,
+    /// The intervals in `(start, end, id)` order, also exposed through
+    /// [`SweepIndex::items`].
+    by_start: Vec<Interval>,
+    /// The same intervals in `(end, start, id)` order.
+    by_end: Vec<Interval>,
 }
 
 impl SweepIndex {
-    /// Builds the index. Input order does not matter: the items are
-    /// sorted here into the canonical `(start, end, id)` sequence — a
-    /// key that is the whole interval, so the sorted sequence is unique —
-    /// and any permutation of one bucket's intervals builds the identical
-    /// index: same item order, same probe visit order, same
+    /// Builds the index. Input order does not matter: each copy is sorted
+    /// by a key that is the whole interval, so the sorted sequences are
+    /// unique and any permutation of one bucket's intervals builds the
+    /// identical index: same item order, same probe visit order, same
     /// examined-item counts. That is what lets a reducer build from a
     /// slice in arrival order, and the serving layer's pool hand one
     /// build to every later query.
-    pub fn build(mut items: Vec<Interval>) -> Self {
-        items.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.id));
-        let by_start = EndpointLanes::new(
-            items.iter().map(|iv| iv.start as f64).collect(),
-            items.iter().map(|iv| iv.end as f64).collect(),
-        );
-        let mut by_end: Vec<u32> = (0..items.len() as u32).collect();
-        by_end.sort_unstable_by_key(|&i| {
-            let iv = &items[i as usize];
-            (iv.end, iv.start, iv.id)
-        });
-        let end_lanes = EndpointLanes::new(
-            by_end.iter().map(|&i| items[i as usize].end as f64).collect(),
-            by_end.iter().map(|&i| items[i as usize].start as f64).collect(),
-        );
-        SweepIndex { items, by_start, by_end, end_lanes }
+    pub fn build(mut by_start: Vec<Interval>) -> Self {
+        by_start.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.id));
+        let mut by_end = by_start.clone();
+        by_end.sort_unstable_by_key(|iv| (iv.end, iv.start, iv.id));
+        SweepIndex { by_start, by_end }
     }
 
-    /// [`SweepIndex::build`]; `SweepScanKind` has one kind.
+    /// [`SweepIndex::build`]; the scan kind is ignored.
     pub fn build_with_scan(items: Vec<Interval>, _scan: SweepScanKind) -> Self {
         Self::build(items)
     }
 
     /// Number of indexed intervals.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.by_start.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.by_start.is_empty()
     }
 
     /// All indexed intervals in `(start, end, id)` order.
     pub fn items(&self) -> &[Interval] {
-        &self.items
+        &self.by_start
     }
 
-    /// Visits every interval whose endpoint point lies in the window and
-    /// returns the number of stored items examined (the swept run
-    /// length) — the local join's scan-effort telemetry.
+    /// Visits every interval the window admits — in `(start, end, id)`
+    /// order when the start run is the shorter (ties included), else in
+    /// `(end, start, id)` order — and returns the number of stored items
+    /// examined (the swept run's length), the local join's scan-effort
+    /// telemetry.
     pub fn window_query<'t>(
         &'t self,
         window: &ThresholdWindow,
         mut visit: impl FnMut(&'t Interval),
     ) -> u64 {
-        if window.is_empty() || self.items.is_empty() {
+        if window.is_empty() {
             return 0;
         }
-        let (s_lo, s_hi) = window.start;
-        let (e_lo, e_hi) = window.end;
-        // `i64 → f64` is monotone (non-decreasing), so binary-searching
-        // the cast key lanes mirrors `ThresholdWindow::admits` exactly.
-        let start_run = self.by_start.run(s_lo, s_hi);
-        let end_run = self.end_lanes.run(e_lo, e_hi);
-        if start_run.is_empty() || end_run.is_empty() {
-            return 0;
+        let start_run = run(&self.by_start, window.start, |iv| iv.start);
+        let end_run = run(&self.by_end, window.end, |iv| iv.end);
+        let swept = if start_run.len() <= end_run.len() { start_run } else { end_run };
+        for iv in swept.iter().filter(|iv| window.admits(iv)) {
+            visit(iv);
         }
-        if start_run.len() <= end_run.len() {
-            // Start axis is the tighter constraint: sweep the start run.
-            let scanned = start_run.len() as u64;
-            self.by_start.sweep(start_run, e_lo, e_hi, |i| visit(&self.items[i]));
-            scanned
-        } else {
-            // End axis is tighter: sweep the end-sorted run.
-            let scanned = end_run.len() as u64;
-            self.end_lanes
-                .sweep(end_run, s_lo, s_hi, |j| visit(&self.items[self.by_end[j] as usize]));
-            scanned
-        }
+        swept.len() as u64
     }
+}
 
-    /// Collects matching intervals (window query convenience).
-    pub fn window_collect(&self, window: &ThresholdWindow) -> Vec<Interval> {
-        let mut out = Vec::new();
-        self.window_query(window, |iv| out.push(*iv));
-        out
-    }
+/// The run of `sorted` (ordered by `key`) whose key, cast to `f64`, lies
+/// in `[lo, hi]`; empty when the bounds are reversed.
+fn run(sorted: &[Interval], (lo, hi): (f64, f64), key: impl Fn(&Interval) -> i64) -> &[Interval] {
+    let first = sorted.partition_point(|iv| (key(iv) as f64) < lo);
+    let end = sorted.partition_point(|iv| (key(iv) as f64) <= hi);
+    &sorted[first..end.max(first)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::FAR;
     use proptest::prelude::*;
 
     /// An unbounded axis.
@@ -164,6 +130,13 @@ mod tests {
 
     fn window(start: (f64, f64), end: (f64, f64)) -> ThresholdWindow {
         ThresholdWindow { start, end }
+    }
+
+    /// The intervals a probe visits, in visit order.
+    fn collect(s: &SweepIndex, w: &ThresholdWindow) -> Vec<Interval> {
+        let mut out = Vec::new();
+        s.window_query(w, |iv| out.push(*iv));
+        out
     }
 
     fn sample(n: u64) -> Vec<Interval> {
@@ -178,14 +151,14 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert!(s.items().is_empty());
-        assert_eq!(s.window_collect(&ThresholdWindow::unbounded()), vec![]);
+        assert_eq!(collect(&s, &ThresholdWindow::unbounded()), vec![]);
     }
 
     #[test]
     fn full_window_returns_everything() {
         let items = sample(100);
         let s = SweepIndex::build(items.clone());
-        let mut got = s.window_collect(&ThresholdWindow::unbounded());
+        let mut got = collect(&s, &ThresholdWindow::unbounded());
         got.sort_by_key(|i| i.id);
         let mut want = items;
         want.sort_by_key(|i| i.id);
@@ -219,6 +192,14 @@ mod tests {
         let scanned = s.window_query(&window((10.0, 11.0), ANY), |_| hits += 1);
         assert_eq!(hits, 2);
         assert_eq!(scanned, 2, "start run is the tighter lane");
+        // Ends falling as starts rise: a window constraining ends to a
+        // 1-wide range sweeps the end run, in (end, start, id) order.
+        let items: Vec<Interval> = (0..100).map(|i| iv(i, i as i64, 600 - i as i64)).collect();
+        let s = SweepIndex::build(items);
+        let mut ids = Vec::new();
+        let scanned = s.window_query(&window(ANY, (510.0, 511.0)), |i| ids.push(i.id));
+        assert_eq!(ids, vec![90, 89]);
+        assert_eq!(scanned, 2, "end run is the tighter lane");
     }
 
     #[test]
@@ -306,12 +287,12 @@ mod tests {
     fn all_identical_endpoints_form_one_run() {
         // Every item at (5, 5): one endpoint run holds the whole index,
         // and a probe visits everything in id order while examining
-        // exactly the run — through the chunked path and its tail.
-        let n = 2 * crate::lanes::LANE_WIDTH + 3;
+        // exactly the run.
+        let n = 19;
         let items: Vec<Interval> = (0..n as u64).map(|id| iv(id, 5, 5)).collect();
         let s = SweepIndex::build(items.clone());
         let hit = window((5.0, 5.0), (5.0, 5.0));
-        assert_eq!(s.window_collect(&hit), items, "all visited, in (start, end, id) order");
+        assert_eq!(collect(&s, &hit), items, "all visited, in (start, end, id) order");
         let mut visits = 0u32;
         let scanned = s.window_query(&hit, |_| visits += 1);
         assert_eq!((visits as usize, scanned as usize), (n, n));
@@ -328,39 +309,42 @@ mod tests {
     #[test]
     fn half_open_infinite_windows() {
         let s = SweepIndex::build(vec![iv(0, 0, 5), iv(1, 10, 15), iv(2, 20, 25)]);
-        let got = s.window_collect(&window((9.0, f64::INFINITY), ANY));
+        let got = collect(&s, &window((9.0, f64::INFINITY), ANY));
         assert_eq!(got.iter().map(|i| i.id).collect::<Vec<_>>(), vec![1, 2]);
-        let got = s.window_collect(&window(ANY, (f64::NEG_INFINITY, 6.0)));
+        let got = collect(&s, &window(ANY, (f64::NEG_INFINITY, 6.0)));
         assert_eq!(got.iter().map(|i| i.id).collect::<Vec<_>>(), vec![0]);
     }
 
     proptest! {
-        /// Sweep window queries agree exactly with a linear scan, on
-        /// bounded and unbounded axes (the shapes `threshold_window`
-        /// produces).
+        /// Sweep window queries agree exactly with a linear `admits`
+        /// filter on bounded, reversed (negative-width) and unbounded
+        /// axes, at every `FAR` offset: beyond `2^53` distinct endpoints
+        /// share one `f64`, and each run must keep the whole plateau at
+        /// its bounds.
         #[test]
         fn matches_linear_scan(
             points in proptest::collection::vec((0i64..200, 0i64..60), 0..300),
-            ws in 0i64..200, ww in 0i64..100,
-            we in 0i64..260, wh in 0i64..100,
+            ws in 0i64..200, ww in -20i64..100,
+            we in 0i64..260, wh in -20i64..100,
             open_start in proptest::bool::ANY,
             open_end in proptest::bool::ANY,
+            far in 0usize..4,
         ) {
+            let far = FAR[far];
             let items: Vec<Interval> = points
                 .iter()
                 .enumerate()
-                .map(|(i, (s, w))| iv(i as u64, *s, s + w))
+                .map(|(i, (s, w))| iv(i as u64, far + s, far + s + w))
                 .collect();
             let s = SweepIndex::build(items.clone());
+            let axis = |lo: i64, width: i64| ((far + lo) as f64, (far + lo + width) as f64);
             let w = window(
-                if open_start { ANY } else { (ws as f64, (ws + ww) as f64) },
-                if open_end { ANY } else { (we as f64, (we + wh) as f64) },
+                if open_start { ANY } else { axis(ws, ww) },
+                if open_end { ANY } else { axis(we, wh) },
             );
-            let mut got = s.window_collect(&w);
+            let mut got = collect(&s, &w);
             got.sort_by_key(|i| i.id);
-            let mut want: Vec<Interval> =
-                items.iter().filter(|i| w.admits(i)).copied().collect();
-            want.sort_by_key(|i| i.id);
+            let want: Vec<Interval> = items.iter().filter(|i| w.admits(i)).copied().collect();
             prop_assert_eq!(got, want);
         }
     }

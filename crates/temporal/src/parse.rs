@@ -39,7 +39,8 @@ pub fn predicate_kind(name: &str) -> Option<PredicateKind> {
 /// `shiftMeets` (pass the collection's average length, or 0 when unused).
 pub fn parse_query(text: &str, params: PredicateParams, avg: i64) -> Result<Query, TemporalError> {
     let mut edges: Vec<QueryEdge> = Vec::new();
-    let mut max_vertex = 0usize;
+    // The largest 0-based vertex named so far, and its term's line.
+    let mut widest = (0usize, 1usize);
     for (i, raw) in split_terms(text).into_iter().enumerate() {
         let term = raw.trim();
         if term.is_empty() {
@@ -68,7 +69,9 @@ pub fn parse_query(text: &str, params: PredicateParams, avg: i64) -> Result<Quer
         };
         let src = parse_vertex(args[0])?;
         let dst = parse_vertex(args[1])?;
-        max_vertex = max_vertex.max(src).max(dst);
+        if src.max(dst) > widest.0 {
+            widest = (src.max(dst), i + 1);
+        }
         edges.push(QueryEdge {
             src,
             dst,
@@ -78,7 +81,22 @@ pub fn parse_query(text: &str, params: PredicateParams, avg: i64) -> Result<Quer
     if edges.is_empty() {
         return Err(TemporalError::Parse { line: 1, message: "no predicates given".into() });
     }
-    let vertices = (0..=max_vertex as u32).map(CollectionId).collect();
+    // A connected query over E predicates has at most E + 1 vertices:
+    // reject a larger vertex before building one id per number up to it.
+    let (max_vertex, line) = widest;
+    let err = |message: String| TemporalError::Parse { line, message };
+    if max_vertex > edges.len() {
+        return Err(err(format!(
+            "vertex {} is above {}, the most vertices a connected query over {} predicate(s) has",
+            max_vertex + 1,
+            edges.len() + 1,
+            edges.len()
+        )));
+    }
+    let vertices = (0..=max_vertex)
+        .map(|v| u32::try_from(v).map(CollectionId))
+        .collect::<Result<_, _>>()
+        .map_err(|_| err(format!("vertex {} does not fit a collection id", max_vertex + 1)))?;
     Query::new(vertices, edges, Aggregation::NormalizedSum)
 }
 
@@ -160,6 +178,8 @@ mod tests {
             ("meets(1,2", "missing `)`"),
             ("meets(a,b)", "bad vertex"),
             ("meets", "expected `pred(i, j)`"),
+            ("meets(1,5000000)", "vertex 5000000"),
+            ("meets(1,4294967297)", "vertex 4294967297"),
         ] {
             let e = parse_query(text, p, 0).unwrap_err();
             assert!(

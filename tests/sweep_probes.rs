@@ -1,20 +1,18 @@
-//! Scalar-oracle battery for the sweep store: the chunked in-window scan
-//! (`lanes::scan_chunked`) must be **indistinguishable** from the scalar
-//! scan (`lanes::scan_scalar`) — identical visit set and visit *order* —
-//! a `SweepIndex::window_query` (and `threshold_candidates`, the join's
-//! probe) must visit exactly the items a linear `ThresholdWindow::admits`
-//! filter keeps, examining exactly the swept run, and a build must not
-//! depend on the order its items arrive in.
+//! Probe battery for the sweep store: a `SweepIndex::window_query` (and
+//! `threshold_candidates`, the join's probe) must visit exactly the items
+//! a linear `ThresholdWindow::admits` filter keeps, in one of the two
+//! canonical endpoint orders, examining exactly the swept run, and a
+//! build must not depend on the order its items arrive in.
 //!
 //! Coverage: randomized interval sets (duplicates, zero-width intervals,
-//! touching runs) × randomized windows (zero-width, reversed, degenerate,
-//! half-open infinite), plus pinned swept-run lengths `0`, `1`,
-//! `LANE_WIDTH − 1`, `LANE_WIDTH`, `LANE_WIDTH + 1`, and
-//! `8 × LANE_WIDTH + 3` — one run per chunk/tail code path of the mask
-//! scan.
+//! touching runs) × randomized windows (zero-width, reversed, half-open
+//! infinite), at small timestamps and at offsets beyond `2^53` where
+//! distinct endpoints share one `f64`; plus start- and end-axis runs of
+//! pinned lengths `0`, `1`, `2` and `67`, each swept exactly and visited
+//! in its copy's endpoint order, and runs of equal length, where the
+//! start copy is swept.
 
 use proptest::prelude::*;
-use tkij::index::lanes::{scan_chunked, scan_scalar, LANE_WIDTH};
 use tkij::index::{threshold_candidates, SweepIndex, ThresholdWindow};
 use tkij::prelude::*;
 use tkij::temporal::expr::Side;
@@ -22,16 +20,13 @@ use tkij::temporal::expr::Side;
 /// An unbounded axis.
 const ANY: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 
+/// Offsets that move a case to extreme timestamps: a nanosecond epoch on
+/// an `f64` rounding midpoint, and both ends of `i64`.
+const FAR: [i64; 3] =
+    [1_700_000_000_000_000_128, -9_200_000_000_000_000_000, 9_200_000_000_000_000_000];
+
 fn iv(id: u64, s: i64, e: i64) -> Interval {
     Interval::new(id, s, e).unwrap()
-}
-
-/// The slots each scan visits, in visit order.
-fn scans(lane: &[f64], lo: f64, hi: f64) -> (Vec<usize>, Vec<usize>) {
-    let (mut chunked, mut scalar) = (Vec::new(), Vec::new());
-    scan_chunked(lane, lo, hi, |i| chunked.push(i));
-    scan_scalar(lane, lo, hi, |i| scalar.push(i));
-    (chunked, scalar)
 }
 
 /// One probe's full observable behavior — ids in visit order and the
@@ -49,78 +44,105 @@ fn probe(items: &[Interval], w: &ThresholdWindow) -> (Vec<u64>, u64) {
     (ids, scanned)
 }
 
-/// Pins a probe whose swept run has *exactly* `run_len` items, with a
-/// mixed hit/miss mask pattern: `run_len` intervals share `end = 1000`
-/// (the end-axis run the probe sweeps), every third one with a start
-/// outside the start window (mask misses), and enough filler (distinct
-/// ends, in-window starts) that the start run stays strictly longer —
-/// so the probe must pick the end run and scan exactly `run_len` items.
-fn pinned_run(run_len: usize) {
-    let mut items = Vec::new();
-    for i in 0..run_len as u64 {
-        let start = if i % 3 == 0 { -10 - i as i64 } else { 2 * i as i64 };
-        items.push(iv(i, start, 1_000));
-    }
-    for f in 0..(run_len as u64 + 2) {
-        items.push(iv(1_000 + f, (f as i64 * 3) % 500, 2_000 + f as i64));
-    }
-    let w = ThresholdWindow { start: (0.0, 1_000.0), end: (1_000.0, 1_000.0) };
-    let (ids, scanned) = probe(&items, &w);
-    assert_eq!(scanned as usize, run_len, "swept run length must be exactly {run_len}");
-    let expect: Vec<u64> = (0..run_len as u64).filter(|i| i % 3 != 0).collect();
-    assert_eq!(ids, expect, "run_len = {run_len}: in-window subset in (end, start, id) order");
-    // The same run as a bare filter lane: the chunked and scalar scans
-    // agree slot for slot.
-    let lane: Vec<f64> = items[..run_len].iter().map(|i| i.start as f64).collect();
-    let (chunked, scalar) = scans(&lane, 0.0, 1_000.0);
-    assert_eq!(chunked, scalar, "run_len = {run_len}");
-}
-
+/// Probes whose swept run has *exactly* `run_len` items, with mixed
+/// hits and misses: `run_len` intervals share `end = 1000` (the end-axis
+/// run the probe sweeps), every third one with a start outside the start
+/// window (a miss), and enough filler (distinct ends, in-window starts)
+/// that the start run stays strictly longer — so the probe must pick the
+/// end run, scan exactly `run_len` items and visit its hits in
+/// `(end, start, id)` order.
 #[test]
-fn every_chunk_and_tail_path_is_pinned() {
-    // 0: empty run (early return); 1 and LANE_WIDTH-1: pure scalar tail;
-    // LANE_WIDTH: exactly one full chunk, no tail; LANE_WIDTH+1: chunk +
-    // 1-slot tail; 8*LANE_WIDTH+3: many chunks + 3-slot tail.
-    for run_len in [0, 1, LANE_WIDTH - 1, LANE_WIDTH, LANE_WIDTH + 1, 8 * LANE_WIDTH + 3] {
-        pinned_run(run_len);
-    }
-}
-
-#[test]
-fn degenerate_windows_are_scan_free() {
-    let items: Vec<Interval> = (0..100)
-        .map(|i| iv(i, (i as i64 * 7) % 40, (i as i64 * 7) % 40 + (i as i64 % 5)))
-        .collect();
-    for (start, end) in [
-        ((20.0, 10.0), ANY),                               // reversed
-        (ANY, (30.0, 1.0)),                                // reversed
-        ((5.0, 1.0), (9.0, 3.0)),                          // both reversed
-        ((f64::INFINITY, f64::NEG_INFINITY), (0.0, 50.0)), // inverted ∞
-        ((10_000.0, 20_000.0), ANY),                       // disjoint
-    ] {
-        let w = ThresholdWindow { start, end };
+fn end_runs_sweep_exactly_the_run() {
+    for run_len in [0u64, 1, 2, 67] {
+        let mut items = Vec::new();
+        for i in 0..run_len {
+            let start = if i % 3 == 0 { -10 - i as i64 } else { 2 * i as i64 };
+            items.push(iv(i, start, 1_000));
+        }
+        for f in 0..run_len + 2 {
+            items.push(iv(1_000 + f, (f as i64 * 3) % 500, 2_000 + f as i64));
+        }
+        let w = ThresholdWindow { start: (0.0, 1_000.0), end: (1_000.0, 1_000.0) };
         let (ids, scanned) = probe(&items, &w);
-        assert_eq!((ids.len(), scanned), (0, 0), "{w:?}: degenerate windows never sweep");
+        assert_eq!(scanned, run_len, "swept run length must be exactly {run_len}");
+        let expect: Vec<u64> = (0..run_len).filter(|i| i % 3 != 0).collect();
+        assert_eq!(ids, expect, "run_len = {run_len}: in-window subset in (end, start, id) order");
+    }
+}
+
+/// The start-axis twin of `end_runs_sweep_exactly_the_run`: `run_len`
+/// intervals share `start = 0`, every third one with an end outside the
+/// end window, and the filler's ends keep the end run strictly longer —
+/// so the probe sweeps exactly the start run and visits its hits in
+/// `(start, end, id)` order.
+#[test]
+fn start_runs_sweep_exactly_the_run() {
+    for run_len in [0u64, 1, 2, 67] {
+        let mut items = Vec::new();
+        for i in 0..run_len {
+            let end = if i % 3 == 0 { 5_000 + i as i64 } else { 100 + 2 * i as i64 };
+            items.push(iv(i, 0, end));
+        }
+        for f in 0..run_len + 2 {
+            items.push(iv(1_000 + f, 10 + f as i64, 100 + (f as i64 * 3) % 500));
+        }
+        let w = ThresholdWindow { start: (0.0, 0.0), end: (0.0, 1_000.0) };
+        let (ids, scanned) = probe(&items, &w);
+        assert_eq!(scanned, run_len, "swept run length must be exactly {run_len}");
+        let expect: Vec<u64> = (0..run_len).filter(|i| i % 3 != 0).collect();
+        assert_eq!(ids, expect, "run_len = {run_len}: in-window subset in (start, end, id) order");
+    }
+}
+
+/// When the start and end runs are equally long, the probe sweeps the
+/// start copy: ends fall as starts rise, so the two copies order the
+/// same hits oppositely, and the visits come in start order.
+#[test]
+fn tied_runs_sweep_the_start_copy() {
+    let items: Vec<Interval> = (0..10).map(|i| iv(i, i as i64, 100 - i as i64)).collect();
+    for (w, run) in [
+        (ThresholdWindow::unbounded(), 10),
+        (ThresholdWindow { start: (2.0, 5.0), end: (95.0, 98.0) }, 4),
+        (ThresholdWindow { start: (2.0, 5.0), end: (94.0, 97.0) }, 4),
+    ] {
+        let (ids, scanned) = probe(&items, &w);
+        assert_eq!(scanned, run, "{w:?}: sweeps one run of {run}");
+        let mut expect = ids.clone();
+        expect.sort_unstable();
+        assert_eq!(ids, expect, "{w:?}: visits in (start, end, id) order");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random lanes × random windows, bounded, reversed and half-open:
-    /// the chunked scan visits the scalar scan's slots in its order.
+    /// The window battery at extreme timestamps: beyond `2^53` distinct
+    /// `i64` endpoints share one `f64`, so a run's bounds fall inside a
+    /// plateau of equal keys. A probe still visits exactly the linear
+    /// filter's set (checked inside `probe`) and sweeps no more than the
+    /// index holds.
     #[test]
-    fn chunked_scan_equals_scalar_scan(
-        lane in proptest::collection::vec(-60i64..60, 0..120),
-        lo in -70i64..70, width in -10i64..80,
-        open_lo in proptest::bool::ANY,
-        open_hi in proptest::bool::ANY,
+    fn far_probes_match_the_linear_filter(
+        points in proptest::collection::vec((0i64..3_000, 0i64..1_500), 0..200),
+        ws in 0i64..3_000, ww in -500i64..2_000,
+        we in 0i64..4_500, wh in -500i64..2_000,
+        open_start in proptest::bool::ANY,
+        open_end in proptest::bool::ANY,
+        far in 0usize..3,
     ) {
-        let lane: Vec<f64> = lane.into_iter().map(|v| v as f64).collect();
-        let lo_b = if open_lo { f64::NEG_INFINITY } else { lo as f64 };
-        let hi_b = if open_hi { f64::INFINITY } else { (lo + width) as f64 };
-        let (chunked, scalar) = scans(&lane, lo_b, hi_b);
-        prop_assert_eq!(chunked, scalar);
+        let far = FAR[far];
+        let items: Vec<Interval> = points
+            .iter()
+            .enumerate()
+            .map(|(i, (s, w))| iv(i as u64, far + s, far + s + w))
+            .collect();
+        let axis = |lo: i64, width: i64| ((far + lo) as f64, (far + lo + width) as f64);
+        let w = ThresholdWindow {
+            start: if open_start { ANY } else { axis(ws, ww) },
+            end: if open_end { ANY } else { axis(we, wh) },
+        };
+        let (ids, scanned) = probe(&items, &w);
+        prop_assert!(ids.len() as u64 <= scanned && scanned as usize <= items.len());
     }
 
     /// Random interval sets — duplicates (small value space), zero-width
