@@ -3,8 +3,8 @@
 //! A combination assigns one bucket to every query vertex;
 //! `ω.nbRes = Π |b_i|` counts the result tuples it can generate. `Ω` can
 //! be large (`O(g^{2n})`), so it is never stored whole: TopBuckets bounds
-//! it in one streaming pass and only the combinations its selection can
-//! reach are materialised, in a compact struct-of-arrays [`ComboSet`]
+//! it in streamed odometer passes and only the combinations its selection
+//! can reach are materialised, in a compact struct-of-arrays [`ComboSet`]
 //! manipulated through index vectors.
 
 use std::time::Duration;
@@ -194,15 +194,6 @@ impl ComboSet {
         out
     }
 
-    /// Merges another set (same arity) into this one.
-    pub fn extend(&mut self, other: &ComboSet) {
-        assert_eq!(self.n, other.n);
-        self.buckets.extend_from_slice(&other.buckets);
-        self.nb_res.extend_from_slice(&other.nb_res);
-        self.lb.extend_from_slice(&other.lb);
-        self.ub.extend_from_slice(&other.ub);
-    }
-
     /// Indices `0..len` sorted by descending upper bound, ties broken by
     /// descending lower bound then ascending buckets (fully
     /// deterministic). On input already in this order (what
@@ -230,30 +221,23 @@ impl ComboSet {
     }
 }
 
-/// Enumerates the cartesian product of per-vertex bucket choices,
-/// optionally restricted on vertex 0 (for the partitioned multi-worker
-/// TopBuckets of §4, "we split the set of buckets B₁ into 6 equal-sized
-/// groups"). Calls `visit(indices)` with the per-vertex bucket *indices*.
-pub fn enumerate_combos(
-    per_vertex: &[VertexBuckets],
-    vertex0_range: std::ops::Range<usize>,
-    mut visit: impl FnMut(&[usize]),
-) {
+/// Enumerates the cartesian product of per-vertex bucket choices, in
+/// odometer order (the last vertex varies fastest). Calls
+/// `visit(indices)` with the per-vertex bucket *indices*.
+pub fn enumerate_combos(per_vertex: &[VertexBuckets], mut visit: impl FnMut(&[usize])) {
     let n = per_vertex.len();
     assert!(n >= 1);
-    if per_vertex.iter().any(VertexBuckets::is_empty) || vertex0_range.is_empty() {
+    if per_vertex.iter().any(VertexBuckets::is_empty) {
         return;
     }
     let mut odometer = vec![0usize; n];
-    odometer[0] = vertex0_range.start;
     loop {
         visit(&odometer);
         // Advance the odometer, least-significant vertex last.
         let mut v = n - 1;
         loop {
             odometer[v] += 1;
-            let limit = if v == 0 { vertex0_range.end } else { per_vertex[v].len() };
-            if odometer[v] < limit {
+            if odometer[v] < per_vertex[v].len() {
                 break;
             }
             if v == 0 {
@@ -276,14 +260,12 @@ pub struct TopBucketsStats {
     pub selected: usize,
     /// Solver invocations (pairs and/or n-ary).
     pub solver_calls: usize,
-    /// Combinations pruned by the per-group local `getTopBuckets`
-    /// selections (before the merge).
+    /// Combinations pruned by the `getTopBuckets` selection over the
+    /// whole lattice.
     pub pruned_local: usize,
-    /// Combinations pruned at the merge selection(s) — including the
-    /// two-phase post-refinement re-selection.
+    /// Combinations pruned by the two-phase re-selection after the exact
+    /// refinement; 0 under the other strategies.
     pub pruned_merge: usize,
-    /// Worker groups the candidate space was partitioned into.
-    pub worker_groups: usize,
     /// Σ nbRes over Ω.
     pub total_results: u128,
     /// Σ nbRes over Ω_{k,S}.
@@ -300,7 +282,6 @@ impl Counters for TopBucketsStats {
             solver_calls,
             pruned_local,
             pruned_merge,
-            worker_groups,
             total_results,
             selected_results,
             duration: _, // timing
@@ -310,7 +291,6 @@ impl Counters for TopBucketsStats {
         f("solver_calls", *solver_calls as u64);
         f("pruned_local", *pruned_local as u64);
         f("pruned_merge", *pruned_merge as u64);
-        f("worker_groups", *worker_groups as u64);
         f("total_results_hi", (*total_results >> 64) as u64);
         f("total_results_lo", *total_results as u64);
         f("selected_results_hi", (*selected_results >> 64) as u64);
@@ -422,7 +402,7 @@ mod tests {
         let m2 = matrix(&[(5, 8), (45, 48)]);
         let per_vertex = vec![VertexBuckets::from_matrix(&m1), VertexBuckets::from_matrix(&m2)];
         let mut seen = Vec::new();
-        enumerate_combos(&per_vertex, 0..3, |idx| seen.push(idx.to_vec()));
+        enumerate_combos(&per_vertex, |idx| seen.push(idx.to_vec()));
         assert_eq!(seen.len(), 6);
         assert_eq!(seen[0], vec![0, 0]);
         assert_eq!(seen[5], vec![2, 1]);
@@ -432,26 +412,11 @@ mod tests {
     }
 
     #[test]
-    fn enumeration_vertex0_restriction() {
-        let m = matrix(&[(5, 8), (15, 18), (25, 28), (35, 38)]);
-        let per_vertex = vec![VertexBuckets::from_matrix(&m); 2];
-        let mut count = 0;
-        enumerate_combos(&per_vertex, 1..3, |idx| {
-            assert!((1..3).contains(&idx[0]));
-            count += 1;
-        });
-        assert_eq!(count, 2 * 4);
-    }
-
-    #[test]
     fn enumeration_empty_cases() {
         let m = matrix(&[(5, 8)]);
         let empty = VertexBuckets { ids: vec![], counts: vec![] };
         let mut count = 0;
-        enumerate_combos(&[VertexBuckets::from_matrix(&m), empty], 0..1, |_| count += 1);
-        assert_eq!(count, 0);
-        let per_vertex = vec![VertexBuckets::from_matrix(&m)];
-        enumerate_combos(&per_vertex, 0..0, |_| count += 1);
+        enumerate_combos(&[VertexBuckets::from_matrix(&m), empty], |_| count += 1);
         assert_eq!(count, 0);
     }
 

@@ -105,11 +105,10 @@ pub struct TkijConfig {
     pub sweep_scan: SweepScanKind,
     /// Bound-solver configuration.
     pub solver: SolverConfig,
-    /// TopBuckets worker groups: vertex 0's buckets are split into this
-    /// many groups (the paper's 6), each bounded and locally pruned in
-    /// turn before one merged selection; 1 disables partitioning. The
-    /// groups run one after another, so they buy planner memory, not
-    /// parallelism: only one group's bounds are held at a time.
+    /// Ignored: the former number of TopBuckets worker groups (the
+    /// paper's 6). TopBuckets now makes one selection over the whole
+    /// lattice. It remains because the repository's `benchmark/` sets
+    /// it; ROADMAP step 0(a) deletes it.
     pub topbuckets_workers: usize,
     /// Ignored: the former probe-chunk length of the sharded local join.
     /// It remains because the repository's `benchmark/` sets it; ROADMAP

@@ -180,7 +180,7 @@ pub(crate) fn run_join_phase_impl(
                 k,
                 combos,
                 &assignment.reducer_combos[p],
-                &data,
+                data,
                 filter,
                 pools,
             );

@@ -117,11 +117,11 @@ pub fn local_topk_join(
     combo_indices: &[u32],
     data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
 ) -> (TopK, LocalJoinStats) {
-    local_topk_join_planned(query, plan, k, combos, combo_indices, data, None, None)
+    local_topk_join_planned(query, plan, k, combos, combo_indices, data.clone(), None, None)
 }
 
 /// The join-phase entry point: [`local_topk_join`] with every input
-/// explicit.
+/// explicit, taking the reducer's shipped slices by value.
 ///
 /// `filter` is a hybrid query's attribute filter: it never breaks
 /// exactness, because combination upper bounds remain valid for any tuple
@@ -143,17 +143,17 @@ pub(crate) fn local_topk_join_planned(
     k: usize,
     combos: &ComboSet,
     combo_indices: &[u32],
-    data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
+    data: BTreeMap<(u16, BucketId), Vec<Interval>>,
     filter: Option<&dyn TupleFilter>,
     pools: Option<&IndexPools>,
 ) -> (TopK, LocalJoinStats) {
-    // Index every shipped bucket once; reused across combinations. Only
-    // a build copies the shipped slice (which `SweepIndex::build` sorts
-    // canonically); a pool hit reads nothing.
+    // Index every shipped bucket once; reused across combinations. A
+    // build takes the shipped slice over (`SweepIndex::build` sorts it
+    // canonically); a pool hit drops it unread.
     let indexes: ReducerIndexes = data
-        .iter()
-        .map(|(&key, items)| {
-            let build = || SweepIndex::build(items.to_vec());
+        .into_iter()
+        .map(|(key, items)| {
+            let build = || SweepIndex::build(items);
             let index = match pools {
                 Some(pools) => pools.get_or_build((query.vertices[key.0 as usize].0, key.1), build),
                 None => Arc::new(build()),
@@ -409,7 +409,7 @@ mod tests {
             collections.iter().map(|c| BucketMatrix::build(part, c.intervals())).collect();
         let per_vertex = vertex_buckets(query, &matrices);
         let mut combos = ComboSet::new(query.n());
-        crate::combos::enumerate_combos(&per_vertex, 0..per_vertex[0].len(), |idx| {
+        crate::combos::enumerate_combos(&per_vertex, |idx| {
             let buckets: Vec<BucketId> =
                 idx.iter().enumerate().map(|(v, &i)| per_vertex[v].ids[i]).collect();
             combos.push(&buckets, crate::combos::nb_res_of(&per_vertex, idx), 0.0, 1.0);

@@ -11,22 +11,20 @@
 //! * [`Strategy::TwoPhase`] — loose selection, then exact n-ary
 //!   refinement of the survivors and a second selection.
 //!
-//! Like the paper's deployment, the candidate space can be partitioned by
-//! the first vertex's buckets across `workers` groups, each running
-//! `getTopBuckets` locally, with a final merge + re-selection (§4,
-//! "Selection of bucket combinations"); this is proven safe because the
-//! merged selection's `kthResLB` dominates every local one. The paper
-//! runs the groups in parallel; here they run one after another on the
-//! calling thread, and what they buy is memory. Only one group's streamed
-//! bounds are alive at a time, and only its local selection outlives
-//! it. On the benchmark's `plan-wide` workload, one group doubles the
-//! process's peak RSS (10.7 to 21.2 MB).
+//! This departs from the paper's deployment, which splits the first
+//! vertex's buckets into 6 groups for 6 workers, each running
+//! `getTopBuckets` locally before a merge and a re-selection (§4,
+//! "Selection of bucket combinations"). Here one selection runs over the
+//! whole lattice, in odometer passes that store no per-combination bound
+//! (see `stream_reachable`); only the combinations its walk can reach
+//! are materialised. That needs less planner memory than any split into
+//! groups, and a re-selection over one selection would keep all of it.
 
 use crate::combos::{
     enumerate_combos, nb_res_of, vertex_buckets, ComboSet, TopBucketsStats, VertexBuckets,
 };
 use crate::config::Strategy;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::time::Instant;
 use tkij_solver::{nary_bounds, pair_bounds, SolverConfig};
@@ -122,22 +120,43 @@ impl WeightedKth {
     }
 }
 
-/// Per-edge pair-bound tables for the `loose` aggregation: entry
-/// `[e][i * len_j + j]` holds the (lb, ub) of edge `e` over the i-th
-/// bucket of its source vertex and the j-th bucket of its target vertex.
-struct EdgePairBounds {
-    per_edge: Vec<Vec<(f64, f64)>>,
-    stride: Vec<usize>,
+/// Where the passes read a combination's `[lb, ub]` (sides [`LB`] and
+/// [`UB`]).
+enum LatticeBounds<'a> {
+    /// `Loose` and `TwoPhase`: per query edge, the pair bounds of its
+    /// source's i-th and target's j-th bucket at `i * stride + j`,
+    /// aggregated through `S` afresh on every pass, so that no pass
+    /// stores a bound.
+    Edges { query: &'a Query, pairs: Vec<(Vec<[f64; 2]>, usize)>, scratch: Vec<f64> },
+    /// `BruteForce`: each combination's n-ary bounds, computed once, in
+    /// enumeration order.
+    Table(Vec<[f64; 2]>),
 }
 
-impl EdgePairBounds {
-    fn compute(
-        query: &Query,
+const LB: usize = 0;
+const UB: usize = 1;
+
+impl<'a> LatticeBounds<'a> {
+    /// The first-phase bounds of `strategy`, counting their solver calls.
+    fn new(
+        strategy: Strategy,
+        query: &'a Query,
         per_vertex: &[VertexBuckets],
         matrices: &[BucketMatrix],
         solver_cfg: &SolverConfig,
-        solver_calls: &mut usize,
+        stats: &mut TopBucketsStats,
     ) -> Self {
+        if strategy == Strategy::BruteForce {
+            let mut table = Vec::new();
+            let mut bucket_buf = Vec::with_capacity(query.n());
+            enumerate_combos(per_vertex, |indices| {
+                fill_buckets(&mut bucket_buf, per_vertex, indices);
+                let b = nary_bounds(query, combo_boxes(query, matrices, &bucket_buf), solver_cfg);
+                table.push([b.lb, b.ub]);
+            });
+            stats.solver_calls += table.len();
+            return LatticeBounds::Table(table);
+        }
         let boxes: Vec<Vec<EndpointBox>> = per_vertex
             .iter()
             .zip(&query.vertices)
@@ -146,27 +165,39 @@ impl EdgePairBounds {
                 vb.ids.iter().map(|&b| matrix.endpoint_box(b)).collect()
             })
             .collect();
-        let mut per_edge = Vec::with_capacity(query.edges.len());
-        let mut stride = Vec::with_capacity(query.edges.len());
-        for e in &query.edges {
-            let (lefts, rights) = (&boxes[e.src], &boxes[e.dst]);
-            let mut table = Vec::with_capacity(lefts.len() * rights.len());
-            for &left in lefts {
-                for &right in rights {
-                    let b = pair_bounds(&e.predicate, left, right, solver_cfg);
-                    table.push((b.lb, b.ub));
-                }
-            }
-            *solver_calls += table.len();
-            per_edge.push(table);
-            stride.push(rights.len());
-        }
-        EdgePairBounds { per_edge, stride }
+        let pairs = query
+            .edges
+            .iter()
+            .map(|e| {
+                let (lefts, rights) = (&boxes[e.src], &boxes[e.dst]);
+                let table: Vec<[f64; 2]> = lefts
+                    .iter()
+                    .flat_map(|&left| rights.iter().map(move |&right| (left, right)))
+                    .map(|(left, right)| {
+                        let b = pair_bounds(&e.predicate, left, right, solver_cfg);
+                        [b.lb, b.ub]
+                    })
+                    .collect();
+                stats.solver_calls += table.len();
+                (table, rights.len())
+            })
+            .collect();
+        LatticeBounds::Edges { query, pairs, scratch: vec![0.0; query.edges.len()] }
     }
 
+    /// Side `side` of the bounds of the `p`-th combination, `indices`.
     #[inline]
-    fn get(&self, edge: usize, i: usize, j: usize) -> (f64, f64) {
-        self.per_edge[edge][i * self.stride[edge] + j]
+    fn get(&mut self, side: usize, p: usize, indices: &[usize]) -> f64 {
+        match self {
+            LatticeBounds::Edges { query, pairs, scratch } => {
+                for ((e, (table, stride)), s) in query.edges.iter().zip(&*pairs).zip(&mut *scratch)
+                {
+                    *s = table[indices[e.src] * stride + indices[e.dst]][side];
+                }
+                query.aggregation.eval(scratch)
+            }
+            LatticeBounds::Table(table) => table[p][side],
+        }
     }
 }
 
@@ -174,68 +205,34 @@ impl EdgePairBounds {
 ///
 /// `matrices` are indexed by collection id; `k` is the query's result
 /// budget. Returns `Ω_{k,S}` (descending UB order) and phase telemetry.
+/// `workers` is ignored: one selection runs over the whole lattice (see
+/// the module documentation).
 pub fn run_topbuckets(
     query: &Query,
     matrices: &[BucketMatrix],
     k: u64,
     strategy: Strategy,
     solver_cfg: &SolverConfig,
-    workers: usize,
+    _workers: usize,
 ) -> (ComboSet, TopBucketsStats) {
     #[allow(
         clippy::disallowed_methods,
         reason = "feeds only TopBucketsStats::duration, a timing field"
     )]
     let started = Instant::now();
-    let n = query.n();
     let per_vertex = vertex_buckets(query, matrices);
     let mut stats = TopBucketsStats::default();
     if per_vertex.iter().any(VertexBuckets::is_empty) {
         stats.duration = started.elapsed();
-        return (ComboSet::new(n), stats);
+        return (ComboSet::new(query.n()), stats);
     }
 
-    // Shared pair-bound tables (needed by Loose and TwoPhase).
-    let mut solver_calls = 0usize;
-    let edge_bounds = match strategy {
-        Strategy::Loose | Strategy::TwoPhase => Some(EdgePairBounds::compute(
-            query,
-            &per_vertex,
-            matrices,
-            solver_cfg,
-            &mut solver_calls,
-        )),
-        Strategy::BruteForce => None,
+    let bounds = LatticeBounds::new(strategy, query, &per_vertex, matrices, solver_cfg, &mut stats);
+    let mut selected = {
+        let (reachable, kth_res_lb) = stream_reachable(&per_vertex, bounds, k, &mut stats);
+        reachable.subset(&select_by_ub(k, kth_res_lb, &reachable))
     };
-    let cx = GroupCx { query, matrices, per_vertex: &per_vertex, edge_bounds, solver_cfg };
-
-    // Partition vertex 0's buckets into worker groups.
-    let len0 = per_vertex[0].len();
-    let workers = workers.clamp(1, len0);
-    let group = len0.div_ceil(workers);
-    stats.worker_groups = workers;
-    let mut locals = Vec::with_capacity(workers);
-    for w in 0..workers {
-        let range = (w * group).min(len0)..((w + 1) * group).min(len0);
-        let bounds = cx.bound_group(range.clone(), k);
-        let reachable = cx.materialise(range, &bounds);
-        let local = reachable.subset(&select_by_ub(k, bounds.kth_res_lb, &reachable));
-        stats.candidates += bounds.ub.len();
-        stats.total_results += bounds.total_results;
-        solver_calls += bounds.solver_calls;
-        stats.pruned_local += bounds.ub.len() - local.len();
-        locals.push(local);
-    }
-    let mut merged = ComboSet::new(n);
-    merged.reserve(locals.iter().map(ComboSet::len).sum());
-    for local in locals {
-        merged.extend(&local);
-    }
-
-    // Final merge selection (the paper's "second phase of TopBuckets").
-    let mut kept = get_top_buckets(k, &merged);
-    stats.pruned_merge += merged.len() - kept.len();
-    let mut selected = merged.subset(&kept);
+    stats.pruned_local = stats.candidates - selected.len();
 
     if strategy == Strategy::TwoPhase {
         // Refine the survivors with exact n-ary bounds, then re-select
@@ -243,137 +240,70 @@ pub fn run_topbuckets(
         for i in 0..selected.len() {
             let boxes = combo_boxes(query, matrices, selected.buckets(i));
             let b = nary_bounds(query, boxes, solver_cfg);
-            solver_calls += 1;
+            stats.solver_calls += 1;
             selected.set_bounds(i, b.lb, b.ub);
         }
-        kept = get_top_buckets(k, &selected);
-        stats.pruned_merge += selected.len() - kept.len();
+        let kept = get_top_buckets(k, &selected);
+        stats.pruned_merge = selected.len() - kept.len();
         selected = selected.subset(&kept);
     }
 
     stats.selected = selected.len();
     stats.selected_results = selected.total_results();
-    stats.solver_calls = solver_calls;
     stats.duration = started.elapsed();
     (selected, stats)
 }
 
-/// What every vertex-0 group's pass reads.
-struct GroupCx<'a> {
-    query: &'a Query,
-    matrices: &'a [BucketMatrix],
-    per_vertex: &'a [VertexBuckets],
-    /// Pair-bound tables; `None` bounds each combination with the n-ary
-    /// solver (`BruteForce`).
-    edge_bounds: Option<EdgePairBounds>,
-    solver_cfg: &'a SolverConfig,
-}
+/// Algorithm 1 over the whole lattice in odometer passes that store no
+/// per-combination bound, counting every combination and its `nbRes`
+/// into `stats`. Returns `T` (`kthResLB`) and, materialised, every
+/// combination the walk can reach (ARCHITECTURE.md, "TopBuckets streams
+/// its selection"). Pass 1 reads `T` off the lower bounds. Pass 2
+/// materialises `ub > T`: strictly, since loose bounds tie most of the
+/// lattice at `ub == T == 0`. Only when the certain results it found
+/// (`lb ≥ T`) fall short of `k`, with `T` finite, does the walk go on
+/// into the `ub == T` ties, and pass 3 materialises them.
+fn stream_reachable(
+    per_vertex: &[VertexBuckets],
+    mut bounds: LatticeBounds,
+    k: u64,
+    stats: &mut TopBucketsStats,
+) -> (ComboSet, f64) {
+    let mut kth_lb = WeightedKth::new(k);
+    let mut p = 0;
+    enumerate_combos(per_vertex, |indices| {
+        let nb = nb_res_of(per_vertex, indices);
+        stats.total_results += nb as u128;
+        kth_lb.offer(bounds.get(LB, p, indices), nb);
+        p += 1;
+    });
+    stats.candidates += p;
+    let kth_res_lb = kth_lb.kth();
 
-/// The streamed bounds of one vertex-0 group: flat scalars per enumerated
-/// combination (enumeration order) and the two thresholds of its local
-/// `getTopBuckets`.
-#[derive(Default)]
-struct GroupBounds {
-    nb_res: Vec<u64>,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
-    total_results: u128,
-    solver_calls: usize,
-    /// Algorithm 1's `kthResLB` over the group.
-    kth_res_lb: f64,
-    /// The UB at which the UB-descending cumulative `nbRes` of the
-    /// combinations with `lb ≥ kth_res_lb` reaches `k` (`−∞` when the
-    /// group holds fewer than `k` results).
-    kth_ub: f64,
-}
-
-impl GroupBounds {
-    /// Whether Algorithm 1's walk can reach combination `p`. The walk
-    /// keeps a UB-descending prefix: everything up to the combination
-    /// at which the `nbRes` certain to score `≥ kth_res_lb` first covers
-    /// `k` (all of which have `ub ≥ kth_ub`), then only combinations with
-    /// `ub > kth_res_lb`. The reachable set is itself a prefix of that
-    /// order (it is closed under UB ties), so walking it alone keeps
-    /// exactly what walking the whole group would. Strictly `>` on
-    /// `kth_res_lb`: with loose bounds most of the lattice ties at
-    /// `ub == kthResLB == 0`.
-    fn reachable(&self, p: usize) -> bool {
-        self.ub[p] > self.kth_res_lb || self.ub[p] >= self.kth_ub
-    }
-
-    /// Reads `kth_res_lb`, then `kth_ub`, off the bounds.
-    fn set_thresholds(&mut self, k: u64) {
-        let (mut kth_lb, mut kth_ub) = (WeightedKth::new(k), WeightedKth::new(k));
-        for (&lb, &nb) in self.lb.iter().zip(&self.nb_res) {
-            kth_lb.offer(lb, nb);
-        }
-        self.kth_res_lb = kth_lb.kth();
-        for p in 0..self.ub.len() {
-            if self.lb[p] >= self.kth_res_lb {
-                kth_ub.offer(self.ub[p], self.nb_res[p]);
-            }
-        }
-        self.kth_ub = kth_ub.kth();
-    }
-}
-
-impl GroupCx<'_> {
-    /// One odometer pass over the group: bounds every combination per the
-    /// strategy, keeping scalars only, then reads the thresholds off them.
-    fn bound_group(&self, range: std::ops::Range<usize>, k: u64) -> GroupBounds {
-        let Self { query, per_vertex, .. } = *self;
-        let size = per_vertex[1..].iter().fold(range.len(), |acc, vb| acc.saturating_mul(vb.len()));
-        let mut out = GroupBounds {
-            nb_res: Vec::with_capacity(size),
-            lb: Vec::with_capacity(size),
-            ub: Vec::with_capacity(size),
-            ..GroupBounds::default()
-        };
-        let mut bucket_buf = Vec::with_capacity(query.n());
-        let mut edge_lb = vec![0.0; query.edges.len()];
-        let mut edge_ub = vec![0.0; query.edges.len()];
-        enumerate_combos(per_vertex, range, |indices| {
-            let nb = nb_res_of(per_vertex, indices);
-            out.total_results += nb as u128;
-            let (lb, ub) = match &self.edge_bounds {
-                Some(eb) => {
-                    for (e, edge) in query.edges.iter().enumerate() {
-                        (edge_lb[e], edge_ub[e]) = eb.get(e, indices[edge.src], indices[edge.dst]);
-                    }
-                    (query.aggregation.eval(&edge_lb), query.aggregation.eval(&edge_ub))
+    // Materialises the combinations whose `ub` compares `band` to `T`;
+    // returns the results among them certain to reach `T`.
+    let mut reachable = ComboSet::new(per_vertex.len());
+    let mut bucket_buf = Vec::with_capacity(per_vertex.len());
+    let mut materialise = |band: Ordering| {
+        let (mut p, mut certain) = (0, 0u128);
+        enumerate_combos(per_vertex, |indices| {
+            let ub = bounds.get(UB, p, indices);
+            if ub.partial_cmp(&kth_res_lb) == Some(band) {
+                let (lb, nb) = (bounds.get(LB, p, indices), nb_res_of(per_vertex, indices));
+                if lb >= kth_res_lb {
+                    certain += nb as u128;
                 }
-                None => {
-                    fill_buckets(&mut bucket_buf, per_vertex, indices);
-                    let boxes = combo_boxes(query, self.matrices, &bucket_buf);
-                    let b = nary_bounds(query, boxes, self.solver_cfg);
-                    out.solver_calls += 1;
-                    (b.lb, b.ub)
-                }
-            };
-            out.nb_res.push(nb);
-            out.lb.push(lb);
-            out.ub.push(ub);
-        });
-        out.set_thresholds(k);
-        out
-    }
-
-    /// Second odometer pass: materialises the reachable combinations of
-    /// the group, in enumeration order.
-    fn materialise(&self, range: std::ops::Range<usize>, bounds: &GroupBounds) -> ComboSet {
-        let mut set = ComboSet::new(self.query.n());
-        set.reserve((0..bounds.ub.len()).filter(|&p| bounds.reachable(p)).count());
-        let mut bucket_buf = Vec::with_capacity(self.query.n());
-        let mut p = 0;
-        enumerate_combos(self.per_vertex, range, |indices| {
-            if bounds.reachable(p) {
-                fill_buckets(&mut bucket_buf, self.per_vertex, indices);
-                set.push(&bucket_buf, bounds.nb_res[p], bounds.lb[p], bounds.ub[p]);
+                fill_buckets(&mut bucket_buf, per_vertex, indices);
+                reachable.push(&bucket_buf, nb, lb, ub);
             }
             p += 1;
         });
-        set
+        certain
+    };
+    if materialise(Ordering::Greater) < k as u128 && kth_res_lb.is_finite() {
+        materialise(Ordering::Equal);
     }
+    (reachable, kth_res_lb)
 }
 
 /// Resolves per-vertex bucket indices to bucket ids.
@@ -408,6 +338,7 @@ pub(crate) mod tests {
     use tkij_temporal::granule::TimePartitioning;
     use tkij_temporal::interval::Interval;
     use tkij_temporal::params::PredicateParams;
+    use tkij_temporal::predicate::TemporalPredicate;
     use tkij_temporal::query::table1;
 
     fn combo(set: &mut ComboSet, b: u32, nb: u64, lb: f64, ub: f64) {
@@ -547,29 +478,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn partitioned_workers_select_valid_superset() {
-        // Multi-worker selection must still contain every combination the
-        // single-worker selection deems necessary (both are valid Ω_{k,S};
-        // the partitioned one may be larger, never smaller than needed).
-        let (matrices, _, _) = small_dataset();
-        let q = two_way_meets();
-        let (single, _) =
-            run_topbuckets(&q, &matrices, 2, Strategy::Loose, &SolverConfig::default(), 1);
-        let (multi, _) =
-            run_topbuckets(&q, &matrices, 2, Strategy::Loose, &SolverConfig::default(), 4);
-        let single_set: BTreeSet<Vec<_>> =
-            (0..single.len()).map(|i| single.buckets(i).to_vec()).collect();
-        let multi_set: BTreeSet<Vec<_>> =
-            (0..multi.len()).map(|i| multi.buckets(i).to_vec()).collect();
-        // Both cover at least k results.
-        assert!(single.total_results() >= 2 && multi.total_results() >= 2);
-        // The hottest combination is in both.
-        for set in [&single_set, &multi_set] {
-            assert!(set.contains(&vec![BucketId::new(0, 0), BucketId::new(1, 1)]));
-        }
-    }
-
-    #[test]
     fn two_phase_never_selects_more_than_loose() {
         let (matrices, _, _) = small_dataset();
         let q = two_way_meets();
@@ -586,8 +494,9 @@ pub(crate) mod tests {
         // Ψ ⊆ Ω_{k,S} with Σ nbRes ≥ k and ∀ω′∈Ψ: ω′.LB ≥ ω.UB.
         // Deterministic pseudo-random exploration over many shapes; every
         // other trial rounds the bounds to halves, so bounds tie. The
-        // streamed pass, which walks only the reachable combinations, must
-        // keep exactly what the walk over all of them keeps.
+        // streamed passes, after which the walk sees only the reachable
+        // combinations, must keep exactly what the walk over all of them
+        // keeps.
         let mut state = 0x243F_6A88_85A3_08D3u64;
         let mut next = move || {
             state ^= state << 13;
@@ -607,18 +516,20 @@ pub(crate) mod tests {
                 let nb = next() % 20 + 1;
                 set.push(&[BucketId::new(i as u32, i as u32)], nb, lb, ub);
             }
-            let mut group = GroupBounds {
-                nb_res: (0..n_combos).map(|i| set.nb_res(i)).collect(),
-                lb: (0..n_combos).map(|i| set.lb(i)).collect(),
-                ub: (0..n_combos).map(|i| set.ub(i)).collect(),
-                ..GroupBounds::default()
+            // A one-vertex lattice whose p-th bucket is the p-th combination.
+            let per_vertex = [VertexBuckets {
+                ids: (0..n_combos).map(|i| set.buckets(i)[0]).collect(),
+                counts: (0..n_combos).map(|i| set.nb_res(i)).collect(),
+            }];
+            let table = (0..n_combos).map(|i| [set.lb(i), set.ub(i)]).collect();
+            let mut stats = TopBucketsStats::default();
+            let (reachable, kth_res_lb) =
+                stream_reachable(&per_vertex, LatticeBounds::Table(table), k, &mut stats);
+            let ids = |set: &ComboSet, kept: Vec<u32>| -> BTreeSet<BucketId> {
+                kept.iter().map(|&i| set.buckets(i as usize)[0]).collect()
             };
-            group.set_thresholds(k);
-            let reachable: Vec<u32> =
-                (0..n_combos as u32).filter(|&p| group.reachable(p as usize)).collect();
-            let streamed = select_by_ub(k, group.kth_res_lb, &set.subset(&reachable));
-            let streamed: BTreeSet<u32> = streamed.iter().map(|&i| reachable[i as usize]).collect();
-            let walked = BTreeSet::from_iter(select_by_ub(k, group.kth_res_lb, &set));
+            let streamed = ids(&reachable, select_by_ub(k, kth_res_lb, &reachable));
+            let walked = ids(&set, get_top_buckets(k, &set));
             assert_eq!(streamed, walked, "trial {trial}: the streamed walk");
             let kept = get_top_buckets(k, &set);
             let kept_set: BTreeSet<u32> = kept.iter().copied().collect();
@@ -648,21 +559,14 @@ pub(crate) mod tests {
         let (matrices, _, _) = small_dataset();
         let q = two_way_meets();
         for (name, strategy) in Strategy::all() {
-            for workers in [1, 2, 4] {
-                let (selected, stats) =
-                    run_topbuckets(&q, &matrices, 2, strategy, &SolverConfig::default(), workers);
-                assert_eq!(
-                    stats.candidates - stats.pruned_local - stats.pruned_merge,
-                    selected.len(),
-                    "{name}/w{workers}: {stats:?}"
-                );
-                assert_eq!(stats.selected, selected.len(), "{name}/w{workers}");
-                assert_eq!(
-                    stats.worker_groups,
-                    workers.min(2),
-                    "{name}/w{workers}: 2 buckets on v0"
-                );
-            }
+            let (selected, stats) =
+                run_topbuckets(&q, &matrices, 2, strategy, &SolverConfig::default(), 1);
+            assert_eq!(
+                stats.candidates - stats.pruned_local - stats.pruned_merge,
+                selected.len(),
+                "{name}: {stats:?}"
+            );
+            assert_eq!(stats.selected, selected.len(), "{name}");
         }
     }
 
@@ -735,40 +639,22 @@ pub(crate) mod tests {
     }
 
     /// Oracle — the TopBuckets phase over the fully materialised lattice:
-    /// Algorithm 1 per vertex-0 group, merge, Algorithm 1 again, and the
-    /// two-phase refinement.
+    /// Algorithm 1 once, then the two-phase refinement.
     fn oracle_run(
         (full, bounding_calls): &(ComboSet, usize),
         query: &Query,
         matrices: &[BucketMatrix],
         k: u64,
         strategy: Strategy,
-        workers: usize,
     ) -> (ComboSet, TopBucketsStats) {
+        let mut selected = full.subset(&oracle_select(k, full));
         let mut stats = TopBucketsStats {
             candidates: full.len(),
             total_results: full.total_results(),
             solver_calls: *bounding_calls,
+            pruned_local: full.len() - selected.len(),
             ..Default::default()
         };
-        if full.is_empty() {
-            return (full.clone(), stats);
-        }
-        let ids0 = &vertex_buckets(query, matrices)[0].ids;
-        stats.worker_groups = workers.clamp(1, ids0.len());
-        let group = ids0.len().div_ceil(stats.worker_groups);
-        let group_of =
-            |i: u32| ids0.iter().position(|b| *b == full.buckets(i as usize)[0]).unwrap() / group;
-        let mut merged = ComboSet::new(query.n());
-        for w in 0..stats.worker_groups {
-            let members: Vec<u32> = (0..full.len() as u32).filter(|&i| group_of(i) == w).collect();
-            let local = full.subset(&members);
-            let kept = oracle_select(k, &local);
-            stats.pruned_local += local.len() - kept.len();
-            merged.extend(&local.subset(&kept));
-        }
-        let mut selected = merged.subset(&oracle_select(k, &merged));
-        stats.pruned_merge = merged.len() - selected.len();
         if strategy == Strategy::TwoPhase {
             for i in 0..selected.len() {
                 let boxes = combo_boxes(query, matrices, selected.buckets(i));
@@ -841,16 +727,37 @@ pub(crate) mod tests {
                 let full = full_lattice(query, &matrices, strategy);
                 let total = full.0.total_results() as u64;
                 for k in [0, 1, 100, total / 2, total + 1, u64::MAX] {
-                    for workers in [1, 2, 6] {
-                        let cfg = SolverConfig::default();
-                        let got = run_topbuckets(query, &matrices, k, strategy, &cfg, workers);
-                        let want = oracle_run(&full, query, &matrices, k, strategy, workers);
-                        let case = format!("trial {trial} {name} k={k} workers={workers}");
-                        assert_eq!(dump(&got.0), dump(&want.0), "{case}");
-                        assert_eq!(counters(&got.1), counters(&want.1), "{case}");
-                    }
+                    let got =
+                        run_topbuckets(query, &matrices, k, strategy, &SolverConfig::default(), 1);
+                    let want = oracle_run(&full, query, &matrices, k, strategy);
+                    let case = format!("trial {trial} {name} k={k}");
+                    assert_eq!(dump(&got.0), dump(&want.0), "{case}");
+                    assert_eq!(counters(&got.1), counters(&want.1), "{case}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ties_at_kth_res_lb_are_reached_by_the_third_pass() {
+        // On `small_dataset`, `before` bounds two combinations holding 3
+        // results at exactly `lb == ub == 1`, so at k = 2, `T == 1`: the
+        // second pass (`ub > T`) materialises nothing, and the whole
+        // selection comes from the third.
+        let (matrices, _, _) = small_dataset();
+        let mut q = two_way_meets();
+        q.edges[0].predicate = TemporalPredicate::before(PredicateParams::P1);
+        for (name, strategy) in Strategy::all() {
+            let full = full_lattice(&q, &matrices, strategy);
+            let exact_ones: u64 =
+                (0..full.0.len()).filter(|&i| full.0.lb(i) == 1.0).map(|i| full.0.nb_res(i)).sum();
+            assert_eq!(exact_ones, 3, "{name}: fixture");
+            let (got, stats) =
+                run_topbuckets(&q, &matrices, 2, strategy, &SolverConfig::default(), 1);
+            let want = oracle_run(&full, &q, &matrices, 2, strategy);
+            assert_eq!(dump(&got), dump(&want.0), "{name}");
+            assert_eq!(counters(&stats), counters(&want.1), "{name}");
+            assert!(!got.is_empty() && (0..got.len()).all(|i| got.ub(i) == 1.0), "{name}");
         }
     }
 
@@ -886,24 +793,22 @@ pub(crate) mod tests {
         let mut next = xorshift(0x2545_F491_4F6C_DD1D);
         let matrices = random_matrices(&mut next, 3, 6);
         let query = table1::q_om(PredicateParams::P1);
-        let cfg = SolverConfig::default();
+        let (full, _) = full_lattice(&query, &matrices, Strategy::Loose);
+        assert!((0..full.len()).all(|i| full.lb(i) == 0.0), "fixture: the loose LB plateau");
+        let positive = (0..full.len()).filter(|&i| full.ub(i) > 0.0).count();
+        assert!(0 < positive && positive < full.len(), "fixture: some combinations score 0");
         let per_vertex = vertex_buckets(&query, &matrices);
-        let edge_bounds =
-            Some(EdgePairBounds::compute(&query, &per_vertex, &matrices, &cfg, &mut 0));
-        let cx = GroupCx {
-            query: &query,
-            matrices: &matrices,
-            per_vertex: &per_vertex,
-            edge_bounds,
-            solver_cfg: &cfg,
-        };
-        let range = 0..per_vertex[0].len();
-        let bounds = cx.bound_group(range.clone(), 5);
-        assert!(bounds.lb.iter().all(|&lb| lb == 0.0), "fixture: the loose LB plateau");
-        assert_eq!((bounds.kth_res_lb, bounds.kth_ub > 0.0), (0.0, true));
-        let positive = bounds.ub.iter().filter(|&&ub| ub > 0.0).count();
-        assert!(0 < positive && positive < bounds.ub.len(), "fixture: some combinations score 0");
-        let reachable = cx.materialise(range, &bounds);
+        let bounds = LatticeBounds::new(
+            Strategy::Loose,
+            &query,
+            &per_vertex,
+            &matrices,
+            &SolverConfig::default(),
+            &mut TopBucketsStats::default(),
+        );
+        let mut stats = TopBucketsStats::default();
+        let (reachable, kth_res_lb) = stream_reachable(&per_vertex, bounds, 5, &mut stats);
+        assert_eq!((kth_res_lb, stats.candidates), (0.0, full.len()));
         assert_eq!(reachable.len(), positive);
         assert!((0..reachable.len()).all(|i| reachable.ub(i) > 0.0));
     }

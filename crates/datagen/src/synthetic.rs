@@ -32,6 +32,13 @@ impl SyntheticConfig {
 /// Generates one collection.
 pub fn uniform_collection(id: CollectionId, cfg: &SyntheticConfig) -> IntervalCollection {
     assert!(cfg.size > 0, "cannot generate an empty collection");
+    assert!(cfg.length_range.0 >= 0, "length_range.0 must not be negative: {:?}", cfg.length_range);
+    assert!(
+        cfg.start_range.1.checked_add(cfg.length_range.1).is_some(),
+        "start_range.1 + length_range.1 overflows i64: {:?} + {:?}",
+        cfg.start_range,
+        cfg.length_range
+    );
     let mut rng =
         StdRng::seed_from_u64(cfg.seed ^ (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let intervals = (0..cfg.size)
@@ -65,6 +72,23 @@ mod tests {
             assert!((0..=100_000).contains(&iv.start));
             assert!((1..=100).contains(&iv.length()));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "length_range.0 must not be negative")]
+    fn rejects_negative_lengths() {
+        let cfg = SyntheticConfig { length_range: (-5, -1), ..SyntheticConfig::paper(5, 1) };
+        uniform_collection(CollectionId(0), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "start_range.1 + length_range.1 overflows i64")]
+    fn rejects_end_points_beyond_i64() {
+        let cfg = SyntheticConfig {
+            start_range: (i64::MAX - 10, i64::MAX - 1),
+            ..SyntheticConfig::paper(5, 1)
+        };
+        uniform_collection(CollectionId(0), &cfg);
     }
 
     #[test]

@@ -521,10 +521,10 @@ enum SegmentStore {
 }
 
 impl SegmentStore {
-    fn put(&self, key: SegmentKey, bytes: &[u8]) -> Result<(), ShuffleError> {
+    fn put(&self, key: SegmentKey, bytes: Vec<u8>) -> Result<(), ShuffleError> {
         match self {
             SegmentStore::Memory(map) => {
-                map.lock().insert(key, bytes.to_vec());
+                map.lock().insert(key, bytes);
                 Ok(())
             }
             SegmentStore::Dir(dir) => std::fs::write(dir.segment_path(key), bytes)
@@ -734,16 +734,18 @@ impl<K: Record, V: Record> SerializedSink<K, V> {
         if pb.records.is_empty() || self.error.is_some() {
             return;
         }
-        let (bytes, checksum) = encode_segment(&pb.records);
-        pb.records.clear();
+        // Taken, not cleared: the sink lives until the gather, and a
+        // cleared buffer would keep its peak capacity until then.
+        let (bytes, checksum) = encode_segment(&std::mem::take(&mut pb.records));
         pb.buffered_bytes = 0;
         let key = (self.task, partition, pb.segments);
-        if let Err(e) = self.store.put(key, &bytes) {
+        let len = bytes.len() as u64;
+        if let Err(e) = self.store.put(key, bytes) {
             self.error = Some(e);
             return;
         }
         pb.checksum ^= checksum;
-        pb.spill_bytes += bytes.len() as u64;
+        pb.spill_bytes += len;
         pb.segments += 1;
     }
 
@@ -1090,6 +1092,21 @@ mod tests {
         assert_eq!(dir_partitions, mem_partitions);
         assert_eq!(dir_stats, mem_stats);
         assert!(dir_stats.spill_bytes > 0);
+    }
+
+    /// A flush hands its staging buffer over whole. Every task's sink
+    /// lives until the gather, so a cleared buffer would keep the
+    /// capacity of its largest segment until then.
+    #[test]
+    fn flushed_partition_keeps_no_staging_capacity() {
+        let transport = SerializedTransport::in_memory(64);
+        let mut sink: SerializedSink<u64, u64> = ShuffleTransport::task_sink(&transport, 0, 2);
+        for i in 0..37u64 {
+            sink.accept(0, i, i);
+        }
+        assert!(sink.parts[0].segments > 1 && !sink.parts[0].records.is_empty());
+        sink.finish();
+        assert!(sink.parts.iter().all(|pb| pb.records.capacity() == 0));
     }
 
     /// After a failed segment write the sink drops the rest of its

@@ -54,12 +54,11 @@ fn every_impl_visits_each_counter_once_under_a_unique_name() {
             solver_calls: 3,
             pruned_local: 4,
             pruned_merge: 5,
-            worker_groups: 6,
             total_results: (7 << 64) | 8,
             selected_results: (9 << 64) | 10,
             duration: Duration::from_millis(11),
         },
-        10,
+        9,
     );
     assert_visits_each_field_once(
         "DistributionSummary",

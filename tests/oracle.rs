@@ -119,7 +119,6 @@ enum Axis {
     // The plan changes: only the score bits must match.
     Lpt,
     NoPruning,
-    TopBucketsWorkers(usize),
     Reducers(usize),
     // Only the execution changes: the fingerprint must match.
     SerializedShuffle,
@@ -130,13 +129,10 @@ enum Axis {
     Repeat,
 }
 
-/// The lattice; the reference runs at 6 TopBuckets workers (the
-/// default) and 1–6 reducers.
-const AXES: [Axis; 12] = [
+/// The lattice; the reference runs at 1–6 reducers.
+const AXES: [Axis; 10] = [
     Axis::Lpt,
     Axis::NoPruning,
-    Axis::TopBucketsWorkers(1),
-    Axis::TopBucketsWorkers(64),
     Axis::Reducers(1),
     Axis::Reducers(9),
     Axis::SerializedShuffle,
@@ -492,10 +488,6 @@ fn check_axis(case: &Case, axis: Axis, config: &TkijConfig, base: &ExecutionRepo
             let (all, pruned) = (&report.topbuckets, &base.topbuckets);
             assert_eq!((all.selected, all.candidates), (pruned.candidates, pruned.candidates));
         }
-        Axis::TopBucketsWorkers(workers) => {
-            let config = TkijConfig { topbuckets_workers: workers, ..config.clone() };
-            same_scores(&case.run(config, cluster));
-        }
         Axis::Reducers(r) => same_scores(&case.run(config.clone().with_reducers(r), cluster)),
         Axis::SerializedShuffle => {
             let report = case.run(config.clone(), ClusterConfig { shuffle: SPILL, ..cluster });
@@ -578,7 +570,7 @@ fn check(family: Family, seed: u64) -> (Strategy, bool) {
         }
         base
     };
-    let axes = [AXES[2 * seed as usize % 12], AXES[(2 * seed as usize + 1) % 12]];
+    let axes = [AXES[2 * seed as usize % AXES.len()], AXES[(2 * seed as usize + 1) % AXES.len()]];
     for axis in axes {
         check_axis(&case, axis, &config, &base);
     }

@@ -140,7 +140,7 @@ const PINNED: &[(&str, u64)] = &[
     ("dense.topbuckets.selected_results_hi", 0),
     ("dense.topbuckets.selected_results_lo", 48400771436), ("dense.topbuckets.solver_calls", 3042),
     ("dense.topbuckets.total_results_hi", 0), ("dense.topbuckets.total_results_lo", 216000000000),
-    ("dense.topbuckets.worker_groups", 6), ("hot.distribution.assignments_scored", 1),
+    ("hot.distribution.assignments_scored", 1),
     ("hot.distribution.cap_fallbacks", 0), ("hot.distribution.estimated_shuffle_records", 12000),
     ("hot.distribution.replication_factor", 4607182418800017408), // 1.0
     ("hot.distribution.result_imbalance", 4607182418800017408), ("hot.topbuckets.candidates", 1),
@@ -148,7 +148,7 @@ const PINNED: &[(&str, u64)] = &[
     ("hot.topbuckets.selected", 1), ("hot.topbuckets.selected_results_hi", 0),
     ("hot.topbuckets.selected_results_lo", 64000000000), ("hot.topbuckets.solver_calls", 2),
     ("hot.topbuckets.total_results_hi", 0), ("hot.topbuckets.total_results_lo", 64000000000),
-    ("hot.topbuckets.worker_groups", 1), ("hot_seq.join.shuffle.checksum", 0),
+    ("hot_seq.join.shuffle.checksum", 0),
     ("hot_seq.join.shuffle.records_spilled", 0), ("hot_seq.join.shuffle.spill_bytes", 0),
     ("hot_seq.join.shuffle.spill_segments", 0), ("hot_seq.join.shuffle_bytes", 360000),
     ("hot_seq.join.shuffle_records", 12000), ("hot_seq.local.buckets_sweep", 3),
