@@ -7,18 +7,19 @@ use tkij_index::SweepIndex;
 use tkij_temporal::bucket::BucketId;
 
 /// The serving layer's shared, read-only index pool: one immutable
-/// [`SweepIndex`] per (collection, bucket), built on first use and
-/// reused by every subsequent query and reducer that ships the same
-/// bucket. Only the crate's own serving layer can hand a pool to the
-/// join.
+/// [`SweepIndex`] per (collection, bucket), built the first time a
+/// reducer's combination opens that bucket and reused by every later
+/// query and reducer that opens it. A bucket that is shipped but never
+/// opened gets no entry, so the pool holds only opened buckets. Only the
+/// crate's own serving layer can hand a pool to the join.
 ///
 /// Sharing is sound because the contents of a pooled index are
 /// *query-independent*: the join-phase mapper ships **every** interval of
 /// a collection whose bucket the assignment needs, and
 /// [`SweepIndex::build`] sorts whatever order it is given into the one
 /// canonical `(start, end, id)` sequence — so any two queries (or
-/// reducers) that would build an index for the same (collection, bucket)
-/// build the identical index. A pool hit therefore returns an index
+/// reducers) that open the same (collection, bucket) would build the
+/// identical index, whichever opens it first. A pool hit therefore returns an index
 /// bit-identical to the one a cold build would produce, including probe
 /// visit order and every examined-item counter — and skips the copy and
 /// the sort, because it never reads the slice it was shipped.

@@ -417,9 +417,22 @@ impl ExecutionReport {
         self.local_stats.iter().map(|s| s.items_scanned).sum()
     }
 
-    /// Reducer buckets indexed across all reducers.
+    /// (Vertex, bucket) slices shipped, summed over reducers, opened or
+    /// not.
     pub fn buckets_sweep(&self) -> u64 {
         self.local_stats.iter().map(|s| s.buckets_sweep).sum()
+    }
+
+    /// Shipped slices some combination opened, summed over reducers: each
+    /// indexed (or fetched from the serving pool) once.
+    pub fn buckets_opened(&self) -> u64 {
+        self.local_stats.iter().map(|s| s.buckets_opened).sum()
+    }
+
+    /// Shipped records in the opened slices, summed over reducers; the
+    /// rest of `join.shuffle_records` was shipped and never read.
+    pub fn records_opened(&self) -> u64 {
+        self.local_stats.iter().map(|s| s.records_opened).sum()
     }
 
     /// Combined serialized-shuffle spill accounting of the online jobs
@@ -507,7 +520,10 @@ mod tests {
             report.topbuckets.selected,
             "TopBuckets pruning counters account for every candidate"
         );
-        assert!(report.buckets_sweep() > 0, "shipped buckets are indexed");
+        assert!(report.buckets_sweep() > 0, "shipped buckets are counted");
+        assert!(report.buckets_opened() > 0, "opened buckets are counted");
+        assert!(report.buckets_opened() <= report.buckets_sweep(), "only shipped ones open");
+        assert!(report.records_opened() <= report.join.total_shuffle_records());
         // The join shuffle matches the assignment estimate.
         assert_eq!(
             report.join.total_shuffle_records(),

@@ -122,13 +122,17 @@ pub(crate) fn run_join_phase_impl(
         vertices_of[cid.0 as usize].push(v as u16);
     }
     let plan = query.plan();
-    // Shipped-key rank of every (vertex, bucket) slot: where a reducer
-    // drops a record without walking a map (`NOT_SHIPPED` elsewhere).
+    // Per (vertex, bucket) slot: the reducers the mapper ships it to, and
+    // its shipped-key rank, where a reducer drops a record — both without
+    // walking a map (no reducers and `NOT_SHIPPED` elsewhere).
     const NOT_SHIPPED: u32 = u32::MAX;
     let slots = BucketSlots::new(query, &dataset.matrices);
     let mut rank_of_slot = vec![NOT_SHIPPED; slots.len()];
-    for (rank, &(v, b)) in assignment.bucket_map.keys().enumerate() {
-        rank_of_slot[slots.slot(v as usize, b)] = rank as u32;
+    let mut reducers_of_slot: Vec<&[u32]> = vec![&[]; slots.len()];
+    for (rank, (&(v, b), reducers)) in assignment.bucket_map.iter().enumerate() {
+        let slot = slots.slot(v as usize, b);
+        rank_of_slot[slot] = rank as u32;
+        reducers_of_slot[slot] = reducers;
     }
 
     run_map_reduce(
@@ -140,10 +144,8 @@ pub(crate) fn run_join_phase_impl(
                 let matrix = &dataset.matrices[*c as usize];
                 let bucket = matrix.bucket_of(iv);
                 for &v in &vertices_of[*c as usize] {
-                    if let Some(reducers) = assignment.bucket_map.get(&(v, bucket)) {
-                        for &r in reducers {
-                            em.emit(r, VRec(v, *iv));
-                        }
+                    for &r in reducers_of_slot[slots.slot(v as usize, bucket)] {
+                        em.emit(r, VRec(v, *iv));
                     }
                 }
             }
@@ -152,9 +154,10 @@ pub(crate) fn run_join_phase_impl(
         |p, records| {
             // Reassemble this reducer's (vertex, bucket) → intervals map:
             // one vector per shipped key, in key order. Slices stay in
-            // arrival order — `SweepIndex::build` sorts canonically, so a
-            // slice whose index the serving pool already holds is never
-            // sorted (or read).
+            // arrival order — `SweepIndex::build` sorts canonically on a
+            // slice's first open, so a slice no combination opens, or
+            // whose index the serving pool already holds, is never sorted
+            // (or read).
             let mut shipped: Vec<Vec<Interval>> = vec![Vec::new(); assignment.bucket_map.len()];
             for VRec(v, iv) in records {
                 let matrix = &dataset.matrices[query.vertices[v as usize].0 as usize];

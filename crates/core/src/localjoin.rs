@@ -21,9 +21,12 @@
 //! * cycle edges are checked exactly, and partial tuples whose optimistic
 //!   completion cannot reach `τ` are pruned.
 //!
-//! Every bucket is indexed by a [`SweepIndex`], the sweeping-based
-//! endpoint store that stands in for the paper's R-tree: it answers the
-//! same score-threshold windows and scans fewer items doing so.
+//! A bucket is indexed by a [`SweepIndex`], the sweeping-based endpoint
+//! store that stands in for the paper's R-tree: it answers the same
+//! score-threshold windows and scans fewer items doing so. The index is
+//! built the first time a combination opens its (vertex, bucket), so the
+//! reducer pays only for the buckets its UB walk reaches; a shipped
+//! slice that no combination opens is dropped unread.
 //!
 //! Pruning uses *strict* comparisons against `τ`, so every tuple that
 //! could enter the final top-k (including ties resolved by the
@@ -38,6 +41,7 @@
 
 use crate::bucketindex::IndexPools;
 use crate::combos::ComboSet;
+use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tkij_index::{threshold_candidates, SweepIndex};
@@ -64,8 +68,14 @@ pub struct LocalJoinStats {
     /// Stored items the index examined serving those probes (≥
     /// `candidates_visited`; the gap is the index's scan overhead).
     pub items_scanned: u64,
-    /// Reducer buckets indexed (each with a [`SweepIndex`]).
+    /// (Vertex, bucket) slices shipped to this reducer, opened or not
+    /// (named for the index type until the step-0 rename).
     pub buckets_sweep: u64,
+    /// Shipped slices some combination opened: each indexed (or fetched
+    /// from the serving pool) once, on first open.
+    pub buckets_opened: u64,
+    /// Shipped records in the opened slices.
+    pub records_opened: u64,
     /// Minimum score among the returned local top-k (Fig. 8c), 0 when
     /// empty.
     pub kth_score: f64,
@@ -81,6 +91,8 @@ impl Counters for LocalJoinStats {
             index_probes,
             items_scanned,
             buckets_sweep,
+            buckets_opened,
+            records_opened,
             kth_score,
         } = self;
         f("combos_assigned", *combos_assigned as u64);
@@ -90,6 +102,8 @@ impl Counters for LocalJoinStats {
         f("index_probes", *index_probes);
         f("items_scanned", *items_scanned);
         f("buckets_sweep", *buckets_sweep);
+        f("buckets_opened", *buckets_opened);
+        f("records_opened", *records_opened);
         f("kth_score", kth_score.to_bits());
     }
 }
@@ -108,7 +122,8 @@ pub trait TupleFilter: Sync {
 /// `combo_indices` lists this reducer's combinations (indices into
 /// `combos`); they are re-sorted by descending UB internally. `data` maps
 /// each (vertex, bucket) to the intervals shipped for it, in any order:
-/// each slice is sorted canonically where its index is built.
+/// a slice is indexed (and sorted canonically) only if a combination
+/// opens it.
 pub fn local_topk_join(
     query: &Query,
     plan: &JoinPlan,
@@ -127,11 +142,12 @@ pub fn local_topk_join(
 /// exactness, because combination upper bounds remain valid for any tuple
 /// subset and the admission threshold only tracks surviving tuples.
 ///
-/// With `pools`, bucket indexes come from the serving layer's shared
-/// [`IndexPools`] instead of being built per reducer; visit order and
-/// every work counter are bit-identical either way (see the pool's
-/// soundness documentation). Pool keys translate the reducer's (vertex,
-/// bucket) to (collection, bucket) through `query.vertices`, so
+/// With `pools`, a bucket's index comes from the serving layer's shared
+/// [`IndexPools`] on its first open instead of being built per reducer;
+/// visit order and every work counter are bit-identical either way (see
+/// the pool's soundness documentation), and the pool gains only the
+/// buckets some combination opened. Pool keys translate the reducer's
+/// (vertex, bucket) to (collection, bucket) through `query.vertices`, so
 /// self-join vertices sharing a collection share one index.
 #[allow(
     clippy::too_many_arguments,
@@ -147,19 +163,11 @@ pub(crate) fn local_topk_join_planned(
     filter: Option<&dyn TupleFilter>,
     pools: Option<&IndexPools>,
 ) -> (TopK, LocalJoinStats) {
-    // Index every shipped bucket once; reused across combinations. A
-    // build takes the shipped slice over (`SweepIndex::build` sorts it
-    // canonically); a pool hit drops it unread.
-    let indexes: ReducerIndexes = data
+    // Nothing is indexed yet: a slice is indexed when a combination
+    // first opens it (`JoinCx::index`).
+    let slices: ReducerSlices = data
         .into_iter()
-        .map(|(key, items)| {
-            let build = || SweepIndex::build(items);
-            let index = match pools {
-                Some(pools) => pools.get_or_build((query.vertices[key.0 as usize].0, key.1), build),
-                None => Arc::new(build()),
-            };
-            (key, index)
-        })
+        .map(|(key, items)| (key, Slice { items: Cell::new(Some(items)), index: OnceCell::new() }))
         .collect();
 
     // Access order: descending upper bound (paper §4).
@@ -174,17 +182,19 @@ pub(crate) fn local_topk_join_planned(
     let mut cx = JoinCx {
         query,
         plan,
-        indexes: &indexes,
+        slices: &slices,
+        pools,
         filter,
         topk: TopK::new(k),
         stats: LocalJoinStats {
             combos_assigned: combo_indices.len(),
-            buckets_sweep: indexes.len() as u64,
+            buckets_sweep: slices.len() as u64,
             ..Default::default()
         },
         tuple: vec![None; query.n()],
         fixed: Vec::with_capacity(query.edges.len()),
         scores: vec![0.0; query.edges.len()],
+        candidates: Vec::new(),
     };
     for &ci in &order {
         let ci = ci as usize;
@@ -200,9 +210,18 @@ pub(crate) fn local_topk_join_planned(
     (topk, stats)
 }
 
-/// One reducer's indexes, by (vertex, bucket). `Arc`-held so pooled and
-/// reducer-built indexes are one type.
-type ReducerIndexes = BTreeMap<(u16, BucketId), Arc<SweepIndex>>;
+/// One shipped (vertex, bucket) slice: its records until a combination
+/// first opens it, its index from then on.
+struct Slice {
+    /// The shipped records, taken by the first open.
+    items: Cell<Option<Vec<Interval>>>,
+    /// The index, built (or fetched from the pool) by the first open.
+    /// `Arc`-held so pooled and reducer-built indexes are one type.
+    index: OnceCell<Arc<SweepIndex>>,
+}
+
+/// One reducer's shipped slices, by (vertex, bucket).
+type ReducerSlices = BTreeMap<(u16, BucketId), Slice>;
 
 /// One reducer's rank-join state: its inputs, its live top-k, its
 /// counters, and the recursion scratch. The recursion restores the
@@ -210,7 +229,9 @@ type ReducerIndexes = BTreeMap<(u16, BucketId), Arc<SweepIndex>>;
 struct JoinCx<'a> {
     query: &'a Query,
     plan: &'a JoinPlan,
-    indexes: &'a ReducerIndexes,
+    slices: &'a ReducerSlices,
+    /// The serving layer's shared indexes, consulted on each first open.
+    pools: Option<&'a IndexPools>,
     /// Optional attribute filter (hybrid queries).
     filter: Option<&'a dyn TupleFilter>,
     topk: TopK,
@@ -221,9 +242,32 @@ struct JoinCx<'a> {
     fixed: Vec<(usize, f64)>,
     /// Per-edge score vector handed to the aggregation.
     scores: Vec<f64>,
+    /// Candidate stack: each `extend` level pushes its (anchor-edge
+    /// score, candidate) run on top, and truncates it off on exit.
+    candidates: Vec<(f64, Interval)>,
 }
 
-impl JoinCx<'_> {
+impl<'a> JoinCx<'a> {
+    /// The index of `vertex`'s `bucket`, built (or fetched from the pool)
+    /// on its first open; `None` when no data was shipped for it.
+    fn index(&mut self, vertex: usize, bucket: BucketId) -> Option<&'a SweepIndex> {
+        let slice = self.slices.get(&(vertex as u16, bucket))?;
+        if let Some(index) = slice.index.get() {
+            return Some(index);
+        }
+        let items = slice.items.take().expect("an unopened slice holds its records");
+        self.stats.buckets_opened += 1;
+        self.stats.records_opened += items.len() as u64;
+        // A build takes the slice over (`SweepIndex::build` sorts it
+        // canonically); a pool hit drops it unread.
+        let build = || SweepIndex::build(items);
+        let index = match self.pools {
+            Some(pools) => pools.get_or_build((self.query.vertices[vertex].0, bucket), build),
+            None => Arc::new(build()),
+        };
+        Some(slice.index.get_or_init(|| index))
+    }
+
     /// Whether a combination (or the rest of one) bounded by `ub` can no
     /// longer change the top-k score multiset. A UB that only *ties* the
     /// k-th score is dominated too: the paper's guarantee is the exact
@@ -250,8 +294,7 @@ impl JoinCx<'_> {
     /// the index's canonical order, seeds the first plan step.
     fn process_combo(&mut self, buckets: &[BucketId], combo_ub: f64) {
         let first_vertex = self.plan.steps[0].vertex;
-        let indexes = self.indexes;
-        let Some(index) = indexes.get(&(first_vertex as u16, buckets[first_vertex])) else {
+        let Some(index) = self.index(first_vertex, buckets[first_vertex]) else {
             return; // bucket had no shipped data
         };
         for x in index.items() {
@@ -280,11 +323,12 @@ impl JoinCx<'_> {
         if 1.0 <= needed {
             return; // even a perfect edge score cannot beat τ
         }
-        let Some(index) = self.indexes.get(&(step.vertex as u16, buckets[step.vertex])) else {
+        let Some(index) = self.index(step.vertex, buckets[step.vertex]) else {
             return;
         };
-        // Materialize candidates with their exact anchor-edge scores (the
-        // recursion needs `&mut self`), then visit them in descending
+        // Materialize candidates with their exact anchor-edge scores on
+        // top of the candidate stack (the recursion needs `&mut self`, and
+        // deeper levels push above this run), then visit them in descending
         // score order — rank-join style. High scorers raise the admission
         // threshold τ early, and because the stream is sorted, the first
         // candidate falling below the (re-evaluated) requirement ends the
@@ -298,7 +342,8 @@ impl JoinCx<'_> {
         // requirement admits every score, so the probe is then unbounded.
         let probe_at =
             if needed >= 0.0 { f64::from_bits((needed + 0.0).to_bits() + 1) } else { 0.0 };
-        let mut candidates: Vec<(f64, Interval)> = Vec::new();
+        let base = self.candidates.len();
+        let candidates = &mut self.candidates;
         let scanned = threshold_candidates(
             index,
             &edge.predicate,
@@ -317,13 +362,15 @@ impl JoinCx<'_> {
         );
         self.stats.index_probes += 1;
         self.stats.items_scanned += scanned;
-        self.stats.candidates_visited += candidates.len() as u64;
-        candidates.sort_by(|a, b| {
+        let end = self.candidates.len();
+        self.stats.candidates_visited += (end - base) as u64;
+        self.candidates[base..].sort_by(|a, b| {
             b.0.total_cmp(&a.0)
                 .then_with(|| (a.1.start, a.1.end, a.1.id).cmp(&(b.1.start, b.1.end, b.1.id)))
         });
 
-        for (s_anchor, cand) in candidates {
+        for i in base..end {
+            let (s_anchor, cand) = self.candidates[i];
             // Recompute the requirement against the *current* τ: it only
             // grows, and the stream is sorted descending, so a failure
             // here dominates every remaining candidate.
@@ -359,6 +406,7 @@ impl JoinCx<'_> {
             }
             self.tuple[step.vertex] = None;
         }
+        self.candidates.truncate(base);
     }
 
     /// Best achievable total given the fixed edges (free edges at 1.0);
@@ -576,6 +624,20 @@ mod tests {
             "early termination must fire: {stats:?}"
         );
         assert_eq!(stats.combos_processed, 1, "UB-0.4 combo must be skipped: {stats:?}");
+
+        // Four slices were shipped; the skipped combination's two are
+        // never opened, so neither is indexed nor pooled.
+        assert_eq!((stats.buckets_sweep, stats.buckets_opened), (4, 2), "{stats:?}");
+        assert_eq!(stats.records_opened, 12, "{stats:?}");
+        let pools = IndexPools::new();
+        let (pooled, pooled_stats) =
+            local_topk_join_planned(&q, &plan, 3, &selected, &indices, data, None, Some(&pools));
+        assert_eq!(pooled_stats, stats, "pooling changes no counter");
+        assert_eq!(pooled.into_sorted_vec(), topk.into_sorted_vec());
+        assert_eq!(pools.len(), 2, "only the opened buckets are pooled");
+        for opened in [(0, BucketId::new(0, 0)), (1, BucketId::new(1, 1))] {
+            pools.get_or_build(opened, || panic!("{opened:?} was opened, so it is pooled"));
+        }
     }
 
     #[test]

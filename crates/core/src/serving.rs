@@ -386,7 +386,8 @@ impl TkijServer {
         self.inner.latency.lock().snapshot()
     }
 
-    /// Indexes currently in the shared (collection, bucket) pool.
+    /// Indexes currently in the shared (collection, bucket) pool: one per
+    /// bucket some served query's reducer opened.
     pub fn index_pool_len(&self) -> usize {
         self.inner.pools.len()
     }

@@ -69,11 +69,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(report.results[2].ids, vec![3, 2]);
     assert!((report.results[2].score - 0.75).abs() < 1e-9);
 
-    // Each reducer indexes its buckets in an endpoint-sorted sweep store
-    // and fetches only the candidates that can reach the current k-th
-    // score (the paper's R-tree retrieval, §4, on a flatter layout).
+    // Each reducer indexes the buckets its combinations open in an
+    // endpoint-sorted sweep store and fetches only the candidates that can
+    // reach the current k-th score (the paper's R-tree retrieval, §4, on a
+    // flatter layout).
     println!(
-        "local join: {} buckets indexed, {} window probes, {} items examined",
+        "local join: {} of {} shipped buckets indexed, {} window probes, {} items examined",
+        report.buckets_opened(),
         report.buckets_sweep(),
         report.index_probes(),
         report.items_scanned()

@@ -83,9 +83,11 @@ fn every_impl_visits_each_counter_once_under_a_unique_name() {
             index_probes: 5,
             items_scanned: 6,
             buckets_sweep: 7,
+            buckets_opened: 8,
+            records_opened: 9,
             kth_score: 0.5,
         },
-        8,
+        10,
     );
     assert_visits_each_field_once(
         "ServingStats",
@@ -114,6 +116,8 @@ fn report_accessors_fold_the_same_named_local_join_counter() {
         ("index_probes", report.index_probes()),
         ("items_scanned", report.items_scanned()),
         ("buckets_sweep", report.buckets_sweep()),
+        ("buckets_opened", report.buckets_opened()),
+        ("records_opened", report.records_opened()),
     ] {
         let (_, sum) = sums.iter().find(|(n, _)| *n == name).expect("a visited counter");
         assert_eq!(accessor, *sum, "ExecutionReport::{name}()");

@@ -151,7 +151,10 @@ const PINNED: &[(&str, u64)] = &[
     ("hot_seq.join.shuffle.checksum", 0),
     ("hot_seq.join.shuffle.records_spilled", 0), ("hot_seq.join.shuffle.spill_bytes", 0),
     ("hot_seq.join.shuffle.spill_segments", 0), ("hot_seq.join.shuffle_bytes", 360000),
-    ("hot_seq.join.shuffle_records", 12000), ("hot_seq.local.buckets_sweep", 3),
+    ("hot_seq.join.shuffle_records", 12000),
+    // Index on first open: the one combination opens all three slices.
+    ("hot_seq.local.buckets_opened", 3),
+    ("hot_seq.local.buckets_sweep", 3),
     // Re-pinned: probe strictly above the requirement.
     ("hot_seq.local.candidates_visited", 8689),
     ("hot_seq.local.combos_assigned", 1), ("hot_seq.local.combos_processed", 1),
@@ -160,6 +163,8 @@ const PINNED: &[(&str, u64)] = &[
     // Re-pinned: probe strictly above the requirement.
     ("hot_seq.local.items_scanned", 8957),
     ("hot_seq.local.kth_score", 4607182418800017408),
+    // Index on first open: every shipped record is opened.
+    ("hot_seq.local.records_opened", 12000),
     // Re-pinned: the frozen wave floor is gone; every probe prunes against the live heap.
     ("hot_seq.local.tuples_scored", 373),
     ("hot_seq.merge.shuffle.checksum", 0), ("hot_seq.merge.shuffle.records_spilled", 0),
@@ -171,6 +176,8 @@ const PINNED: &[(&str, u64)] = &[
     ("spill.join.shuffle.checksum", 1175183932), ("spill.join.shuffle.records_spilled", 68759),
     ("spill.join.shuffle.spill_bytes", 3437950), ("spill.join.shuffle.spill_segments", 68759),
     ("spill.join.shuffle_bytes", 2062770), ("spill.join.shuffle_records", 68759),
+    // Index on first open: 19 of the 431 shipped slices are opened.
+    ("spill.local.buckets_opened", 19),
     ("spill.local.buckets_sweep", 431),
     // Re-pinned: probe strictly above the requirement.
     ("spill.local.candidates_visited", 18706),
@@ -178,7 +185,10 @@ const PINNED: &[(&str, u64)] = &[
     ("spill.local.index_probes", 15730),
     // Re-pinned: probe strictly above the requirement.
     ("spill.local.items_scanned", 23863),
-    ("spill.local.kth_score", 18428729675200069632), ("spill.local.tuples_scored", 2443),
+    ("spill.local.kth_score", 18428729675200069632),
+    // Index on first open: the opened slices hold 3 523 of 68 759 shipped records.
+    ("spill.local.records_opened", 3523),
+    ("spill.local.tuples_scored", 2443),
     ("spill.merge.shuffle.checksum", 3537127936), ("spill.merge.shuffle.records_spilled", 400),
     ("spill.merge.shuffle.spill_bytes", 21200), ("spill.merge.shuffle.spill_segments", 400),
     ("spill.merge.shuffle_bytes", 13200), ("spill.merge.shuffle_records", 400),
@@ -187,6 +197,8 @@ const PINNED: &[(&str, u64)] = &[
     ("sweep.join.shuffle.checksum", 0), ("sweep.join.shuffle.records_spilled", 0),
     ("sweep.join.shuffle.spill_bytes", 0), ("sweep.join.shuffle.spill_segments", 0),
     ("sweep.join.shuffle_bytes", 2062770), ("sweep.join.shuffle_records", 68759),
+    // Index on first open: 19 of the 431 shipped slices are opened.
+    ("sweep.local.buckets_opened", 19),
     ("sweep.local.buckets_sweep", 431),
     // Re-pinned: probe strictly above the requirement.
     ("sweep.local.candidates_visited", 18706),
@@ -194,7 +206,10 @@ const PINNED: &[(&str, u64)] = &[
     ("sweep.local.index_probes", 15730),
     // Re-pinned: probe strictly above the requirement.
     ("sweep.local.items_scanned", 23863),
-    ("sweep.local.kth_score", 18428729675200069632), ("sweep.local.tuples_scored", 2443),
+    ("sweep.local.kth_score", 18428729675200069632),
+    // Index on first open: the opened slices hold 3 523 of 68 759 shipped records.
+    ("sweep.local.records_opened", 3523),
+    ("sweep.local.tuples_scored", 2443),
     ("sweep.merge.shuffle.checksum", 0), ("sweep.merge.shuffle.records_spilled", 0),
     ("sweep.merge.shuffle.spill_bytes", 0), ("sweep.merge.shuffle.spill_segments", 0),
     ("sweep.merge.shuffle_bytes", 13200), ("sweep.merge.shuffle_records", 400),

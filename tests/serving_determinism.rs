@@ -11,6 +11,7 @@
 //! them exactly, by name through the `Counters` visitor.
 
 use std::sync::Arc;
+use tkij::datagen::synthetic::{uniform_collection, SyntheticConfig};
 use tkij::prelude::*;
 
 const K: usize = 8;
@@ -174,29 +175,66 @@ fn pool_hits_on_unsorted_storage_match_solo() {
 }
 
 #[test]
-fn pool_holds_one_index_per_shipped_collection_bucket() {
+fn pool_holds_one_index_per_opened_collection_bucket() {
     // Two shapes over one dataset sharing collection 0 — one of them a
     // self-join, whose two vertices read the same indexes. The pool is
-    // keyed by (collection, bucket), so after serving both it holds
-    // exactly the distinct pairs the two plans ship.
+    // keyed by (collection, bucket) and gains an entry only when a
+    // reducer opens a shipped slice: after serving both it holds no more
+    // than the distinct pairs the two plans ship, nor than the opens the
+    // solo runs count, and no fewer than any one reducer of `q_om` (three
+    // collections) opened. A second round opens the same buckets.
     let queries = [table1::q_om(PredicateParams::P1), self_join()];
     let engine = engine();
     let dataset = engine.prepare(uniform_collections(3, 80, 555)).unwrap();
     let mut shipped = std::collections::BTreeSet::new();
     let mut solo = Vec::new();
+    let mut opened = 0;
     for q in &queries {
         let plan = engine.plan_query(&dataset, q, K).unwrap();
         let keys = plan.assignment.bucket_map.keys();
         shipped.extend(keys.map(|&(v, bucket)| (q.vertices[v as usize].0, bucket)));
-        solo.push(engine.execute(&dataset, q, K).unwrap().fingerprint());
+        let report = engine.execute(&dataset, q, K).unwrap();
+        opened += report.buckets_opened();
+        solo.push(report);
     }
+    let busiest = solo[0].local_stats.iter().map(|s| s.buckets_opened).max().unwrap();
     let server = engine.serve(dataset);
+    let mut pooled = None;
     for round in 0..2 {
         for (q, solo) in queries.iter().zip(&solo) {
             let served = server.query(q, K).unwrap().fingerprint();
-            assert_eq!(&served, solo, "round {round}");
+            assert_eq!(served, solo.fingerprint(), "round {round}");
         }
-        assert_eq!(server.index_pool_len(), shipped.len(), "round {round}");
+        let len = server.index_pool_len();
+        assert!(busiest as usize <= len && len as u64 <= opened, "round {round}: {len}");
+        assert!(len <= shipped.len(), "round {round}: {len} of {}", shipped.len());
+        assert_eq!(*pooled.get_or_insert(len), len, "round {round}: the pool grew");
+    }
+}
+
+#[test]
+fn early_termination_leaves_shipped_buckets_out_of_the_pool() {
+    // Dense data (~15 intervals per collection live at any timestamp)
+    // ranks 1.0 ties early, so the one reducer's UB walk stops after a
+    // few combinations and most shipped buckets are never opened, indexed
+    // or pooled. `q_om` reads three collections, so every opened (vertex,
+    // bucket) is its own pool entry: the pool holds exactly the opened
+    // buckets.
+    let q = table1::q_om(PredicateParams::P1);
+    let cfg =
+        SyntheticConfig { size: 300, start_range: (0, 1_000), length_range: (1, 100), seed: 4242 };
+    let collections = (0..3).map(|i| uniform_collection(CollectionId(i), &cfg)).collect();
+    let engine = Tkij::new(TkijConfig::default().with_granules(8).with_reducers(1));
+    let dataset = engine.prepare(collections).unwrap();
+    let shipped = engine.plan_query(&dataset, &q, K).unwrap().assignment.bucket_map.len();
+    let solo = engine.execute(&dataset, &q, K).unwrap();
+    assert_eq!(solo.buckets_sweep(), shipped as u64);
+    let server = engine.serve(dataset);
+    for round in 0..2 {
+        assert_eq!(server.query(&q, K).unwrap().fingerprint(), solo.fingerprint(), "round {round}");
+        let len = server.index_pool_len();
+        assert_eq!(len as u64, solo.buckets_opened(), "round {round}");
+        assert!(len < shipped, "round {round}: every one of {shipped} shipped buckets opened");
     }
 }
 
