@@ -7,7 +7,7 @@ use crate::combos::{ComboSet, TopBucketsStats};
 use crate::config::{DistributionPolicy, Strategy, TkijConfig};
 use crate::distribute::{distribute, Assignment};
 use crate::joinphase::run_join_phase_impl;
-use crate::localjoin::{LocalJoinStats, TupleFilter};
+use crate::localjoin::LocalJoinStats;
 use crate::merge::run_merge_phase;
 use crate::stats::{collect_statistics, PreparedDataset};
 use crate::topbuckets::run_topbuckets;
@@ -102,7 +102,7 @@ impl Tkij {
         k: usize,
     ) -> Result<ExecutionReport, TemporalError> {
         let plan = self.plan_query(dataset, query, k)?;
-        Ok(self.execute_planned_impl(dataset, &plan, None, None))
+        Ok(self.execute_planned_impl(dataset, &plan, None))
     }
 
     /// Rejects queries the engine cannot evaluate against `dataset`:
@@ -133,18 +133,24 @@ impl Tkij {
         Ok(())
     }
 
-    /// The driver-side planning phases on an already-validated query;
-    /// see [`Tkij::plan_query`]. With `static_pruning` off the plan keeps
-    /// the bounds (for ordering and runtime termination) but retains
-    /// every combination: the `TkijConfig::pruning` ablation, and every
-    /// hybrid query (whose attribute filter the bounds do not model).
-    pub(crate) fn plan_unchecked(
+    /// Planning phase: validates the query, then runs the driver-side
+    /// phases — TopBuckets (paper Fig. 5b) and workload distribution
+    /// (Fig. 5c) — producing an immutable [`QueryPlan`] that
+    /// [`Tkij::execute_planned`] can evaluate any number of times. With
+    /// [`TkijConfig::pruning`] off the plan keeps the bounds (for
+    /// ordering and runtime termination) but retains every combination.
+    ///
+    /// Planning reads only the dataset's statistics (never the interval
+    /// data) and is bit-deterministic: the same (dataset, query, k,
+    /// config) always yields the same plan, which is what makes the
+    /// serving layer's plan cache sound.
+    pub fn plan_query(
         &self,
         dataset: &PreparedDataset,
         query: &Query,
         k: usize,
-        static_pruning: bool,
-    ) -> QueryPlan {
+    ) -> Result<QueryPlan, TemporalError> {
+        self.validate(dataset, query, k)?;
         // The plan's own copy of the query is made first: allocated after
         // the temporaries of TopBuckets and distribute are freed, the
         // small long-lived copy lands at the top of the heap and keeps it
@@ -152,7 +158,7 @@ impl Tkij {
         // `serve-mix` benchmark workload).
         let own_query = query.clone();
         // (b) TopBuckets: bound and prune bucket combinations.
-        let effective_k = if static_pruning { k as u64 } else { u64::MAX };
+        let effective_k = if self.config.pruning { k as u64 } else { u64::MAX };
         let (selected, topbuckets) = run_topbuckets(
             query,
             &dataset.matrices,
@@ -171,26 +177,7 @@ impl Tkij {
             &dataset.matrices,
         );
 
-        QueryPlan { query: own_query, k, selected, topbuckets, assignment }
-    }
-
-    /// Planning phase: validates the query, then runs the driver-side
-    /// phases — TopBuckets (paper Fig. 5b) and workload distribution
-    /// (Fig. 5c) — producing an immutable [`QueryPlan`] that
-    /// [`Tkij::execute_planned`] can evaluate any number of times.
-    ///
-    /// Planning reads only the dataset's statistics (never the interval
-    /// data) and is bit-deterministic: the same (dataset, query, k,
-    /// config) always yields the same plan, which is what makes the
-    /// serving layer's plan cache sound.
-    pub fn plan_query(
-        &self,
-        dataset: &PreparedDataset,
-        query: &Query,
-        k: usize,
-    ) -> Result<QueryPlan, TemporalError> {
-        self.validate(dataset, query, k)?;
-        Ok(self.plan_unchecked(dataset, query, k, self.config.pruning))
+        Ok(QueryPlan { query: own_query, k, selected, topbuckets, assignment })
     }
 
     /// Execution phase: evaluates a previously planned query — the
@@ -210,17 +197,16 @@ impl Tkij {
         plan: &QueryPlan,
     ) -> Result<ExecutionReport, TemporalError> {
         self.validate(dataset, &plan.query, plan.k)?;
-        Ok(self.execute_planned_impl(dataset, plan, None, None))
+        Ok(self.execute_planned_impl(dataset, plan, None))
     }
 
     /// [`Tkij::execute_planned`] after validation — the one place the
-    /// engine composes join → merge → report. Hybrid queries pass their
-    /// attribute `filter`, the serving layer its shared index `pools`.
+    /// engine composes join → merge → report. The serving layer passes
+    /// its shared index `pools`.
     pub(crate) fn execute_planned_impl(
         &self,
         dataset: &PreparedDataset,
         plan: &QueryPlan,
-        filter: Option<&dyn TupleFilter>,
         pools: Option<&IndexPools>,
     ) -> ExecutionReport {
         let QueryPlan { query, k, selected, topbuckets, assignment } = plan;
@@ -230,7 +216,7 @@ impl Tkij {
         // and counters are identical with or without a pool.
         let cluster = self.job_cluster();
         let (outputs, join_metrics) =
-            run_join_phase_impl(dataset, query, selected, assignment, k, &cluster, filter, pools);
+            run_join_phase_impl(dataset, query, selected, assignment, k, &cluster, pools);
 
         // (e) Merge.
         let (results, merge_metrics) = run_merge_phase(&outputs, k, &cluster);

@@ -9,7 +9,7 @@ use crate::bucketindex::IndexPools;
 use crate::combos::{BucketSlots, ComboSet};
 use crate::config::{IntraJoin, LocalJoinBackend, SweepScanKind};
 use crate::distribute::Assignment;
-use crate::localjoin::{local_topk_join_planned, LocalJoinStats, TupleFilter};
+use crate::localjoin::{local_topk_join_planned, LocalJoinStats};
 use crate::stats::PreparedDataset;
 use std::collections::BTreeMap;
 use tkij_mapreduce::{
@@ -59,13 +59,14 @@ impl Record for VRec {
     }
 }
 
-/// Runs the join phase, with an optional attribute filter (hybrid
-/// queries). `combos` must be the selected `Ω_{k,S}` that `assignment`
-/// distributes.
+/// Runs the join phase. `combos` must be the selected `Ω_{k,S}` that
+/// `assignment` distributes.
 ///
-/// The `LocalJoinBackend`, `SweepScanKind` and [`IntraJoin`] arguments are
-/// ignored; they stay in the signature because the repository's
-/// `benchmark/` calls it, and ROADMAP step 0(a) deletes them.
+/// The `LocalJoinBackend`, `SweepScanKind`, filter and [`IntraJoin`]
+/// arguments are ignored; they stay in the signature because the
+/// repository's `benchmark/` calls it, and ROADMAP step 0(a) deletes
+/// them. The filter is an `Option<Infallible>`, so only `None` can be
+/// passed.
 #[allow(
     clippy::too_many_arguments,
     reason = "a public entry point whose signature the benchmark calls"
@@ -79,10 +80,10 @@ pub fn run_join_phase_with(
     cluster: &ClusterConfig,
     _backend: LocalJoinBackend,
     _scan: SweepScanKind,
-    filter: Option<&dyn TupleFilter>,
+    _filter: Option<std::convert::Infallible>,
     _intra: IntraJoin,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
-    run_join_phase_impl(dataset, query, combos, assignment, k, cluster, filter, None)
+    run_join_phase_impl(dataset, query, combos, assignment, k, cluster, None)
 }
 
 /// [`run_join_phase_with`], optionally serving reducer bucket indexes
@@ -90,10 +91,6 @@ pub fn run_join_phase_with(
 /// them per reducer. Results and every work counter are bit-identical
 /// either way — pooling amortizes only the index *build* work across
 /// queries.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the join phase's inputs and filter, plus the index pools"
-)]
 pub(crate) fn run_join_phase_impl(
     dataset: &PreparedDataset,
     query: &Query,
@@ -101,7 +98,6 @@ pub(crate) fn run_join_phase_impl(
     assignment: &Assignment,
     k: usize,
     cluster: &ClusterConfig,
-    filter: Option<&dyn TupleFilter>,
     pools: Option<&IndexPools>,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
     // Map input: the intervals of every collection some vertex reads.
@@ -184,7 +180,6 @@ pub(crate) fn run_join_phase_impl(
                 combos,
                 &assignment.reducer_combos[p],
                 data,
-                filter,
                 pools,
             );
             vec![ReducerOutput { reducer: p as u32, results: topk.into_sorted_vec(), stats }]
@@ -234,7 +229,7 @@ mod tests {
             run_topbuckets(query, &dataset.matrices, k as u64, Strategy::Loose, &solver, workers);
         let assignment = distribute(&selected, policy, reducers, query, &dataset.matrices);
         let (outputs, metrics) =
-            run_join_phase_impl(&dataset, query, &selected, &assignment, k, &cluster, None, None);
+            run_join_phase_impl(&dataset, query, &selected, &assignment, k, &cluster, None);
         // Globally merge the local top-ks.
         let mut all = TopK::new(k);
         for t in outputs.into_iter().flat_map(|o| o.results) {

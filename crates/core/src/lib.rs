@@ -23,10 +23,7 @@
 //! The [`Tkij`] engine ties the phases together and emits an
 //! [`ExecutionReport`] carrying every statistic the paper's evaluation
 //! plots. [`naive`] provides the exhaustive oracle used to verify the
-//! engine's exactness guarantee. [`hybrid`] implements the paper's
-//! future-work extension — attribute constraints alongside temporal
-//! predicates — as the same pipeline: a plan with static pruning off,
-//! executed with a tuple filter.
+//! engine's exactness guarantee.
 //!
 //! For long-lived deployments, [`serving`] splits the lifecycle into a
 //! *prepare* phase (statistics + immutable shared state) and a *query*
@@ -41,7 +38,6 @@ pub mod combos;
 pub mod config;
 pub mod distribute;
 pub mod engine;
-pub mod hybrid;
 pub mod joinphase;
 pub mod localjoin;
 pub mod merge;

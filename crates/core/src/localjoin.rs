@@ -108,15 +108,6 @@ impl Counters for LocalJoinStats {
     }
 }
 
-/// A predicate over *partial* tuples (entries are `None` until their
-/// vertex is bound), used by hybrid queries to reject tuples on
-/// non-temporal attributes as early as possible. Must be monotone:
-/// once a partial tuple is rejected, every extension is too.
-pub trait TupleFilter: Sync {
-    /// Whether the partial tuple may still produce results.
-    fn admits(&self, tuple: &[Option<Interval>]) -> bool;
-}
-
 /// Runs the local top-k join of one reducer.
 ///
 /// `combo_indices` lists this reducer's combinations (indices into
@@ -132,15 +123,11 @@ pub fn local_topk_join(
     combo_indices: &[u32],
     data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
 ) -> (TopK, LocalJoinStats) {
-    local_topk_join_planned(query, plan, k, combos, combo_indices, data.clone(), None, None)
+    local_topk_join_planned(query, plan, k, combos, combo_indices, data.clone(), None)
 }
 
 /// The join-phase entry point: [`local_topk_join`] with every input
 /// explicit, taking the reducer's shipped slices by value.
-///
-/// `filter` is a hybrid query's attribute filter: it never breaks
-/// exactness, because combination upper bounds remain valid for any tuple
-/// subset and the admission threshold only tracks surviving tuples.
 ///
 /// With `pools`, a bucket's index comes from the serving layer's shared
 /// [`IndexPools`] on its first open instead of being built per reducer;
@@ -149,10 +136,6 @@ pub fn local_topk_join(
 /// buckets some combination opened. Pool keys translate the reducer's
 /// (vertex, bucket) to (collection, bucket) through `query.vertices`, so
 /// self-join vertices sharing a collection share one index.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one reducer's whole input; grouping it would add a single-use struct"
-)]
 pub(crate) fn local_topk_join_planned(
     query: &Query,
     plan: &JoinPlan,
@@ -160,7 +143,6 @@ pub(crate) fn local_topk_join_planned(
     combos: &ComboSet,
     combo_indices: &[u32],
     data: BTreeMap<(u16, BucketId), Vec<Interval>>,
-    filter: Option<&dyn TupleFilter>,
     pools: Option<&IndexPools>,
 ) -> (TopK, LocalJoinStats) {
     // Nothing is indexed yet: a slice is indexed when a combination
@@ -184,7 +166,6 @@ pub(crate) fn local_topk_join_planned(
         plan,
         slices: &slices,
         pools,
-        filter,
         topk: TopK::new(k),
         stats: LocalJoinStats {
             combos_assigned: combo_indices.len(),
@@ -232,8 +213,6 @@ struct JoinCx<'a> {
     slices: &'a ReducerSlices,
     /// The serving layer's shared indexes, consulted on each first open.
     pools: Option<&'a IndexPools>,
-    /// Optional attribute filter (hybrid queries).
-    filter: Option<&'a dyn TupleFilter>,
     topk: TopK,
     stats: LocalJoinStats,
     /// Partial tuple, indexed by vertex.
@@ -302,9 +281,7 @@ impl<'a> JoinCx<'a> {
                 break; // the whole combination became dominated mid-run
             }
             self.tuple[first_vertex] = Some(*x);
-            if self.filter.is_none_or(|f| f.admits(&self.tuple)) {
-                self.extend(1, buckets);
-            }
+            self.extend(1, buckets);
             self.tuple[first_vertex] = None;
         }
     }
@@ -380,12 +357,9 @@ impl<'a> JoinCx<'a> {
             self.fixed.push((anchor.edge, s_anchor));
             self.tuple[step.vertex] = Some(cand);
             // Cycle edges between the new vertex and bound ones.
-            let mut ok = self.filter.is_none_or(|f| f.admits(&self.tuple));
+            let mut ok = true;
             let mut pushed = 1;
             for &ce in &step.checks {
-                if !ok {
-                    break;
-                }
                 let e = &self.query.edges[ce];
                 let x = self.tuple[e.src].expect("check edges have both ends bound");
                 let y = self.tuple[e.dst].expect("check edges have both ends bound");
@@ -631,7 +605,7 @@ mod tests {
         assert_eq!(stats.records_opened, 12, "{stats:?}");
         let pools = IndexPools::new();
         let (pooled, pooled_stats) =
-            local_topk_join_planned(&q, &plan, 3, &selected, &indices, data, None, Some(&pools));
+            local_topk_join_planned(&q, &plan, 3, &selected, &indices, data, Some(&pools));
         assert_eq!(pooled_stats, stats, "pooling changes no counter");
         assert_eq!(pooled.into_sorted_vec(), topk.into_sorted_vec());
         assert_eq!(pools.len(), 2, "only the opened buckets are pooled");

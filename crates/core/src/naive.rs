@@ -54,25 +54,6 @@ pub fn naive_topk(query: &Query, data: &[&IntervalCollection], k: usize) -> Vec<
     top.into_sorted_vec()
 }
 
-/// Exhaustive exact top-k restricted to tuples accepted by `admit` —
-/// the oracle for hybrid (attribute-constrained) queries.
-pub fn naive_topk_where(
-    query: &Query,
-    data: &[&IntervalCollection],
-    k: usize,
-    mut admit: impl FnMut(&[Interval]) -> bool,
-) -> Vec<MatchTuple> {
-    assert_eq!(data.len(), query.n());
-    let mut top = TopK::new(k);
-    for_each_tuple(data, |tuple| {
-        if admit(tuple) {
-            let score = query.score_tuple(tuple);
-            top.offer(MatchTuple::new(tuple.iter().map(|iv| iv.id).collect(), score));
-        }
-    });
-    top.into_sorted_vec()
-}
-
 /// Exhaustive Boolean join: ids of every tuple satisfying all edge
 /// predicates crisply, in lexicographic id order.
 pub fn naive_boolean(query: &Query, data: &[&IntervalCollection]) -> Vec<Vec<u64>> {

@@ -8,7 +8,8 @@
 //!   log of §4.3: packet logs with diurnal arrivals and heavy-tailed
 //!   session lengths, grouped into connections with the paper's exact
 //!   60-second gap rule, with packet-level sampling for the scalability
-//!   sweeps. See DESIGN.md for the substitution rationale.
+//!   sweeps. README.md, "Simulated traffic", gives the substitution
+//!   rationale.
 //!
 //! [`distributions`] holds the seeded samplers. Everything is
 //! deterministic given a seed.

@@ -174,30 +174,27 @@ pub fn build_connections(packets: &[Packet]) -> Vec<Connection> {
     connections
 }
 
-/// Converts connections into an interval collection (ids are positional;
-/// the (client, server) attributes are returned alongside for hybrid
-/// queries).
+/// Converts connections into an interval collection (ids are positional).
 pub fn connections_to_collection(
     id: CollectionId,
     connections: &[Connection],
-) -> (IntervalCollection, Vec<(u32, u32)>) {
+) -> IntervalCollection {
     assert!(!connections.is_empty(), "no connections to convert");
     let intervals = connections
         .iter()
         .enumerate()
         .map(|(i, c)| Interval::new_unchecked(i as u64, c.start, c.end))
         .collect();
-    let attrs = connections.iter().map(|c| (c.client, c.server)).collect();
-    (IntervalCollection::new(id, intervals).expect("non-empty"), attrs)
+    IntervalCollection::new(id, intervals).expect("non-empty")
 }
 
 /// End-to-end convenience: simulate, optionally sample, build connections
-/// and return the collection (plus attributes).
+/// and return the collection.
 pub fn traffic_collection(
     cfg: &TrafficConfig,
     fraction: f64,
     id: CollectionId,
-) -> (IntervalCollection, Vec<(u32, u32)>) {
+) -> IntervalCollection {
     let packets = generate_packets(cfg);
     let sampled = if fraction >= 1.0 {
         packets
@@ -236,7 +233,7 @@ mod tests {
     #[test]
     fn connection_lengths_match_paper_shape() {
         let cfg = TrafficConfig::calibrated(20_000, 4242);
-        let (coll, _) = traffic_collection(&cfg, 1.0, CollectionId(0));
+        let coll = traffic_collection(&cfg, 1.0, CollectionId(0));
         let stats = coll.stats();
         assert!(stats.min_length >= 0);
         assert!(
@@ -272,15 +269,14 @@ mod tests {
     }
 
     #[test]
-    fn collection_ids_positional_and_attrs_aligned() {
+    fn collection_ids_positional() {
         let conns = vec![
             Connection { client: 9, server: 2, start: 5, end: 10 },
             Connection { client: 3, server: 4, start: 7, end: 7 },
         ];
-        let (coll, attrs) = connections_to_collection(CollectionId(1), &conns);
+        let coll = connections_to_collection(CollectionId(1), &conns);
         assert_eq!(coll.intervals()[0].id, 0);
         assert_eq!(coll.intervals()[1].id, 1);
-        assert_eq!(attrs, vec![(9, 2), (3, 4)]);
     }
 
     #[test]

@@ -3,21 +3,17 @@
 //! Simulates a firewall packet log, builds connection intervals with the
 //! paper's 60-second gap rule, and runs the two real-life queries of the
 //! evaluation: `Q{jB,jB}` (sequences of connections that closely follow
-//! each other) and `Q{sM,sM}` (sequences separated by the average delay),
-//! plus a *hybrid* variant restricted to the same client — the paper's
-//! future-work extension.
+//! each other) and `Q{sM,sM}` (sequences separated by the average delay).
 //!
 //! Run with: `cargo run --release --example network_monitoring`
 
-use std::collections::BTreeMap;
-use tkij::core::hybrid::{execute_hybrid, AttrConstraint, AttrPredicate};
 use tkij::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Simulate one day of traffic and build connections (substitute for
-    // the paper's proprietary log; see DESIGN.md).
+    // the paper's proprietary log; see README.md, "Simulated traffic").
     let cfg = TrafficConfig::calibrated(8_000, 42);
-    let (connections, attrs) = tkij::datagen::traffic_collection(&cfg, 1.0, CollectionId(0));
+    let connections = tkij::datagen::traffic_collection(&cfg, 1.0, CollectionId(0));
     let stats = connections.stats();
     println!(
         "built {} connections; length (min, avg, max) = ({}, {}, {}) s",
@@ -53,21 +49,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Hybrid query: connection chains *of the same client* (attribute =
-    // client id). This folds a non-temporal equality into the join.
-    let client_tables: Vec<BTreeMap<u64, u64>> = (0..3)
-        .map(|_| attrs.iter().enumerate().map(|(i, (c, _))| (i as u64, *c as u64)).collect())
-        .collect();
-    let query = table1::q_jbjb(PredicateParams::P3, avg);
-    let constraints = [
-        AttrConstraint { src: 0, dst: 1, predicate: AttrPredicate::Equal },
-        AttrConstraint { src: 1, dst: 2, predicate: AttrPredicate::Equal },
-    ];
-    let report = execute_hybrid(&engine, &dataset, &query, &client_tables, &constraints, 5)?;
-    println!("\nHybrid Q{{jB,jB}} restricted to a single client's connections:");
-    for t in &report.results {
-        let client = client_tables[0][&t.ids[0]];
-        println!("    client {client}: chain {:?}  score {:.3}", t.ids, t.score);
-    }
     Ok(())
 }

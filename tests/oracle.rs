@@ -232,7 +232,7 @@ fn collections(data: Data, rng: &mut StdRng, m: usize, size: usize) -> Vec<Inter
         }
         Data::Traffic => {
             let cfg = TrafficConfig::calibrated(2 * size + 20, rng.gen());
-            let (all, _) = traffic_collection(&cfg, 1.0, CollectionId(0));
+            let all = traffic_collection(&cfg, 1.0, CollectionId(0));
             let prefix = all.intervals().iter().take(size).copied().collect();
             let c = IntervalCollection::new(CollectionId(0), prefix).unwrap();
             (0..m as u32).map(|i| c.copy_as(CollectionId(i))).collect()

@@ -42,7 +42,7 @@ fn dense(m: usize, size: usize, seed: u64) -> Vec<IntervalCollection> {
 fn traffic_sample(sessions: usize, seed: u64, fraction: f64) -> IntervalCollection {
     let packets = generate_packets(&TrafficConfig::calibrated(sessions, seed));
     let connections = build_connections(&sample_packets(&packets, fraction, 999));
-    connections_to_collection(CollectionId(0), &connections).0
+    connections_to_collection(CollectionId(0), &connections)
 }
 
 #[test]
@@ -298,7 +298,7 @@ fn fig12_traffic_starts_are_skewed_and_lengths_heavy_tailed() {
     // above the mean, which the long tail pulls well above the median
     // (12b).
     let cfg = TrafficConfig::calibrated(5_000, 2016);
-    let (collection, _) = traffic_collection(&cfg, 1.0, CollectionId(0));
+    let collection = traffic_collection(&cfg, 1.0, CollectionId(0));
     let intervals = collection.intervals();
     let mut starts = [0usize; 12];
     for iv in intervals {

@@ -1,9 +1,9 @@
 //! Full-pipeline plumbing: dataset preparation, updates, persistence,
-//! hybrid queries, determinism across cluster shapes, report contents.
+//! determinism across cluster shapes, the public phase functions,
+//! report contents.
 
-use std::collections::BTreeMap;
-use tkij::core::hybrid::{execute_hybrid, AttrConstraint, AttrPredicate};
-use tkij::core::naive::naive_topk_where;
+use tkij::core::{distribute, run_join_phase_with, run_merge_phase, run_topbuckets};
+use tkij::mapreduce::JobMetrics;
 use tkij::prelude::*;
 
 #[test]
@@ -75,23 +75,56 @@ fn deterministic_across_cluster_shapes() {
 }
 
 #[test]
-fn hybrid_pipeline_matches_filtered_oracle() {
-    let engine = Tkij::new(TkijConfig::default().with_granules(6).with_reducers(4));
-    let dataset = engine.prepare(uniform_collections(3, 28, 31)).unwrap();
-    let q = table1::q_fb(PredicateParams::P1);
-    let tables: Vec<BTreeMap<u64, u64>> = dataset
-        .collections
-        .iter()
-        .map(|c| c.intervals().iter().map(|iv| (iv.id, iv.id % 4)).collect())
-        .collect();
-    let constraints = [AttrConstraint { src: 0, dst: 2, predicate: AttrPredicate::Equal }];
-    let report = execute_hybrid(&engine, &dataset, &q, &tables, &constraints, 7).unwrap();
-    let refs: Vec<_> = q.vertices.iter().map(|c| &dataset.collections[c.0 as usize]).collect();
-    let expected = naive_topk_where(&q, &refs, 7, |t| t[0].id % 4 == t[2].id % 4);
-    assert_eq!(report.results.len(), expected.len());
-    for (g, e) in report.results.iter().zip(&expected) {
-        assert!((g.score - e.score).abs() < 1e-9, "{g:?} vs {e:?}");
-        assert_eq!(g.ids[0] % 4, g.ids[2] % 4, "constraint must hold on returned tuples");
+fn public_phase_functions_compose_to_execute() {
+    // `benchmark/`'s traced pass recomposes a query from the public phase
+    // functions (run_topbuckets → distribute → run_join_phase_with →
+    // run_merge_phase); that composition must compute exactly what
+    // `Tkij::execute` does: results, per-reducer stats, job counters.
+    let engine = Tkij::new(TkijConfig::default().with_granules(4).with_reducers(4));
+    let dataset = engine.prepare(uniform_collections(3, 150, 2024)).unwrap();
+    let config = &engine.config;
+    let cluster = engine.job_cluster();
+    let k = 10;
+    let bits = |ts: &[MatchTuple]| {
+        ts.iter().map(|t| (t.ids.clone(), t.score.to_bits())).collect::<Vec<_>>()
+    };
+    let counters = |m: &JobMetrics| {
+        let mut out = Vec::new();
+        m.visit(&mut |name, value| out.push((name, value)));
+        out
+    };
+    for query in [table1::q_om(PredicateParams::P1), table1::q_sfm(PredicateParams::P1)] {
+        let (selected, _) = run_topbuckets(
+            &query,
+            &dataset.matrices,
+            k as u64,
+            config.strategy,
+            &config.solver,
+            config.topbuckets_workers,
+        );
+        let assignment =
+            distribute(&selected, config.distribution, config.reducers, &query, &dataset.matrices);
+        let (outputs, join) = run_join_phase_with(
+            &dataset,
+            &query,
+            &selected,
+            &assignment,
+            k,
+            &cluster,
+            config.local_backend,
+            config.sweep_scan,
+            None,
+            engine.intra_join(),
+        );
+        let (results, merge) = run_merge_phase(&outputs, k, &cluster);
+        let local_stats: Vec<_> = outputs.into_iter().map(|o| o.stats).collect();
+
+        let report = engine.execute(&dataset, &query, k).unwrap();
+        assert_eq!(results.len(), k, "{}", report.query_name);
+        assert_eq!(bits(&results), bits(&report.results), "{}", report.query_name);
+        assert_eq!(local_stats, report.local_stats, "{}", report.query_name);
+        assert_eq!(counters(&join), counters(&report.join), "{}", report.query_name);
+        assert_eq!(counters(&merge), counters(&report.merge), "{}", report.query_name);
     }
 }
 
@@ -174,7 +207,7 @@ fn empty_selection_yields_empty_results_not_errors() {
 #[test]
 fn zero_reducers_is_an_error_not_a_panic() {
     // A join with no reducer to run on is rejected by every query entry
-    // point — solo, planned, hybrid and served — before planning starts.
+    // point — solo, planned and served — before planning starts.
     let engine = Tkij::new(TkijConfig::default().with_granules(4).with_reducers(0));
     let dataset = engine.prepare(uniform_collections(3, 30, 5)).unwrap();
     let q = table1::q_om(PredicateParams::P1);
@@ -184,12 +217,5 @@ fn zero_reducers_is_an_error_not_a_panic() {
     };
     rejected(engine.execute(&dataset, &q, 3).map(drop));
     rejected(engine.plan_query(&dataset, &q, 3).map(drop));
-    let tables: Vec<BTreeMap<u64, u64>> = dataset
-        .collections
-        .iter()
-        .map(|c| c.intervals().iter().map(|iv| (iv.id, iv.id % 2)).collect())
-        .collect();
-    let constraint = [AttrConstraint { src: 0, dst: 1, predicate: AttrPredicate::Equal }];
-    rejected(execute_hybrid(&engine, &dataset, &q, &tables, &constraint, 3).map(drop));
     rejected(engine.serve(dataset).query(&q, 3).map(drop));
 }
