@@ -262,7 +262,9 @@ fn bench_local_join(c: &mut Criterion) {
     let indices: Vec<u32> = (0..combos.len() as u32).collect();
     c.bench_function("localjoin/meets_2000x2000_k100", |b| {
         b.iter(|| {
-            tkij_core::local_topk_join(&q, &plan, 100, &combos, &indices, &data).1.tuples_scored
+            tkij_core::local_topk_join(&q, &plan, 100, &combos, &indices, data.clone())
+                .1
+                .tuples_scored
         })
     });
 }
@@ -297,7 +299,9 @@ fn bench_local_join_chain(c: &mut Criterion) {
             let reducers = assignment.reducer_combos.iter().zip(&shipped);
             reducers
                 .map(|(mine, data)| {
-                    tkij_core::local_topk_join(&q, &plan, 100, &combos, mine, data).1.tuples_scored
+                    tkij_core::local_topk_join(&q, &plan, 100, &combos, mine, data.clone())
+                        .1
+                        .tuples_scored
                 })
                 .sum::<u64>()
         })

@@ -2,7 +2,6 @@
 //! and the [`ExecutionReport`] the evaluation section reads its numbers
 //! from.
 
-use crate::bucketindex::IndexPools;
 use crate::combos::{ComboSet, TopBucketsStats};
 use crate::config::{DistributionPolicy, Strategy, TkijConfig};
 use crate::distribute::{distribute, Assignment};
@@ -102,7 +101,7 @@ impl Tkij {
         k: usize,
     ) -> Result<ExecutionReport, TemporalError> {
         let plan = self.plan_query(dataset, query, k)?;
-        Ok(self.execute_planned_impl(dataset, &plan, None))
+        Ok(self.execute_planned_impl(dataset, &plan))
     }
 
     /// Rejects queries the engine cannot evaluate against `dataset`:
@@ -197,26 +196,23 @@ impl Tkij {
         plan: &QueryPlan,
     ) -> Result<ExecutionReport, TemporalError> {
         self.validate(dataset, &plan.query, plan.k)?;
-        Ok(self.execute_planned_impl(dataset, plan, None))
+        Ok(self.execute_planned_impl(dataset, plan))
     }
 
     /// [`Tkij::execute_planned`] after validation — the one place the
-    /// engine composes join → merge → report. The serving layer passes
-    /// its shared index `pools`.
+    /// engine composes join → merge → report.
     pub(crate) fn execute_planned_impl(
         &self,
         dataset: &PreparedDataset,
         plan: &QueryPlan,
-        pools: Option<&IndexPools>,
     ) -> ExecutionReport {
         let QueryPlan { query, k, selected, topbuckets, assignment } = plan;
         let k = *k;
 
-        // (d) Distributed local joins, one rank-join per reducer. Results
-        // and counters are identical with or without a pool.
+        // (d) Distributed local joins, one rank-join per reducer.
         let cluster = self.job_cluster();
         let (outputs, join_metrics) =
-            run_join_phase_impl(dataset, query, selected, assignment, k, &cluster, pools);
+            run_join_phase_impl(dataset, query, selected, assignment, k, &cluster);
 
         // (e) Merge.
         let (results, merge_metrics) = run_merge_phase(&outputs, k, &cluster);
@@ -410,7 +406,7 @@ impl ExecutionReport {
     }
 
     /// Shipped slices some combination opened, summed over reducers: each
-    /// indexed (or fetched from the serving pool) once.
+    /// indexed once, by its reducer.
     pub fn buckets_opened(&self) -> u64 {
         self.local_stats.iter().map(|s| s.buckets_opened).sum()
     }

@@ -5,11 +5,10 @@
 //! "For each input interval x, a mapper computes the bucket b in which x
 //! falls. Then x is communicated to all reducers r_j that received b."
 
-use crate::bucketindex::IndexPools;
 use crate::combos::{BucketSlots, ComboSet};
 use crate::config::{IntraJoin, LocalJoinBackend, SweepScanKind};
 use crate::distribute::Assignment;
-use crate::localjoin::{local_topk_join_planned, LocalJoinStats};
+use crate::localjoin::{local_topk_join, LocalJoinStats};
 use crate::stats::PreparedDataset;
 use std::collections::BTreeMap;
 use tkij_mapreduce::{
@@ -83,14 +82,11 @@ pub fn run_join_phase_with(
     _filter: Option<std::convert::Infallible>,
     _intra: IntraJoin,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
-    run_join_phase_impl(dataset, query, combos, assignment, k, cluster, None)
+    run_join_phase_impl(dataset, query, combos, assignment, k, cluster)
 }
 
-/// [`run_join_phase_with`], optionally serving reducer bucket indexes
-/// from the serving layer's shared [`IndexPools`] instead of building
-/// them per reducer. Results and every work counter are bit-identical
-/// either way — pooling amortizes only the index *build* work across
-/// queries.
+/// [`run_join_phase_with`] without its ignored arguments: the join
+/// phase every engine and server query runs.
 pub(crate) fn run_join_phase_impl(
     dataset: &PreparedDataset,
     query: &Query,
@@ -98,7 +94,6 @@ pub(crate) fn run_join_phase_impl(
     assignment: &Assignment,
     k: usize,
     cluster: &ClusterConfig,
-    pools: Option<&IndexPools>,
 ) -> (Vec<ReducerOutput>, JobMetrics) {
     // Map input: the intervals of every collection some vertex reads.
     let mut used = vec![false; dataset.collections.len()];
@@ -151,9 +146,8 @@ pub(crate) fn run_join_phase_impl(
             // Reassemble this reducer's (vertex, bucket) → intervals map:
             // one vector per shipped key, in key order. Slices stay in
             // arrival order — `SweepIndex::build` sorts canonically on a
-            // slice's first open, so a slice no combination opens, or
-            // whose index the serving pool already holds, is never sorted
-            // (or read).
+            // slice's first open, so a slice no combination opens is never
+            // sorted (or read).
             let mut shipped: Vec<Vec<Interval>> = vec![Vec::new(); assignment.bucket_map.len()];
             for VRec(v, iv) in records {
                 let matrix = &dataset.matrices[query.vertices[v as usize].0 as usize];
@@ -173,15 +167,8 @@ pub(crate) fn run_join_phase_impl(
                 .zip(shipped)
                 .filter(|(_, slice)| !slice.is_empty())
                 .collect();
-            let (topk, stats) = local_topk_join_planned(
-                query,
-                &plan,
-                k,
-                combos,
-                &assignment.reducer_combos[p],
-                data,
-                pools,
-            );
+            let (topk, stats) =
+                local_topk_join(query, &plan, k, combos, &assignment.reducer_combos[p], data);
             vec![ReducerOutput { reducer: p as u32, results: topk.into_sorted_vec(), stats }]
         },
         cluster,
@@ -229,7 +216,7 @@ mod tests {
             run_topbuckets(query, &dataset.matrices, k as u64, Strategy::Loose, &solver, workers);
         let assignment = distribute(&selected, policy, reducers, query, &dataset.matrices);
         let (outputs, metrics) =
-            run_join_phase_impl(&dataset, query, &selected, &assignment, k, &cluster, None);
+            run_join_phase_impl(&dataset, query, &selected, &assignment, k, &cluster);
         // Globally merge the local top-ks.
         let mut all = TopK::new(k);
         for t in outputs.into_iter().flat_map(|o| o.results) {

@@ -27,13 +27,12 @@
 //!
 //! For long-lived deployments, [`serving`] splits the lifecycle into a
 //! *prepare* phase (statistics + immutable shared state) and a *query*
-//! phase any number of threads run concurrently — with a plan cache and
-//! one shared pool of bucket indexes, both bit-transparent to results and
-//! counters.
+//! phase any number of threads run concurrently — with a plan cache that
+//! is bit-transparent to results and counters. Every reducer, served or
+//! solo, indexes the slices it opens itself.
 
 #![warn(missing_docs)]
 
-pub mod bucketindex;
 pub mod combos;
 pub mod config;
 pub mod distribute;
@@ -47,7 +46,6 @@ pub mod serving;
 pub mod stats;
 pub mod topbuckets;
 
-pub use bucketindex::IndexPools;
 pub use combos::{ComboSet, TopBucketsStats, VertexBuckets};
 pub use config::{
     DistributionPolicy, LocalJoinBackend, Strategy, SweepScanKind, TkijConfig, PROBE_CHUNK_ITEMS,

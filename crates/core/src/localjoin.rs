@@ -39,11 +39,9 @@
 //! layer up, across the join phase's reduce tasks
 //! (`ClusterConfig::worker_threads`).
 
-use crate::bucketindex::IndexPools;
 use crate::combos::ComboSet;
 use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use tkij_index::{threshold_candidates, SweepIndex};
 use tkij_mapreduce::Counters;
 use tkij_temporal::bucket::BucketId;
@@ -71,8 +69,8 @@ pub struct LocalJoinStats {
     /// (Vertex, bucket) slices shipped to this reducer, opened or not
     /// (named for the index type until the step-0 rename).
     pub buckets_sweep: u64,
-    /// Shipped slices some combination opened: each indexed (or fetched
-    /// from the serving pool) once, on first open.
+    /// Shipped slices some combination opened: each indexed once, on
+    /// first open.
     pub buckets_opened: u64,
     /// Shipped records in the opened slices.
     pub records_opened: u64,
@@ -114,36 +112,14 @@ impl Counters for LocalJoinStats {
 /// `combos`); they are re-sorted by descending UB internally. `data` maps
 /// each (vertex, bucket) to the intervals shipped for it, in any order:
 /// a slice is indexed (and sorted canonically) only if a combination
-/// opens it.
+/// opens it, and a slice none opens is dropped unread.
 pub fn local_topk_join(
     query: &Query,
     plan: &JoinPlan,
     k: usize,
     combos: &ComboSet,
     combo_indices: &[u32],
-    data: &BTreeMap<(u16, BucketId), Vec<Interval>>,
-) -> (TopK, LocalJoinStats) {
-    local_topk_join_planned(query, plan, k, combos, combo_indices, data.clone(), None)
-}
-
-/// The join-phase entry point: [`local_topk_join`] with every input
-/// explicit, taking the reducer's shipped slices by value.
-///
-/// With `pools`, a bucket's index comes from the serving layer's shared
-/// [`IndexPools`] on its first open instead of being built per reducer;
-/// visit order and every work counter are bit-identical either way (see
-/// the pool's soundness documentation), and the pool gains only the
-/// buckets some combination opened. Pool keys translate the reducer's
-/// (vertex, bucket) to (collection, bucket) through `query.vertices`, so
-/// self-join vertices sharing a collection share one index.
-pub(crate) fn local_topk_join_planned(
-    query: &Query,
-    plan: &JoinPlan,
-    k: usize,
-    combos: &ComboSet,
-    combo_indices: &[u32],
     data: BTreeMap<(u16, BucketId), Vec<Interval>>,
-    pools: Option<&IndexPools>,
 ) -> (TopK, LocalJoinStats) {
     // Nothing is indexed yet: a slice is indexed when a combination
     // first opens it (`JoinCx::index`).
@@ -165,7 +141,6 @@ pub(crate) fn local_topk_join_planned(
         query,
         plan,
         slices: &slices,
-        pools,
         topk: TopK::new(k),
         stats: LocalJoinStats {
             combos_assigned: combo_indices.len(),
@@ -196,9 +171,8 @@ pub(crate) fn local_topk_join_planned(
 struct Slice {
     /// The shipped records, taken by the first open.
     items: Cell<Option<Vec<Interval>>>,
-    /// The index, built (or fetched from the pool) by the first open.
-    /// `Arc`-held so pooled and reducer-built indexes are one type.
-    index: OnceCell<Arc<SweepIndex>>,
+    /// The index, built by the first open.
+    index: OnceCell<SweepIndex>,
 }
 
 /// One reducer's shipped slices, by (vertex, bucket).
@@ -211,8 +185,6 @@ struct JoinCx<'a> {
     query: &'a Query,
     plan: &'a JoinPlan,
     slices: &'a ReducerSlices,
-    /// The serving layer's shared indexes, consulted on each first open.
-    pools: Option<&'a IndexPools>,
     topk: TopK,
     stats: LocalJoinStats,
     /// Partial tuple, indexed by vertex.
@@ -227,8 +199,8 @@ struct JoinCx<'a> {
 }
 
 impl<'a> JoinCx<'a> {
-    /// The index of `vertex`'s `bucket`, built (or fetched from the pool)
-    /// on its first open; `None` when no data was shipped for it.
+    /// The index of `vertex`'s `bucket`, built on its first open; `None`
+    /// when no data was shipped for it.
     fn index(&mut self, vertex: usize, bucket: BucketId) -> Option<&'a SweepIndex> {
         let slice = self.slices.get(&(vertex as u16, bucket))?;
         if let Some(index) = slice.index.get() {
@@ -237,14 +209,8 @@ impl<'a> JoinCx<'a> {
         let items = slice.items.take().expect("an unopened slice holds its records");
         self.stats.buckets_opened += 1;
         self.stats.records_opened += items.len() as u64;
-        // A build takes the slice over (`SweepIndex::build` sorts it
-        // canonically); a pool hit drops it unread.
-        let build = || SweepIndex::build(items);
-        let index = match self.pools {
-            Some(pools) => pools.get_or_build((self.query.vertices[vertex].0, bucket), build),
-            None => Arc::new(build()),
-        };
-        Some(slice.index.get_or_init(|| index))
+        // The build takes the slice over and sorts it canonically.
+        Some(slice.index.get_or_init(|| SweepIndex::build(items)))
     }
 
     /// Whether a combination (or the rest of one) bounded by `ub` can no
@@ -466,7 +432,7 @@ mod tests {
     fn assert_matches_naive(query: &Query, collections: &[IntervalCollection], k: usize, g: u32) {
         let (combos, indices, data) = full_setup(query, collections, g);
         let plan = query.plan();
-        let (topk, stats) = local_topk_join(query, &plan, k, &combos, &indices, &data);
+        let (topk, stats) = local_topk_join(query, &plan, k, &combos, &indices, data);
         let refs: Vec<&IntervalCollection> =
             query.vertices.iter().map(|c| &collections[c.0 as usize]).collect();
         let expected = naive_topk(query, &refs, k);
@@ -590,7 +556,7 @@ mod tests {
             }
         }
         let plan = q.plan();
-        let (topk, stats) = local_topk_join(&q, &plan, 3, &selected, &indices, &data);
+        let (topk, stats) = local_topk_join(&q, &plan, 3, &selected, &indices, data);
         assert_eq!(topk.len(), 3);
         assert!((topk.min_score().unwrap() - 1.0).abs() < 1e-9);
         assert!(
@@ -600,18 +566,9 @@ mod tests {
         assert_eq!(stats.combos_processed, 1, "UB-0.4 combo must be skipped: {stats:?}");
 
         // Four slices were shipped; the skipped combination's two are
-        // never opened, so neither is indexed nor pooled.
+        // never opened, so neither is indexed.
         assert_eq!((stats.buckets_sweep, stats.buckets_opened), (4, 2), "{stats:?}");
         assert_eq!(stats.records_opened, 12, "{stats:?}");
-        let pools = IndexPools::new();
-        let (pooled, pooled_stats) =
-            local_topk_join_planned(&q, &plan, 3, &selected, &indices, data, Some(&pools));
-        assert_eq!(pooled_stats, stats, "pooling changes no counter");
-        assert_eq!(pooled.into_sorted_vec(), topk.into_sorted_vec());
-        assert_eq!(pools.len(), 2, "only the opened buckets are pooled");
-        for opened in [(0, BucketId::new(0, 0)), (1, BucketId::new(1, 1))] {
-            pools.get_or_build(opened, || panic!("{opened:?} was opened, so it is pooled"));
-        }
     }
 
     #[test]
@@ -656,7 +613,7 @@ mod tests {
         .unwrap();
         let k = y1_positive.len() + 1;
         let (combos, indices, data) = full_setup(&q, &collections, 1);
-        let (topk, stats) = local_topk_join(&q, &q.plan(), k, &combos, &indices, &data);
+        let (topk, stats) = local_topk_join(&q, &q.plan(), k, &combos, &indices, data);
 
         // Y1: X and every Z (the heap is not full). Y2: X and the Zs
         // scoring > 0 against it, out of windows holding those and the
@@ -692,7 +649,7 @@ mod tests {
                 topk.into_sorted_vec().into_iter().map(|t| (t.ids, t.score.to_bits())).collect();
             (results, stats)
         };
-        assert_eq!(run(&reversed), run(&sorted));
+        assert_eq!(run(reversed), run(sorted));
     }
 
     #[test]
@@ -710,7 +667,7 @@ mod tests {
         .unwrap();
         let plan = q.plan();
         let combos = ComboSet::new(2);
-        let (topk, stats) = local_topk_join(&q, &plan, 5, &combos, &[], &BTreeMap::new());
+        let (topk, stats) = local_topk_join(&q, &plan, 5, &combos, &[], BTreeMap::new());
         assert!(topk.is_empty());
         assert_eq!(stats.combos_processed, 0);
         assert_eq!(stats.kth_score, 0.0);

@@ -11,27 +11,25 @@
 //! * **Query many** — any number of threads call [`TkijServer::query`]
 //!   concurrently, each on a shared reference or a cheap clone. Each query gets
 //!   its own top-k heap, work counters, and [`ExecutionReport`]; the
-//!   *shared* state is strictly read-only.
+//!   shared dataset and configuration are strictly read-only.
 //!
-//! Two caches make repeated shapes cheap without touching a single
-//! result bit:
+//! One cache makes repeated shapes cheap without touching a single
+//! result bit: a **bounded plan cache**
+//! ([`crate::plancache::PlanCache`]) keyed by [`PlanKey`] — the
+//! canonical query graph and `k` (a server has one configuration) — so
+//! repeated query shapes skip TopBuckets planning and distribution
+//! entirely. Planning is a pure deterministic function of (dataset
+//! statistics, query, k, config), so a cached
+//! [`QueryPlan`](crate::engine::QueryPlan) is bit-identical to a freshly
+//! computed one. [`TkijConfig::plan_cache_capacity`] bounds the cache
+//! against adversarial shape churn: beyond it the least-recently-used
+//! shape is evicted (deterministic LRU on a monotone logical access
+//! stamp) and simply re-planned when requested again.
 //!
-//! * a **bounded plan cache** ([`crate::plancache::PlanCache`]) keyed
-//!   by [`PlanKey`] — the canonical query graph and `k` (a server has
-//!   one configuration) — so repeated query shapes skip
-//!   TopBuckets planning and distribution entirely. Planning is a pure
-//!   deterministic function of (dataset statistics, query, k, config),
-//!   so a cached [`QueryPlan`](crate::engine::QueryPlan) is
-//!   bit-identical to a freshly computed
-//!   one. [`TkijConfig::plan_cache_capacity`] bounds the cache against
-//!   adversarial shape churn: beyond it the least-recently-used shape
-//!   is evicted (deterministic LRU on a monotone logical access stamp)
-//!   and simply re-planned when requested again.
-//! * a shared **index pool** ([`IndexPools`]) holding one immutable
-//!   index per (collection, bucket): reducers of every query reuse them
-//!   instead of rebuilding. Pool contents are query-independent (each
-//!   entry indexes the full canonical bucket slice), so probe order and
-//!   every examined-item counter match a per-query build exactly.
+//! Besides the plan cache, a server's shared mutable state is its
+//! counters and latency histogram. The join runs as it does solo: each
+//! reducer indexes the shipped slices its UB walk opens, and drops those
+//! indexes when it ends.
 //!
 //! The determinism contract therefore extends to serving: a query's
 //! results and work-counter fingerprint are bit-identical whether it
@@ -52,7 +50,6 @@
 //! deliberately *non*-deterministic artifact here — it feeds only
 //! `*_ms` metrics, never a result, counter, or pin.
 
-use crate::bucketindex::IndexPools;
 use crate::config::TkijConfig;
 use crate::engine::{ExecutionReport, Tkij};
 use crate::plancache::PlanCache;
@@ -214,7 +211,6 @@ struct ServerInner {
     /// exactly one computes (the miss), and the cache lock is never
     /// held across planning.
     plans: PlanCache,
-    pools: IndexPools,
     /// Per-query wall-latency histogram — pure observability; see
     /// [`LatencySnapshot`].
     latency: Mutex<LatencyHistogram>,
@@ -261,7 +257,7 @@ impl ServerInner {
         } else {
             self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let report = self.engine.execute_planned_impl(&self.dataset, plan, Some(&self.pools));
+        let report = self.engine.execute_planned_impl(&self.dataset, plan);
         self.latency.lock().record(started.elapsed().as_micros());
         Ok(report)
     }
@@ -313,8 +309,7 @@ impl ServerInner {
 /// assert_eq!(stats.plan_cache_hits, 1);
 /// ```
 ///
-/// Clones are cheap and share the dataset, plan cache, index pool and
-/// counters.
+/// Clones are cheap and share the dataset, plan cache and counters.
 #[derive(Debug, Clone)]
 pub struct TkijServer {
     inner: Arc<ServerInner>,
@@ -331,7 +326,6 @@ impl TkijServer {
                 engine,
                 dataset,
                 plans: PlanCache::new(capacity),
-                pools: IndexPools::new(),
                 latency: Mutex::new(LatencyHistogram::new()),
                 queries: AtomicU64::new(0),
                 plan_cache_hits: AtomicU64::new(0),
@@ -386,10 +380,11 @@ impl TkijServer {
         self.inner.latency.lock().snapshot()
     }
 
-    /// Indexes currently in the shared (collection, bucket) pool: one per
-    /// bucket some served query's reducer opened.
+    /// Always `0`: a server shares no indexes, each reducer builds its
+    /// own. Kept because the repository's `benchmark/` reads it; ROADMAP
+    /// step 0(a) deletes it.
     pub fn index_pool_len(&self) -> usize {
-        self.inner.pools.len()
+        0
     }
 }
 
@@ -433,7 +428,6 @@ mod tests {
             }
         );
         assert_eq!(srv.plan_cache_len(), 1);
-        assert!(srv.index_pool_len() > 0, "the pool filled");
     }
 
     #[test]

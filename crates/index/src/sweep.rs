@@ -55,8 +55,7 @@ impl SweepIndex {
     /// unique and any permutation of one bucket's intervals builds the
     /// identical index: same item order, same probe visit order, same
     /// examined-item counts. That is what lets a reducer build from a
-    /// slice in arrival order, and the serving layer's pool hand one
-    /// build to every later query.
+    /// slice in the order the shuffle delivered it.
     pub fn build(mut by_start: Vec<Interval>) -> Self {
         by_start.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.id));
         let mut by_end = by_start.clone();

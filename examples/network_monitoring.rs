@@ -47,6 +47,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for t in &report.results {
             println!("    chain {:?}  score {:.3}", t.ids, t.score);
         }
+
+        assert_eq!(report.results.len(), 5);
+        assert!(report.results.windows(2).all(|w| w[0].score >= w[1].score));
+        for t in &report.results {
+            assert!(t.score > 0.0 && t.score <= 1.0, "score {} outside (0, 1]", t.score);
+            // Every vertex reads a copy of the connection list, so each id
+            // names one connection.
+            let chain: Vec<Interval> = t
+                .ids
+                .iter()
+                .map(|&id| {
+                    *connections.intervals().iter().find(|iv| iv.id == id).expect("ids exist")
+                })
+                .collect();
+            assert_eq!(query.score_tuple(&chain).to_bits(), t.score.to_bits(), "{:?}", t.ids);
+        }
     }
 
     Ok(())

@@ -927,7 +927,7 @@ fn a_combination_dominated_mid_run_stops_its_first_step_walk() {
     let mut combos = ComboSet::new(2);
     combos.push(&[bucket, bucket], 64, s, s);
     let data = std::collections::BTreeMap::from([((0, bucket), left), ((1, bucket), right)]);
-    let (topk, stats) = local_topk_join(&q, &q.plan(), 3, &combos, &[0], &data);
+    let (topk, stats) = local_topk_join(&q, &q.plan(), 3, &combos, &[0], data);
     assert_eq!(topk.sorted_scores(), vec![s; 3]);
     assert_eq!(stats.index_probes, 1, "the walk must stop once the combination is dominated");
     assert_eq!(stats.tuples_scored, 3);

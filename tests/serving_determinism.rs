@@ -134,14 +134,47 @@ fn self_join() -> Query {
     .unwrap()
 }
 
+/// Serves each of `queries` twice from one server, in memory and through
+/// the spill path, asserting every served answer equals its solo run;
+/// returns the solo reports of the in-memory pass.
+fn assert_served_twice_like_solo(
+    engine: &Tkij,
+    collections: &[IntervalCollection],
+    queries: &[Query],
+) -> Vec<ExecutionReport> {
+    let mut in_memory = Vec::new();
+    for spill in [false, true] {
+        let mut engine = engine.clone();
+        if spill {
+            engine.config = engine.config.with_shuffle_spill_threshold_bytes(0);
+        }
+        let dataset = engine.prepare(collections.to_vec()).unwrap();
+        let solo: Vec<ExecutionReport> =
+            queries.iter().map(|q| engine.execute(&dataset, q, K).unwrap()).collect();
+        for report in &solo {
+            assert_eq!(report.shuffle_stats().records_spilled > 0, spill);
+        }
+        let server = engine.serve(dataset);
+        for round in 0..2 {
+            for (q, solo) in queries.iter().zip(&solo) {
+                let served = server.query(q, K).unwrap().fingerprint();
+                assert_eq!(served, solo.fingerprint(), "spill {spill}, round {round}");
+            }
+        }
+        assert_eq!(server.index_pool_len(), 0, "a server shares no indexes");
+        if !spill {
+            in_memory = solo;
+        }
+    }
+    in_memory
+}
+
 #[test]
-fn pool_hits_on_unsorted_storage_match_solo() {
+fn unsorted_storage_serves_like_solo() {
     // Collections stored in *descending* start order: no shipped slice
-    // arrives canonically sorted. The first served answer builds every
-    // index (`SweepIndex::build` sorts its copy); the second is all pool
-    // hits and sorts nothing. Both must equal the solo run, in memory and
-    // through the spill path.
-    let collections: Vec<IntervalCollection> = uniform_collections(3, 80, 555)
+    // arrives canonically sorted, so every index build sorts its slice.
+    // `q_om` and a self-join, whose two vertices read one collection.
+    let reversed: Vec<IntervalCollection> = uniform_collections(3, 80, 555)
         .into_iter()
         .map(|c| {
             let mut intervals = c.intervals().to_vec();
@@ -149,92 +182,49 @@ fn pool_hits_on_unsorted_storage_match_solo() {
             IntervalCollection::new(c.id, intervals).unwrap()
         })
         .collect();
-    for spill in [false, true] {
-        let mut engine = engine();
-        if spill {
-            engine.config = engine.config.with_shuffle_spill_threshold_bytes(0);
-        }
-        let dataset = engine.prepare(collections.clone()).unwrap();
-        let queries = [table1::q_om(PredicateParams::P1), self_join()];
-        let solo: Vec<Fingerprint> = queries
-            .iter()
-            .map(|q| {
-                let report = engine.execute(&dataset, q, K).unwrap();
-                assert!(!spill || report.shuffle_stats().records_spilled > 0);
-                report.fingerprint()
-            })
-            .collect();
-        let server = engine.serve(dataset);
-        for round in 0..2 {
-            for (q, solo) in queries.iter().zip(&solo) {
-                let served = server.query(q, K).unwrap().fingerprint();
-                assert_eq!(&served, solo, "spill {spill}, round {round}");
-            }
-        }
-    }
-}
-
-#[test]
-fn pool_holds_one_index_per_opened_collection_bucket() {
-    // Two shapes over one dataset sharing collection 0 — one of them a
-    // self-join, whose two vertices read the same indexes. The pool is
-    // keyed by (collection, bucket) and gains an entry only when a
-    // reducer opens a shipped slice: after serving both it holds no more
-    // than the distinct pairs the two plans ship, nor than the opens the
-    // solo runs count, and no fewer than any one reducer of `q_om` (three
-    // collections) opened. A second round opens the same buckets.
     let queries = [table1::q_om(PredicateParams::P1), self_join()];
-    let engine = engine();
-    let dataset = engine.prepare(uniform_collections(3, 80, 555)).unwrap();
-    let mut shipped = std::collections::BTreeSet::new();
-    let mut solo = Vec::new();
-    let mut opened = 0;
-    for q in &queries {
-        let plan = engine.plan_query(&dataset, q, K).unwrap();
-        let keys = plan.assignment.bucket_map.keys();
-        shipped.extend(keys.map(|&(v, bucket)| (q.vertices[v as usize].0, bucket)));
-        let report = engine.execute(&dataset, q, K).unwrap();
-        opened += report.buckets_opened();
-        solo.push(report);
-    }
-    let busiest = solo[0].local_stats.iter().map(|s| s.buckets_opened).max().unwrap();
-    let server = engine.serve(dataset);
-    let mut pooled = None;
-    for round in 0..2 {
-        for (q, solo) in queries.iter().zip(&solo) {
-            let served = server.query(q, K).unwrap().fingerprint();
-            assert_eq!(served, solo.fingerprint(), "round {round}");
-        }
-        let len = server.index_pool_len();
-        assert!(busiest as usize <= len && len as u64 <= opened, "round {round}: {len}");
-        assert!(len <= shipped.len(), "round {round}: {len} of {}", shipped.len());
-        assert_eq!(*pooled.get_or_insert(len), len, "round {round}: the pool grew");
-    }
+    assert_served_twice_like_solo(&engine(), &reversed, &queries);
 }
 
 #[test]
-fn early_termination_leaves_shipped_buckets_out_of_the_pool() {
-    // Dense data (~15 intervals per collection live at any timestamp)
-    // ranks 1.0 ties early, so the one reducer's UB walk stops after a
-    // few combinations and most shipped buckets are never opened, indexed
-    // or pooled. `q_om` reads three collections, so every opened (vertex,
-    // bucket) is its own pool entry: the pool holds exactly the opened
-    // buckets.
+fn early_termination_leaves_shipped_slices_unopened() {
+    // Dense data (~15 intervals per collection live at any timestamp) on
+    // one reducer: 1.0 ties rank early, so the UB walk stops after a few
+    // combinations and most shipped slices are never opened, indexed or
+    // read — served or solo.
     let q = table1::q_om(PredicateParams::P1);
     let cfg =
         SyntheticConfig { size: 300, start_range: (0, 1_000), length_range: (1, 100), seed: 4242 };
-    let collections = (0..3).map(|i| uniform_collection(CollectionId(i), &cfg)).collect();
+    let dense: Vec<_> = (0..3).map(|i| uniform_collection(CollectionId(i), &cfg)).collect();
     let engine = Tkij::new(TkijConfig::default().with_granules(8).with_reducers(1));
-    let dataset = engine.prepare(collections).unwrap();
-    let shipped = engine.plan_query(&dataset, &q, K).unwrap().assignment.bucket_map.len();
-    let solo = engine.execute(&dataset, &q, K).unwrap();
-    assert_eq!(solo.buckets_sweep(), shipped as u64);
-    let server = engine.serve(dataset);
-    for round in 0..2 {
-        assert_eq!(server.query(&q, K).unwrap().fingerprint(), solo.fingerprint(), "round {round}");
-        let len = server.index_pool_len();
-        assert_eq!(len as u64, solo.buckets_opened(), "round {round}");
-        assert!(len < shipped, "round {round}: every one of {shipped} shipped buckets opened");
+    let shipped = {
+        let dataset = engine.prepare(dense.clone()).unwrap();
+        engine.plan_query(&dataset, &q, K).unwrap().assignment.bucket_map.len() as u64
+    };
+    let solo = assert_served_twice_like_solo(&engine, &dense, &[q]).remove(0);
+    assert_eq!(solo.buckets_sweep(), shipped);
+    let opened = solo.buckets_opened();
+    assert!(0 < opened && opened < shipped, "{opened} of {shipped} shipped slices opened");
+    assert!(solo.records_opened() < solo.join.total_shuffle_records());
+}
+
+#[test]
+fn every_reducer_opens_only_slices_it_was_shipped() {
+    // Six shapes and a self-join over one dataset: at each reducer the
+    // opened slices are a subset of the shipped ones, and their records
+    // a subset of the records shuffled to it. Serving changes none of it.
+    let mut queries = mixed_queries();
+    queries.push(self_join());
+    let reports =
+        assert_served_twice_like_solo(&engine(), &uniform_collections(3, 80, 555), &queries);
+    for (q, report) in queries.iter().zip(&reports) {
+        let received = &report.join.shuffle_records;
+        assert_eq!(report.local_stats.len(), received.len(), "{}", q.name());
+        assert!(report.buckets_opened() > 0, "{}: no slice opened", q.name());
+        for (r, (stats, &received)) in report.local_stats.iter().zip(received).enumerate() {
+            assert!(stats.buckets_opened <= stats.buckets_sweep, "{} reducer {r}", q.name());
+            assert!(stats.records_opened <= received, "{} reducer {r}", q.name());
+        }
     }
 }
 

@@ -214,8 +214,7 @@ proptest! {
     /// Any arrival order of one item set builds the identical index —
     /// the same items in the same canonical order, and the same visits
     /// and scan count for every probe — which is what lets reducers
-    /// build from slices in arrival order and the serving pool share one
-    /// build between queries.
+    /// build from slices in arrival order.
     #[test]
     fn build_is_input_order_independent(
         points in proptest::collection::vec((0i64..40, 0i64..10), 0..150),
