@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use tkij_core::config::IntraJoin;
 use tkij_core::{
-    collect_statistics, distribute, get_top_buckets, run_topbuckets, ComboSet, DistributionPolicy,
-    Strategy,
+    collect_statistics, distribute, get_top_buckets, run_join_phase_with, run_topbuckets, ComboSet,
+    DistributionPolicy, LocalJoinBackend, ShuffleMode, SpillSinkKind, Strategy, SweepScanKind,
 };
 use tkij_datagen::synthetic::{uniform_collection, SyntheticConfig};
 use tkij_index::{threshold_candidates, SweepIndex};
@@ -308,6 +309,47 @@ fn bench_local_join_chain(c: &mut Criterion) {
     });
 }
 
+/// The join phase of `benchmark/`'s `shuffle-spill` shape: 3 × 6 000
+/// uniform intervals over a 30 000 span under 24 granules, `Q_{o,o}` at
+/// P1 with k = 100, its selected combinations spread by DTB over 24
+/// reducers, run sequentially. The serialized run spills 32 KiB segments
+/// to memory; its in-memory twin runs the same plan, so the difference
+/// between the two is the transport's encode, checksum and decode.
+fn bench_join_phase_transports(c: &mut Criterion) {
+    let dataset =
+        collect_statistics(benchmark_collections(6_000, 30_000), 24, &ClusterConfig::default())
+            .unwrap();
+    let q = table1::q_oo(PredicateParams::P1);
+    let combos =
+        run_topbuckets(&q, &dataset.matrices, 100, Strategy::Loose, &SolverConfig::default(), 6).0;
+    let assignment = distribute(&combos, DistributionPolicy::Dtb, 24, &q, &dataset.matrices);
+    let serialized =
+        ShuffleMode::Serialized { spill_threshold_bytes: 32 * 1024, sink: SpillSinkKind::Memory };
+    for (name, shuffle) in [
+        ("shuffle/join_phase_serialized_q_oo", serialized),
+        ("shuffle/join_phase_in_memory_q_oo", ShuffleMode::InMemory),
+    ] {
+        let cluster = ClusterConfig { shuffle, ..ClusterConfig::default() };
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let (outputs, _) = run_join_phase_with(
+                    &dataset,
+                    black_box(&q),
+                    &combos,
+                    &assignment,
+                    100,
+                    &cluster,
+                    LocalJoinBackend::Sweep,
+                    SweepScanKind::Chunked,
+                    None,
+                    IntraJoin,
+                );
+                outputs.len()
+            })
+        });
+    }
+}
+
 fn configured() -> Criterion {
     Criterion::default().sample_size(20)
 }
@@ -317,6 +359,6 @@ criterion_group! {
     config = configured();
     targets = bench_scoring, bench_predicate_kernels, bench_solver, bench_index_ablation,
               bench_topbuckets, bench_distribute, bench_topk, bench_local_join,
-              bench_local_join_chain
+              bench_local_join_chain, bench_join_phase_transports
 }
 criterion_main!(benches);

@@ -25,7 +25,9 @@
 //! Both transports produce identical partitions and identical
 //! `shuffle_records` / `shuffle_bytes` accounting; the serialized one
 //! additionally fills [`ShuffleStats`] (records/segments/bytes spilled
-//! plus a CRC-32 xor-fold over every record frame). Because xor is
+//! plus a CRC-32 xor-fold over every record frame). The CRC is the IEEE
+//! one, computed slicing by 8 (eight table lookups per 8-byte chunk), so
+//! its value is the bytewise definition's. Because xor is
 //! commutative and every record is framed identically regardless of
 //! which segment it lands in, `records_spilled` and `checksum` are
 //! invariant across spill thresholds and worker-thread counts — only
@@ -41,11 +43,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE), table generated at compile time — no dependencies.
+// CRC-32 (IEEE), slicing by 8, tables generated at compile time — no
+// dependencies.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[t][b]` is
+/// the CRC of byte `b` followed by `t` zero bytes, so eight lookups fold
+/// one 8-byte chunk.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -54,20 +60,48 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE polynomial) of `bytes` — the per-frame integrity hash
 /// whose xor-fold becomes the segment, partition and job checksums.
+/// Slicing by 8: each 8-byte chunk costs eight independent table
+/// lookups instead of eight dependent ones, and the value is the
+/// bytewise IEEE CRC's, bit for bit.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let x = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"))
+            ^ u64::from(c);
+        let byte = |i: u32| ((x >> (8 * i)) & 0xFF) as usize;
+        c = t7[byte(0)]
+            ^ t6[byte(1)]
+            ^ t5[byte(2)]
+            ^ t4[byte(3)]
+            ^ t3[byte(4)]
+            ^ t2[byte(5)]
+            ^ t1[byte(6)]
+            ^ t0[byte(7)];
+    }
+    for &b in chunks.remainder() {
+        c = t0[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -333,7 +367,10 @@ pub enum ShuffleMode {
         /// Buffered bytes (by [`SizeOf`]) per (task, partition) above
         /// which the buffer flushes to a segment. `0` spills after
         /// every record; `u64::MAX` yields one segment per nonempty
-        /// (task, partition).
+        /// (task, partition) unless its payload (frames plus 4-byte
+        /// length prefixes) or record count would pass `u32::MAX`, the
+        /// most a segment header can describe: whatever the threshold,
+        /// the buffer flushes before that.
         spill_threshold_bytes: u64,
         /// Segment storage backend.
         sink: SpillSinkKind,
@@ -351,32 +388,49 @@ const SEGMENT_HEADER_BYTES: usize = 16;
 /// Per-frame length prefix.
 const FRAME_PREFIX_BYTES: usize = 4;
 
+/// Whether a segment of `records` frames and `payload_bytes` (frames
+/// plus their length prefixes) can take one more frame of `frame_bytes`
+/// with its record count and payload length still fitting the header's
+/// `u32` fields.
+fn segment_has_room(records: usize, payload_bytes: u64, frame_bytes: u64) -> bool {
+    let ceiling = u64::from(u32::MAX);
+    (records as u64) < ceiling
+        && payload_bytes.saturating_add(FRAME_PREFIX_BYTES as u64).saturating_add(frame_bytes)
+            <= ceiling
+}
+
 /// Encodes records, in order, into one segment; returns the bytes and the
-/// segment's xor-folded frame CRC.
+/// segment's xor-folded frame CRC. Each frame is written once, straight
+/// into the segment buffer, and checksummed where it lies.
 fn encode_segment<K: Record, V: Record>(records: &[(K, V)]) -> (Vec<u8>, u32) {
-    let mut payload = Vec::new();
+    let payload_bytes: usize =
+        records.iter().map(|(k, v)| FRAME_PREFIX_BYTES + k.size_bytes() + v.size_bytes()).sum();
+    let mut bytes = Vec::with_capacity(SEGMENT_HEADER_BYTES + payload_bytes);
+    bytes.resize(SEGMENT_HEADER_BYTES, 0);
     let mut checksum = 0u32;
-    let mut frame = Vec::new();
     for (k, v) in records {
-        frame.clear();
-        k.encode(&mut frame);
-        v.encode(&mut frame);
+        let prefix_at = bytes.len();
+        bytes.extend_from_slice(&[0; FRAME_PREFIX_BYTES]);
+        let start = bytes.len();
+        k.encode(&mut bytes);
+        v.encode(&mut bytes);
+        let frame = &bytes[start..];
         debug_assert_eq!(
             frame.len(),
             k.size_bytes() + v.size_bytes(),
             "Record encoding drifted from its SizeOf estimate"
         );
         let len = u32::try_from(frame.len()).expect("record frame exceeds u32 length");
-        payload.extend_from_slice(&len.to_le_bytes());
-        payload.extend_from_slice(&frame);
-        checksum ^= crc32(&frame);
+        checksum ^= crc32(frame);
+        bytes[prefix_at..start].copy_from_slice(&len.to_le_bytes());
     }
-    let mut bytes = Vec::with_capacity(SEGMENT_HEADER_BYTES + payload.len());
-    bytes.extend_from_slice(&SEGMENT_MAGIC.to_le_bytes());
-    bytes.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    let count = u32::try_from(records.len())
+        .expect("the sink flushes before a segment's record count passes u32::MAX");
+    let payload_len = u32::try_from(bytes.len() - SEGMENT_HEADER_BYTES)
+        .expect("the sink flushes before a segment's payload passes u32::MAX bytes");
+    for (at, field) in [SEGMENT_MAGIC, count, payload_len, checksum].into_iter().enumerate() {
+        bytes[4 * at..4 * at + 4].copy_from_slice(&field.to_le_bytes());
+    }
     (bytes, checksum)
 }
 
@@ -764,6 +818,14 @@ impl<K: Record, V: Record> TaskSink<K, V> for SerializedSink<K, V> {
             return;
         }
         let size = (key.size_bytes() + value.size_bytes()) as u64;
+        let pb = &self.parts[partition];
+        let payload_bytes = pb.buffered_bytes + (FRAME_PREFIX_BYTES * pb.records.len()) as u64;
+        if !segment_has_room(pb.records.len(), payload_bytes, size) {
+            self.flush(partition);
+            if self.error.is_some() {
+                return;
+            }
+        }
         let pb = &mut self.parts[partition];
         pb.records_total += 1;
         pb.bytes_total += size;
@@ -870,6 +932,16 @@ mod tests {
         Words((0..i % 4).map(|w| i * 10 + w).collect())
     }
 
+    /// The bytewise CRC-32 (one dependent table lookup per byte): the
+    /// definition the sliced kernel must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     fn roundtrip<T: Record + PartialEq + std::fmt::Debug>(value: &T) {
         let mut bytes = Vec::new();
         value.encode(&mut bytes);
@@ -962,6 +1034,20 @@ mod tests {
             prop_assert_eq!(out.stats.records_spilled as usize, records.len());
         }
 
+        /// The sliced kernel equals the bytewise definition on every
+        /// length up to 200 bytes, at every start offset within an
+        /// 8-byte chunk (so chunks and tails fall unaligned).
+        #[test]
+        fn prop_crc32_matches_bytewise(
+            buffer in proptest::collection::vec(0u8..=255, 208),
+            len in 0usize..=200,
+        ) {
+            for offset in 0..8 {
+                let bytes = &buffer[offset..offset + len];
+                prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes), "offset {}", offset);
+            }
+        }
+
         /// The spill stats' threshold invariants: `records_spilled` and
         /// `checksum` never move with the threshold; the segmentation
         /// (`spill_segments`) shrinks monotonically as it grows.
@@ -1027,6 +1113,43 @@ mod tests {
             SegmentReader::<u64, Words>::open(bad_magic, id),
             Err(ShuffleError::Corrupt { .. })
         ));
+    }
+
+    /// Every single-bit flip anywhere in a segment — header, length
+    /// prefix or frame — fails verification before anything decodes.
+    #[test]
+    fn every_single_bit_flip_is_reported() {
+        let records: Vec<(u64, Words)> = (1..=6).map(|i| (u64::from(i), words(i))).collect();
+        let (bytes, _) = encode_segment(&records);
+        assert_eq!(bytes.len(), 172);
+        let id = SegmentId { task: 0, partition: 0, segment: 0 };
+        assert!(SegmentReader::<u64, Words>::open(bytes.clone(), id).is_ok());
+        for bit in 0..8 * bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                SegmentReader::<u64, Words>::open(flipped, id).is_err(),
+                "flipping bit {bit} went unreported"
+            );
+        }
+    }
+
+    /// A segment header holds its record count and payload length as
+    /// `u32`: the sink flushes before one more frame would push either
+    /// past `u32::MAX`, whatever the spill threshold.
+    #[test]
+    fn segment_room_stops_at_the_header_ceiling() {
+        let max = u64::from(u32::MAX);
+        let prefix = FRAME_PREFIX_BYTES as u64;
+        assert!(segment_has_room(0, 0, 30));
+        assert!(segment_has_room(0, 0, max - prefix));
+        assert!(!segment_has_room(0, 0, max - prefix + 1));
+        assert!(segment_has_room(1000, max - prefix - 30, 30));
+        assert!(!segment_has_room(1000, max - prefix - 29, 30));
+        assert!(!segment_has_room(1000, max, 0));
+        assert!(!segment_has_room(1000, 0, u64::MAX));
+        assert!(segment_has_room(u32::MAX as usize - 1, 0, 0));
+        assert!(!segment_has_room(u32::MAX as usize, 0, 0));
     }
 
     /// The serialized gather must equal the in-memory gather bit for bit
@@ -1167,5 +1290,10 @@ mod tests {
         // The IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Lengths either side of one and two 8-byte chunks.
+        let bytes: Vec<u8> = (0..17u8).map(|b| b.wrapping_mul(37) ^ 0xA5).collect();
+        for len in [7, 8, 9, 15, 16, 17] {
+            assert_eq!(crc32(&bytes[..len]), crc32_bytewise(&bytes[..len]), "length {len}");
+        }
     }
 }
